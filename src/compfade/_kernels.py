@@ -18,6 +18,11 @@ import numpy as np
 
 from .backend import jit
 
+# below this, kappa-dependent factors are replaced by their exact kappa -> 0
+# limit forms for numerical hygiene
+KAPPA_ZERO_CUTOFF = 1e-10
+LN2 = math.log(2.0)
+
 _LN_RESCALE = 645.0  # e^645 is close to the overflow edge; rescale margin below it
 _CF_TINY = 1e-300
 _CF_EPS = 3e-15
@@ -46,6 +51,17 @@ def _lgamma_sign(x):
 @jit
 def _lbeta(a, b):
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+@jit
+def pdf_at_zero(ln_a, q):
+    """Density at 0 of a law whose CDF starts as A x^q: 0 above q = 1,
+    infinite below it, and A at exactly q = 1."""
+    if q > 1.0:
+        return 0.0
+    if q < 1.0:
+        return math.inf
+    return math.exp(ln_a)
 
 
 @jit
@@ -542,9 +558,16 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, abs_tol, max_terms):
 
 
 @jit
-def aef_snr_pdf_kernel(alpha, mu, ms, h, hsq, ln_lam, g, rel_tol, abs_tol, max_terms):
-    """Density of the alpha-eta-F instantaneous SNR at g > 0. Returns (value, status)."""
-    ln_g = math.log(g)
+def aef_snr_pdf_kernel(alpha, mu, ms, h, hsq, ln_lam, ln_g, rel_tol, abs_tol, max_terms,
+                       ln_jac=0.0):
+    """Density of the alpha-eta-F instantaneous SNR at g = exp(ln_g) > 0, times
+    exp(ln_jac). Returns (value, status).
+
+    ln_jac is the log-Jacobian of a change of variables: the envelope density
+    at r is this kernel at ln_g = 2 ln r, ln_jac = ln 2 + ln r, with Lambda
+    built from the mean power. Taking logs keeps r below 1e-154, where r*r
+    underflows, on the curve.
+    """
     gexp = 0.5 * alpha * ln_g
     ln_den = _logaddexp(math.log(2.0 * mu * h) + gexp, ln_lam)
     z = hsq * math.exp(2.0 * (math.log(2.0 * mu) + gexp) - 2.0 * ln_den)
@@ -555,37 +578,12 @@ def aef_snr_pdf_kernel(alpha, mu, ms, h, hsq, ln_lam, g, rel_tol, abs_tol, max_t
         return 0.0, st
     ln_pdf = (
         math.log(alpha)
-        + (2.0 * mu - 1.0) * math.log(2.0)
+        + (2.0 * mu - 1.0) * LN2
         + 2.0 * mu * math.log(mu)
         + mu * math.log(h)
         + ms * ln_lam
         + (alpha * mu - 1.0) * ln_g
-        - _lbeta(2.0 * mu, ms)
-        - (2.0 * mu + ms) * ln_den
-        + ln_f
-    )
-    return sgn_f * math.exp(ln_pdf), 0
-
-
-@jit
-def aef_envelope_pdf_kernel(alpha, mu, ms, h, hsq, ln_lam, r, rel_tol, abs_tol, max_terms):
-    """Envelope density of the alpha-eta-F model at r > 0, Lambda built from Omega."""
-    ln_r = math.log(r)
-    rexp = alpha * ln_r
-    ln_den = _logaddexp(math.log(2.0 * mu * h) + rexp, ln_lam)
-    z = hsq * math.exp(2.0 * (math.log(2.0 * mu) + rexp) - 2.0 * ln_den)
-    ln_f, sgn_f, _, _, st = gauss_2f1_ln(
-        mu + 0.5 * ms, mu + 0.5 * (ms + 1.0), mu + 0.5, z, rel_tol, abs_tol, max_terms, 0
-    )
-    if st != 0:
-        return 0.0, st
-    ln_pdf = (
-        math.log(alpha)
-        + 2.0 * mu * math.log(2.0)
-        + 2.0 * mu * math.log(mu)
-        + mu * math.log(h)
-        + ms * ln_lam
-        + (2.0 * alpha * mu - 1.0) * ln_r
+        + ln_jac
         - _lbeta(2.0 * mu, ms)
         - (2.0 * mu + ms) * ln_den
         + ln_f
@@ -686,13 +684,11 @@ def aef_cdf_bound_kernel(alpha, mu, ms, h, hsq, ln_lam, g, k0, rel_tol, abs_tol,
     ln_f1 = math.log(b0) - b0 * ln_y + _lbeta(b0, ms) + math.log(iw)
     ln_x = math.log(mu) + gexp - ln_lam
     ln_t = (
-        (2.0 * mu - 1.0) * math.log(2.0)
+        (2.0 * mu - 1.0) * LN2
         + mu * math.log(h)
-        - math.lgamma(2.0 * mu)
-        - math.lgamma(ms)
+        - _lbeta(2.0 * mu, ms)
         + ln_f1
         + 2.0 * mu * ln_x
-        + math.lgamma(ms + 2.0 * mu)
         - math.log(mu + k0)
         + ln_f2
     )
@@ -700,23 +696,26 @@ def aef_cdf_bound_kernel(alpha, mu, ms, h, hsq, ln_lam, g, k0, rel_tol, abs_tol,
 
 
 @jit
-def akf_snr_pdf_kernel(alpha, mu, ms, kappa, ln_lam, g, rel_tol, abs_tol, max_terms):
-    """Density of the alpha-kappa-F instantaneous SNR at g > 0. Returns (value, status).
+def akf_snr_pdf_kernel(alpha, mu, ms, kappa, ln_lam, ln_g, rel_tol, abs_tol, max_terms,
+                       ln_jac=0.0):
+    """Density of the alpha-kappa-F instantaneous SNR at g = exp(ln_g) > 0, times
+    exp(ln_jac). Returns (value, status).
 
-    kappa below 1e-10 routes through the exact kappa -> 0 limit (alpha-F form).
+    ln_jac works as in aef_snr_pdf_kernel. kappa below KAPPA_ZERO_CUTOFF routes
+    through the exact kappa -> 0 limit (alpha-F form).
     """
-    ln_g = math.log(g)
     gexp = 0.5 * alpha * ln_g
-    if kappa < 1e-10:
+    ln_head = (0.5 * alpha * mu - 1.0) * ln_g + ln_jac
+    if kappa < KAPPA_ZERO_CUTOFF:
         ln_den = _logaddexp(math.log(mu) + gexp, ln_lam)
         ln_pdf = (
             math.log(alpha)
             + mu * math.log(mu)
             + ms * ln_lam
-            - math.log(2.0)
+            - LN2
             - _lbeta(mu, ms)
             - (mu + ms) * ln_den
-            + (0.5 * alpha * mu - 1.0) * ln_g
+            + ln_head
         )
         return math.exp(ln_pdf), 0
     ln_den = _logaddexp(math.log(mu * (1.0 + kappa)) + gexp, ln_lam)
@@ -730,45 +729,10 @@ def akf_snr_pdf_kernel(alpha, mu, ms, kappa, ln_lam, g, rel_tol, abs_tol, max_te
         + mu * math.log1p(kappa)
         + ms * ln_lam
         - mu * kappa
-        - math.log(2.0)
+        - LN2
         - _lbeta(mu, ms)
         - (mu + ms) * ln_den
-        + (0.5 * alpha * mu - 1.0) * ln_g
-        + ln_f
-    )
-    return sgn_f * math.exp(ln_pdf), 0
-
-
-@jit
-def akf_envelope_pdf_kernel(alpha, mu, ms, kappa, ln_lam, r, rel_tol, abs_tol, max_terms):
-    """Envelope density of the alpha-kappa-F model at r > 0, Lambda built from Omega."""
-    ln_r = math.log(r)
-    rexp = alpha * ln_r
-    if kappa < 1e-10:
-        ln_den = _logaddexp(math.log(mu) + rexp, ln_lam)
-        ln_pdf = (
-            math.log(alpha)
-            + mu * math.log(mu)
-            + ms * ln_lam
-            - _lbeta(mu, ms)
-            - (mu + ms) * ln_den
-            + (alpha * mu - 1.0) * ln_r
-        )
-        return math.exp(ln_pdf), 0
-    ln_den = _logaddexp(math.log(mu * (1.0 + kappa)) + rexp, ln_lam)
-    x = mu * kappa * math.exp(math.log(mu * (1.0 + kappa)) + rexp - ln_den)
-    ln_f, sgn_f, _, _, st = kummer_1f1_ln(mu + ms, mu, x, rel_tol, abs_tol, max_terms)
-    if st != 0:
-        return 0.0, st
-    ln_pdf = (
-        math.log(alpha)
-        + mu * math.log(mu)
-        + mu * math.log1p(kappa)
-        + ms * ln_lam
-        - mu * kappa
-        - _lbeta(mu, ms)
-        - (mu + ms) * ln_den
-        + (alpha * mu - 1.0) * ln_r
+        + ln_head
         + ln_f
     )
     return sgn_f * math.exp(ln_pdf), 0
@@ -790,7 +754,7 @@ def akf_snr_cdf_kernel(alpha, mu, ms, kappa, ln_lam, g, rel_tol, abs_tol, max_te
     if st0 != 0:
         return 0.0, 1, 0.0, 1
     mk = mu * kappa
-    if kappa < 1e-10:
+    if kappa < KAPPA_ZERO_CUTOFF:
         return i0, 1, 0.0, 0
     ln_p = -mk  # ln of the Poisson weight, t = 0
     term = math.exp(ln_p) * i0

@@ -28,32 +28,7 @@ from .series import (
     default_control,
 )
 
-__all__ = ["AefDist", "AefEnvelope", "validation_grid"]
-
-# Axes of the standard 81-point parameter grid used by the validation
-# battery (gamma_bar = 1 throughout; eta is Format I).
-VALIDATION_ALPHAS = (1.0, 2.0, 3.5)
-VALIDATION_ETAS = (0.2, 1.0, 5.0)
-VALIDATION_MUS = (0.5, 1.0, 2.5)
-VALIDATION_MS = (2.1, 5.0, 30.0)
-
-
-def validation_grid() -> tuple:
-    """Standard alpha-eta-F parameter grid; points whose mean-power moment
-    does not exist (ms <= 2/alpha) are skipped."""
-    out = []
-    for alpha in VALIDATION_ALPHAS:
-        for eta in VALIDATION_ETAS:
-            for mu in VALIDATION_MUS:
-                for ms in VALIDATION_MS:
-                    if ms <= 2.0 / alpha:
-                        continue
-                    out.append(AefParams(alpha=alpha, eta=eta, mu=mu, ms=ms))
-    return tuple(out)
-
-
-def _lbeta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+__all__ = ["AefDist", "AefEnvelope"]
 
 
 @dataclass(frozen=True)
@@ -84,35 +59,29 @@ class AefDist:
             + 0.5 * p.alpha * math.log(self.gamma_bar),
         )
 
-    def _pdf_at_zero(self) -> float:
+    def _head(self) -> tuple:
+        """(ln A, p) of the CDF head F(x) ~ A x^p as x -> 0, with p = alpha mu."""
         p = self.params
-        am = p.alpha * p.mu
-        if am > 1.0:
-            return 0.0
-        if am < 1.0:
-            return math.inf
-        ln_f0 = (
-            math.log(p.alpha)
-            + (2.0 * p.mu - 1.0) * math.log(2.0)
-            + 2.0 * p.mu * math.log(p.mu)
+        ln_a = (
+            (2.0 * p.mu - 1.0) * math.log(2.0 * p.mu)
             + p.mu * math.log(self.geometry.h)
-            - _lbeta(2.0 * p.mu, p.ms)
+            - _k._lbeta(2.0 * p.mu, p.ms)
             - 2.0 * p.mu * self._ln_lam
         )
-        return math.exp(ln_f0)
+        return ln_a, p.alpha * p.mu
 
     def snr_pdf(self, gamma: float, ctrl: SeriesControl | None = None) -> float:
         """Density of the instantaneous SNR at gamma >= 0."""
         if not gamma >= 0.0:
             raise DomainError(f"gamma must be non-negative, got {gamma}")
         if gamma == 0.0:
-            return self._pdf_at_zero()
+            return _k.pdf_at_zero(*self._head())
         if ctrl is None:
             ctrl = default_control()
         p = self.params
         value, status = _k.aef_snr_pdf_kernel(
             p.alpha, p.mu, p.ms, self.geometry.h, self._hsq, self._ln_lam,
-            float(gamma), ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
+            math.log(gamma), ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
         )
         if status != STATUS_OK:
             raise ConvergenceError("snr_pdf: embedded hypergeometric did not converge")
@@ -171,57 +140,41 @@ class AefDist:
 
 @dataclass(frozen=True)
 class AefEnvelope:
-    """alpha-eta-F signal envelope with mean power omega_power = E[R^2]."""
+    """alpha-eta-F signal envelope with mean power omega_power = E[R^2].
+
+    R^2 follows the SNR law at gamma_bar = omega_power, so the envelope
+    density is 2r f(r^2) of that AefDist.
+    """
 
     params: AefParams
     omega_power: float
     geometry: Geometry = field(init=False, repr=False)
     upsilon: float = field(init=False, repr=False)
-    _hsq: float = field(init=False, repr=False)
-    _ln_lam: float = field(init=False, repr=False)
+    _snr: AefDist = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.omega_power > 0.0 and math.isfinite(self.omega_power)):
             raise DomainError(f"omega_power must be positive, got {self.omega_power}")
-        geo = _params.geometry(self.params)
-        ups = _params.upsilon(self.params)
-        p = self.params
-        object.__setattr__(self, "geometry", geo)
-        object.__setattr__(self, "upsilon", ups)
-        object.__setattr__(self, "_hsq", geo.H * geo.H)
-        object.__setattr__(
-            self,
-            "_ln_lam",
-            math.log(p.ms - 1.0)
-            + math.log(ups)
-            + 0.5 * p.alpha * math.log(self.omega_power),
-        )
+        snr = AefDist(self.params, self.omega_power)
+        object.__setattr__(self, "_snr", snr)
+        object.__setattr__(self, "geometry", snr.geometry)
+        object.__setattr__(self, "upsilon", snr.upsilon)
 
     def envelope_pdf(self, r: float, ctrl: SeriesControl | None = None) -> float:
         """Density of the signal envelope at r >= 0."""
         if not r >= 0.0:
             raise DomainError(f"r must be non-negative, got {r}")
-        p = self.params
+        d = self._snr
         if r == 0.0:
-            am2 = 2.0 * p.alpha * p.mu
-            if am2 > 1.0:
-                return 0.0
-            if am2 < 1.0:
-                return math.inf
-            ln_f0 = (
-                math.log(p.alpha)
-                + 2.0 * p.mu * math.log(2.0)
-                + 2.0 * p.mu * math.log(p.mu)
-                + p.mu * math.log(self.geometry.h)
-                - _lbeta(2.0 * p.mu, p.ms)
-                - 2.0 * p.mu * self._ln_lam
-            )
-            return math.exp(ln_f0)
+            ln_a, q = d._head()
+            return _k.pdf_at_zero(ln_a, 2.0 * q)
         if ctrl is None:
             ctrl = default_control()
-        value, status = _k.aef_envelope_pdf_kernel(
-            p.alpha, p.mu, p.ms, self.geometry.h, self._hsq, self._ln_lam,
-            float(r), ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
+        p = self.params
+        ln_r = math.log(r)
+        value, status = _k.aef_snr_pdf_kernel(
+            p.alpha, p.mu, p.ms, d.geometry.h, d._hsq, d._ln_lam,
+            2.0 * ln_r, ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms, _k.LN2 + ln_r,
         )
         if status != STATUS_OK:
             raise ConvergenceError(

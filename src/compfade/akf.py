@@ -28,38 +28,12 @@ from .series import (
     default_control,
 )
 
-__all__ = ["AkfDist", "AkfEnvelope", "validation_grid"]
+__all__ = ["AkfDist", "AkfEnvelope"]
 
 # relative half-width of the guard band around the closed-form case boundary
 # X1 = 1: inside it the Humbert/Kampe arguments approach magnitude 1 and the
 # double series converge arbitrarily slowly, so the mixture series is used
 CLOSED_FORM_GUARD = 0.05
-
-# Axes of the standard 81-point parameter grid used by the validation
-# battery (gamma_bar = 1 throughout).
-VALIDATION_ALPHAS = (1.0, 2.0, 3.5)
-VALIDATION_KAPPAS = (0.1, 1.0, 5.0)
-VALIDATION_MUS = (0.5, 1.0, 2.5)
-VALIDATION_MS = (2.1, 5.0, 30.0)
-
-
-def validation_grid() -> tuple:
-    """Standard alpha-kappa-F parameter grid; points whose mean-power moment
-    does not exist (ms <= 2/alpha) are skipped."""
-    out = []
-    for alpha in VALIDATION_ALPHAS:
-        for kappa in VALIDATION_KAPPAS:
-            for mu in VALIDATION_MUS:
-                for ms in VALIDATION_MS:
-                    if ms <= 2.0 / alpha:
-                        continue
-                    out.append(AkfParams(alpha=alpha, kappa=kappa, mu=mu, ms=ms))
-    return tuple(out)
-
-
-def _lbeta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
 
 def _clamped(raw: float, terms: int, est: float, converged: bool) -> SeriesResult:
     value = min(max(raw, 0.0), 1.0)
@@ -94,36 +68,30 @@ class AkfDist:
             + 0.5 * p.alpha * math.log(self.gamma_bar),
         )
 
-    def _pdf_at_zero(self) -> float:
+    def _head(self) -> tuple:
+        """(ln A, p) of the CDF head F(x) ~ A x^p as x -> 0, with p = alpha mu / 2."""
         p = self.params
-        am = p.alpha * p.mu
-        if am > 2.0:
-            return 0.0
-        if am < 2.0:
-            return math.inf
-        ln_f0 = (
-            math.log(p.alpha)
-            + p.mu * math.log(p.mu)
-            - math.log(2.0)
-            - _lbeta(p.mu, p.ms)
+        ln_a = (
+            (p.mu - 1.0) * math.log(p.mu)
+            - p.mu * p.kappa
+            + p.mu * math.log1p(p.kappa)
+            - _k._lbeta(p.mu, p.ms)
             - p.mu * self._ln_lam
         )
-        if p.kappa >= _params.KAPPA_ZERO_CUTOFF:
-            ln_f0 += p.mu * math.log1p(p.kappa) - p.mu * p.kappa
-        return math.exp(ln_f0)
+        return ln_a, 0.5 * p.alpha * p.mu
 
     def snr_pdf(self, gamma: float, ctrl: SeriesControl | None = None) -> float:
         """Density of the instantaneous SNR at gamma >= 0."""
         if not gamma >= 0.0:
             raise DomainError(f"gamma must be non-negative, got {gamma}")
         if gamma == 0.0:
-            return self._pdf_at_zero()
+            return _k.pdf_at_zero(*self._head())
         if ctrl is None:
             ctrl = default_control()
         p = self.params
         value, status = _k.akf_snr_pdf_kernel(
             p.alpha, p.mu, p.ms, p.kappa, self._ln_lam,
-            float(gamma), ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
+            math.log(gamma), ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
         )
         if status != STATUS_OK:
             raise ConvergenceError("snr_pdf: embedded hypergeometric did not converge")
@@ -185,7 +153,7 @@ class AkfDist:
             )
             if status == 2:
                 raise ConvergenceError("snr_cdf_closed: Kampe de Feriet series diverged")
-            ln_lead = -mk - math.log(p.mu) - _lbeta(p.mu, p.ms) + p.mu * ln_x1
+            ln_lead = -mk - math.log(p.mu) - _k._lbeta(p.mu, p.ms) + p.mu * ln_x1
             raw = sgn * math.exp(ln_lead + ln_f)
             return _clamped(raw, terms, est_rel * abs(raw), status == STATUS_OK)
         if x1 > 1.0 + CLOSED_FORM_GUARD:
@@ -201,7 +169,7 @@ class AkfDist:
             if st1 == 2 or st2 == 2:
                 raise ConvergenceError("snr_cdf_closed: Humbert series diverged")
             term1 = s1 * math.exp(-mk + ln1)
-            ln_c2 = -mk - math.log(p.ms) - _lbeta(p.mu, p.ms) - p.ms * ln_x1
+            ln_c2 = -mk - math.log(p.ms) - _k._lbeta(p.mu, p.ms) - p.ms * ln_x1
             term2 = s2 * math.exp(ln_c2 + ln2)
             raw = term1 - term2
             est = e1 * abs(term1) + e2 * abs(term2)
@@ -211,52 +179,39 @@ class AkfDist:
 
 @dataclass(frozen=True)
 class AkfEnvelope:
-    """alpha-kappa-F signal envelope with mean power omega_power = E[R^2]."""
+    """alpha-kappa-F signal envelope with mean power omega_power = E[R^2].
+
+    R^2 follows the SNR law at gamma_bar = omega_power, so the envelope
+    density is 2r f(r^2) of that AkfDist.
+    """
 
     params: AkfParams
     omega_power: float
     omega_norm: float = field(init=False, repr=False)
-    _ln_lam: float = field(init=False, repr=False)
+    _snr: AkfDist = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.omega_power > 0.0 and math.isfinite(self.omega_power)):
             raise DomainError(f"omega_power must be positive, got {self.omega_power}")
-        p = self.params
-        om = _params.omega(p)
-        object.__setattr__(self, "omega_norm", om)
-        object.__setattr__(
-            self,
-            "_ln_lam",
-            math.log(p.ms - 1.0)
-            + math.log(om)
-            + 0.5 * p.alpha * math.log(self.omega_power),
-        )
+        snr = AkfDist(self.params, self.omega_power)
+        object.__setattr__(self, "_snr", snr)
+        object.__setattr__(self, "omega_norm", snr.omega_norm)
 
     def envelope_pdf(self, r: float, ctrl: SeriesControl | None = None) -> float:
         """Density of the signal envelope at r >= 0."""
         if not r >= 0.0:
             raise DomainError(f"r must be non-negative, got {r}")
-        p = self.params
+        d = self._snr
         if r == 0.0:
-            am = p.alpha * p.mu
-            if am > 1.0:
-                return 0.0
-            if am < 1.0:
-                return math.inf
-            ln_f0 = (
-                math.log(p.alpha)
-                + p.mu * math.log(p.mu)
-                - _lbeta(p.mu, p.ms)
-                - p.mu * self._ln_lam
-            )
-            if p.kappa >= _params.KAPPA_ZERO_CUTOFF:
-                ln_f0 += p.mu * math.log1p(p.kappa) - p.mu * p.kappa
-            return math.exp(ln_f0)
+            ln_a, q = d._head()
+            return _k.pdf_at_zero(ln_a, 2.0 * q)
         if ctrl is None:
             ctrl = default_control()
-        value, status = _k.akf_envelope_pdf_kernel(
-            p.alpha, p.mu, p.ms, p.kappa, self._ln_lam,
-            float(r), ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
+        p = self.params
+        ln_r = math.log(r)
+        value, status = _k.akf_snr_pdf_kernel(
+            p.alpha, p.mu, p.ms, p.kappa, d._ln_lam,
+            2.0 * ln_r, ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms, _k.LN2 + ln_r,
         )
         if status != STATUS_OK:
             raise ConvergenceError(

@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as sc
 
-from .params import (
-    KAPPA_ZERO_CUTOFF,
-    AefParams,
-    AkfParams,
-    Format,
-)
+from .params import AefParams, AkfParams, Format
 from .series import DomainError
 from . import specfun
 

@@ -23,10 +23,6 @@ __all__ = [
 ]
 
 
-def _lbeta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
 @dataclass(frozen=True)
 class GainPair:
     """Coding gain gc (linear SNR units) and diversity gain gd (slope)."""
@@ -58,67 +54,33 @@ def outage(
     raise DomainError(f"unsupported distribution type {type(dist).__name__}")
 
 
+def _ln_asymptote(dist: AefDist | AkfDist, gamma_th: float) -> tuple:
+    """(ln of the asymptotic outage, diversity gain): the CDF head A x^p of
+    the family at x = gamma_th."""
+    _check_threshold(gamma_th)
+    ln_a, p = dist._head()
+    return ln_a + p * math.log(gamma_th), p
+
+
 def asymptotic_outage_aef(d: AefDist, gamma_th: float) -> float:
     """Leading high-SNR outage term of the alpha-eta-F distribution:
     (2mu)^(2mu-1) h^mu / B(2mu, ms) * (gamma_th^(alpha/2) / Lambda)^(2mu)
     with Lambda = (ms-1) upsilon gamma_bar^(alpha/2)."""
-    _check_threshold(gamma_th)
-    p = d.params
-    ln_val = (
-        (2.0 * p.mu - 1.0) * math.log(2.0 * p.mu)
-        + p.mu * math.log(d.geometry.h)
-        - _lbeta(2.0 * p.mu, p.ms)
-        + 2.0 * p.mu * (0.5 * p.alpha * math.log(gamma_th) - d._ln_lam)
-    )
-    return math.exp(ln_val)
+    return math.exp(_ln_asymptote(d, gamma_th)[0])
 
 
 def asymptotic_outage_akf(d: AkfDist, gamma_th: float) -> float:
     """Leading high-SNR outage term of the alpha-kappa-F distribution:
     mu^(mu-1) e^(-mu kappa) / B(mu, ms) * ((1+kappa) gamma_th^(alpha/2) /
     Lambda)^mu with Lambda = (ms-1) omega gamma_bar^(alpha/2)."""
-    _check_threshold(gamma_th)
-    p = d.params
-    ln_val = (
-        (p.mu - 1.0) * math.log(p.mu)
-        - p.mu * p.kappa
-        - _lbeta(p.mu, p.ms)
-        + p.mu
-        * (math.log1p(p.kappa) + 0.5 * p.alpha * math.log(gamma_th) - d._ln_lam)
-    )
-    return math.exp(ln_val)
+    return math.exp(_ln_asymptote(d, gamma_th)[0])
 
 
 def gains(dist: AefDist | AkfDist, gamma_th: float) -> GainPair:
     """Coding and diversity gains of the high-SNR outage law
     (G_c gamma_bar)^(-G_d); consistent with the asymptotic outage at any
     gamma_bar by construction."""
-    _check_threshold(gamma_th)
-    if isinstance(dist, AefDist):
-        p = dist.params
-        gd = p.alpha * p.mu
-        ln_c = (
-            (2.0 * p.mu - 1.0) * math.log(2.0 * p.mu)
-            + p.mu * math.log(dist.geometry.h)
-            - _lbeta(2.0 * p.mu, p.ms)
-            - 2.0 * p.mu * (math.log(p.ms - 1.0) + math.log(dist.upsilon))
-        )
-        gc = math.exp(-ln_c / gd) / gamma_th
-        return GainPair(gc=gc, gd=gd)
-    if isinstance(dist, AkfDist):
-        p = dist.params
-        gd = 0.5 * p.alpha * p.mu
-        ln_c = (
-            (p.mu - 1.0) * math.log(p.mu)
-            - p.mu * p.kappa
-            - _lbeta(p.mu, p.ms)
-            + p.mu
-            * (
-                math.log1p(p.kappa)
-                - math.log(p.ms - 1.0)
-                - math.log(dist.omega_norm)
-            )
-        )
-        gc = math.exp(-ln_c / gd) / gamma_th
-        return GainPair(gc=gc, gd=gd)
-    raise DomainError(f"unsupported distribution type {type(dist).__name__}")
+    if not isinstance(dist, (AefDist, AkfDist)):
+        raise DomainError(f"unsupported distribution type {type(dist).__name__}")
+    ln_asym, gd = _ln_asymptote(dist, gamma_th)
+    return GainPair(gc=math.exp(-ln_asym / gd - math.log(dist.gamma_bar)), gd=gd)

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import specfun
+from ._kernels import KAPPA_ZERO_CUTOFF
 from .series import ConvergenceError, DomainError
 
 __all__ = [
@@ -28,10 +29,6 @@ __all__ = [
     "upsilon",
     "omega",
 ]
-
-# below this, kappa-dependent factors are replaced by their exact kappa -> 0
-# limit forms for numerical hygiene
-KAPPA_ZERO_CUTOFF = 1e-10
 
 
 class Format(enum.Enum):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 from . import _kernels as _k
+from ._kernels import _is_nonpos_int
 from .series import (
     STATUS_DIVERGED,
     STATUS_OK,
@@ -36,10 +37,6 @@ _POCH_PRODUCT_MAX = 128
 _PATHS = {"auto": 0, "direct": 1, "pfaff": 2, "euler": 3}
 
 
-def _is_nonpos_int(x: float) -> bool:
-    return x <= 0.0 and float(x) == math.floor(x)
-
-
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
     if not x > 0.0:
@@ -51,7 +48,7 @@ def beta(a: float, b: float) -> float:
     """Beta function B(a, b) for a, b > 0, computed in log space."""
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"beta requires positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    return math.exp(_k._lbeta(a, b))
 
 
 def pochhammer(x: float, n: int) -> float:

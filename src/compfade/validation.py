@@ -15,15 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from . import aef as aef_mod
-from . import akf as akf_mod
 from . import cases, mc, specfun
 from .aef import AefDist, AefEnvelope
 from .akf import CLOSED_FORM_GUARD, AkfDist, AkfEnvelope
 from .outage import asymptotic_outage_aef, asymptotic_outage_akf
 from .outage import outage as outage_probability
 from .params import AefParams, AkfParams, Format
-from .series import ConvergenceError, SeriesControl, default_control
+from .series import ConvergenceError, SeriesControl
 
 __all__ = [
     "Check",
@@ -52,6 +50,14 @@ ASYM_RATIO_TOLS = ((1e3, 0.05), (1e4, 0.01), (1e5, 0.003))
 SLOPE_TOL = 0.02
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=400)
+
+# Axes of the standard 81-point parameter grids (gamma_bar = 1 throughout;
+# eta is Format I).
+VALIDATION_ALPHAS = (1.0, 2.0, 3.5)
+VALIDATION_ETAS = (0.2, 1.0, 5.0)
+VALIDATION_KAPPAS = (0.1, 1.0, 5.0)
+VALIDATION_MUS = (0.5, 1.0, 2.5)
+VALIDATION_MS = (2.1, 5.0, 30.0)
 
 # Monte-Carlo configurations: both formats and alpha in {2, 3} for the
 # eta family, kappa in {0.5, 3} for the kappa family; integer mu only.
@@ -101,6 +107,23 @@ def _akf_tag(p: AkfParams) -> str:
     return f"akf[a={p.alpha:g},k={p.kappa:g},mu={p.mu:g},ms={p.ms:g}]"
 
 
+def _standard_grids() -> list:
+    """The alpha-eta-F grid, then the alpha-kappa-F grid; points whose
+    mean-power moment does not exist (ms <= 2/alpha) are skipped."""
+    return [
+        family(alpha=alpha, mu=mu, ms=ms, **{shape: value})
+        for family, shape, values in (
+            (AefParams, "eta", VALIDATION_ETAS),
+            (AkfParams, "kappa", VALIDATION_KAPPAS),
+        )
+        for alpha in VALIDATION_ALPHAS
+        for value in values
+        for mu in VALIDATION_MUS
+        for ms in VALIDATION_MS
+        if ms > 2.0 / alpha
+    ]
+
+
 def _head_exponent(p: AefParams | AkfParams) -> float:
     if isinstance(p, AefParams):
         return p.alpha * p.mu - 1.0
@@ -146,7 +169,7 @@ def check_normalization(grids=None) -> list:
     on the standard parameter grids."""
     checks = []
     if grids is None:
-        grids = list(aef_mod.validation_grid()) + list(akf_mod.validation_grid())
+        grids = _standard_grids()
     for p in grids:
         tag = _aef_tag(p) if isinstance(p, AefParams) else _akf_tag(p)
         _, pdf = _snr_pdf_fn(p)
@@ -165,7 +188,7 @@ def check_mean(grids=None) -> list:
     verifying the power normalizers end-to-end."""
     checks = []
     if grids is None:
-        grids = list(aef_mod.validation_grid()) + list(akf_mod.validation_grid())
+        grids = _standard_grids()
     for p in grids:
         tag = _aef_tag(p) if isinstance(p, AefParams) else _akf_tag(p)
         _, pdf = _snr_pdf_fn(p)
@@ -187,7 +210,7 @@ def check_cdf(grids=None) -> list:
     series within 1e-8 outside the dispatch guard band."""
     checks = []
     if grids is None:
-        grids = list(aef_mod.validation_grid()) + list(akf_mod.validation_grid())
+        grids = _standard_grids()
     for p in grids:
         is_aef = isinstance(p, AefParams)
         tag = _aef_tag(p) if is_aef else _akf_tag(p)
