@@ -7,7 +7,8 @@ independent physical-model Monte-Carlo sampler for validation.
 
 Numerical kernels run through numba when available; set
 COMPFADE_BACKEND=numpy to force the pure-NumPy/Python fallback and
-COMPFADE_MAX_TERMS to override the default series term budget.
+COMPFADE_MAX_TERMS to override the default series term budget. Both are
+read once, when compfade is imported.
 """
 from .aef import AefDist, AefEnvelope
 from .akf import CLOSED_FORM_GUARD, AkfDist, AkfEnvelope

@@ -27,6 +27,9 @@ _LN_RESCALE = 645.0  # e^645 is close to the overflow edge; rescale margin below
 _CF_TINY = 1e-300
 _CF_EPS = 3e-15
 _CF_MAX_ITER = 2000
+# an incomplete beta stepped by recurrence is recomputed once it falls below
+# this share of its last continued-fraction value
+_REANCHOR = 1e-3
 
 
 @jit
@@ -120,6 +123,31 @@ def reg_inc_beta(a, b, x, cx, lnx, lncx):
     cf, st = _betacf(b, a, cx)
     ln_bt = a * lnx + b * lncx - _lbeta(a, b)
     return 1.0 - math.exp(ln_bt) * cf / b, st
+
+
+@jit
+def _ln_beta_step(a, b, lnx, lncx):
+    """ln T(a) for T(a) = x^a (1-x)^b / (a B(a,b)) = I_x(a,b) - I_x(a+1,b)
+    (DLMF 8.17.20)."""
+    return a * lnx + b * lncx - math.log(a) - _lbeta(a, b)
+
+
+@jit
+def _inc_beta_up(i, ln_t, anchor, a, b, x, cx, lnx, lncx):
+    """Step I = I_x(a,b) with ln_t = ln T(a) to I_x(a+1,b) and ln T(a+1).
+
+    The subtraction I - T(a) cancels when T is close to I, and the loss
+    compounds over successive steps, so I is recomputed by the continued
+    fraction once it falls below _REANCHOR times anchor, the last value the
+    continued fraction gave; measuring the drop step by step would let many
+    small drops add up unchecked. Returns (I, ln_t, anchor, status).
+    """
+    i -= math.exp(ln_t)
+    a1 = a + 1.0
+    if i < _REANCHOR * anchor:
+        i, st = reg_inc_beta(a1, b, x, cx, lnx, lncx)
+        return i, _ln_beta_step(a1, b, lnx, lncx), i, st
+    return i, ln_t + lnx + math.log((a + b) / a1), anchor, 0
 
 
 @jit
@@ -325,8 +353,10 @@ def humbert_psi1_ln(a, b, c, cp, x, y, rel_tol, abs_tol, max_terms):
     Psi1(a;b;c,c';x,y) = sum_{m,n} (a)_{m+n} (b)_m / ((c)_m (c')_n) x^m y^n / (m! n!).
     Column m keeps its own running term T(m,n) advanced one n-step per
     diagonal, so no division by x or y ever happens (stable when either is
-    tiny). b a non-positive integer truncates the m-range and lifts the
-    |x| < 1 requirement. Negative x with non-terminating b is rewritten
+    tiny). Each diagonal updates all live columns as one array slice, and
+    all of them are rescaled together once any passes 1e290. b a
+    non-positive integer truncates the m-range and lifts the |x| < 1
+    requirement. Negative x with non-terminating b is rewritten
     through Psi1(a,b;c,c';x,y) = (1-x)^(-a) Psi1(a,c-b;c,c';x/(x-1),y/(1-x)),
     whose terms do not alternate in m; without it the raw series cancels
     catastrophically once y is large. Returns (ln_abs, sign, diagonals,
@@ -363,12 +393,11 @@ def humbert_psi1_ln(a, b, c, cp, x, y, rel_tol, abs_tol, max_terms):
     status = 1
     while diag < max_terms:
         diag += 1
-        # advance every live column one step in n, accumulating the diagonal
-        d_sum = 0.0
-        for m in range(ncols):
-            n = diag - m
-            col[m] *= (a + diag - 1.0) * y / ((cp + n - 1.0) * n)
-            d_sum += col[m]
+        # advance every live column m one step, to n = diag - m
+        live = col[:ncols]
+        n = diag - np.arange(ncols)
+        live *= (a + diag - 1.0) * y / ((n + (cp - 1.0)) * n)
+        d_sum = float(live.sum())
         # open column m = diag (enters at n = 0)
         if diag < m_cap:
             row_base *= (a + diag - 1.0) * (b + diag - 1.0) * x / (
@@ -379,8 +408,7 @@ def humbert_psi1_ln(a, b, c, cp, x, y, rel_tol, abs_tol, max_terms):
                 if cap2 > max_terms + 2:
                     cap2 = max_terms + 2
                 col2 = np.zeros(cap2)
-                for i in range(cap):
-                    col2[i] = col[i]
+                col2[:cap] = col
                 col = col2
                 cap = cap2
             col[diag] = row_base
@@ -396,17 +424,12 @@ def humbert_psi1_ln(a, b, c, cp, x, y, rel_tol, abs_tol, max_terms):
                 break
         else:
             small = 0
-        peak = abs(s)
-        for m in range(ncols):
-            am = abs(col[m])
-            if am > peak:
-                peak = am
-        if peak > 1e290:
+        live = col[:ncols]
+        if max(abs(s), float(np.abs(live).max())) > 1e290:
             inv = 1e-290
             s *= inv
             row_base *= inv
-            for m in range(ncols):
-                col[m] *= inv
+            live *= inv
             ln_scale += math.log(1e290)
     terms = min(diag + 1, max_terms)
     if s == 0.0:
@@ -429,10 +452,12 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, abs_tol, max_terms):
     When b1 = a2 + 1 with a1 > a2 > 0, x >= 0 and y < 0 (the contiguous
     structure the composite CDF produces), each row reduces to an incomplete
     beta with positive arguments, 2F1(A, B; B+1; y) =
-    B |y|^(-B) B_w(B, A-B) at w = |y|/(1+|y|), so the rows are evaluated
-    through the continued fraction instead of a power series. The series
-    rows lose digits to internal cancellation once x |y| grows; the beta
-    route keeps every factor positive at any magnitude.
+    B |y|^(-B) B_w(B, A-B) at w = |y|/(1+|y|), so the rows are incomplete
+    betas instead of power series. Row m needs I_w(a2+m, a1-a2), stepped
+    from the previous row by the DLMF 8.17.20 recurrence and recomputed by
+    continued fraction as _inc_beta_up decides. The series rows lose digits
+    to internal cancellation once x |y| grows; the beta route keeps every
+    factor positive at any magnitude.
 
     Returns (ln_abs, sign, terms, est_rel, status).
     """
@@ -462,9 +487,11 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, abs_tol, max_terms):
         est = 0.0
         status = 1
         worst_inner = 0
+        iw, ist = reg_inc_beta(a2, ams, w, cw, lnw, lncw)
+        ln_t = _ln_beta_step(a2, ams, lnw, lncw)
+        anchor = iw
         while m < max_terms:
             bm = a2 + m
-            iw, ist = reg_inc_beta(bm, ams, w, cw, lnw, lncw)
             if ist != 0:
                 worst_inner = 1
             term = 0.0
@@ -495,6 +522,7 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, abs_tol, max_terms):
                 status = 0
                 break
             ln_coef += math.log(ratio)
+            iw, ln_t, anchor, ist = _inc_beta_up(iw, ln_t, anchor, bm, ams, w, cw, lnw, lncw)
         if worst_inner == 1 and status == 0:
             status = 1
         if s == 0.0:
@@ -600,7 +628,11 @@ def aef_snr_cdf_kernel(alpha, mu, ms, h, hsq, ln_lam, g, rel_tol, abs_tol, max_t
     k! (H/h)^(2k); this is the exact identity 2F1(B+ms, B; B+1; -y) =
     B y^-B Beta(B,ms) I_w(B, ms) applied term by term, so no transformed
     series is needed at large y. The c_k sum to 1 because h^2 - H^2 = h in
-    both geometry formats. Returns (raw_value, terms, est_error_abs, status).
+    both geometry formats. I_w(2mu, ms) comes from the continued fraction;
+    each later term takes two steps of the DLMF 8.17.20 recurrence
+    (_inc_beta_up), which recomputes by continued fraction only once the
+    value has dropped by 1e-3. Returns (raw_value, terms, est_error_abs,
+    status).
     """
     ln_y = math.log(2.0 * mu * h) + 0.5 * alpha * math.log(g) - ln_lam
     lnw, lncw = _ln_sigmoid_pair(ln_y)
@@ -621,15 +653,19 @@ def aef_snr_cdf_kernel(alpha, mu, ms, h, hsq, ln_lam, g, rel_tol, abs_tol, max_t
     small = 0
     k = 0
     bk = 2.0 * mu
+    ik = i0
+    ln_t = _ln_beta_step(bk, ms, lnw, lncw)
+    anchor = i0
     est = abs(term)
     status = 1
     while k + 1 < max_terms:
         ln_coef += ln_q + math.log(mu + k) - math.log(k + 1.0)
         sgn *= sgn_h
+        ik, ln_t, anchor, st1 = _inc_beta_up(ik, ln_t, anchor, bk, ms, w, cw, lnw, lncw)
+        ik, ln_t, anchor, st2 = _inc_beta_up(ik, ln_t, anchor, bk + 1.0, ms, w, cw, lnw, lncw)
         bk += 2.0
         k += 1
-        ik, stk = reg_inc_beta(bk, ms, w, cw, lnw, lncw)
-        if stk != 0:
+        if st1 != 0 or st2 != 0:
             return s, k + 1, est, 1
         term = sgn * math.exp(ln_coef) * ik
         s += term
@@ -744,7 +780,9 @@ def akf_snr_cdf_kernel(alpha, mu, ms, kappa, ln_lam, g, rel_tol, abs_tol, max_te
 
     The t-th series term equals e^(-mu kappa)(mu kappa)^t/t! I_w1(mu+t, ms)
     with w1 = X1/(1+X1), X1 = mu(1+kappa) g^(alpha/2)/Lambda (same incomplete
-    beta identity as the alpha-eta-F CDF). Returns (raw, terms, est, status).
+    beta identity as the alpha-eta-F CDF). I_w1(mu, ms) comes from the
+    continued fraction and each later term takes one recurrence step, as in
+    aef_snr_cdf_kernel. Returns (raw, terms, est, status).
     """
     ln_x1 = math.log(mu * (1.0 + kappa)) + 0.5 * alpha * math.log(g) - ln_lam
     lnw, lncw = _ln_sigmoid_pair(ln_x1)
@@ -761,12 +799,15 @@ def akf_snr_cdf_kernel(alpha, mu, ms, kappa, ln_lam, g, rel_tol, abs_tol, max_te
     s = term
     small = 0
     t = 0
+    it = i0
+    ln_t = _ln_beta_step(mu, ms, lnw, lncw)
+    anchor = i0
     est = term
     status = 1
     while t + 1 < max_terms:
+        it, ln_t, anchor, stt = _inc_beta_up(it, ln_t, anchor, mu + t, ms, w, cw, lnw, lncw)
         t += 1
         ln_p += math.log(mk) - math.log(t)
-        it, stt = reg_inc_beta(mu + t, ms, w, cw, lnw, lncw)
         if stt != 0:
             return s, t + 1, est, 1
         term = math.exp(ln_p) * it

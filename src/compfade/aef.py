@@ -25,6 +25,7 @@ from .series import (
     DomainError,
     SeriesControl,
     SeriesResult,
+    cdf_endpoint,
     default_control,
 )
 
@@ -76,6 +77,8 @@ class AefDist:
             raise DomainError(f"gamma must be non-negative, got {gamma}")
         if gamma == 0.0:
             return _k.pdf_at_zero(*self._head())
+        if gamma == math.inf:
+            return 0.0
         if ctrl is None:
             ctrl = default_control()
         p = self.params
@@ -93,10 +96,9 @@ class AefDist:
         The returned value is clamped to [0, 1] after convergence; any
         clamping adjustment is added to est_error.
         """
-        if not gamma >= 0.0:
-            raise DomainError(f"gamma must be non-negative, got {gamma}")
-        if gamma == 0.0:
-            return SeriesResult(value=0.0, terms_used=0, est_error=0.0, converged=True)
+        end = cdf_endpoint(gamma)
+        if end is not None:
+            return end
         if ctrl is None:
             ctrl = default_control()
         p = self.params
@@ -168,6 +170,8 @@ class AefEnvelope:
         if r == 0.0:
             ln_a, q = d._head()
             return _k.pdf_at_zero(ln_a, 2.0 * q)
+        if r == math.inf:
+            return 0.0
         if ctrl is None:
             ctrl = default_control()
         p = self.params

@@ -62,18 +62,27 @@ def _ln_asymptote(dist: AefDist | AkfDist, gamma_th: float) -> tuple:
     return ln_a + p * math.log(gamma_th), p
 
 
+def _asymptote(dist: AefDist | AkfDist, gamma_th: float) -> float:
+    """The asymptotic outage itself; inf where it exceeds the double range."""
+    ln_asym = _ln_asymptote(dist, gamma_th)[0]
+    try:
+        return math.exp(ln_asym)
+    except OverflowError:
+        return math.inf
+
+
 def asymptotic_outage_aef(d: AefDist, gamma_th: float) -> float:
     """Leading high-SNR outage term of the alpha-eta-F distribution:
     (2mu)^(2mu-1) h^mu / B(2mu, ms) * (gamma_th^(alpha/2) / Lambda)^(2mu)
     with Lambda = (ms-1) upsilon gamma_bar^(alpha/2)."""
-    return math.exp(_ln_asymptote(d, gamma_th)[0])
+    return _asymptote(d, gamma_th)
 
 
 def asymptotic_outage_akf(d: AkfDist, gamma_th: float) -> float:
     """Leading high-SNR outage term of the alpha-kappa-F distribution:
     mu^(mu-1) e^(-mu kappa) / B(mu, ms) * ((1+kappa) gamma_th^(alpha/2) /
     Lambda)^mu with Lambda = (ms-1) omega gamma_bar^(alpha/2)."""
-    return math.exp(_ln_asymptote(d, gamma_th)[0])
+    return _asymptote(d, gamma_th)
 
 
 def gains(dist: AefDist | AkfDist, gamma_th: float) -> GainPair:

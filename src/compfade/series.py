@@ -1,6 +1,7 @@
 """Series evaluation controls, results, and the error types shared by every engine."""
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -58,8 +59,7 @@ class SeriesResult:
     converged: bool
 
 
-def default_control() -> SeriesControl:
-    """Default SeriesControl, honoring the COMPFADE_MAX_TERMS override."""
+def _control_from_env() -> SeriesControl:
     raw = os.environ.get("COMPFADE_MAX_TERMS")
     if raw is None:
         return SeriesControl()
@@ -68,3 +68,24 @@ def default_control() -> SeriesControl:
     except ValueError:
         raise DomainError("COMPFADE_MAX_TERMS must be an integer, got %r" % raw)
     return SeriesControl(max_terms=max_terms)
+
+
+# read once, at import: setting COMPFADE_MAX_TERMS later has no effect
+_DEFAULT_CONTROL = _control_from_env()
+
+
+def default_control() -> SeriesControl:
+    """Default SeriesControl, honoring the COMPFADE_MAX_TERMS override read at import."""
+    return _DEFAULT_CONTROL
+
+
+def cdf_endpoint(gamma: float) -> SeriesResult | None:
+    """The exact CDF at gamma = 0 or gamma = inf, None inside (0, inf);
+    raises DomainError for a negative or NaN gamma."""
+    if not gamma >= 0.0:
+        raise DomainError(f"gamma must be non-negative, got {gamma}")
+    if gamma == 0.0 or gamma == math.inf:
+        return SeriesResult(
+            value=float(gamma > 0.0), terms_used=0, est_error=0.0, converged=True
+        )
+    return None

@@ -76,3 +76,66 @@ def mp_kdf_2_1(a1, a2, b1, c1, x, y, max_rows=20000):
             small = 0
         coef *= mp.mpf(a1 + m) * mp.mpf(a2 + m) / (mp.mpf(b1 + m) * mp.mpf(c1 + m) * (m + 1)) * x
     return s
+
+
+def _mp_beta_mixture(ln_odds, a0, da, b, ln_weights, terms):
+    """Sum of weight_k * I_w(a0 + k da, b) over k, with w = e^ln_odds /
+    (1 + e^ln_odds) and ln_weights yielding (ln|weight_k|, sign_k).
+
+    terms=None sums until the weights times the betas stop mattering at
+    this precision; an integer sums exactly the first `terms` terms.
+    """
+    _setup()
+    odds = mp.exp(mp.mpf(ln_odds))
+    w = odds / (1 + odds)
+    s = mp.mpf(0)
+    small = 0
+    for k, (ln_wk, sgn) in enumerate(ln_weights):
+        if terms is not None and k >= terms:
+            break
+        term = sgn * mp.exp(ln_wk) * mp.betainc(a0 + k * da, b, 0, w, regularized=True)
+        s += term
+        if terms is None:
+            if abs(term) <= _STOP * max(abs(s), _TINY):
+                small += 1
+                if small >= 3:
+                    break
+            else:
+                small = 0
+    return s
+
+
+def mp_akf_cdf(mu, ms, kappa, ln_x1, terms=None):
+    """alpha-kappa-F CDF as its Poisson mixture
+    sum_t e^(-mu kappa) (mu kappa)^t / t! I_w(mu + t, ms), w = X1 / (1 + X1),
+    at ln X1 = ln_x1."""
+    _setup()
+    mk = mp.mpf(mu) * mp.mpf(kappa)
+
+    def weights():
+        ln_wt, t = -mk, 0
+        while True:
+            yield ln_wt, 1
+            t += 1
+            ln_wt += mp.log(mk / t)
+
+    return _mp_beta_mixture(ln_x1, mp.mpf(mu), 1, mp.mpf(ms), weights(), terms)
+
+
+def mp_aef_cdf(mu, ms, h, hsq, ln_y, terms=None):
+    """alpha-eta-F CDF as its negative-binomial mixture
+    sum_k h^(-mu) (mu)_k / k! (H^2/h^2)^k I_w(2mu + 2k, ms), w = y / (1 + y),
+    at ln y = ln_y. A negative hsq, as the flipped-sign battery check makes,
+    gives weights of alternating sign."""
+    _setup()
+    mu, h, hsq = mp.mpf(mu), mp.mpf(h), mp.mpf(hsq)
+    ln_q = mp.log(abs(hsq) / (h * h))
+
+    def weights():
+        ln_wk, k = -mu * mp.log(h), 0
+        while True:
+            yield ln_wk, (-1 if hsq < 0 and k % 2 else 1)
+            ln_wk += mp.log((mu + k) / (k + 1)) + ln_q
+            k += 1
+
+    return _mp_beta_mixture(ln_y, 2 * mu, 2, mp.mpf(ms), weights(), terms)

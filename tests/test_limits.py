@@ -1,0 +1,74 @@
+"""Values at the ends of the domain, overflowing asymptotes, and the term
+budget read from the environment at import."""
+
+import math
+import os
+import subprocess
+import sys
+
+import pytest
+
+from compfade import (
+    AefDist,
+    AefEnvelope,
+    AefParams,
+    AkfDist,
+    AkfEnvelope,
+    AkfParams,
+    Format,
+    asymptotic_outage_aef,
+    asymptotic_outage_akf,
+    default_control,
+)
+
+AEF = [AefParams(alpha=3.5, eta=0.5, mu=1.5, ms=3.0),
+       AefParams(alpha=2.0, eta=-0.4, mu=0.7, ms=2.5, format=Format.FORMAT_II)]
+AKF = [AkfParams(alpha=2.5, kappa=1.5, mu=1.2, ms=4.0),
+       AkfParams(alpha=1.2, kappa=30.0, mu=1.6, ms=2.0),
+       AkfParams(alpha=2.0, kappa=0.0, mu=1.0, ms=3.0)]
+
+
+@pytest.mark.parametrize("p", AEF)
+def test_aef_at_infinity(p):
+    d = AefDist(p, 2.0)
+    assert d.snr_pdf(math.inf) == 0.0
+    assert AefEnvelope(p, 2.0).envelope_pdf(math.inf) == 0.0
+    r = d.snr_cdf(math.inf)
+    assert r.value == 1.0 and r.converged
+
+
+@pytest.mark.parametrize("p", AKF)
+def test_akf_at_infinity(p):
+    d = AkfDist(p, 2.0)
+    assert d.snr_pdf(math.inf) == 0.0
+    assert AkfEnvelope(p, 2.0).envelope_pdf(math.inf) == 0.0
+    for r in (d.snr_cdf_series(math.inf), d.snr_cdf_closed(math.inf)):
+        assert r.value == 1.0 and r.converged
+
+
+def test_asymptotes_beyond_the_double_range_are_infinite():
+    akf = AkfDist(AkfParams(alpha=2.0, kappa=0.5, mu=1.0, ms=4.0), 1e-300)
+    aef = AefDist(AefParams(alpha=2.0, eta=0.5, mu=1.0, ms=4.0), 1e-300)
+    assert asymptotic_outage_akf(akf, 1e300) == math.inf
+    assert asymptotic_outage_aef(aef, 1e300) == math.inf
+
+
+def test_default_control_is_resolved_once():
+    assert default_control() is default_control()
+
+
+def _import_with_max_terms(raw):
+    env = dict(os.environ, COMPFADE_BACKEND="numpy", COMPFADE_MAX_TERMS=raw)
+    code = "import compfade; print(compfade.default_control().max_terms)"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+
+
+def test_max_terms_override_is_read_at_import():
+    r = _import_with_max_terms("250")
+    assert r.returncode == 0 and r.stdout.decode().strip() == "250"
+
+
+def test_non_integer_max_terms_fails_the_import():
+    r = _import_with_max_terms("lots")
+    assert r.returncode != 0
+    assert b"DomainError" in r.stderr and b"COMPFADE_MAX_TERMS" in r.stderr

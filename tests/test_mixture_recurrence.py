@@ -1,0 +1,148 @@
+"""Mixture CDFs stepped by the incomplete-beta recurrence, and the Humbert
+Psi1 diagonal sweep, against the extended-precision oracles.
+
+Each CDF series term is a weight times I_w(a + k, ms); the kernels step
+I_w from one term to the next with I_x(a+1, b) = I_x(a, b) - T(a) and
+recompute it by continued fraction once it has dropped by 1e-3 from the
+last recomputed value. The cancellation in that subtraction is worst in
+the deep lower tail at strong line of sight, where many terms matter.
+"""
+
+import math
+
+import pytest
+
+from compfade import (
+    AefDist,
+    AefParams,
+    AkfDist,
+    AkfParams,
+    Format,
+    SeriesControl,
+    humbert_psi1,
+    outage,
+)
+from compfade import _kernels as _k
+from compfade.validation import ENGINE_TOL
+from conftest import rel_err
+import oracles
+
+MIXTURE_TOL = 1e-11
+
+# Strong line of sight with ms just above 2/alpha. The first set is the
+# point where re-anchoring on the drop from the previous step, instead of
+# from the last continued-fraction value, was 40-280x off.
+DEEP_AKF = [
+    (dict(alpha=1.3634063826958926, mu=1.5732042868809806,
+          ms=1.707655737948103, kappa=33.409811425211686), 1.4653436413533034),
+    (dict(alpha=0.9, mu=0.7, ms=2.3, kappa=20.0), 0.8),
+    (dict(alpha=1.1, mu=1.2, ms=2.0, kappa=27.0), 1.7),
+    (dict(alpha=1.5, mu=2.4, ms=1.45, kappa=40.0), 3.0),
+]
+
+# Format II with negative eta: H < 0, the cluster imbalance the series
+# tail workload draws near eta = -1.
+FORMAT_II_NEG = [
+    (AefParams(alpha=2.0, eta=-0.9, mu=1.3, ms=3.0, format=Format.FORMAT_II), 1.0),
+    (AefParams(alpha=1.4, eta=-0.95, mu=0.6, ms=1.8, format=Format.FORMAT_II), 2.5),
+]
+
+
+def _aef_ln_y(d: AefDist, g: float) -> float:
+    p = d.params
+    return math.log(2.0 * p.mu * d.geometry.h) + 0.5 * p.alpha * math.log(g) - d._ln_lam
+
+
+@pytest.mark.parametrize("ratio", [1e-4, 1e-3])
+@pytest.mark.parametrize("kw,gamma_bar", DEEP_AKF)
+def test_akf_deep_lower_tail_matches_mixture_oracle(kw, gamma_bar, ratio):
+    d = AkfDist(AkfParams(**kw), gamma_bar)
+    g = gamma_bar * ratio
+    want = float(oracles.mp_akf_cdf(kw["mu"], kw["ms"], kw["kappa"], d._ln_x1(g)))
+    r = d.snr_cdf_series(g)
+    assert r.converged
+    assert rel_err(r.value, want) <= MIXTURE_TOL
+    assert outage(d, g).value == r.value
+
+
+@pytest.mark.parametrize("ratio", [1e-4, 1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("p,gamma_bar", FORMAT_II_NEG)
+def test_aef_format_ii_negative_eta_matches_mixture_oracle(p, gamma_bar, ratio):
+    d = AefDist(p, gamma_bar)
+    g = gamma_bar * ratio
+    want = float(oracles.mp_aef_cdf(p.mu, p.ms, d.geometry.h, d._hsq, _aef_ln_y(d, g)))
+    r = d.snr_cdf(g)
+    assert r.converged
+    assert rel_err(r.value, want) <= MIXTURE_TOL
+
+
+@pytest.mark.parametrize("ratio", [1e-3, 1.0, 30.0])
+def test_aef_alternating_weights_match_mixture_oracle(ratio):
+    # A negative H^2, as the battery's flipped-sign check injects, makes
+    # the weights alternate in sign; the kernel must still sum them right.
+    p, gamma_bar = FORMAT_II_NEG[0]
+    d = AefDist(p, gamma_bar)
+    g = gamma_bar * ratio
+    raw, _, _, status = _k.aef_snr_cdf_kernel(
+        p.alpha, p.mu, p.ms, d.geometry.h, -d._hsq, d._ln_lam, g, 1e-12, 1e-300, 100_000
+    )
+    want = float(oracles.mp_aef_cdf(p.mu, p.ms, d.geometry.h, -d._hsq, _aef_ln_y(d, g)))
+    assert status == 0
+    assert rel_err(raw, want) <= MIXTURE_TOL
+
+
+SLOW_AEF = AefDist(AefParams(alpha=2.5, eta=0.2, mu=1.3, ms=4.0), 1.0)
+SLOW_AKF = AkfDist(AkfParams(alpha=2.5, kappa=12.0, mu=1.2, ms=4.0), 1.0)
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_truncated_series_is_the_first_k_mixture_terms(k):
+    # check_bound reads max_terms=k0 as "the first k0 terms of the series"
+    g = 2.0
+    d = SLOW_AEF
+    r = d.snr_cdf(g, SeriesControl(max_terms=k))
+    want = oracles.mp_aef_cdf(d.params.mu, d.params.ms, d.geometry.h, d._hsq,
+                              _aef_ln_y(d, g), terms=k)
+    assert r.terms_used == k and not r.converged
+    assert rel_err(r.value, float(want)) <= MIXTURE_TOL
+    d = SLOW_AKF
+    r = d.snr_cdf_series(g, SeriesControl(max_terms=k))
+    want = oracles.mp_akf_cdf(d.params.mu, d.params.ms, d.params.kappa, d._ln_x1(g),
+                              terms=k)
+    assert r.terms_used == k and not r.converged
+    assert rel_err(r.value, float(want)) <= MIXTURE_TOL
+
+
+@pytest.mark.parametrize("args", [
+    (1.7, 0.9, 2.3, 1.4, 0.65, 40.0),
+    (1.2, 0.8, 2.0, 1.5, -0.85, 60.0),
+])
+def test_humbert_psi1_over_many_diagonals(args):
+    r = humbert_psi1(*args)
+    assert r.converged and r.terms_used >= 100
+    assert rel_err(r.value, float(oracles.mp_humbert_psi1(*args))) <= ENGINE_TOL
+
+
+def test_humbert_psi1_past_the_rescale():
+    # the running sum passes 1e290 on the way, so the columns get rescaled
+    args = (1.0, 0.5, 1.5, 1.0, 1e-3, 680.0)
+    r = humbert_psi1(*args)
+    assert r.converged and r.value > 1e290
+    assert rel_err(r.value, float(oracles.mp_humbert_psi1(*args))) <= ENGINE_TOL
+
+
+def _assert_plain(r):
+    assert type(r.value) is float
+    assert type(r.terms_used) is int
+    assert type(r.est_error) is float
+    assert type(r.converged) is bool
+
+
+@pytest.mark.parametrize("g", [0.3, 50.0])  # Kampe de Feriet, Humbert branch
+def test_closed_form_results_hold_plain_python_types(g):
+    _assert_plain(AkfDist(AkfParams(alpha=2.5, kappa=1.5, mu=1.2, ms=4.0), 1.0)
+                  .snr_cdf_closed(g))
+
+
+def test_humbert_psi1_result_holds_plain_python_types():
+    _assert_plain(humbert_psi1(1.3, 0.7, 2.1, 1.9, 0.5, 2.5))
