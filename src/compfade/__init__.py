@@ -5,9 +5,7 @@ bound, closed-form CDF expressions, outage probability with high-SNR
 asymptotics (diversity and coding gains), special-case reductions, and an
 independent physical-model Monte-Carlo sampler for validation.
 
-Numerical kernels run through numba when available; set
-COMPFADE_BACKEND=numpy to force the pure-NumPy/Python fallback and
-COMPFADE_MAX_TERMS to override the default series term budget. Both are
+Set COMPFADE_MAX_TERMS to override the default series term budget; it is
 read once, when compfade is imported.
 """
 from .aef import AefDist, AefEnvelope

@@ -1,9 +1,11 @@
-"""Scalar series kernels, written to compile under numba and to run unchanged in pure Python.
+"""Scalar series kernels.
 
 Every kernel returns plain tuples of floats/ints with an integer status code
 (0 ok, 1 tolerance unmet at max_terms, 2 divergent/invalid region) instead of
-raising, so the same code works jitted and unjitted; the public wrappers in
-specfun/aef/akf translate statuses into exceptions or converged flags.
+raising: running out of terms is not an error but a result that the series
+wrappers in specfun/aef/akf report as converged=False next to the value
+reached. They raise for status 2, and the density wrappers, which return a
+bare float, raise for any nonzero status.
 
 Magnitudes are carried as (ln|value|, sign) pairs wherever gamma-function
 growth can overflow doubles: the composite-fading expressions multiply very
@@ -15,8 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .backend import jit
 
 # below this, kappa-dependent factors are replaced by their exact kappa -> 0
 # limit forms for numerical hygiene
@@ -32,12 +32,10 @@ _CF_MAX_ITER = 2000
 _REANCHOR = 1e-3
 
 
-@jit
 def _is_nonpos_int(x):
     return x <= 0.0 and x == math.floor(x)
 
 
-@jit
 def _lgamma_sign(x):
     """(ln|Gamma(x)|, sign of Gamma(x)); sign 0.0 marks a pole."""
     if x > 0.0:
@@ -51,12 +49,10 @@ def _lgamma_sign(x):
     return math.lgamma(x), -1.0
 
 
-@jit
 def _lbeta(a, b):
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-@jit
 def pdf_at_zero(ln_a, q):
     """Density at 0 of a law whose CDF starts as A x^q: 0 above q = 1,
     infinite below it, and A at exactly q = 1."""
@@ -67,7 +63,6 @@ def pdf_at_zero(ln_a, q):
     return math.exp(ln_a)
 
 
-@jit
 def _betacf(a, b, x):
     """Lentz continued fraction for the regularized incomplete beta."""
     qab = a + b
@@ -105,7 +100,6 @@ def _betacf(a, b, x):
     return h, 1
 
 
-@jit
 def reg_inc_beta(a, b, x, cx, lnx, lncx):
     """Regularized incomplete beta I_x(a,b) given x, 1-x and their logs.
 
@@ -125,14 +119,12 @@ def reg_inc_beta(a, b, x, cx, lnx, lncx):
     return 1.0 - math.exp(ln_bt) * cf / b, st
 
 
-@jit
 def _ln_beta_step(a, b, lnx, lncx):
     """ln T(a) for T(a) = x^a (1-x)^b / (a B(a,b)) = I_x(a,b) - I_x(a+1,b)
     (DLMF 8.17.20)."""
     return a * lnx + b * lncx - math.log(a) - _lbeta(a, b)
 
 
-@jit
 def _inc_beta_up(i, ln_t, anchor, a, b, x, cx, lnx, lncx):
     """Step I = I_x(a,b) with ln_t = ln T(a) to I_x(a+1,b) and ln T(a+1).
 
@@ -150,7 +142,6 @@ def _inc_beta_up(i, ln_t, anchor, a, b, x, cx, lnx, lncx):
     return i, ln_t + lnx + math.log((a + b) / a1), anchor, 0
 
 
-@jit
 def _logaddexp(la, lb):
     if la == -math.inf:
         return lb
@@ -161,7 +152,6 @@ def _logaddexp(la, lb):
     return lb + math.log1p(math.exp(la - lb))
 
 
-@jit
 def _ln_sigmoid_pair(ln_y):
     """For w = y/(1+y) with y = exp(ln_y): returns (ln w, ln(1-w))."""
     if ln_y > 0.0:
@@ -171,9 +161,13 @@ def _ln_sigmoid_pair(ln_y):
     return ln_y - t, -t
 
 
-@jit
-def _gauss_2f1_direct(a, b, c, z, rel_tol, abs_tol, max_terms):
-    """Taylor series of 2F1 at |z| < 1. Returns (ln_abs, sign, terms, est_rel, status)."""
+def _hyper_series(a, b, c, z, rel_tol, abs_tol, max_terms, ln_pref=0.0):
+    """Power series of 2F1(a, b; c; z), or of 1F1(a; c; z) when b is None,
+    times exp(ln_pref), summed until two successive terms fall below the
+    tolerances or max_terms terms are added. The partial sum is rescaled
+    before it overflows, and a term of exactly zero ends a terminating
+    series. Returns (ln_abs, sign, terms, est_rel, status).
+    """
     t = 1.0
     s = 1.0
     ln_scale = 0.0
@@ -181,7 +175,10 @@ def _gauss_2f1_direct(a, b, c, z, rel_tol, abs_tol, max_terms):
     n = 0
     est = 0.0
     while n < max_terms:
-        t *= (a + n) * (b + n) / (c + n) * z / (n + 1.0)
+        if b is None:
+            t *= (a + n) / (c + n) * z / (n + 1.0)
+        else:
+            t *= (a + n) * (b + n) / (c + n) * z / (n + 1.0)
         s += t
         n += 1
         at = abs(t)
@@ -206,10 +203,9 @@ def _gauss_2f1_direct(a, b, c, z, rel_tol, abs_tol, max_terms):
     if s == 0.0:
         return -math.inf, 0.0, terms, est, status
     sgn = 1.0 if s > 0.0 else -1.0
-    return math.log(abs(s)) + ln_scale, sgn, terms, est / abs(s), status
+    return ln_pref + math.log(abs(s)) + ln_scale, sgn, terms, est / abs(s), status
 
 
-@jit
 def gauss_2f1_ln(a, b, c, z, rel_tol, abs_tol, max_terms, path):
     """Gauss 2F1 dispatch. path: 0 auto, 1 force direct series, 2 force Pfaff
     map, 3 force the same-argument Euler map.
@@ -228,21 +224,10 @@ def gauss_2f1_ln(a, b, c, z, rel_tol, abs_tol, max_terms, path):
             nmax = int(-b)
         if _is_nonpos_int(c) and -c <= nmax - 1:
             return 0.0, 0.0, 0, 0.0, 2  # pole before termination
-        t = 1.0
-        s = 1.0
-        ln_scale = 0.0
-        for n in range(nmax):
-            t *= (a + n) * (b + n) / (c + n) * z / (n + 1.0)
-            s += t
-            if abs(s) > 1e290 or abs(t) > 1e290:
-                s *= 1e-290
-                t *= 1e-290
-                ln_scale += math.log(1e290)
-        terms = min(nmax + 1, max_terms)
-        if s == 0.0:
-            return -math.inf, 0.0, terms, 0.0, 0
-        sgn = 1.0 if s > 0.0 else -1.0
-        return math.log(abs(s)) + ln_scale, sgn, terms, 0.0, 0
+        # all nmax nonzero terms; the next one is zero, and its (c + nmax)
+        # may be too when c = -nmax
+        ln_f, sgn, _, _, _ = _hyper_series(a, b, c, z, 0.0, 0.0, nmax)
+        return ln_f, sgn, min(nmax + 1, max_terms), 0.0, 0
     if _is_nonpos_int(c):
         return 0.0, 0.0, 0, 0.0, 2
     if z == 0.0:
@@ -250,12 +235,12 @@ def gauss_2f1_ln(a, b, c, z, rel_tol, abs_tol, max_terms, path):
     if path == 1:
         if abs(z) >= 1.0:
             return 0.0, 0.0, 0, 0.0, 2
-        return _gauss_2f1_direct(a, b, c, z, rel_tol, abs_tol, max_terms)
+        return _hyper_series(a, b, c, z, rel_tol, abs_tol, max_terms)
     if path == 3:
         if z <= 0.0 or z >= 1.0:
             return 0.0, 0.0, 0, 0.0, 2
         ln_pref = (c - a - b) * math.log1p(-z)
-        ln_f, sgn, terms, est, st = _gauss_2f1_direct(
+        ln_f, sgn, terms, est, st = _hyper_series(
             c - a, c - b, c, z, rel_tol, abs_tol, max_terms
         )
         return ln_pref + ln_f, sgn, terms, est, st
@@ -267,21 +252,21 @@ def gauss_2f1_ln(a, b, c, z, rel_tol, abs_tol, max_terms, path):
         w = z / (z - 1.0)
         if a <= b:
             ln_pref = -a * math.log1p(-z)
-            ln_f, sgn, terms, est, st = _gauss_2f1_direct(
+            ln_f, sgn, terms, est, st = _hyper_series(
                 a, c - b, c, w, rel_tol, abs_tol, max_terms
             )
         else:
             ln_pref = -b * math.log1p(-z)
-            ln_f, sgn, terms, est, st = _gauss_2f1_direct(
+            ln_f, sgn, terms, est, st = _hyper_series(
                 c - a, b, c, w, rel_tol, abs_tol, max_terms
             )
         return ln_pref + ln_f, sgn, terms, est, st
     if z < 1.0:
         if z <= 0.5 or c - a - b >= 0.0:
-            return _gauss_2f1_direct(a, b, c, z, rel_tol, abs_tol, max_terms)
+            return _hyper_series(a, b, c, z, rel_tol, abs_tol, max_terms)
         # Euler map keeps the argument but flips the decay exponent positive
         ln_pref = (c - a - b) * math.log1p(-z)
-        ln_f, sgn, terms, est, st = _gauss_2f1_direct(
+        ln_f, sgn, terms, est, st = _hyper_series(
             c - a, c - b, c, z, rel_tol, abs_tol, max_terms
         )
         return ln_pref + ln_f, sgn, terms, est, st
@@ -297,7 +282,6 @@ def gauss_2f1_ln(a, b, c, z, rel_tol, abs_tol, max_terms, path):
     return 0.0, 0.0, 0, 0.0, 2
 
 
-@jit
 def kummer_1f1_ln(a, b, z, rel_tol, abs_tol, max_terms):
     """Confluent 1F1. Returns (ln_abs, sign, terms, est_rel, status).
 
@@ -312,41 +296,9 @@ def kummer_1f1_ln(a, b, z, rel_tol, abs_tol, max_terms):
         ln_pref = z
         a = b - a
         z = -z
-    t = 1.0
-    s = 1.0
-    ln_scale = 0.0
-    small = 0
-    n = 0
-    est = 0.0
-    while n < max_terms:
-        t *= (a + n) / (b + n) * z / (n + 1.0)
-        s += t
-        n += 1
-        at = abs(t)
-        if t == 0.0:
-            est = 0.0
-            small = 2
-            break
-        est = at
-        if at <= max(rel_tol * abs(s), abs_tol):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-        if abs(s) > 1e290 or at > 1e290:
-            s *= 1e-290
-            t *= 1e-290
-            ln_scale += math.log(1e290)
-    status = 0 if small >= 2 else 1
-    terms = min(n + 1, max_terms)
-    if s == 0.0:
-        return -math.inf, 0.0, terms, est, status
-    sgn = 1.0 if s > 0.0 else -1.0
-    return ln_pref + math.log(abs(s)) + ln_scale, sgn, terms, est / abs(s), status
+    return _hyper_series(a, None, b, z, rel_tol, abs_tol, max_terms, ln_pref)
 
 
-@jit
 def humbert_psi1_ln(a, b, c, cp, x, y, rel_tol, abs_tol, max_terms):
     """Humbert Psi1 double series summed over expanding anti-diagonals.
 
@@ -438,7 +390,6 @@ def humbert_psi1_ln(a, b, c, cp, x, y, rel_tol, abs_tol, max_terms):
     return ln_pref + math.log(abs(s)) + ln_scale, sgn, terms, est / abs(s), status
 
 
-@jit
 def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, abs_tol, max_terms):
     """Kampe de Feriet F^{2:0;0}_{1:1;0}[a1,a2; b1: c1; x, y], iterated summation.
 
@@ -585,7 +536,6 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, abs_tol, max_terms):
 # --- composite-distribution kernels -----------------------------------------
 
 
-@jit
 def aef_snr_pdf_kernel(alpha, mu, ms, h, hsq, ln_lam, ln_g, rel_tol, abs_tol, max_terms,
                        ln_jac=0.0):
     """Density of the alpha-eta-F instantaneous SNR at g = exp(ln_g) > 0, times
@@ -619,7 +569,6 @@ def aef_snr_pdf_kernel(alpha, mu, ms, h, hsq, ln_lam, ln_g, rel_tol, abs_tol, ma
     return sgn_f * math.exp(ln_pdf), 0
 
 
-@jit
 def aef_snr_cdf_kernel(alpha, mu, ms, h, hsq, ln_lam, g, rel_tol, abs_tol, max_terms):
     """CDF of the alpha-eta-F SNR as a mixture over k of regularized incomplete betas.
 
@@ -680,7 +629,6 @@ def aef_snr_cdf_kernel(alpha, mu, ms, h, hsq, ln_lam, g, rel_tol, abs_tol, max_t
     return s, k + 1, est, status
 
 
-@jit
 def aef_cdf_bound_kernel(alpha, mu, ms, h, hsq, ln_lam, g, k0, rel_tol, abs_tol, max_terms):
     """Closed-form upper bound on the CDF-series remainder after K0-1 terms.
 
@@ -731,7 +679,6 @@ def aef_cdf_bound_kernel(alpha, mu, ms, h, hsq, ln_lam, g, k0, rel_tol, abs_tol,
     return sgn_f2 * math.exp(ln_t), 0
 
 
-@jit
 def akf_snr_pdf_kernel(alpha, mu, ms, kappa, ln_lam, ln_g, rel_tol, abs_tol, max_terms,
                        ln_jac=0.0):
     """Density of the alpha-kappa-F instantaneous SNR at g = exp(ln_g) > 0, times
@@ -774,7 +721,6 @@ def akf_snr_pdf_kernel(alpha, mu, ms, kappa, ln_lam, ln_g, rel_tol, abs_tol, max
     return sgn_f * math.exp(ln_pdf), 0
 
 
-@jit
 def akf_snr_cdf_kernel(alpha, mu, ms, kappa, ln_lam, g, rel_tol, abs_tol, max_terms):
     """CDF of the alpha-kappa-F SNR: Poisson mixture of regularized incomplete betas.
 

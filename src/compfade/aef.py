@@ -25,6 +25,7 @@ from .series import (
     DomainError,
     SeriesControl,
     SeriesResult,
+    cdf_clamped,
     cdf_endpoint,
     default_control,
 )
@@ -69,7 +70,7 @@ class AefDist:
             - _k._lbeta(2.0 * p.mu, p.ms)
             - 2.0 * p.mu * self._ln_lam
         )
-        return ln_a, p.alpha * p.mu
+        return ln_a, float(p.alpha * p.mu)
 
     def snr_pdf(self, gamma: float, ctrl: SeriesControl | None = None) -> float:
         """Density of the instantaneous SNR at gamma >= 0."""
@@ -106,13 +107,7 @@ class AefDist:
             p.alpha, p.mu, p.ms, self.geometry.h, self._hsq, self._ln_lam,
             float(gamma), ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
         )
-        value = min(max(raw, 0.0), 1.0)
-        return SeriesResult(
-            value=value,
-            terms_used=terms,
-            est_error=est + abs(raw - value),
-            converged=(status == STATUS_OK),
-        )
+        return cdf_clamped(raw, terms, est, status == STATUS_OK)
 
     def cdf_truncation_bound(self, gamma: float, k0: int) -> float:
         """Upper bound on the CDF-series remainder after its first k0 terms

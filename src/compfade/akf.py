@@ -25,6 +25,7 @@ from .series import (
     DomainError,
     SeriesControl,
     SeriesResult,
+    cdf_clamped,
     cdf_endpoint,
     default_control,
 )
@@ -35,15 +36,6 @@ __all__ = ["AkfDist", "AkfEnvelope"]
 # X1 = 1: inside it the Humbert/Kampe arguments approach magnitude 1 and the
 # double series converge arbitrarily slowly, so the mixture series is used
 CLOSED_FORM_GUARD = 0.05
-
-def _clamped(raw: float, terms: int, est: float, converged: bool) -> SeriesResult:
-    value = min(max(raw, 0.0), 1.0)
-    return SeriesResult(
-        value=value,
-        terms_used=terms,
-        est_error=est + abs(raw - value),
-        converged=converged,
-    )
 
 
 @dataclass(frozen=True)
@@ -118,7 +110,7 @@ class AkfDist:
             p.alpha, p.mu, p.ms, p.kappa, self._ln_lam,
             float(gamma), ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
         )
-        return _clamped(raw, terms, est, status == STATUS_OK)
+        return cdf_clamped(raw, terms, est, status == STATUS_OK)
 
     def _ln_x1(self, gamma: float) -> float:
         p = self.params
@@ -145,9 +137,9 @@ class AkfDist:
             ctrl = default_control()
         p = self.params
         ln_x1 = self._ln_x1(gamma)
-        x1 = math.exp(ln_x1)
         mk = p.mu * p.kappa
-        if x1 < 1.0 - CLOSED_FORM_GUARD:
+        if ln_x1 < math.log1p(-CLOSED_FORM_GUARD):
+            x1 = math.exp(ln_x1)
             ln_f, sgn, terms, est_rel, status = _k.kdf_2_1_ln(
                 p.mu + p.ms, p.mu, p.mu + 1.0, p.mu, mk * x1, -x1,
                 ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
@@ -156,8 +148,8 @@ class AkfDist:
                 raise ConvergenceError("snr_cdf_closed: Kampe de Feriet series diverged")
             ln_lead = -mk - math.log(p.mu) - _k._lbeta(p.mu, p.ms) + p.mu * ln_x1
             raw = sgn * math.exp(ln_lead + ln_f)
-            return _clamped(raw, terms, est_rel * abs(raw), status == STATUS_OK)
-        if x1 > 1.0 + CLOSED_FORM_GUARD:
+            return cdf_clamped(raw, terms, est_rel * abs(raw), status == STATUS_OK)
+        if ln_x1 > math.log1p(CLOSED_FORM_GUARD):
             v = math.exp(-ln_x1)
             ln1, s1, t1, e1, st1 = _k.humbert_psi1_ln(
                 p.mu, 0.0, 1.0 - p.ms, p.mu, -v, mk,
@@ -174,7 +166,7 @@ class AkfDist:
             term2 = s2 * math.exp(ln_c2 + ln2)
             raw = term1 - term2
             est = e1 * abs(term1) + e2 * abs(term2)
-            return _clamped(raw, t1 + t2, est, st1 == STATUS_OK and st2 == STATUS_OK)
+            return cdf_clamped(raw, t1 + t2, est, st1 == STATUS_OK and st2 == STATUS_OK)
         return self.snr_cdf_series(gamma, ctrl)
 
 

@@ -1,36 +1,4 @@
-"""Kernel backend selection: numba-jitted scalar kernels with a pure-Python fallback.
+"""Name of the kernel implementation: the series kernels are interpreted
+Python/NumPy. The benchmark records this name with every result."""
 
-The backend is chosen once at import time from the COMPFADE_BACKEND environment
-variable: "numba" (require numba, fail loudly if missing), "numpy" (force the
-pure-Python/numpy path), or "auto" (default: numba when importable).
-"""
-from __future__ import annotations
-
-import os
-
-_REQUESTED = os.environ.get("COMPFADE_BACKEND", "auto").strip().lower()
-
-if _REQUESTED not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        "COMPFADE_BACKEND must be one of auto|numba|numpy, got %r" % _REQUESTED
-    )
-
-HAS_NUMBA = False
-_njit = None
-if _REQUESTED in ("auto", "numba"):
-    try:
-        from numba import njit as _njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _REQUESTED == "numba":
-            raise RuntimeError("COMPFADE_BACKEND=numba but numba is not importable")
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-
-def jit(func):
-    """Compile ``func`` with numba when the numba backend is active, else return it unchanged."""
-    if HAS_NUMBA:
-        return _njit(cache=True)(func)
-    return func
+BACKEND = "numpy"

@@ -38,6 +38,17 @@ class Format(enum.Enum):
     FORMAT_II = 2
 
 
+def _require_shape(alpha: float, mu: float, ms: float) -> None:
+    """Shape parameters shared by both families; all must be finite (the
+    ms -> inf and kappa -> inf limit laws are not evaluated)."""
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+    if not 0.0 < mu < math.inf:
+        raise DomainError(f"mu must be positive and finite, got {mu}")
+    if not 1.0 < ms < math.inf:
+        raise DomainError(f"ms must exceed 1 and be finite, got {ms}")
+
+
 @dataclass(frozen=True)
 class AefParams:
     """Shape parameters of the alpha-eta-F distribution."""
@@ -49,12 +60,7 @@ class AefParams:
     format: Format = Format.FORMAT_I
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if not self.mu > 0.0:
-            raise DomainError(f"mu must be positive, got {self.mu}")
-        if not self.ms > 1.0:
-            raise DomainError(f"ms must exceed 1, got {self.ms}")
+        _require_shape(self.alpha, self.mu, self.ms)
         if not isinstance(self.format, Format):
             raise DomainError(f"format must be a Format, got {self.format!r}")
         if self.format is Format.FORMAT_I:
@@ -79,16 +85,12 @@ class AkfParams:
     ms: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if not self.kappa >= 0.0:
+        _require_shape(self.alpha, self.mu, self.ms)
+        if not 0.0 <= self.kappa < math.inf:
             raise DomainError(
-                f"kappa must be non-negative (0 gives the alpha-F limit), got {self.kappa}"
+                "kappa must be finite and non-negative (0 gives the alpha-F limit), "
+                f"got {self.kappa}"
             )
-        if not self.mu > 0.0:
-            raise DomainError(f"mu must be positive, got {self.mu}")
-        if not self.ms > 1.0:
-            raise DomainError(f"ms must exceed 1, got {self.ms}")
 
 
 @dataclass(frozen=True)

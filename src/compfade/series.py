@@ -89,3 +89,15 @@ def cdf_endpoint(gamma: float) -> SeriesResult | None:
             value=float(gamma > 0.0), terms_used=0, est_error=0.0, converged=True
         )
     return None
+
+
+def cdf_clamped(raw: float, terms: int, est: float, converged: bool) -> SeriesResult:
+    """A summed CDF clamped to [0, 1]; the clamping adjustment is added to
+    est_error."""
+    value = min(max(raw, 0.0), 1.0)
+    return SeriesResult(
+        value=value,
+        terms_used=terms,
+        est_error=est + abs(raw - value),
+        converged=converged,
+    )

@@ -6,7 +6,6 @@ listing if any measurement exceeds its stated limit.  Run with -v to get
 one pass/fail line per criterion.
 """
 
-import os
 import subprocess
 import sys
 
@@ -77,14 +76,12 @@ def test_criterion_09_engines_match_extended_precision():
 
 
 def _run_sample(*extra):
-    env = dict(os.environ)
-    env["COMPFADE_BACKEND"] = "numpy"
     args = [
         sys.executable, "-m", "compfade", "sample", "--dist", "akf",
         "--alpha", "3", "--kappa", "1.5", "--mu", "3", "--ms", "5",
         "--n", "4096", "--seed", "99",
     ]
-    r = subprocess.run(args + list(extra), capture_output=True, env=env)
+    r = subprocess.run(args + list(extra), capture_output=True)
     assert r.returncode == 0, r.stderr
     return r.stdout
 

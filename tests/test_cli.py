@@ -15,7 +15,6 @@ CLI = [sys.executable, "-m", "compfade"]
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
-    env["COMPFADE_BACKEND"] = "numpy"  # skip JIT warmup in short-lived processes
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

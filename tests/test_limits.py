@@ -1,5 +1,5 @@
-"""Values at the ends of the domain, overflowing asymptotes, and the term
-budget read from the environment at import."""
+"""Values at the ends of the domain, overflowing asymptotes, the term
+budget read from the environment at import, and what the import loads."""
 
 import math
 import os
@@ -46,6 +46,15 @@ def test_akf_at_infinity(p):
         assert r.value == 1.0 and r.converged
 
 
+@pytest.mark.parametrize("gamma", [1e250, 1e300, 1.7e308])
+def test_closed_cdf_at_huge_snr_matches_series(gamma):
+    # X1 grows past the double range here; the branch is chosen in log space
+    d = AkfDist(AKF[0], 1.0)
+    closed, series = d.snr_cdf_closed(gamma), d.snr_cdf_series(gamma)
+    assert closed.converged and series.converged
+    assert abs(closed.value - series.value) <= 1e-12
+
+
 def test_asymptotes_beyond_the_double_range_are_infinite():
     akf = AkfDist(AkfParams(alpha=2.0, kappa=0.5, mu=1.0, ms=4.0), 1e-300)
     aef = AefDist(AefParams(alpha=2.0, eta=0.5, mu=1.0, ms=4.0), 1e-300)
@@ -58,7 +67,7 @@ def test_default_control_is_resolved_once():
 
 
 def _import_with_max_terms(raw):
-    env = dict(os.environ, COMPFADE_BACKEND="numpy", COMPFADE_MAX_TERMS=raw)
+    env = dict(os.environ, COMPFADE_MAX_TERMS=raw)
     code = "import compfade; print(compfade.default_control().max_terms)"
     return subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
 
@@ -72,3 +81,14 @@ def test_non_integer_max_terms_fails_the_import():
     r = _import_with_max_terms("lots")
     assert r.returncode != 0
     assert b"DomainError" in r.stderr and b"COMPFADE_MAX_TERMS" in r.stderr
+
+
+def test_import_runs_the_interpreted_kernels_only():
+    code = (
+        "import sys, compfade\n"
+        "from compfade import backend\n"
+        "print(backend.BACKEND, 'numba' in sys.modules)"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.decode().split() == ["numpy", "False"]

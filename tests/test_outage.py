@@ -49,6 +49,14 @@ def test_diversity_gain_values(aef_dist, akf_dist):
     assert rel_err(gk.gd, 2.5 * 1.2 / 2.0) <= 1e-12
 
 
+def test_diversity_gain_is_a_float_for_integer_parameters():
+    # int shape parameters must not leak through as an int diversity gain
+    ga = gains(AefDist(AefParams(alpha=2, eta=0.5, mu=1, ms=4), 1.0), 1.0)
+    gk = gains(AkfDist(AkfParams(alpha=2, kappa=0.5, mu=1, ms=4), 1.0), 1.0)
+    assert type(ga.gd) is float and ga.gd == 2.0
+    assert type(gk.gd) is float and gk.gd == 1.0
+
+
 def test_gains_frozen_spots(aef_dist, akf_dist):
     assert rel_err(gains(aef_dist, 1.0).gc, 0.5494644361456816) <= 1e-11
     assert rel_err(gains(akf_dist, 1.0).gc, 1.2292901246651782) <= 1e-11

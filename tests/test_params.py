@@ -1,5 +1,7 @@
 """Parameter containers, format geometry, and normalization constants."""
 
+import math
+
 import pytest
 
 from compfade import DomainError
@@ -123,6 +125,20 @@ def test_akf_params_validation():
         AkfParams(alpha=-1.0, kappa=0.5, mu=1.0, ms=4.0)
     with pytest.raises(DomainError):
         AkfParams(alpha=2.0, kappa=0.5, mu=1.0, ms=0.5)
+
+
+@pytest.mark.parametrize("cls,name", [
+    (AefParams, "alpha"), (AefParams, "mu"), (AefParams, "ms"),
+    (AkfParams, "alpha"), (AkfParams, "mu"), (AkfParams, "ms"), (AkfParams, "kappa"),
+], ids=lambda v: getattr(v, "__name__", v))
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_shape_parameter_rejected(cls, name, value):
+    # the ms -> inf and kappa -> inf limit laws are not evaluated, so an
+    # infinite shape parameter is refused where the parameters are built
+    kw = {"alpha": 2.0, "mu": 1.0, "ms": 4.0,
+          "eta" if cls is AefParams else "kappa": 0.5, name: value}
+    with pytest.raises(DomainError):
+        cls(**kw)
 
 
 def test_akf_kappa_zero_is_valid():
