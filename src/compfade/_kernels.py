@@ -5,18 +5,25 @@ Every kernel returns plain tuples of floats/ints with an integer status code
 raising: running out of terms is not an error but a result that the series
 wrappers in specfun/aef/akf report as converged=False next to the value
 reached. They raise for status 2, and the density wrappers, which return a
-bare float, raise for any nonzero status.
+bare float, raise for any nonzero status and for a density that overflowed
+(the density kernels give it as an infinite value).
 
 Magnitudes are carried as (ln|value|, sign) pairs wherever gamma-function
 growth can overflow doubles: the composite-fading expressions multiply very
 large Gamma terms by very small powers, and only the combination is
 representable.
+
+The regularized incomplete beta comes from scipy.special (reg_inc_beta).
+The CDF mixtures and the Kampe de Feriet beta rows step it from term to
+term by the DLMF 8.17.20 recurrence and re-anchor on scipy once it has
+dropped by 1e-2 (_REANCHOR).
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from scipy import special as _sc
 
 # below this, kappa-dependent factors are replaced by their exact kappa -> 0
 # limit forms for numerical hygiene
@@ -24,12 +31,10 @@ KAPPA_ZERO_CUTOFF = 1e-10
 LN2 = math.log(2.0)
 
 _LN_RESCALE = 645.0  # e^645 is close to the overflow edge; rescale margin below it
-_CF_TINY = 1e-300
-_CF_EPS = 3e-15
-_CF_MAX_ITER = 2000
 # an incomplete beta stepped by recurrence is recomputed once it falls below
-# this share of its last continued-fraction value
-_REANCHOR = 1e-3
+# this share of its last value from scipy
+_REANCHOR = 1e-2
+_LN_POW_MIN = -700.0  # e^-700 = 1e-304, just above the subnormal range
 
 
 def _is_nonpos_int(x):
@@ -63,60 +68,19 @@ def pdf_at_zero(ln_a, q):
     return math.exp(ln_a)
 
 
-def _betacf(a, b, x):
-    """Lentz continued fraction for the regularized incomplete beta."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h, 0
-    return h, 1
+def reg_inc_beta(a, b, x, cx):
+    """Regularized incomplete beta I_x(a,b) given x and cx = 1 - x, from
+    scipy.special.
 
-
-def reg_inc_beta(a, b, x, cx, lnx, lncx):
-    """Regularized incomplete beta I_x(a,b) given x, 1-x and their logs.
-
-    Passing both halves keeps full precision when x is within an ulp of 0 or 1
-    (the CDF mixtures hit both ends). Returns (value, status).
+    Above x = 1/2 it is the complement betaincc(b, a, cx), so an x within an
+    ulp of 1 (the CDF mixtures reach both ends) keeps the digits cx carries.
+    Where x^a falls below about e^_LN_POW_MIN, betainc loses digits although
+    I may be representable; the CDF mixtures weight such an I by at most 1,
+    and the KdF beta rows, which would scale it by |y|^-a, avoid it.
     """
-    if x <= 0.0:
-        return 0.0, 0
-    if cx <= 0.0:
-        return 1.0, 0
-    if x < (a + 1.0) / (a + b + 2.0):
-        cf, st = _betacf(a, b, x)
-        ln_bt = a * lnx + b * lncx - _lbeta(a, b)
-        return math.exp(ln_bt) * cf / a, st
-    cf, st = _betacf(b, a, cx)
-    ln_bt = a * lnx + b * lncx - _lbeta(a, b)
-    return 1.0 - math.exp(ln_bt) * cf / b, st
+    if x > 0.5:
+        return float(_sc.betaincc(b, a, cx))
+    return float(_sc.betainc(a, b, x))
 
 
 def _ln_beta_step(a, b, lnx, lncx):
@@ -129,17 +93,25 @@ def _inc_beta_up(i, ln_t, anchor, a, b, x, cx, lnx, lncx):
     """Step I = I_x(a,b) with ln_t = ln T(a) to I_x(a+1,b) and ln T(a+1).
 
     The subtraction I - T(a) cancels when T is close to I, and the loss
-    compounds over successive steps, so I is recomputed by the continued
-    fraction once it falls below _REANCHOR times anchor, the last value the
-    continued fraction gave; measuring the drop step by step would let many
-    small drops add up unchecked. Returns (I, ln_t, anchor, status).
+    compounds over successive steps, so I is recomputed by reg_inc_beta
+    once it falls below _REANCHOR times anchor, the last value
+    reg_inc_beta gave; measuring the drop step by step would let many
+    small drops add up unchecked. Returns (I, ln_t, anchor).
     """
     i -= math.exp(ln_t)
     a1 = a + 1.0
     if i < _REANCHOR * anchor:
-        i, st = reg_inc_beta(a1, b, x, cx, lnx, lncx)
-        return i, _ln_beta_step(a1, b, lnx, lncx), i, st
-    return i, ln_t + lnx + math.log((a + b) / a1), anchor, 0
+        i = reg_inc_beta(a1, b, x, cx)
+        return i, _ln_beta_step(a1, b, lnx, lncx), i
+    return i, ln_t + lnx + math.log((a + b) / a1), anchor
+
+
+def _signed_exp(sgn, ln_abs):
+    """sgn * exp(ln_abs), infinite where exp overflows."""
+    try:
+        return sgn * math.exp(ln_abs)
+    except OverflowError:
+        return sgn * math.inf
 
 
 def _logaddexp(la, lb):
@@ -152,13 +124,15 @@ def _logaddexp(la, lb):
     return lb + math.log1p(math.exp(la - lb))
 
 
-def _ln_sigmoid_pair(ln_y):
-    """For w = y/(1+y) with y = exp(ln_y): returns (ln w, ln(1-w))."""
+def _beta_argument(ln_y):
+    """For w = y/(1+y) with y = exp(ln_y): returns (w, 1-w, ln w, ln(1-w))."""
     if ln_y > 0.0:
         t = math.log1p(math.exp(-ln_y))
-        return -t, -ln_y - t
-    t = math.log1p(math.exp(ln_y))
-    return ln_y - t, -t
+        lnw, lncw = -t, -ln_y - t
+    else:
+        t = math.log1p(math.exp(ln_y))
+        lnw, lncw = ln_y - t, -t
+    return math.exp(lnw), math.exp(lncw), lnw, lncw
 
 
 def _hyper_series(a, b, c, z, rel_tol, abs_tol, max_terms, ln_pref=0.0):
@@ -393,12 +367,12 @@ def humbert_psi1_ln(a, b, c, cp, x, y, rel_tol, abs_tol, max_terms):
 def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, abs_tol, max_terms):
     """Kampe de Feriet F^{2:0;0}_{1:1;0}[a1,a2; b1: c1; x, y], iterated summation.
 
-    Outer sum over m in x (coefficients by recurrence), inner 2F1(a1+m, a2+m;
-    b1+m; y) through the gauss dispatch. Converges for y < 1 and any x. For
-    x >= 0 every outer term shares one sign and the sum is well conditioned
-    (the composite-CDF usage); negative x alternates in m and relative
-    accuracy degrades by the usual cancellation factor once the rows grow
-    before decaying.
+    Outer sum over m in x (coefficients by recurrence) of the rows
+    2F1(a1+m, a2+m; b1+m; y), by default through the gauss dispatch.
+    Converges for y < 1 and any x. For x >= 0 every outer term shares one
+    sign and the sum is well conditioned (the composite-CDF usage); negative
+    x alternates in m and relative accuracy degrades by the usual
+    cancellation factor once the rows grow before decaying.
 
     When b1 = a2 + 1 with a1 > a2 > 0, x >= 0 and y < 0 (the contiguous
     structure the composite CDF produces), each row reduces to an incomplete
@@ -406,9 +380,11 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, abs_tol, max_terms):
     B |y|^(-B) B_w(B, A-B) at w = |y|/(1+|y|), so the rows are incomplete
     betas instead of power series. Row m needs I_w(a2+m, a1-a2), stepped
     from the previous row by the DLMF 8.17.20 recurrence and recomputed by
-    continued fraction as _inc_beta_up decides. The series rows lose digits
-    to internal cancellation once x |y| grows; the beta route keeps every
-    factor positive at any magnitude.
+    reg_inc_beta as _inc_beta_up decides. Once w^(a2+m) nears the subnormal
+    range, I_w loses its digits (or underflows), and the row comes from
+    Pfaff's transformation through scipy.special.hyp2f1 instead. The series
+    rows lose digits to internal cancellation once x |y| grows; the beta
+    route keeps every factor positive at any magnitude.
 
     Returns (ln_abs, sign, terms, est_rel, status).
     """
@@ -417,68 +393,20 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, abs_tol, max_terms):
     # structural test up to a few ulps: b1 built as a2 + 1 in floating point
     # can sit one ulp off the exact offset, and snapping it changes the
     # function by far less than the row-evaluation error it avoids
-    if (
+    beta_rows = (
         y < 0.0
         and x >= 0.0
         and abs(b1 - a2 - 1.0) <= 64.0 * 2.220446049250313e-16 * max(1.0, abs(b1))
         and a1 > a2 > 0.0
-    ):
-        ay = -y
-        w = ay / (1.0 + ay)
-        cw = 1.0 / (1.0 + ay)
-        lnw = math.log(ay) - math.log1p(ay)
-        lncw = -math.log1p(ay)
+    )
+    if beta_rows:
+        ln_y = math.log(-y)
+        w, cw, lnw, lncw = _beta_argument(ln_y)
         ams = a1 - a2
-        ln_y = math.log(ay)
-        s = 0.0
-        ln_scale = 0.0
-        ln_coef = 0.0
-        small = 0
-        m = 0
-        est = 0.0
-        status = 1
-        worst_inner = 0
-        iw, ist = reg_inc_beta(a2, ams, w, cw, lnw, lncw)
+        iw = reg_inc_beta(a2, ams, w, cw)
         ln_t = _ln_beta_step(a2, ams, lnw, lncw)
         anchor = iw
-        while m < max_terms:
-            bm = a2 + m
-            if ist != 0:
-                worst_inner = 1
-            term = 0.0
-            if iw > 0.0:
-                ln_row = math.log(bm) - bm * ln_y + _lbeta(bm, ams) + math.log(iw)
-                e = ln_coef + ln_row - ln_scale
-                if e > _LN_RESCALE:
-                    shift = e - 600.0
-                    s *= math.exp(-shift)
-                    ln_scale += shift
-                    e = 600.0
-                term = math.exp(e)
-            s += term
-            m += 1
-            est = term
-            if term <= max(rel_tol * s, abs_tol):
-                small += 1
-                if small >= 2:
-                    status = 0
-                    break
-            else:
-                small = 0
-            ratio = (a1 + m - 1.0) * (a2 + m - 1.0) * x / (
-                (b1 + m - 1.0) * (c1 + m - 1.0) * m
-            )
-            if ratio == 0.0:
-                est = 0.0
-                status = 0
-                break
-            ln_coef += math.log(ratio)
-            iw, ln_t, anchor, ist = _inc_beta_up(iw, ln_t, anchor, bm, ams, w, cw, lnw, lncw)
-        if worst_inner == 1 and status == 0:
-            status = 1
-        if s == 0.0:
-            return -math.inf, 0.0, m, est, status
-        return math.log(s) + ln_scale, 1.0, m, est / s, status
+        sgn_f = 1.0
     s = 0.0
     ln_scale = 0.0
     ln_coef = 0.0  # ln |(a1)_m (a2)_m / ((b1)_m (c1)_m m!) x^m|
@@ -489,13 +417,20 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, abs_tol, max_terms):
     status = 1
     worst_inner = 0
     while m < max_terms:
-        ln_f, sgn_f, in_terms, in_est, in_st = gauss_2f1_ln(
-            a1 + m, a2 + m, b1 + m, y, rel_tol, abs_tol, max_terms, 0
-        )
-        if in_st == 2:
-            return 0.0, 0.0, m, 0.0, 2
-        if in_st == 1:
-            worst_inner = 1
+        if beta_rows:
+            bm = a2 + m
+            if iw > 0.0 and bm * lnw > _LN_POW_MIN:
+                ln_f = math.log(bm) - bm * ln_y + _lbeta(bm, ams) + math.log(iw)
+            else:  # (1+|y|)^-(a1+m) 2F1(a1+m, 1; bm+1; w)
+                ln_f = (a1 + m) * lncw + math.log(_sc.hyp2f1(a1 + m, 1.0, bm + 1.0, w))
+        else:
+            ln_f, sgn_f, _, _, in_st = gauss_2f1_ln(
+                a1 + m, a2 + m, b1 + m, y, rel_tol, abs_tol, max_terms, 0
+            )
+            if in_st == 2:
+                return 0.0, 0.0, m, 0.0, 2
+            if in_st == 1:
+                worst_inner = 1
         e = ln_coef + ln_f - ln_scale
         if e > _LN_RESCALE:
             shift = e - 600.0
@@ -525,8 +460,9 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, abs_tol, max_terms):
         ln_coef += math.log(abs(ratio))
         if ratio < 0.0:
             sgn_coef = -sgn_coef
-    if worst_inner == 1 and status == 0:
-        status = 1
+        if beta_rows:
+            iw, ln_t, anchor = _inc_beta_up(iw, ln_t, anchor, bm, ams, w, cw, lnw, lncw)
+    status = max(status, worst_inner)
     if s == 0.0:
         return -math.inf, 0.0, m, est, status
     sgn = 1.0 if s > 0.0 else -1.0
@@ -534,6 +470,53 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, abs_tol, max_terms):
 
 
 # --- composite-distribution kernels -----------------------------------------
+
+
+def _beta_mixture(a, step, b, ln_y, ln_w0, ln_z, sgn_z, r, d, rel_tol, abs_tol, max_terms):
+    """Mixture sum_k w_k I_x(a + step k, b) at x = y/(1+y), y = exp(ln_y),
+    summed from k = 0 upward until two successive terms fall below the
+    tolerances or max_terms terms are added.
+
+    w_0 = exp(ln_w0) and w_(k+1)/w_k = sgn_z exp(ln_z) (r + d k)/(k + 1):
+    negative binomial weights with d = 1, Poisson weights with r = 1, d = 0.
+    ln_z = -inf makes the k = 0 term the whole sum. I_x(a, b) comes from
+    reg_inc_beta; each later term takes `step` steps of the DLMF 8.17.20
+    recurrence (_inc_beta_up). Returns (raw_value, terms, est_error_abs,
+    status); a non-finite sum has status 1.
+    """
+    x, cx, lnx, lncx = _beta_argument(ln_y)
+    i = reg_inc_beta(a, b, x, cx)
+    ln_w = ln_w0
+    sgn = 1.0
+    s = math.exp(ln_w) * i
+    est = abs(s)
+    status = 1
+    if ln_z == -math.inf:
+        est, status, max_terms = 0.0, 0, 1
+    small = 0
+    k = 0
+    ln_t = _ln_beta_step(a, b, lnx, lncx)
+    anchor = i
+    while k + 1 < max_terms:
+        ln_w += ln_z + math.log(r + d * k) - math.log(k + 1.0)
+        sgn *= sgn_z
+        ak = a + step * k
+        i, ln_t, anchor = _inc_beta_up(i, ln_t, anchor, ak, b, x, cx, lnx, lncx)
+        if step == 2:
+            i, ln_t, anchor = _inc_beta_up(i, ln_t, anchor, ak + 1.0, b, x, cx, lnx, lncx)
+        k += 1
+        term = sgn * math.exp(ln_w) * i
+        s += term
+        est = abs(term)
+        # a NaN passes this test as well, ending the sum; it is reported below
+        if not est > max(rel_tol * abs(s), abs_tol):
+            small += 1
+            if small >= 2:
+                status = 0
+                break
+        else:
+            small = 0
+    return s, k + 1, est, status if math.isfinite(s) else 1
 
 
 def aef_snr_pdf_kernel(alpha, mu, ms, h, hsq, ln_lam, ln_g, rel_tol, abs_tol, max_terms,
@@ -566,7 +549,7 @@ def aef_snr_pdf_kernel(alpha, mu, ms, h, hsq, ln_lam, ln_g, rel_tol, abs_tol, ma
         - (2.0 * mu + ms) * ln_den
         + ln_f
     )
-    return sgn_f * math.exp(ln_pdf), 0
+    return _signed_exp(sgn_f, ln_pdf), 0
 
 
 def aef_snr_cdf_kernel(alpha, mu, ms, h, hsq, ln_lam, g, rel_tol, abs_tol, max_terms):
@@ -577,56 +560,16 @@ def aef_snr_cdf_kernel(alpha, mu, ms, h, hsq, ln_lam, g, rel_tol, abs_tol, max_t
     k! (H/h)^(2k); this is the exact identity 2F1(B+ms, B; B+1; -y) =
     B y^-B Beta(B,ms) I_w(B, ms) applied term by term, so no transformed
     series is needed at large y. The c_k sum to 1 because h^2 - H^2 = h in
-    both geometry formats. I_w(2mu, ms) comes from the continued fraction;
-    each later term takes two steps of the DLMF 8.17.20 recurrence
-    (_inc_beta_up), which recomputes by continued fraction only once the
-    value has dropped by 1e-3. Returns (raw_value, terms, est_error_abs,
-    status).
+    both geometry formats; eta = 1 (H = 0) leaves the k = 0 term alone.
+    Summed by _beta_mixture, two recurrence steps per term. Returns
+    (raw_value, terms, est_error_abs, status).
     """
     ln_y = math.log(2.0 * mu * h) + 0.5 * alpha * math.log(g) - ln_lam
-    lnw, lncw = _ln_sigmoid_pair(ln_y)
-    w = math.exp(lnw)
-    cw = math.exp(lncw)
-    i0, st0 = reg_inc_beta(2.0 * mu, ms, w, cw, lnw, lncw)
-    if st0 != 0:
-        return 0.0, 1, 0.0, 1
-    if hsq == 0.0:
-        # eta = 1: only the k = 0 term survives
-        return i0, 1, 0.0, 0
-    ln_q = math.log(abs(hsq)) - 2.0 * math.log(h)
-    sgn_h = 1.0 if hsq > 0.0 else -1.0
-    ln_coef = -mu * math.log(h)
-    sgn = 1.0
-    term = sgn * math.exp(ln_coef) * i0
-    s = term
-    small = 0
-    k = 0
-    bk = 2.0 * mu
-    ik = i0
-    ln_t = _ln_beta_step(bk, ms, lnw, lncw)
-    anchor = i0
-    est = abs(term)
-    status = 1
-    while k + 1 < max_terms:
-        ln_coef += ln_q + math.log(mu + k) - math.log(k + 1.0)
-        sgn *= sgn_h
-        ik, ln_t, anchor, st1 = _inc_beta_up(ik, ln_t, anchor, bk, ms, w, cw, lnw, lncw)
-        ik, ln_t, anchor, st2 = _inc_beta_up(ik, ln_t, anchor, bk + 1.0, ms, w, cw, lnw, lncw)
-        bk += 2.0
-        k += 1
-        if st1 != 0 or st2 != 0:
-            return s, k + 1, est, 1
-        term = sgn * math.exp(ln_coef) * ik
-        s += term
-        est = abs(term)
-        if est <= max(rel_tol * abs(s), abs_tol):
-            small += 1
-            if small >= 2:
-                status = 0
-                break
-        else:
-            small = 0
-    return s, k + 1, est, status
+    ln_q = math.log(abs(hsq)) - 2.0 * math.log(h) if hsq != 0.0 else -math.inf
+    return _beta_mixture(
+        2.0 * mu, 2, ms, ln_y, -mu * math.log(h), ln_q, math.copysign(1.0, hsq), mu, 1.0,
+        rel_tol, abs_tol, max_terms,
+    )
 
 
 def aef_cdf_bound_kernel(alpha, mu, ms, h, hsq, ln_lam, g, k0, rel_tol, abs_tol, max_terms):
@@ -659,10 +602,8 @@ def aef_cdf_bound_kernel(alpha, mu, ms, h, hsq, ln_lam, g, k0, rel_tol, abs_tol,
     # leading 2F1(-y) factor through the incomplete-beta identity
     b0 = 2.0 * mu + 2.0 * k0
     ln_y = math.log(2.0 * mu * h) + gexp - ln_lam
-    lnw1, lncw1 = _ln_sigmoid_pair(ln_y)
-    iw, sti = reg_inc_beta(b0, ms, math.exp(lnw1), math.exp(lncw1), lnw1, lncw1)
-    if sti != 0:
-        return 0.0, 1
+    w1, cw1, _, _ = _beta_argument(ln_y)
+    iw = reg_inc_beta(b0, ms, w1, cw1)
     if iw <= 0.0:
         return 0.0, 0
     ln_f1 = math.log(b0) - b0 * ln_y + _lbeta(b0, ms) + math.log(iw)
@@ -700,7 +641,7 @@ def akf_snr_pdf_kernel(alpha, mu, ms, kappa, ln_lam, ln_g, rel_tol, abs_tol, max
             - (mu + ms) * ln_den
             + ln_head
         )
-        return math.exp(ln_pdf), 0
+        return _signed_exp(1.0, ln_pdf), 0
     ln_den = _logaddexp(math.log(mu * (1.0 + kappa)) + gexp, ln_lam)
     x = mu * kappa * math.exp(math.log(mu * (1.0 + kappa)) + gexp - ln_den)
     ln_f, sgn_f, _, _, st = kummer_1f1_ln(mu + ms, mu, x, rel_tol, abs_tol, max_terms)
@@ -718,7 +659,7 @@ def akf_snr_pdf_kernel(alpha, mu, ms, kappa, ln_lam, ln_g, rel_tol, abs_tol, max
         + ln_head
         + ln_f
     )
-    return sgn_f * math.exp(ln_pdf), 0
+    return _signed_exp(sgn_f, ln_pdf), 0
 
 
 def akf_snr_cdf_kernel(alpha, mu, ms, kappa, ln_lam, g, rel_tol, abs_tol, max_terms):
@@ -726,44 +667,16 @@ def akf_snr_cdf_kernel(alpha, mu, ms, kappa, ln_lam, g, rel_tol, abs_tol, max_te
 
     The t-th series term equals e^(-mu kappa)(mu kappa)^t/t! I_w1(mu+t, ms)
     with w1 = X1/(1+X1), X1 = mu(1+kappa) g^(alpha/2)/Lambda (same incomplete
-    beta identity as the alpha-eta-F CDF). I_w1(mu, ms) comes from the
-    continued fraction and each later term takes one recurrence step, as in
-    aef_snr_cdf_kernel. Returns (raw, terms, est, status).
+    beta identity as the alpha-eta-F CDF). Summed by _beta_mixture, one
+    recurrence step per term; kappa below KAPPA_ZERO_CUTOFF keeps the t = 0
+    term alone at weight 1, the exact kappa -> 0 limit. Returns (raw, terms,
+    est, status).
     """
     ln_x1 = math.log(mu * (1.0 + kappa)) + 0.5 * alpha * math.log(g) - ln_lam
-    lnw, lncw = _ln_sigmoid_pair(ln_x1)
-    w = math.exp(lnw)
-    cw = math.exp(lncw)
-    i0, st0 = reg_inc_beta(mu, ms, w, cw, lnw, lncw)
-    if st0 != 0:
-        return 0.0, 1, 0.0, 1
-    mk = mu * kappa
     if kappa < KAPPA_ZERO_CUTOFF:
-        return i0, 1, 0.0, 0
-    ln_p = -mk  # ln of the Poisson weight, t = 0
-    term = math.exp(ln_p) * i0
-    s = term
-    small = 0
-    t = 0
-    it = i0
-    ln_t = _ln_beta_step(mu, ms, lnw, lncw)
-    anchor = i0
-    est = term
-    status = 1
-    while t + 1 < max_terms:
-        it, ln_t, anchor, stt = _inc_beta_up(it, ln_t, anchor, mu + t, ms, w, cw, lnw, lncw)
-        t += 1
-        ln_p += math.log(mk) - math.log(t)
-        if stt != 0:
-            return s, t + 1, est, 1
-        term = math.exp(ln_p) * it
-        s += term
-        est = term
-        if term <= max(rel_tol * s, abs_tol):
-            small += 1
-            if small >= 2:
-                status = 0
-                break
-        else:
-            small = 0
-    return s, t + 1, est, status
+        ln_w0, ln_z = 0.0, -math.inf
+    else:
+        ln_w0, ln_z = -mu * kappa, math.log(mu * kappa)
+    return _beta_mixture(
+        mu, 1, ms, ln_x1, ln_w0, ln_z, 1.0, 1.0, 0.0, rel_tol, abs_tol, max_terms
+    )

@@ -28,6 +28,7 @@ from .series import (
     cdf_clamped,
     cdf_endpoint,
     default_control,
+    density_value,
 )
 
 __all__ = ["AefDist", "AefEnvelope"]
@@ -87,9 +88,7 @@ class AefDist:
             p.alpha, p.mu, p.ms, self.geometry.h, self._hsq, self._ln_lam,
             math.log(gamma), ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
         )
-        if status != STATUS_OK:
-            raise ConvergenceError("snr_pdf: embedded hypergeometric did not converge")
-        return value
+        return density_value("snr_pdf", value, status)
 
     def snr_cdf(self, gamma: float, ctrl: SeriesControl | None = None) -> SeriesResult:
         """CDF of the instantaneous SNR at gamma >= 0, as a truncated series.
@@ -175,8 +174,4 @@ class AefEnvelope:
             p.alpha, p.mu, p.ms, d.geometry.h, d._hsq, d._ln_lam,
             2.0 * ln_r, ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms, _k.LN2 + ln_r,
         )
-        if status != STATUS_OK:
-            raise ConvergenceError(
-                "envelope_pdf: embedded hypergeometric did not converge"
-            )
-        return value
+        return density_value("envelope_pdf", value, status)

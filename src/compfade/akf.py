@@ -28,6 +28,7 @@ from .series import (
     cdf_clamped,
     cdf_endpoint,
     default_control,
+    density_value,
 )
 
 __all__ = ["AkfDist", "AkfEnvelope"]
@@ -88,9 +89,7 @@ class AkfDist:
             p.alpha, p.mu, p.ms, p.kappa, self._ln_lam,
             math.log(gamma), ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
         )
-        if status != STATUS_OK:
-            raise ConvergenceError("snr_pdf: embedded hypergeometric did not converge")
-        return value
+        return density_value("snr_pdf", value, status)
 
     def snr_cdf_series(
         self, gamma: float, ctrl: SeriesControl | None = None
@@ -208,8 +207,4 @@ class AkfEnvelope:
             p.alpha, p.mu, p.ms, p.kappa, d._ln_lam,
             2.0 * ln_r, ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms, _k.LN2 + ln_r,
         )
-        if status != STATUS_OK:
-            raise ConvergenceError(
-                "envelope_pdf: embedded hypergeometric did not converge"
-            )
-        return value
+        return density_value("envelope_pdf", value, status)

@@ -121,27 +121,14 @@ class LatticeReport:
     passed: bool
 
 
-def _max_dev_aef_vs_akf(a: AefDist, k: AkfDist, grid: np.ndarray) -> float:
+def _max_dev(grid: np.ndarray, pdf_a, pdf_b, cdf_a=None, cdf_b=None) -> float:
+    """Largest gap over the grid between the pdfs of two laws and, when
+    their CDF callables are given, between the CDF values."""
     dev = 0.0
     for g in grid:
-        dev = max(dev, abs(a.snr_pdf(g) - k.snr_pdf(g)))
-        dev = max(dev, abs(a.snr_cdf(g).value - k.snr_cdf_series(g).value))
-    return dev
-
-
-def _max_dev_aef_pair(a: AefDist, b: AefDist, grid: np.ndarray, cdf: bool) -> float:
-    dev = 0.0
-    for g in grid:
-        dev = max(dev, abs(a.snr_pdf(g) - b.snr_pdf(g)))
-        if cdf:
-            dev = max(dev, abs(a.snr_cdf(g).value - b.snr_cdf(g).value))
-    return dev
-
-
-def _max_dev_akf_pair(a: AkfDist, b: AkfDist, grid: np.ndarray) -> float:
-    dev = 0.0
-    for g in grid:
-        dev = max(dev, abs(a.snr_pdf(g) - b.snr_pdf(g)))
+        dev = max(dev, abs(pdf_a(g) - pdf_b(g)))
+        if cdf_a is not None:
+            dev = max(dev, abs(cdf_a(g).value - cdf_b(g).value))
     return dev
 
 
@@ -161,7 +148,7 @@ def check_lattice(tolerance: float = 1e-4) -> LatticeReport:
     for alpha, mu, ms in ((2.5, 1.0, 3.0), (3.2, 0.75, 4.5)):
         a = AefDist(AefParams(alpha=alpha, eta=1.0, mu=mu, ms=ms), 1.0)
         k = AkfDist(AkfParams(alpha=alpha, kappa=0.0, mu=2.0 * mu, ms=ms), 1.0)
-        dev_a = max(dev_a, _max_dev_aef_vs_akf(a, k, grid))
+        dev_a = max(dev_a, _max_dev(grid, a.snr_pdf, k.snr_pdf, a.snr_cdf, k.snr_cdf_series))
     checks.append(
         LatticeCheck("cross-family", dev_a, CROSS_FAMILY_TOL, dev_a <= CROSS_FAMILY_TOL)
     )
@@ -173,8 +160,8 @@ def check_lattice(tolerance: float = 1e-4) -> LatticeReport:
     d4 = AefDist(base, 1.0)
     d5 = AefDist(dataclasses.replace(base, ms=1.0e5), 1.0)
     d6 = AefDist(dataclasses.replace(base, ms=1.0e6), 1.0)
-    dev1 = _max_dev_aef_pair(d4, d5, grid_b, cdf=False)
-    dev2 = _max_dev_aef_pair(d5, d6, grid_b, cdf=False)
+    dev1 = _max_dev(grid_b, d4.snr_pdf, d5.snr_pdf)
+    dev2 = _max_dev(grid_b, d5.snr_pdf, d6.snr_pdf)
     ok_b = dev2 < dev1 and dev2 <= tolerance
     checks.append(LatticeCheck("aef-ms-stabilization", dev2, tolerance, ok_b))
 
@@ -183,8 +170,8 @@ def check_lattice(tolerance: float = 1e-4) -> LatticeReport:
     k4 = AkfDist(base_k, 1.0)
     k5 = AkfDist(dataclasses.replace(base_k, ms=1.0e5), 1.0)
     k6 = AkfDist(dataclasses.replace(base_k, ms=1.0e6), 1.0)
-    dev1k = _max_dev_akf_pair(k4, k5, grid_b)
-    dev2k = _max_dev_akf_pair(k5, k6, grid_b)
+    dev1k = _max_dev(grid_b, k4.snr_pdf, k5.snr_pdf)
+    dev2k = _max_dev(grid_b, k5.snr_pdf, k6.snr_pdf)
     ok_c = dev2k < dev1k and dev2k <= tolerance
     checks.append(LatticeCheck("akf-ms-stabilization", dev2k, tolerance, ok_c))
 
@@ -199,7 +186,8 @@ def check_lattice(tolerance: float = 1e-4) -> LatticeReport:
         ms=3.5,
         format=Format.FORMAT_II,
     )
-    dev_d = _max_dev_aef_pair(AefDist(p1, 1.0), AefDist(p2, 1.0), grid, cdf=True)
+    d1, d2 = AefDist(p1, 1.0), AefDist(p2, 1.0)
+    dev_d = _max_dev(grid, d1.snr_pdf, d2.snr_pdf, d1.snr_cdf, d2.snr_cdf)
     checks.append(LatticeCheck("format-equivalence", dev_d, FORMAT_TOL, dev_d <= FORMAT_TOL))
 
     return LatticeReport(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as sc
 
-from .params import AefParams, AkfParams, Format
+from .params import AefParams, AkfParams, Format, _require_shape
 from .series import DomainError
 from . import specfun
 
@@ -63,12 +63,9 @@ class PhysAef:
     sigma2: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
+        _require_shape(alpha=self.alpha, ms=self.ms)
         if self.mu_int < 1 or self.mu_int != int(self.mu_int):
             raise DomainError(f"mu_int must be an integer >= 1, got {self.mu_int}")
-        if not self.ms > 1.0:
-            raise DomainError(f"ms must exceed 1, got {self.ms}")
         if self.format is Format.FORMAT_I:
             if not (self.sigma_x2 > 0.0 and self.sigma_y2 > 0.0):
                 raise DomainError("Format I requires positive sigma_x2 and sigma_y2")
@@ -102,14 +99,11 @@ class PhysAkf:
     ms: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
+        _require_shape(alpha=self.alpha, ms=self.ms)
         if self.mu_int < 1 or self.mu_int != int(self.mu_int):
             raise DomainError(f"mu_int must be an integer >= 1, got {self.mu_int}")
         if not self.sigma2 > 0.0:
             raise DomainError(f"sigma2 must be positive, got {self.sigma2}")
-        if not self.ms > 1.0:
-            raise DomainError(f"ms must exceed 1, got {self.ms}")
         if len(self.p) != self.mu_int or len(self.q) != self.mu_int:
             raise DomainError("p and q must each have mu_int entries")
         d2 = self.d2
@@ -179,8 +173,7 @@ def _padded_width(columns: int) -> int:
 def sample_inv_nakagami_sq(ms: float, n: int, seed: int, start: int = 0) -> np.ndarray:
     """n draws of the squared normalized inverse-Nakagami shadowing variate:
     inverse-gamma with shape ms and scale ms-1, so the mean is exactly 1."""
-    if not ms > 1.0:
-        raise DomainError(f"ms must exceed 1, got {ms}")
+    _require_shape(ms=ms)
     if n < 0 or start < 0:
         raise DomainError("n and start must be non-negative")
     out = np.empty(n, dtype=np.float64)

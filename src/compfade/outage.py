@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import _kernels as _k
 from .aef import AefDist
 from .akf import AkfDist
 from .series import DomainError, SeriesControl, SeriesResult
@@ -64,11 +65,7 @@ def _ln_asymptote(dist: AefDist | AkfDist, gamma_th: float) -> tuple:
 
 def _asymptote(dist: AefDist | AkfDist, gamma_th: float) -> float:
     """The asymptotic outage itself; inf where it exceeds the double range."""
-    ln_asym = _ln_asymptote(dist, gamma_th)[0]
-    try:
-        return math.exp(ln_asym)
-    except OverflowError:
-        return math.inf
+    return _k._signed_exp(1.0, _ln_asymptote(dist, gamma_th)[0])
 
 
 def asymptotic_outage_aef(d: AefDist, gamma_th: float) -> float:

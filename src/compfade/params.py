@@ -12,6 +12,7 @@ underlying fractional moment to exist.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,14 +39,17 @@ class Format(enum.Enum):
     FORMAT_II = 2
 
 
-def _require_shape(alpha: float, mu: float, ms: float) -> None:
-    """Shape parameters shared by both families; all must be finite (the
-    ms -> inf and kappa -> inf limit laws are not evaluated)."""
-    if not 0.0 < alpha < math.inf:
+def _require_shape(
+    alpha: float | None = None, mu: float | None = None, ms: float | None = None
+) -> None:
+    """Shape parameters shared by both families and their physical models;
+    each one given must be finite (the ms -> inf and kappa -> inf limit laws
+    are not evaluated)."""
+    if alpha is not None and not 0.0 < alpha < math.inf:
         raise DomainError(f"alpha must be positive and finite, got {alpha}")
-    if not 0.0 < mu < math.inf:
+    if mu is not None and not 0.0 < mu < math.inf:
         raise DomainError(f"mu must be positive and finite, got {mu}")
-    if not 1.0 < ms < math.inf:
+    if ms is not None and not 1.0 < ms < math.inf:
         raise DomainError(f"ms must exceed 1 and be finite, got {ms}")
 
 
@@ -131,6 +135,31 @@ def _require_moment(alpha: float, ms: float) -> None:
         )
 
 
+def _normalizer(constant):
+    """Guards a normalization constant: DomainError where the 2/alpha-order
+    moment does not exist, and ConvergenceError unless the constant and
+    its factors are positive finite doubles. Huge or tiny shapes overflow
+    an exp on the way (OverflowError) or take the log of a Beta function
+    that underflowed to 0 (ValueError)."""
+
+    @functools.wraps(constant)
+    def checked(p):
+        _require_moment(p.alpha, p.ms)
+        try:
+            value = constant(p)
+        except (OverflowError, ValueError):
+            value = math.nan
+        if not 0.0 < value < math.inf:
+            raise ConvergenceError(
+                f"{constant.__name__}: the normalization constant or a factor of "
+                "it is not a positive finite double at these shape parameters"
+            )
+        return value
+
+    return checked
+
+
+@_normalizer
 def upsilon(p: AefParams) -> float:
     """Mean-SNR normalization constant of the alpha-eta-F distribution.
 
@@ -138,7 +167,6 @@ def upsilon(p: AefParams) -> float:
     ms - 2/alpha) 2F1(mu + 1/alpha, mu + 1/alpha + 1/2; mu + 1/2; H^2/h^2))
     ]^(alpha/2). Equals 1 at alpha = 2, eta = 1.
     """
-    _require_moment(p.alpha, p.ms)
     geo = geometry(p)
     h, H = geo.h, geo.H
     q = 2.0 / p.alpha
@@ -155,6 +183,7 @@ def upsilon(p: AefParams) -> float:
     return 2.0 * p.mu * h / (p.ms - 1.0) * math.exp(0.5 * p.alpha * ln_bracket)
 
 
+@_normalizer
 def omega(p: AkfParams) -> float:
     """Mean-SNR normalization constant of the alpha-kappa-F distribution.
 
@@ -163,7 +192,6 @@ def omega(p: AkfParams) -> float:
     ]^(alpha/2). Equals 1 at alpha = 2, kappa -> 0; kappa below the zero
     cutoff uses the exact limit form.
     """
-    _require_moment(p.alpha, p.ms)
     q = 2.0 / p.alpha
     ln_bb = math.log(specfun.beta(p.mu, p.ms)) - math.log(
         specfun.beta(p.mu + q, p.ms - q)

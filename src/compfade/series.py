@@ -91,6 +91,16 @@ def cdf_endpoint(gamma: float) -> SeriesResult | None:
     return None
 
 
+def density_value(name: str, value: float, status: int) -> float:
+    """A density kernel's result at 0 < gamma < inf; ConvergenceError if its
+    series did not converge or the density overflowed."""
+    if status != STATUS_OK:
+        raise ConvergenceError(f"{name}: embedded hypergeometric did not converge")
+    if not math.isfinite(value):
+        raise ConvergenceError(f"{name}: the density overflowed the double range")
+    return value
+
+
 def cdf_clamped(raw: float, terms: int, est: float, converged: bool) -> SeriesResult:
     """A summed CDF clamped to [0, 1]; the clamping adjustment is added to
     est_error."""

@@ -15,6 +15,7 @@ from compfade import (
     AkfDist,
     AkfEnvelope,
     AkfParams,
+    ConvergenceError,
     Format,
     asymptotic_outage_aef,
     asymptotic_outage_akf,
@@ -60,6 +61,27 @@ def test_asymptotes_beyond_the_double_range_are_infinite():
     aef = AefDist(AefParams(alpha=2.0, eta=0.5, mu=1.0, ms=4.0), 1e-300)
     assert asymptotic_outage_akf(akf, 1e300) == math.inf
     assert asymptotic_outage_aef(aef, 1e300) == math.inf
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AkfDist(AkfParams(alpha=2.0, kappa=0.5, mu=1e300, ms=4.0), 1.0),
+    lambda: AefDist(AefParams(alpha=2.0, eta=0.5, mu=1e5, ms=4.0), 1.0),
+    lambda: AkfDist(AkfParams(alpha=1e300, kappa=0.5, mu=1.0, ms=4.0), 1.0),
+])
+def test_normalization_out_of_the_double_range_raises(build):
+    # omega underflows to 0, the geometry 2F1 overflows, the bracket power
+    # overflows: none of them may escape as a bare arithmetic error
+    with pytest.raises(ConvergenceError, match="normalization constant"):
+        build()
+
+
+@pytest.mark.parametrize("density", [
+    lambda: AefDist(AefParams(alpha=2.0, eta=0.5, mu=1.0, ms=1e300), 1.0).snr_pdf(1.0),
+    lambda: AkfDist(AkfParams(alpha=0.5, kappa=1.0, mu=0.1, ms=10.0), 1e-3).snr_pdf(5e-324),
+])
+def test_overflowing_density_raises(density):
+    with pytest.raises(ConvergenceError, match="density overflowed"):
+        density()
 
 
 def test_default_control_is_resolved_once():

@@ -25,7 +25,7 @@ from compfade import (
     sample_akf_envelope,
     sample_inv_nakagami_sq,
 )
-from compfade.mc import PhysAkf, envelope_alpha_mean, envelope_sq_mean
+from compfade.mc import PhysAef, PhysAkf, envelope_alpha_mean, envelope_sq_mean
 from conftest import rel_err
 
 
@@ -125,6 +125,29 @@ def test_phys_akf_rejects_inconsistent_kappa():
     with pytest.raises(DomainError):
         PhysAkf(alpha=2.0, mu_int=2, sigma2=1.0, kappa=9.0,
                 p=(1.0, 1.0), q=(1.0, 1.0), ms=4.0)
+
+
+_SHAPE_ENTRY_POINTS = {
+    "sample_inv_nakagami_sq": lambda ms=4.0: sample_inv_nakagami_sq(ms, 3, 1),
+    "PhysAef": lambda alpha=2.0, ms=4.0: PhysAef(
+        alpha=alpha, mu_int=1, format=Format.FORMAT_II, eta=0.3, ms=ms),
+    "PhysAkf": lambda alpha=2.0, ms=4.0: PhysAkf(
+        alpha=alpha, mu_int=1, sigma2=1.0, kappa=0.5, p=(1.0,), q=(0.0,), ms=ms),
+}
+
+
+@pytest.mark.parametrize("entry,name", [
+    ("sample_inv_nakagami_sq", "ms"),
+    ("PhysAef", "alpha"), ("PhysAef", "ms"),
+    ("PhysAkf", "alpha"), ("PhysAkf", "ms"),
+])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_physical_model_rejects_non_finite_shape(entry, name, value):
+    # the same finite-shape rule as the analytical parameter classes; ms = inf
+    # used to give all-NaN shadowing draws
+    _SHAPE_ENTRY_POINTS[entry]()  # the defaults are valid
+    with pytest.raises(DomainError):
+        _SHAPE_ENTRY_POINTS[entry](**{name: value})
 
 
 def test_seed_range_validation(phys_aef):

@@ -3,8 +3,8 @@ Psi1 diagonal sweep, against the extended-precision oracles.
 
 Each CDF series term is a weight times I_w(a + k, ms); the kernels step
 I_w from one term to the next with I_x(a+1, b) = I_x(a, b) - T(a) and
-recompute it by continued fraction once it has dropped by 1e-3 from the
-last recomputed value. The cancellation in that subtraction is worst in
+recompute it with scipy.special (the anchor) once it has dropped by 1e-2
+from the last anchor. The cancellation in that subtraction is worst in
 the deep lower tail at strong line of sight, where many terms matter.
 """
 

@@ -7,8 +7,10 @@ production kernels for their reference values.
 
 import math
 
+import mpmath
 import pytest
 
+from compfade import _kernels as _k
 from compfade import (
     ConvergenceError,
     DomainError,
@@ -22,6 +24,7 @@ from compfade import (
     pochhammer,
 )
 from conftest import rel_err
+import oracles
 
 ENGINE_TOL = 1e-10
 TIGHT = SeriesControl(rel_tol=1e-14)
@@ -226,3 +229,29 @@ def test_series_control_rejects_bad_settings():
         SeriesControl(rel_tol=0.0)
     with pytest.raises(DomainError):
         SeriesControl(max_terms=0)
+
+
+@pytest.mark.parametrize("a,b,x", [
+    (0.7, 3.0, 1e-12),
+    (2.5, 4.0, 0.49),
+    (2.5, 4.0, 0.51),
+    (200.0, 3.0, 0.97),  # above x = 1/2: the complement route
+])
+def test_reg_inc_beta_matches_mpmath(a, b, x):
+    with mpmath.workdps(40):
+        want = mpmath.betainc(a, b, 0, x, regularized=True)
+    got = _k.reg_inc_beta(a, b, x, 1.0 - x)
+    assert rel_err(got, float(want)) <= 1e-14
+
+
+@pytest.mark.parametrize("args", [
+    # I_w(5 + m, 15) underflows from m ~ 100, long before the sum is done
+    (20.0, 5.0, 6.0, 2.0, 140.0, -6e-4),
+    # w^(a2 + m) nears the subnormal range from m ~ 253 on, where betainc
+    # loses its digits
+    (33.5, 4.0, 5.0, 6.0, 170.0, -0.07),
+])
+def test_kdf_2_1_beta_rows_past_the_underflow_of_the_incomplete_beta(args):
+    r = kdf_2_1(*args)
+    assert r.converged
+    assert rel_err(r.value, float(oracles.mp_kdf_2_1(*args))) <= ENGINE_TOL
