@@ -17,12 +17,19 @@ The regularized incomplete beta comes from scipy.special (reg_inc_beta).
 The CDF mixtures and the Kampe de Feriet beta rows step it from term to
 term by the DLMF 8.17.20 recurrence and re-anchor on scipy once it has
 dropped by 1e-2 (_REANCHOR).
+
+The single series and the mixtures add one term per interpreted loop
+step. The Humbert Psi1 double series instead advances every live column
+over a block of up to _PSI1_BLOCK diagonals in one 2-D array, so its
+interpreted cost is paid per block rather than per diagonal; its stop test
+and rescaling still act diagonal by diagonal (humbert_psi1_ln).
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy import special as _sc
 
 # below this, kappa-dependent factors are replaced by their exact kappa -> 0
@@ -35,6 +42,11 @@ _LN_RESCALE = 645.0  # e^645 is close to the overflow edge; rescale margin below
 # this share of its last value from scipy
 _REANCHOR = 1e-2
 _LN_POW_MIN = -700.0  # e^-700 = 1e-304, just above the subnormal range
+# humbert_psi1_ln sums up to this many diagonals per block, in blocks of
+# at most this many terms (1 MB of doubles)
+_PSI1_BLOCK = 64
+_PSI1_BLOCK_ELEMS = 1 << 17
+_PSI1_UPPER = ~np.tri(_PSI1_BLOCK, dtype=bool)  # [j, i]: i > j
 
 
 def _is_nonpos_int(x):
@@ -274,14 +286,24 @@ def kummer_1f1_ln(a, b, z, rel_tol, abs_tol, max_terms):
 
 
 def humbert_psi1_ln(a, b, c, cp, x, y, rel_tol, abs_tol, max_terms):
-    """Humbert Psi1 double series summed over expanding anti-diagonals.
+    """Humbert Psi1 double series summed over expanding anti-diagonals,
+    a block of up to _PSI1_BLOCK diagonals at a time.
 
     Psi1(a;b;c,c';x,y) = sum_{m,n} (a)_{m+n} (b)_m / ((c)_m (c')_n) x^m y^n / (m! n!).
-    Column m keeps its own running term T(m,n) advanced one n-step per
-    diagonal, so no division by x or y ever happens (stable when either is
-    tiny). Each diagonal updates all live columns as one array slice, and
-    all of them are rescaled together once any passes 1e290. b a
-    non-positive integer truncates the m-range and lifts the |x| < 1
+    Column m keeps its own running term T(m,n), advanced one n-step per
+    diagonal d by (a+d-1) y / ((n+c'-1) n), so no division by x or y ever
+    happens (stable when either is tiny). A block is one 2-D array whose
+    cumulative product down each column, seeded with the column's current
+    term, forms the same products in the same order as stepping one
+    diagonal at a time; the columns that open inside the block form its
+    lower triangle, seeded with T(m,0) from the x-recurrence. One reduction
+    gives the diagonal sums, and the stop test (two successive small
+    diagonals) runs on their sequential partial sums. The block is cut after
+    the first diagonal that stops the sum or leaves 1e290 in the partial
+    sum or a term; there everything is rescaled by 1e-290 and the next block
+    starts. A block holds at most _PSI1_BLOCK_ELEMS terms.
+
+    b a non-positive integer truncates the m-range and lifts the |x| < 1
     requirement. Negative x with non-terminating b is rewritten
     through Psi1(a,b;c,c';x,y) = (1-x)^(-a) Psi1(a,c-b;c,c';x/(x-1),y/(1-x)),
     whose terms do not alternate in m; without it the raw series cancels
@@ -304,59 +326,76 @@ def humbert_psi1_ln(a, b, c, cp, x, y, rel_tol, abs_tol, max_terms):
         return 0.0, 0.0, 0, 0.0, 2
     if _is_nonpos_int(c) and not (b_term and int(-b) < int(-c) + 1):
         return 0.0, 0.0, 0, 0.0, 2
-    cap = 4096
-    if cap > max_terms + 2:
-        cap = max_terms + 2
-    col = np.zeros(cap)
-    col[0] = 1.0
-    ncols = 1  # columns m = 0..ncols-1 are live
+    col = np.ones(1)  # T(m, diag - m) of the live columns m = 0..len(col)-1
     row_base = 1.0  # T(m,0) of the newest column
     s = 1.0  # running double sum (includes diagonal 0)
     ln_scale = 0.0
-    small = 0
+    small = False  # whether the last diagonal passed the stop test
     diag = 0
     est = 0.0
     status = 1
-    while diag < max_terms:
-        diag += 1
-        # advance every live column m one step, to n = diag - m
-        live = col[:ncols]
-        n = diag - np.arange(ncols)
-        live *= (a + diag - 1.0) * y / ((n + (cp - 1.0)) * n)
-        d_sum = float(live.sum())
-        # open column m = diag (enters at n = 0)
-        if diag < m_cap:
-            row_base *= (a + diag - 1.0) * (b + diag - 1.0) * x / (
-                (c + diag - 1.0) * diag
-            )
-            if diag >= cap:
-                cap2 = cap * 2
-                if cap2 > max_terms + 2:
-                    cap2 = max_terms + 2
-                col2 = np.zeros(cap2)
-                col2[:cap] = col
-                col = col2
-                cap = cap2
-            col[diag] = row_base
-            ncols = diag + 1
-            d_sum += row_base
-        s += d_sum
-        ad = abs(d_sum)
-        est = ad
-        if ad <= max(rel_tol * abs(s), abs_tol):
-            small += 1
-            if small >= 2:
+    # the factors of columns not yet open divide by zero, and a block may
+    # overflow past the diagonal where it is cut; neither value is used
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while status and diag < max_terms:
+            n0 = len(col)
+            nb = min(_PSI1_BLOCK, max_terms - diag)
+            n1 = min(diag + nb + 1, m_cap)
+            if nb * n1 > _PSI1_BLOCK_ELEMS:
+                nb = max(1, _PSI1_BLOCK_ELEMS // n1)
+                n1 = min(diag + nb + 1, m_cap)
+            k = n1 - n0  # columns n0..n1-1 open on the block's first k diagonals
+            d = np.arange(diag + 1.0, diag + nb + 1.0)
+            # column m is at n = d - m on diagonal d, so n and the denominator
+            # (n + c' - 1) n are constant along the block's anti-diagonals:
+            # computed once per n, read through a Toeplitz view
+            n = np.arange(diag + nb, diag - n1 + 1, -1.0)
+            den = (n + (cp - 1.0)) * n
+            den = as_strided(den[nb - 1:], shape=(nb, n1),
+                             strides=(-den.itemsize, den.itemsize), writeable=False)
+            # row 0 seeds the cumprod with the live terms, and with 1 for the
+            # new columns, whose factors are 1 up to their first diagonal,
+            # where they take T(m,0)
+            t = np.empty((nb + 1, n1))
+            t[0, :n0] = col
+            t[0, n0:] = 1.0
+            np.divide(((a + d - 1.0) * y)[:, None], den, out=t[1:])
+            if k:
+                dm = d[:k]
+                bases = np.cumprod(np.concatenate((
+                    [row_base], (a + dm - 1.0) * (b + dm - 1.0) * x / ((c + dm - 1.0) * dm))))
+                upper = _PSI1_UPPER[:nb, :k]
+                t[1:, n0:][upper] = 1.0
+                t.reshape(-1)[n1 + n0::n1 + 1][:k] = bases[1:]
+            np.cumprod(t, axis=0, out=t)
+            t = t[1:]
+            if k:
+                t[:, n0:][upper] = 0.0
+            d_sums = t.sum(axis=1)
+            sums = np.cumsum(np.concatenate(([s], d_sums)))[1:]
+            ad = np.abs(d_sums)
+            small_v = ad <= np.maximum(rel_tol * np.abs(sums), abs_tol)
+            stop_v = small_v & np.concatenate(([small], small_v[:-1]))
+            peaks = np.maximum(t.max(axis=1), -t.min(axis=1))
+            over_v = np.maximum(np.abs(sums), peaks) > 1e290
+            # the block ends at the first diagonal that stops or needs a rescale
+            ends = stop_v | over_v
+            j = int(ends.argmax()) if ends.any() else nb - 1
+            diag += j + 1
+            s = float(sums[j])
+            est = float(ad[j])
+            small = bool(small_v[j])
+            col = t[j, :min(diag + 1, m_cap)]
+            if k:
+                row_base = float(bases[min(j + 1, k)])
+            if stop_v[j]:
                 status = 0
-                break
-        else:
-            small = 0
-        live = col[:ncols]
-        if max(abs(s), float(np.abs(live).max())) > 1e290:
-            inv = 1e-290
-            s *= inv
-            row_base *= inv
-            live *= inv
-            ln_scale += math.log(1e290)
+            elif over_v[j]:
+                inv = 1e-290
+                s *= inv
+                row_base *= inv
+                col = col * inv
+                ln_scale += math.log(1e290)
     terms = min(diag + 1, max_terms)
     if s == 0.0:
         return -math.inf, 0.0, terms, est, status

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import mc, validation
+from . import mc
 from .aef import AefDist, AefEnvelope
 from .akf import AkfDist, AkfEnvelope
 from .outage import asymptotic_outage_aef, asymptotic_outage_akf
@@ -283,6 +283,10 @@ def cmd_sample(args, stream) -> int:
 
 
 def cmd_validate(args, stream) -> int:
+    # imported here: the battery pulls in scipy.integrate, which the other
+    # commands never need
+    from . import validation
+
     report = validation.run_battery(
         level=args.level, seed=args.seed, flip_h_sign=args.flip_h_sign
     )

@@ -139,15 +139,16 @@ def _normalizer(constant):
     """Guards a normalization constant: DomainError where the 2/alpha-order
     moment does not exist, and ConvergenceError unless the constant and
     its factors are positive finite doubles. Huge or tiny shapes overflow
-    an exp on the way (OverflowError) or take the log of a Beta function
-    that underflowed to 0 (ValueError)."""
+    an exp on the way (OverflowError, or ConvergenceError from a special
+    function whose value leaves the double range) or take the log of a
+    Beta function that underflowed to 0 (ValueError)."""
 
     @functools.wraps(constant)
     def checked(p):
         _require_moment(p.alpha, p.ms)
         try:
             value = constant(p)
-        except (OverflowError, ValueError):
+        except (OverflowError, ValueError, ConvergenceError):
             value = math.nan
         if not 0.0 < value < math.inf:
             raise ConvergenceError(

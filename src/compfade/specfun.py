@@ -4,7 +4,8 @@ Public surface: ln_gamma, beta, pochhammer, gauss_2f1, kummer_1f1,
 humbert_psi1, kdf_2_1. The hypergeometric engines return a SeriesResult and
 never return a silently wrong value: tolerance unmet at max_terms comes back
 with converged=False, and argument combinations outside every convergent
-route raise ConvergenceError. Precondition violations raise DomainError.
+route raise ConvergenceError, as does a value beyond the double range.
+Precondition violations raise DomainError.
 """
 from __future__ import annotations
 
@@ -80,7 +81,11 @@ def _finish(
         value = 0.0
         est = est_rel
     else:
-        value = sign * math.exp(ln_abs)
+        value = _k._signed_exp(sign, ln_abs)
+        if not math.isfinite(value):
+            raise ConvergenceError(
+                f"{name}: the value leaves the double range (ln|value| = {ln_abs})"
+            )
         est = est_rel * abs(value)
     return SeriesResult(
         value=value,
@@ -156,11 +161,11 @@ def humbert_psi1(
 ) -> SeriesResult:
     """Humbert Psi1(a; b; c, c'; x, y) double hypergeometric series.
 
-    Summed over expanding anti-diagonals m + n = const with a
-    two-consecutive-small-diagonals stopping rule. Requires |x| < 1 unless b
-    is a non-positive integer (which truncates the m-range and lifts the
-    restriction). c may be a non-positive integer only when such a b zeroes
-    every term at or past the (c)_m pole.
+    Summed over expanding anti-diagonals m + n = const, a block of them at
+    a time, with a two-consecutive-small-diagonals stopping rule. Requires
+    |x| < 1 unless b is a non-positive integer (which truncates the m-range
+    and lifts the restriction). c may be a non-positive integer only when
+    such a b zeroes every term at or past the (c)_m pole.
     """
     if ctrl is None:
         ctrl = default_control()

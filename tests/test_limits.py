@@ -1,5 +1,5 @@
 """Values at the ends of the domain, overflowing asymptotes, the term
-budget read from the environment at import, and what the import loads."""
+budget read from the environment at import, and what the imports load."""
 
 import math
 import os
@@ -114,3 +114,13 @@ def test_import_runs_the_interpreted_kernels_only():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.decode().split() == ["numpy", "False"]
+
+
+def test_cli_import_leaves_the_validation_battery_unloaded():
+    code = (
+        "import sys, compfade.cli\n"
+        "print('scipy.integrate' in sys.modules, 'compfade.validation' in sys.modules)"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.decode().split() == ["False", "False"]

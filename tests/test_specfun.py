@@ -255,3 +255,12 @@ def test_kdf_2_1_beta_rows_past_the_underflow_of_the_incomplete_beta(args):
     r = kdf_2_1(*args)
     assert r.converged
     assert rel_err(r.value, float(oracles.mp_kdf_2_1(*args))) <= ENGINE_TOL
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kummer_1f1(1.0, 1.0, 800.0),
+    lambda: humbert_psi1(2.0, 1.0, 3.0, 1.5, 0.5, 900.0),
+])
+def test_value_beyond_the_double_range_raises_convergence_error(call):
+    with pytest.raises(ConvergenceError, match="leaves the double range"):
+        call()
