@@ -18,6 +18,16 @@ The CDF mixtures and the Kampe de Feriet beta rows step it from term to
 term by the DLMF 8.17.20 recurrence and re-anchor on scipy once it has
 dropped by 1e-2 (_REANCHOR).
 
+The density kernels take their hypergeometric factor from scipy.special
+where scipy was measured accurate (scipy 1.17.1 within 4e-13 of mpmath):
+the alpha-eta-F 2F1 from hyp2f1, through Euler's transformation above
+z = 1/2, and the alpha-kappa-F 1F1 from hyp1f1 in Kummer's form, both for
+ms <= _SCIPY_MS_MAX. Larger ms, and any value scipy does not give as a
+positive finite double, go to the series (gauss_2f1_ln, kummer_1f1_ln),
+which the SeriesControl settings then govern. The density's constant
+log-prefactor is computed once per distribution (aef_pdf_consts,
+akf_pdf_consts).
+
 The single series and the mixtures add one term per interpreted loop
 step. The Humbert Psi1 double series instead advances every live column
 over a block of up to _PSI1_BLOCK diagonals in one 2-D array, so its
@@ -47,6 +57,11 @@ _LN_POW_MIN = -700.0  # e^-700 = 1e-304, just above the subnormal range
 _PSI1_BLOCK = 64
 _PSI1_BLOCK_ELEMS = 1 << 17
 _PSI1_UPPER = ~np.tri(_PSI1_BLOCK, dtype=bool)  # [j, i]: i > j
+# the density kernels take their 2F1 and 1F1 from scipy.special up to this
+# ms, where scipy 1.17.1 was measured within 4e-13 of mpmath (CHANGES.md);
+# past it hyp2f1 drifts to 5e-12 near z = 0 by ms = 250 and gives NaN at
+# ms = 1e4, so the series are kept there
+_SCIPY_MS_MAX = 50.0
 
 
 def _is_nonpos_int(x):
@@ -558,33 +573,82 @@ def _beta_mixture(a, step, b, ln_y, ln_w0, ln_z, sgn_z, r, d, rel_tol, abs_tol, 
     return s, k + 1, est, status if math.isfinite(s) else 1
 
 
-def aef_snr_pdf_kernel(alpha, mu, ms, h, hsq, ln_lam, ln_g, rel_tol, abs_tol, max_terms,
-                       ln_jac=0.0):
-    """Density of the alpha-eta-F instantaneous SNR at g = exp(ln_g) > 0, times
-    exp(ln_jac). Returns (value, status).
-
-    ln_jac is the log-Jacobian of a change of variables: the envelope density
-    at r is this kernel at ln_g = 2 ln r, ln_jac = ln 2 + ln r, with Lambda
-    built from the mean power. Taking logs keeps r below 1e-154, where r*r
-    underflows, on the curve.
-    """
-    gexp = 0.5 * alpha * ln_g
-    ln_den = _logaddexp(math.log(2.0 * mu * h) + gexp, ln_lam)
-    z = hsq * math.exp(2.0 * (math.log(2.0 * mu) + gexp) - 2.0 * ln_den)
-    ln_f, sgn_f, _, _, st = gauss_2f1_ln(
-        mu + 0.5 * ms, mu + 0.5 * (ms + 1.0), mu + 0.5, z, rel_tol, abs_tol, max_terms, 0
-    )
-    if st != 0:
-        return 0.0, st
-    ln_pdf = (
+def aef_pdf_consts(alpha, mu, ms, h, ln_lam):
+    """The per-distribution constants of aef_snr_pdf_kernel, computed once:
+    h^2 as an unevaluated sum hi + lo (Dekker's exact product), the leading
+    part of the density's constant log-prefactor, ln B(2mu, ms) (subtracted
+    later, in the order the density has always been summed, so the series
+    route stays bit-identical), ln(2 mu h) and ln(2 mu)."""
+    split = 134217729.0 * h  # 2^27 + 1: Veltkamp's split of h into halves
+    h_hi = split - (split - h)
+    h_lo = h - h_hi
+    h2 = h * h
+    h2_lo = ((h_hi * h_hi - h2) + 2.0 * h_hi * h_lo) + h_lo * h_lo
+    ln_c = (
         math.log(alpha)
         + (2.0 * mu - 1.0) * LN2
         + 2.0 * mu * math.log(mu)
         + mu * math.log(h)
         + ms * ln_lam
+    )
+    return (alpha, mu, ms, h2, h2_lo, ln_lam, ln_c, _lbeta(2.0 * mu, ms),
+            math.log(2.0 * mu * h), math.log(2.0 * mu))
+
+
+def _density_2f1_ln(mu, ms, z, omz, rel_tol, abs_tol, max_terms):
+    """(ln|2F1|, sign, status) of the alpha-eta-F density's factor
+    2F1(mu + ms/2, mu + (ms + 1)/2; mu + 1/2; z), whose c - a - b =
+    -(mu + ms) is negative, given omz = 1 - z.
+
+    For ms <= _SCIPY_MS_MAX and 0 <= z < 1 it comes from
+    scipy.special.hyp2f1, through Euler's transformation above z = 1/2 as in
+    gauss_2f1_ln, and the controls are unused. A value scipy does not give
+    as a positive finite double, and every point outside that region, goes
+    to the gauss_2f1_ln series.
+    """
+    a, b, c = mu + 0.5 * ms, mu + 0.5 * (ms + 1.0), mu + 0.5
+    if ms <= _SCIPY_MS_MAX and z >= 0.0 and omz > 0.0:
+        if z <= 0.5:
+            ln_pre, f = 0.0, _sc.hyp2f1(a, b, c, z)
+        else:
+            ln_pre, f = (c - a - b) * math.log(omz), _sc.hyp2f1(c - a, c - b, c, z)
+        if 0.0 < f < math.inf:
+            return ln_pre + math.log(f), 1.0, 0
+    ln_f, sgn_f, _, _, st = gauss_2f1_ln(a, b, c, z, rel_tol, abs_tol, max_terms, 0)
+    return ln_f, sgn_f, st
+
+
+def aef_snr_pdf_kernel(consts, hsq, ln_g, rel_tol, abs_tol, max_terms, ln_jac=0.0):
+    """Density of the alpha-eta-F instantaneous SNR at g = exp(ln_g) > 0, times
+    exp(ln_jac), given consts = aef_pdf_consts(...) and hsq = H^2. Returns
+    (value, status).
+
+    ln_jac is the log-Jacobian of a change of variables: the envelope density
+    at r is this kernel at ln_g = 2 ln r, ln_jac = ln 2 + ln r, with Lambda
+    built from the mean power. Taking logs keeps r below 1e-154, where r*r
+    underflows, on the curve. The 2F1 factor comes from _density_2f1_ln.
+    At strong imbalance z = (H/h)^2 t^2, t = 2 mu h g^(alpha/2) / D, nears 1,
+    and 1 - z taken from the double z keeps few digits. Above z = 1/2 it is
+    formed as (h^2 - H^2 + H^2 (1 - t)(1 + t)) / h^2 instead, with h^2 exact
+    and 1 - t = Lambda/D: every part is positive, and h^2 - H^2 is exact
+    there.
+    """
+    alpha, mu, ms, h2, h2_lo, ln_lam, ln_c, lb, ln_2muh, ln_2mu = consts
+    gexp = 0.5 * alpha * ln_g
+    ln_den = _logaddexp(ln_2muh + gexp, ln_lam)
+    z = hsq * math.exp(2.0 * (ln_2mu + gexp) - 2.0 * ln_den)
+    omz = 1.0 - z
+    if z > 0.5:
+        s = math.exp(ln_lam - ln_den)
+        omz = ((h2 - hsq) + h2_lo + hsq * s * (2.0 - s)) / h2
+    ln_f, sgn_f, st = _density_2f1_ln(mu, ms, z, omz, rel_tol, abs_tol, max_terms)
+    if st != 0:
+        return 0.0, st
+    ln_pdf = (
+        ln_c
         + (alpha * mu - 1.0) * ln_g
         + ln_jac
-        - _lbeta(2.0 * mu, ms)
+        - lb
         - (2.0 * mu + ms) * ln_den
         + ln_f
     )
@@ -659,34 +723,14 @@ def aef_cdf_bound_kernel(alpha, mu, ms, h, hsq, ln_lam, g, k0, rel_tol, abs_tol,
     return sgn_f2 * math.exp(ln_t), 0
 
 
-def akf_snr_pdf_kernel(alpha, mu, ms, kappa, ln_lam, ln_g, rel_tol, abs_tol, max_terms,
-                       ln_jac=0.0):
-    """Density of the alpha-kappa-F instantaneous SNR at g = exp(ln_g) > 0, times
-    exp(ln_jac). Returns (value, status).
-
-    ln_jac works as in aef_snr_pdf_kernel. kappa below KAPPA_ZERO_CUTOFF routes
-    through the exact kappa -> 0 limit (alpha-F form).
-    """
-    gexp = 0.5 * alpha * ln_g
-    ln_head = (0.5 * alpha * mu - 1.0) * ln_g + ln_jac
+def akf_pdf_consts(alpha, mu, ms, kappa, ln_lam):
+    """The per-distribution constants of akf_snr_pdf_kernel, computed once:
+    mu kappa, the density's constant log-prefactor and ln(mu (1 + kappa)).
+    kappa below KAPPA_ZERO_CUTOFF is taken as 0, the exact kappa -> 0 limit
+    (alpha-F form)."""
     if kappa < KAPPA_ZERO_CUTOFF:
-        ln_den = _logaddexp(math.log(mu) + gexp, ln_lam)
-        ln_pdf = (
-            math.log(alpha)
-            + mu * math.log(mu)
-            + ms * ln_lam
-            - LN2
-            - _lbeta(mu, ms)
-            - (mu + ms) * ln_den
-            + ln_head
-        )
-        return _signed_exp(1.0, ln_pdf), 0
-    ln_den = _logaddexp(math.log(mu * (1.0 + kappa)) + gexp, ln_lam)
-    x = mu * kappa * math.exp(math.log(mu * (1.0 + kappa)) + gexp - ln_den)
-    ln_f, sgn_f, _, _, st = kummer_1f1_ln(mu + ms, mu, x, rel_tol, abs_tol, max_terms)
-    if st != 0:
-        return 0.0, st
-    ln_pdf = (
+        kappa = 0.0
+    ln_c = (
         math.log(alpha)
         + mu * math.log(mu)
         + mu * math.log1p(kappa)
@@ -694,10 +738,36 @@ def akf_snr_pdf_kernel(alpha, mu, ms, kappa, ln_lam, ln_g, rel_tol, abs_tol, max
         - mu * kappa
         - LN2
         - _lbeta(mu, ms)
-        - (mu + ms) * ln_den
-        + ln_head
-        + ln_f
     )
+    return alpha, mu, ms, mu * kappa, ln_lam, ln_c, math.log(mu * (1.0 + kappa))
+
+
+def akf_snr_pdf_kernel(consts, ln_g, rel_tol, abs_tol, max_terms, ln_jac=0.0):
+    """Density of the alpha-kappa-F instantaneous SNR at g = exp(ln_g) > 0, times
+    exp(ln_jac), given consts = akf_pdf_consts(...). Returns (value, status).
+
+    ln_jac works as in aef_snr_pdf_kernel. The factor 1F1(mu + ms; mu; x)
+    comes, for ms <= _SCIPY_MS_MAX, from scipy.special.hyp1f1 in Kummer's
+    form e^x 1F1(-ms; mu; -x), since the direct form overflows past
+    x = 700; the controls are then unused. A value scipy does not give as a
+    positive finite double, and every larger ms, goes to the kummer_1f1_ln
+    series. At kappa = 0 (x = 0) the factor is 1.
+    """
+    alpha, mu, ms, mk, ln_lam, ln_c, ln_mu1k = consts
+    gexp = 0.5 * alpha * ln_g
+    ln_head = (0.5 * alpha * mu - 1.0) * ln_g + ln_jac
+    ln_den = _logaddexp(ln_mu1k + gexp, ln_lam)
+    x = mk * math.exp(ln_mu1k + gexp - ln_den)
+    ln_f, sgn_f = 0.0, 1.0
+    if x > 0.0:
+        f = _sc.hyp1f1(-ms, mu, -x) if ms <= _SCIPY_MS_MAX else math.inf
+        if 0.0 < f < math.inf:
+            ln_f = x + math.log(f)
+        else:
+            ln_f, sgn_f, _, _, st = kummer_1f1_ln(mu + ms, mu, x, rel_tol, abs_tol, max_terms)
+            if st != 0:
+                return 0.0, st
+    ln_pdf = ln_c - (mu + ms) * ln_den + ln_head + ln_f
     return _signed_exp(sgn_f, ln_pdf), 0
 
 

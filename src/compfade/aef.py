@@ -44,6 +44,7 @@ class AefDist:
     upsilon: float = field(init=False, repr=False)
     _hsq: float = field(init=False, repr=False)
     _ln_lam: float = field(init=False, repr=False)
+    _pdf_consts: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.gamma_bar > 0.0 and math.isfinite(self.gamma_bar)):
@@ -51,15 +52,17 @@ class AefDist:
         geo = _params.geometry(self.params)
         ups = _params.upsilon(self.params)
         p = self.params
+        ln_lam = (
+            math.log(p.ms - 1.0)
+            + math.log(ups)
+            + 0.5 * p.alpha * math.log(self.gamma_bar)
+        )
         object.__setattr__(self, "geometry", geo)
         object.__setattr__(self, "upsilon", ups)
         object.__setattr__(self, "_hsq", geo.H * geo.H)
+        object.__setattr__(self, "_ln_lam", ln_lam)
         object.__setattr__(
-            self,
-            "_ln_lam",
-            math.log(p.ms - 1.0)
-            + math.log(ups)
-            + 0.5 * p.alpha * math.log(self.gamma_bar),
+            self, "_pdf_consts", _k.aef_pdf_consts(p.alpha, p.mu, p.ms, geo.h, ln_lam)
         )
 
     def _head(self) -> tuple:
@@ -74,7 +77,12 @@ class AefDist:
         return ln_a, float(p.alpha * p.mu)
 
     def snr_pdf(self, gamma: float, ctrl: SeriesControl | None = None) -> float:
-        """Density of the instantaneous SNR at gamma >= 0."""
+        """Density of the instantaneous SNR at gamma >= 0.
+
+        Its 2F1 factor comes from scipy.special for ms <= 50, where ctrl
+        has no effect; ctrl governs the series that evaluates it for larger
+        ms (or where scipy's value leaves the double range).
+        """
         if not gamma >= 0.0:
             raise DomainError(f"gamma must be non-negative, got {gamma}")
         if gamma == 0.0:
@@ -83,10 +91,9 @@ class AefDist:
             return 0.0
         if ctrl is None:
             ctrl = default_control()
-        p = self.params
         value, status = _k.aef_snr_pdf_kernel(
-            p.alpha, p.mu, p.ms, self.geometry.h, self._hsq, self._ln_lam,
-            math.log(gamma), ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
+            self._pdf_consts, self._hsq, math.log(gamma),
+            ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
         )
         return density_value("snr_pdf", value, status)
 
@@ -157,7 +164,8 @@ class AefEnvelope:
         object.__setattr__(self, "upsilon", snr.upsilon)
 
     def envelope_pdf(self, r: float, ctrl: SeriesControl | None = None) -> float:
-        """Density of the signal envelope at r >= 0."""
+        """Density of the signal envelope at r >= 0; ctrl acts as in
+        AefDist.snr_pdf."""
         if not r >= 0.0:
             raise DomainError(f"r must be non-negative, got {r}")
         d = self._snr
@@ -168,10 +176,9 @@ class AefEnvelope:
             return 0.0
         if ctrl is None:
             ctrl = default_control()
-        p = self.params
         ln_r = math.log(r)
         value, status = _k.aef_snr_pdf_kernel(
-            p.alpha, p.mu, p.ms, d.geometry.h, d._hsq, d._ln_lam,
-            2.0 * ln_r, ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms, _k.LN2 + ln_r,
+            d._pdf_consts, d._hsq, 2.0 * ln_r,
+            ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms, _k.LN2 + ln_r,
         )
         return density_value("envelope_pdf", value, status)

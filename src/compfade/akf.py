@@ -47,19 +47,22 @@ class AkfDist:
     gamma_bar: float
     omega_norm: float = field(init=False, repr=False)
     _ln_lam: float = field(init=False, repr=False)
+    _pdf_consts: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.gamma_bar > 0.0 and math.isfinite(self.gamma_bar)):
             raise DomainError(f"gamma_bar must be positive, got {self.gamma_bar}")
         p = self.params
         om = _params.omega(p)
-        object.__setattr__(self, "omega_norm", om)
-        object.__setattr__(
-            self,
-            "_ln_lam",
+        ln_lam = (
             math.log(p.ms - 1.0)
             + math.log(om)
-            + 0.5 * p.alpha * math.log(self.gamma_bar),
+            + 0.5 * p.alpha * math.log(self.gamma_bar)
+        )
+        object.__setattr__(self, "omega_norm", om)
+        object.__setattr__(self, "_ln_lam", ln_lam)
+        object.__setattr__(
+            self, "_pdf_consts", _k.akf_pdf_consts(p.alpha, p.mu, p.ms, p.kappa, ln_lam)
         )
 
     def _head(self) -> tuple:
@@ -75,7 +78,12 @@ class AkfDist:
         return ln_a, 0.5 * p.alpha * p.mu
 
     def snr_pdf(self, gamma: float, ctrl: SeriesControl | None = None) -> float:
-        """Density of the instantaneous SNR at gamma >= 0."""
+        """Density of the instantaneous SNR at gamma >= 0.
+
+        Its 1F1 factor comes from scipy.special for ms <= 50, where ctrl
+        has no effect; ctrl governs the series that evaluates it for larger
+        ms (or where scipy's value leaves the double range).
+        """
         if not gamma >= 0.0:
             raise DomainError(f"gamma must be non-negative, got {gamma}")
         if gamma == 0.0:
@@ -84,10 +92,8 @@ class AkfDist:
             return 0.0
         if ctrl is None:
             ctrl = default_control()
-        p = self.params
         value, status = _k.akf_snr_pdf_kernel(
-            p.alpha, p.mu, p.ms, p.kappa, self._ln_lam,
-            math.log(gamma), ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
+            self._pdf_consts, math.log(gamma), ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
         )
         return density_value("snr_pdf", value, status)
 
@@ -128,6 +134,11 @@ class AkfDist:
         X1 < 1 uses the Kampe de Feriet form, X1 > 1 the two-term Humbert Psi1
         form; within the +-5% guard band around X1 = 1 both double series
         degrade, so the mixture series is evaluated instead.
+
+        The Humbert form's first term, e^(-mu kappa) Psi1(mu; 0; 1-ms, mu;
+        -1/X1, mu kappa) = e^(-mu kappa) 1F1(mu; mu; mu kappa), is exactly 1
+        and is not summed: there terms_used and est_error are those of the
+        second term's Psi1 alone.
         """
         end = cdf_endpoint(gamma)
         if end is not None:
@@ -149,23 +160,15 @@ class AkfDist:
             raw = sgn * math.exp(ln_lead + ln_f)
             return cdf_clamped(raw, terms, est_rel * abs(raw), status == STATUS_OK)
         if ln_x1 > math.log1p(CLOSED_FORM_GUARD):
-            v = math.exp(-ln_x1)
-            ln1, s1, t1, e1, st1 = _k.humbert_psi1_ln(
-                p.mu, 0.0, 1.0 - p.ms, p.mu, -v, mk,
-                ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
-            )
             ln2, s2, t2, e2, st2 = _k.humbert_psi1_ln(
-                p.mu + p.ms, p.ms, 1.0 + p.ms, p.mu, -v, mk,
+                p.mu + p.ms, p.ms, 1.0 + p.ms, p.mu, -math.exp(-ln_x1), mk,
                 ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
             )
-            if st1 == 2 or st2 == 2:
+            if st2 == 2:
                 raise ConvergenceError("snr_cdf_closed: Humbert series diverged")
-            term1 = s1 * math.exp(-mk + ln1)
             ln_c2 = -mk - math.log(p.ms) - _k._lbeta(p.mu, p.ms) - p.ms * ln_x1
             term2 = s2 * math.exp(ln_c2 + ln2)
-            raw = term1 - term2
-            est = e1 * abs(term1) + e2 * abs(term2)
-            return cdf_clamped(raw, t1 + t2, est, st1 == STATUS_OK and st2 == STATUS_OK)
+            return cdf_clamped(1.0 - term2, t2, e2 * abs(term2), st2 == STATUS_OK)
         return self.snr_cdf_series(gamma, ctrl)
 
 
@@ -190,7 +193,8 @@ class AkfEnvelope:
         object.__setattr__(self, "omega_norm", snr.omega_norm)
 
     def envelope_pdf(self, r: float, ctrl: SeriesControl | None = None) -> float:
-        """Density of the signal envelope at r >= 0."""
+        """Density of the signal envelope at r >= 0; ctrl acts as in
+        AkfDist.snr_pdf."""
         if not r >= 0.0:
             raise DomainError(f"r must be non-negative, got {r}")
         d = self._snr
@@ -201,10 +205,9 @@ class AkfEnvelope:
             return 0.0
         if ctrl is None:
             ctrl = default_control()
-        p = self.params
         ln_r = math.log(r)
         value, status = _k.akf_snr_pdf_kernel(
-            p.alpha, p.mu, p.ms, p.kappa, d._ln_lam,
-            2.0 * ln_r, ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms, _k.LN2 + ln_r,
+            d._pdf_consts, 2.0 * ln_r,
+            ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms, _k.LN2 + ln_r,
         )
         return density_value("envelope_pdf", value, status)

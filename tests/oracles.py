@@ -1,8 +1,9 @@
 """Independent extended-precision references used to freeze test constants.
 
-Everything here is evaluated with mpmath at 60 significant digits and is
-deliberately written against the defining series of each function rather
-than the production kernels, so the two routes share no code. The helpers
+Everything here is evaluated with mpmath at 60 significant digits (the
+closed-form densities at 40) and is deliberately written against the
+defining series or closed form of each function rather than the production
+kernels, so the two routes share no code. The helpers
 are slow; tests call them for a handful of spot checks and otherwise rely
 on constants frozen from these same routines.
 """
@@ -10,6 +11,7 @@ on constants frozen from these same routines.
 import mpmath as mp
 
 DPS = 60
+DENSITY_DPS = 40
 _TINY = mp.mpf(10) ** -290
 _STOP = mp.mpf(10) ** -50
 
@@ -139,3 +141,47 @@ def mp_aef_cdf(mu, ms, h, hsq, ln_y, terms=None):
             k += 1
 
     return _mp_beta_mixture(ln_y, 2 * mu, 2, mp.mpf(ms), weights(), terms)
+
+
+def mp_aef_pdf(alpha, mu, ms, h, hsq, ln_lam, gamma):
+    """alpha-eta-F SNR density in closed form,
+    alpha 2^(2mu-1) mu^(2mu) h^mu Lambda^ms g^(alpha mu - 1)
+    / (B(2mu, ms) D^(2mu + ms)) 2F1(mu + ms/2, mu + (ms+1)/2; mu + 1/2; z)
+    with D = 2 mu h g^(alpha/2) + Lambda and z = H^2 (2 mu g^(alpha/2) / D)^2,
+    at ln Lambda = ln_lam and H^2 = hsq: the doubles the density kernel is
+    given, so only the kernel's own arithmetic is measured. gamma may be
+    an mpf (an envelope point r^2)."""
+    with mp.workdps(DENSITY_DPS):
+        alpha, mu, ms, h, hsq, ln_lam = (mp.mpf(v) for v in (alpha, mu, ms, h, hsq, ln_lam))
+        g = mp.mpf(gamma)
+        ge = g ** (alpha / 2)
+        den = 2 * mu * h * ge + mp.exp(ln_lam)
+        z = hsq * (2 * mu * ge / den) ** 2
+        ln_pdf = (mp.log(alpha) + (2 * mu - 1) * mp.log(2) + 2 * mu * mp.log(mu)
+                  + mu * mp.log(h) + ms * ln_lam + (alpha * mu - 1) * mp.log(g)
+                  - _mp_lbeta(2 * mu, ms) - (2 * mu + ms) * mp.log(den))
+        f = mp.hyp2f1(mu + ms / 2, mu + (ms + 1) / 2, mu + mp.mpf(1) / 2, z, maxterms=10**6)
+        return +(mp.exp(ln_pdf) * f)
+
+
+def mp_akf_pdf(alpha, mu, ms, kappa, ln_lam, gamma):
+    """alpha-kappa-F SNR density in closed form,
+    alpha mu^mu (1+kappa)^mu Lambda^ms e^(-mu kappa) g^(alpha mu/2 - 1)
+    / (2 B(mu, ms) D^(mu + ms)) 1F1(mu + ms; mu; x)
+    with D = mu (1+kappa) g^(alpha/2) + Lambda and
+    x = mu kappa mu (1+kappa) g^(alpha/2) / D, at ln Lambda = ln_lam (the
+    double the density kernel is given). gamma may be an mpf."""
+    with mp.workdps(DENSITY_DPS):
+        alpha, mu, ms, kappa, ln_lam = (mp.mpf(v) for v in (alpha, mu, ms, kappa, ln_lam))
+        g = mp.mpf(gamma)
+        ge = mu * (1 + kappa) * g ** (alpha / 2)
+        den = ge + mp.exp(ln_lam)
+        ln_pdf = (mp.log(alpha) + mu * mp.log(mu) + mu * mp.log1p(kappa) + ms * ln_lam
+                  - mu * kappa - mp.log(2) - _mp_lbeta(mu, ms)
+                  + (alpha * mu / 2 - 1) * mp.log(g) - (mu + ms) * mp.log(den))
+        f = mp.hyp1f1(mu + ms, mu, mu * kappa * ge / den, maxterms=10**6)
+        return +(mp.exp(ln_pdf) * f)
+
+
+def _mp_lbeta(a, b):
+    return mp.loggamma(a) + mp.loggamma(b) - mp.loggamma(a + b)
