@@ -4,9 +4,10 @@ Every kernel returns plain tuples of floats/ints with an integer status code
 (0 ok, 1 tolerance unmet at max_terms, 2 divergent/invalid region) instead of
 raising: running out of terms is not an error but a result that the series
 wrappers in specfun/aef/akf report as converged=False next to the value
-reached. They raise for status 2, and the density wrappers, which return a
-bare float, raise for any nonzero status and for a density that overflowed
-(the density kernels give it as an infinite value).
+reached. They raise for status 2, and the density front end
+(series.Law._density), which returns a bare float, raises for any nonzero
+status and for a density that overflowed (the density kernels give it as
+an infinite value).
 
 Magnitudes are carried as (ln|value|, sign) pairs wherever gamma-function
 growth can overflow doubles: the composite-fading expressions multiply very
@@ -24,9 +25,10 @@ the alpha-eta-F 2F1 from hyp2f1, through Euler's transformation above
 z = 1/2, and the alpha-kappa-F 1F1 from hyp1f1 in Kummer's form, both for
 ms <= _SCIPY_MS_MAX. Larger ms, and any value scipy does not give as a
 positive finite double, go to the series (gauss_2f1_ln, kummer_1f1_ln),
-which the SeriesControl settings then govern. The density's constant
-log-prefactor is computed once per distribution (aef_pdf_consts,
-akf_pdf_consts).
+which the SeriesControl settings then govern; both 2F1 routes take
+Euler's prefactor from the exact 1 - z. The kernels' constants are
+computed once per distribution (aef_pdf_consts, aef_cdf_consts,
+akf_pdf_consts, akf_cdf_consts).
 
 The single series and the mixtures add one term per interpreted loop
 step. The Humbert Psi1 double series instead advances every live column
@@ -52,6 +54,8 @@ _LN_RESCALE = 645.0  # e^645 is close to the overflow edge; rescale margin below
 # this share of its last value from scipy
 _REANCHOR = 1e-2
 _LN_POW_MIN = -700.0  # e^-700 = 1e-304, just above the subnormal range
+# absolute floor of every stop test: a term below it counts as small
+_ABS_TOL = 1e-300
 # humbert_psi1_ln sums up to this many diagonals per block, in blocks of
 # at most this many terms (1 MB of doubles)
 _PSI1_BLOCK = 64
@@ -162,12 +166,12 @@ def _beta_argument(ln_y):
     return math.exp(lnw), math.exp(lncw), lnw, lncw
 
 
-def _hyper_series(a, b, c, z, rel_tol, abs_tol, max_terms, ln_pref=0.0):
+def _hyper_series(a, b, c, z, rel_tol, max_terms, ln_pref=0.0, floor=_ABS_TOL):
     """Power series of 2F1(a, b; c; z), or of 1F1(a; c; z) when b is None,
-    times exp(ln_pref), summed until two successive terms fall below the
-    tolerances or max_terms terms are added. The partial sum is rescaled
-    before it overflows, and a term of exactly zero ends a terminating
-    series. Returns (ln_abs, sign, terms, est_rel, status).
+    times exp(ln_pref), summed until two successive terms fall below rel_tol
+    of the partial sum or below floor, or max_terms terms are added. The
+    partial sum is rescaled before it overflows, and a term of exactly zero
+    ends a terminating series. Returns (ln_abs, sign, terms, est_rel, status).
     """
     t = 1.0
     s = 1.0
@@ -189,7 +193,7 @@ def _hyper_series(a, b, c, z, rel_tol, abs_tol, max_terms, ln_pref=0.0):
             small = 2
             break
         est = at
-        if at <= max(rel_tol * abs(s), abs_tol):
+        if at <= max(rel_tol * abs(s), floor):
             small += 1
             if small >= 2:
                 break
@@ -207,9 +211,10 @@ def _hyper_series(a, b, c, z, rel_tol, abs_tol, max_terms, ln_pref=0.0):
     return ln_pref + math.log(abs(s)) + ln_scale, sgn, terms, est / abs(s), status
 
 
-def gauss_2f1_ln(a, b, c, z, rel_tol, abs_tol, max_terms, path):
-    """Gauss 2F1 dispatch. path: 0 auto, 1 force direct series, 2 force Pfaff
-    map, 3 force the same-argument Euler map.
+def gauss_2f1_ln(a, b, c, z, rel_tol, max_terms):
+    """Gauss 2F1 dispatch: the direct series up to z = 1/2, Pfaff's map for
+    z < 0, Euler's same-argument map above z = 1/2 where c - a - b < 0, and
+    Gauss's sum at z = 1.
 
     Returns (ln_abs, sign, terms, est_rel, status).
     """
@@ -227,49 +232,29 @@ def gauss_2f1_ln(a, b, c, z, rel_tol, abs_tol, max_terms, path):
             return 0.0, 0.0, 0, 0.0, 2  # pole before termination
         # all nmax nonzero terms; the next one is zero, and its (c + nmax)
         # may be too when c = -nmax
-        ln_f, sgn, _, _, _ = _hyper_series(a, b, c, z, 0.0, 0.0, nmax)
+        ln_f, sgn, _, _, _ = _hyper_series(a, b, c, z, 0.0, nmax, floor=0.0)
         return ln_f, sgn, min(nmax + 1, max_terms), 0.0, 0
     if _is_nonpos_int(c):
         return 0.0, 0.0, 0, 0.0, 2
     if z == 0.0:
         return 0.0, 1.0, 1, 0.0, 0
-    if path == 1:
-        if abs(z) >= 1.0:
-            return 0.0, 0.0, 0, 0.0, 2
-        return _hyper_series(a, b, c, z, rel_tol, abs_tol, max_terms)
-    if path == 3:
-        if z <= 0.0 or z >= 1.0:
-            return 0.0, 0.0, 0, 0.0, 2
-        ln_pref = (c - a - b) * math.log1p(-z)
-        ln_f, sgn, terms, est, st = _hyper_series(
-            c - a, c - b, c, z, rel_tol, abs_tol, max_terms
-        )
-        return ln_pref + ln_f, sgn, terms, est, st
-    if z < 0.0 or path == 2:
-        if z >= 0.0:
-            return 0.0, 0.0, 0, 0.0, 2  # Pfaff forced but z not negative
+    if z < 0.0:
         # Pfaff map w = z/(z-1) in (0,1); pick the variant whose transformed
         # parameter sum is smaller (faster coefficient decay near w=1).
         w = z / (z - 1.0)
         if a <= b:
             ln_pref = -a * math.log1p(-z)
-            ln_f, sgn, terms, est, st = _hyper_series(
-                a, c - b, c, w, rel_tol, abs_tol, max_terms
-            )
+            ln_f, sgn, terms, est, st = _hyper_series(a, c - b, c, w, rel_tol, max_terms)
         else:
             ln_pref = -b * math.log1p(-z)
-            ln_f, sgn, terms, est, st = _hyper_series(
-                c - a, b, c, w, rel_tol, abs_tol, max_terms
-            )
+            ln_f, sgn, terms, est, st = _hyper_series(c - a, b, c, w, rel_tol, max_terms)
         return ln_pref + ln_f, sgn, terms, est, st
     if z < 1.0:
         if z <= 0.5 or c - a - b >= 0.0:
-            return _hyper_series(a, b, c, z, rel_tol, abs_tol, max_terms)
+            return _hyper_series(a, b, c, z, rel_tol, max_terms)
         # Euler map keeps the argument but flips the decay exponent positive
         ln_pref = (c - a - b) * math.log1p(-z)
-        ln_f, sgn, terms, est, st = _hyper_series(
-            c - a, c - b, c, z, rel_tol, abs_tol, max_terms
-        )
+        ln_f, sgn, terms, est, st = _hyper_series(c - a, c - b, c, z, rel_tol, max_terms)
         return ln_pref + ln_f, sgn, terms, est, st
     if z == 1.0 and c - a - b > 0.0:
         # Gauss summation theorem
@@ -283,7 +268,7 @@ def gauss_2f1_ln(a, b, c, z, rel_tol, abs_tol, max_terms, path):
     return 0.0, 0.0, 0, 0.0, 2
 
 
-def kummer_1f1_ln(a, b, z, rel_tol, abs_tol, max_terms):
+def kummer_1f1_ln(a, b, z, rel_tol, max_terms):
     """Confluent 1F1. Returns (ln_abs, sign, terms, est_rel, status).
 
     z >= 0 is summed directly (all terms positive for a,b > 0); z < 0 goes
@@ -297,10 +282,10 @@ def kummer_1f1_ln(a, b, z, rel_tol, abs_tol, max_terms):
         ln_pref = z
         a = b - a
         z = -z
-    return _hyper_series(a, None, b, z, rel_tol, abs_tol, max_terms, ln_pref)
+    return _hyper_series(a, None, b, z, rel_tol, max_terms, ln_pref)
 
 
-def humbert_psi1_ln(a, b, c, cp, x, y, rel_tol, abs_tol, max_terms):
+def humbert_psi1_ln(a, b, c, cp, x, y, rel_tol, max_terms):
     """Humbert Psi1 double series summed over expanding anti-diagonals,
     a block of up to _PSI1_BLOCK diagonals at a time.
 
@@ -389,7 +374,7 @@ def humbert_psi1_ln(a, b, c, cp, x, y, rel_tol, abs_tol, max_terms):
             d_sums = t.sum(axis=1)
             sums = np.cumsum(np.concatenate(([s], d_sums)))[1:]
             ad = np.abs(d_sums)
-            small_v = ad <= np.maximum(rel_tol * np.abs(sums), abs_tol)
+            small_v = ad <= np.maximum(rel_tol * np.abs(sums), _ABS_TOL)
             stop_v = small_v & np.concatenate(([small], small_v[:-1]))
             peaks = np.maximum(t.max(axis=1), -t.min(axis=1))
             over_v = np.maximum(np.abs(sums), peaks) > 1e290
@@ -418,7 +403,7 @@ def humbert_psi1_ln(a, b, c, cp, x, y, rel_tol, abs_tol, max_terms):
     return ln_pref + math.log(abs(s)) + ln_scale, sgn, terms, est / abs(s), status
 
 
-def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, abs_tol, max_terms):
+def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, max_terms):
     """Kampe de Feriet F^{2:0;0}_{1:1;0}[a1,a2; b1: c1; x, y], iterated summation.
 
     Outer sum over m in x (coefficients by recurrence) of the rows
@@ -479,7 +464,7 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, abs_tol, max_terms):
                 ln_f = (a1 + m) * lncw + math.log(_sc.hyp2f1(a1 + m, 1.0, bm + 1.0, w))
         else:
             ln_f, sgn_f, _, _, in_st = gauss_2f1_ln(
-                a1 + m, a2 + m, b1 + m, y, rel_tol, abs_tol, max_terms, 0
+                a1 + m, a2 + m, b1 + m, y, rel_tol, max_terms
             )
             if in_st == 2:
                 return 0.0, 0.0, m, 0.0, 2
@@ -496,7 +481,7 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, abs_tol, max_terms):
         m += 1
         at = abs(term)
         est = at
-        if at <= max(rel_tol * abs(s), abs_tol):
+        if at <= max(rel_tol * abs(s), _ABS_TOL):
             small += 1
             if small >= 2:
                 status = 0
@@ -526,7 +511,7 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, abs_tol, max_terms):
 # --- composite-distribution kernels -----------------------------------------
 
 
-def _beta_mixture(a, step, b, ln_y, ln_w0, ln_z, sgn_z, r, d, rel_tol, abs_tol, max_terms):
+def _beta_mixture(a, step, b, ln_y, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms):
     """Mixture sum_k w_k I_x(a + step k, b) at x = y/(1+y), y = exp(ln_y),
     summed from k = 0 upward until two successive terms fall below the
     tolerances or max_terms terms are added.
@@ -563,7 +548,7 @@ def _beta_mixture(a, step, b, ln_y, ln_w0, ln_z, sgn_z, r, d, rel_tol, abs_tol, 
         s += term
         est = abs(term)
         # a NaN passes this test as well, ending the sum; it is reported below
-        if not est > max(rel_tol * abs(s), abs_tol):
+        if not est > max(rel_tol * abs(s), _ABS_TOL):
             small += 1
             if small >= 2:
                 status = 0
@@ -573,12 +558,12 @@ def _beta_mixture(a, step, b, ln_y, ln_w0, ln_z, sgn_z, r, d, rel_tol, abs_tol, 
     return s, k + 1, est, status if math.isfinite(s) else 1
 
 
-def aef_pdf_consts(alpha, mu, ms, h, ln_lam):
+def aef_pdf_consts(alpha, mu, ms, h, hsq, ln_lam):
     """The per-distribution constants of aef_snr_pdf_kernel, computed once:
-    h^2 as an unevaluated sum hi + lo (Dekker's exact product), the leading
-    part of the density's constant log-prefactor, ln B(2mu, ms) (subtracted
-    later, in the order the density has always been summed, so the series
-    route stays bit-identical), ln(2 mu h) and ln(2 mu)."""
+    H^2, h^2 as an unevaluated sum hi + lo (Dekker's exact product), the
+    leading part of the density's constant log-prefactor, ln B(2mu, ms)
+    (subtracted later, in the order the density has always been summed, so
+    the series route stays bit-identical), ln(2 mu h) and ln(2 mu)."""
     split = 134217729.0 * h  # 2^27 + 1: Veltkamp's split of h into halves
     h_hi = split - (split - h)
     h_lo = h - h_hi
@@ -591,37 +576,42 @@ def aef_pdf_consts(alpha, mu, ms, h, ln_lam):
         + mu * math.log(h)
         + ms * ln_lam
     )
-    return (alpha, mu, ms, h2, h2_lo, ln_lam, ln_c, _lbeta(2.0 * mu, ms),
+    return (alpha, mu, ms, hsq, h2, h2_lo, ln_lam, ln_c, _lbeta(2.0 * mu, ms),
             math.log(2.0 * mu * h), math.log(2.0 * mu))
 
 
-def _density_2f1_ln(mu, ms, z, omz, rel_tol, abs_tol, max_terms):
+def _density_2f1_ln(mu, ms, z, omz, rel_tol, max_terms):
     """(ln|2F1|, sign, status) of the alpha-eta-F density's factor
     2F1(mu + ms/2, mu + (ms + 1)/2; mu + 1/2; z), whose c - a - b =
     -(mu + ms) is negative, given omz = 1 - z.
 
-    For ms <= _SCIPY_MS_MAX and 0 <= z < 1 it comes from
-    scipy.special.hyp2f1, through Euler's transformation above z = 1/2 as in
-    gauss_2f1_ln, and the controls are unused. A value scipy does not give
-    as a positive finite double, and every point outside that region, goes
-    to the gauss_2f1_ln series.
+    The direct form up to z = 1/2, above it Euler's (1 - z)^(c-a-b)
+    2F1(c - a, c - b; c; z) with the prefactor from omz, exact as z nears 1.
+    The form's 2F1 comes from scipy.special.hyp2f1 for ms <= _SCIPY_MS_MAX
+    (the controls unused), else or where scipy's value is not a positive
+    finite double from the power series. A negative z (only a sign-flipped
+    H^2 makes one), or an omz rounded to 0, goes to gauss_2f1_ln.
     """
     a, b, c = mu + 0.5 * ms, mu + 0.5 * (ms + 1.0), mu + 0.5
-    if ms <= _SCIPY_MS_MAX and z >= 0.0 and omz > 0.0:
-        if z <= 0.5:
-            ln_pre, f = 0.0, _sc.hyp2f1(a, b, c, z)
-        else:
-            ln_pre, f = (c - a - b) * math.log(omz), _sc.hyp2f1(c - a, c - b, c, z)
+    if z < 0.0 or not omz > 0.0:
+        ln_f, sgn_f, _, _, st = gauss_2f1_ln(a, b, c, z, rel_tol, max_terms)
+        return ln_f, sgn_f, st
+    ln_pre = 0.0
+    if z > 0.5:
+        ln_pre, a, b = (c - a - b) * math.log(omz), c - a, c - b
+    if ms <= _SCIPY_MS_MAX:
+        f = _sc.hyp2f1(a, b, c, z)
         if 0.0 < f < math.inf:
             return ln_pre + math.log(f), 1.0, 0
-    ln_f, sgn_f, _, _, st = gauss_2f1_ln(a, b, c, z, rel_tol, abs_tol, max_terms, 0)
-    return ln_f, sgn_f, st
+    if z >= 1.0:
+        return 0.0, 0.0, 2
+    ln_f, sgn_f, _, _, st = _hyper_series(a, b, c, z, rel_tol, max_terms)
+    return ln_pre + ln_f, sgn_f, st
 
 
-def aef_snr_pdf_kernel(consts, hsq, ln_g, rel_tol, abs_tol, max_terms, ln_jac=0.0):
+def aef_snr_pdf_kernel(consts, ln_g, rel_tol, max_terms, ln_jac):
     """Density of the alpha-eta-F instantaneous SNR at g = exp(ln_g) > 0, times
-    exp(ln_jac), given consts = aef_pdf_consts(...) and hsq = H^2. Returns
-    (value, status).
+    exp(ln_jac), given consts = aef_pdf_consts(...). Returns (value, status).
 
     ln_jac is the log-Jacobian of a change of variables: the envelope density
     at r is this kernel at ln_g = 2 ln r, ln_jac = ln 2 + ln r, with Lambda
@@ -633,7 +623,7 @@ def aef_snr_pdf_kernel(consts, hsq, ln_g, rel_tol, abs_tol, max_terms, ln_jac=0.
     and 1 - t = Lambda/D: every part is positive, and h^2 - H^2 is exact
     there.
     """
-    alpha, mu, ms, h2, h2_lo, ln_lam, ln_c, lb, ln_2muh, ln_2mu = consts
+    alpha, mu, ms, hsq, h2, h2_lo, ln_lam, ln_c, lb, ln_2muh, ln_2mu = consts
     gexp = 0.5 * alpha * ln_g
     ln_den = _logaddexp(ln_2muh + gexp, ln_lam)
     z = hsq * math.exp(2.0 * (ln_2mu + gexp) - 2.0 * ln_den)
@@ -641,7 +631,7 @@ def aef_snr_pdf_kernel(consts, hsq, ln_g, rel_tol, abs_tol, max_terms, ln_jac=0.
     if z > 0.5:
         s = math.exp(ln_lam - ln_den)
         omz = ((h2 - hsq) + h2_lo + hsq * s * (2.0 - s)) / h2
-    ln_f, sgn_f, st = _density_2f1_ln(mu, ms, z, omz, rel_tol, abs_tol, max_terms)
+    ln_f, sgn_f, st = _density_2f1_ln(mu, ms, z, omz, rel_tol, max_terms)
     if st != 0:
         return 0.0, st
     ln_pdf = (
@@ -655,8 +645,17 @@ def aef_snr_pdf_kernel(consts, hsq, ln_g, rel_tol, abs_tol, max_terms, ln_jac=0.
     return _signed_exp(sgn_f, ln_pdf), 0
 
 
-def aef_snr_cdf_kernel(alpha, mu, ms, h, hsq, ln_lam, g, rel_tol, abs_tol, max_terms):
-    """CDF of the alpha-eta-F SNR as a mixture over k of regularized incomplete betas.
+def aef_cdf_consts(alpha, mu, ms, h, hsq, ln_lam):
+    """The per-distribution constants of aef_snr_cdf_kernel, computed once:
+    the mixture's shape and weight parameters and ln(2 mu h)."""
+    ln_q = math.log(abs(hsq)) - 2.0 * math.log(h) if hsq != 0.0 else -math.inf
+    return (alpha, mu, ms, math.log(2.0 * mu * h), ln_lam, -mu * math.log(h), ln_q,
+            math.copysign(1.0, hsq))
+
+
+def aef_snr_cdf_kernel(consts, g, rel_tol, max_terms):
+    """CDF of the alpha-eta-F SNR as a mixture over k of regularized incomplete
+    betas, given consts = aef_cdf_consts(...).
 
     The k-th series term of the CDF equals c_k I_w(2mu+2k, ms) with
     w = y/(1+y), y = 2 mu h g^(alpha/2) / Lambda, and c_k = h^-mu (mu)_k /
@@ -667,15 +666,13 @@ def aef_snr_cdf_kernel(alpha, mu, ms, h, hsq, ln_lam, g, rel_tol, abs_tol, max_t
     Summed by _beta_mixture, two recurrence steps per term. Returns
     (raw_value, terms, est_error_abs, status).
     """
-    ln_y = math.log(2.0 * mu * h) + 0.5 * alpha * math.log(g) - ln_lam
-    ln_q = math.log(abs(hsq)) - 2.0 * math.log(h) if hsq != 0.0 else -math.inf
-    return _beta_mixture(
-        2.0 * mu, 2, ms, ln_y, -mu * math.log(h), ln_q, math.copysign(1.0, hsq), mu, 1.0,
-        rel_tol, abs_tol, max_terms,
-    )
+    alpha, mu, ms, ln_2muh, ln_lam, ln_w0, ln_q, sgn_q = consts
+    ln_y = ln_2muh + 0.5 * alpha * math.log(g) - ln_lam
+    return _beta_mixture(2.0 * mu, 2, ms, ln_y, ln_w0, ln_q, sgn_q, mu, 1.0,
+                         rel_tol, max_terms)
 
 
-def aef_cdf_bound_kernel(alpha, mu, ms, h, hsq, ln_lam, g, k0, rel_tol, abs_tol, max_terms):
+def aef_cdf_bound_kernel(alpha, mu, ms, h, hsq, ln_lam, g, k0, rel_tol, max_terms):
     """Closed-form upper bound on the CDF-series remainder after K0-1 terms.
 
     Includes the series' common prefactor 2^(2mu-1) h^mu / (Gamma(2mu)Gamma(ms)).
@@ -691,14 +688,7 @@ def aef_cdf_bound_kernel(alpha, mu, ms, h, hsq, ln_lam, g, k0, rel_tol, abs_tol,
     if w >= 1.0:
         return 0.0, 2
     ln_f2, sgn_f2, _, _, st2 = gauss_2f1_ln(
-        0.5 * (2.0 * mu + ms),
-        0.5 * (2.0 * mu + ms + 1.0),
-        mu + 0.5,
-        w,
-        rel_tol,
-        abs_tol,
-        max_terms,
-        0,
+        0.5 * (2.0 * mu + ms), 0.5 * (2.0 * mu + ms + 1.0), mu + 0.5, w, rel_tol, max_terms
     )
     if st2 != 0:
         return 0.0, st2
@@ -742,7 +732,7 @@ def akf_pdf_consts(alpha, mu, ms, kappa, ln_lam):
     return alpha, mu, ms, mu * kappa, ln_lam, ln_c, math.log(mu * (1.0 + kappa))
 
 
-def akf_snr_pdf_kernel(consts, ln_g, rel_tol, abs_tol, max_terms, ln_jac=0.0):
+def akf_snr_pdf_kernel(consts, ln_g, rel_tol, max_terms, ln_jac):
     """Density of the alpha-kappa-F instantaneous SNR at g = exp(ln_g) > 0, times
     exp(ln_jac), given consts = akf_pdf_consts(...). Returns (value, status).
 
@@ -764,28 +754,34 @@ def akf_snr_pdf_kernel(consts, ln_g, rel_tol, abs_tol, max_terms, ln_jac=0.0):
         if 0.0 < f < math.inf:
             ln_f = x + math.log(f)
         else:
-            ln_f, sgn_f, _, _, st = kummer_1f1_ln(mu + ms, mu, x, rel_tol, abs_tol, max_terms)
+            ln_f, sgn_f, _, _, st = kummer_1f1_ln(mu + ms, mu, x, rel_tol, max_terms)
             if st != 0:
                 return 0.0, st
     ln_pdf = ln_c - (mu + ms) * ln_den + ln_head + ln_f
     return _signed_exp(sgn_f, ln_pdf), 0
 
 
-def akf_snr_cdf_kernel(alpha, mu, ms, kappa, ln_lam, g, rel_tol, abs_tol, max_terms):
-    """CDF of the alpha-kappa-F SNR: Poisson mixture of regularized incomplete betas.
-
-    The t-th series term equals e^(-mu kappa)(mu kappa)^t/t! I_w1(mu+t, ms)
-    with w1 = X1/(1+X1), X1 = mu(1+kappa) g^(alpha/2)/Lambda (same incomplete
-    beta identity as the alpha-eta-F CDF). Summed by _beta_mixture, one
-    recurrence step per term; kappa below KAPPA_ZERO_CUTOFF keeps the t = 0
-    term alone at weight 1, the exact kappa -> 0 limit. Returns (raw, terms,
-    est, status).
-    """
-    ln_x1 = math.log(mu * (1.0 + kappa)) + 0.5 * alpha * math.log(g) - ln_lam
+def akf_cdf_consts(alpha, mu, ms, kappa, ln_lam):
+    """The per-distribution constants of akf_snr_cdf_kernel, computed once:
+    ln(mu (1 + kappa)) and the Poisson weights' ln w_0 and ln(mu kappa).
+    kappa below KAPPA_ZERO_CUTOFF keeps the t = 0 term alone at weight 1,
+    the exact kappa -> 0 limit."""
     if kappa < KAPPA_ZERO_CUTOFF:
         ln_w0, ln_z = 0.0, -math.inf
     else:
         ln_w0, ln_z = -mu * kappa, math.log(mu * kappa)
-    return _beta_mixture(
-        mu, 1, ms, ln_x1, ln_w0, ln_z, 1.0, 1.0, 0.0, rel_tol, abs_tol, max_terms
-    )
+    return alpha, mu, ms, math.log(mu * (1.0 + kappa)), ln_lam, ln_w0, ln_z
+
+
+def akf_snr_cdf_kernel(consts, g, rel_tol, max_terms):
+    """CDF of the alpha-kappa-F SNR: Poisson mixture of regularized incomplete
+    betas, given consts = akf_cdf_consts(...).
+
+    The t-th series term equals e^(-mu kappa)(mu kappa)^t/t! I_w1(mu+t, ms)
+    with w1 = X1/(1+X1), X1 = mu(1+kappa) g^(alpha/2)/Lambda (same incomplete
+    beta identity as the alpha-eta-F CDF). Summed by _beta_mixture, one
+    recurrence step per term. Returns (raw, terms, est, status).
+    """
+    alpha, mu, ms, ln_mu1k, ln_lam, ln_w0, ln_z = consts
+    ln_x1 = ln_mu1k + 0.5 * alpha * math.log(g) - ln_lam
+    return _beta_mixture(mu, 1, ms, ln_x1, ln_w0, ln_z, 1.0, 1.0, 0.0, rel_tol, max_terms)

@@ -3,12 +3,11 @@
 AefDist models the instantaneous SNR with mean gamma_bar: snr_pdf, the
 snr_cdf series with controllable truncation, and a closed-form upper bound
 on the CDF truncation error. AefEnvelope models the signal envelope R with
-mean power omega_power = E[R^2].
-
-The CDF series is summed as a mixture of regularized incomplete beta
-functions with positive weights that sum to one, which is an exact
-reformulation of the term-by-term integrated PDF series and stays convergent
-for arbitrarily large arguments.
+mean power omega_power = E[R^2]. Both use the front ends of series.Law and
+series.Envelope; this module supplies the kernels, their constants and
+the CDF head. The CDF is a mixture of regularized incomplete betas with
+negative binomial weights, an exact reformulation of the integrated PDF
+series that converges for arbitrarily large arguments.
 """
 from __future__ import annotations
 
@@ -17,52 +16,46 @@ from dataclasses import dataclass, field
 
 from . import _kernels as _k
 from . import params as _params
-from .params import AefParams, Geometry
+from .params import Geometry
 from .series import (
     STATUS_DIVERGED,
     STATUS_OK,
     ConvergenceError,
     DomainError,
-    SeriesControl,
-    SeriesResult,
-    cdf_clamped,
-    cdf_endpoint,
+    Envelope,
+    Law,
+    _freeze,
     default_control,
-    density_value,
 )
 
 __all__ = ["AefDist", "AefEnvelope"]
 
 
 @dataclass(frozen=True)
-class AefDist:
+class AefDist(Law):
     """alpha-eta-F instantaneous-SNR distribution with mean SNR gamma_bar."""
 
-    params: AefParams
-    gamma_bar: float
     geometry: Geometry = field(init=False, repr=False)
     upsilon: float = field(init=False, repr=False)
     _hsq: float = field(init=False, repr=False)
-    _ln_lam: float = field(init=False, repr=False)
-    _pdf_consts: tuple = field(init=False, repr=False)
+
+    _pdf_kernel = staticmethod(_k.aef_snr_pdf_kernel)
+    _cdf_kernel = staticmethod(_k.aef_snr_cdf_kernel)
+    # bound here, not only inherited: perfbench's tracer wraps the class's own __dict__
+    snr_pdf = Law.snr_pdf
+    snr_cdf = Law.snr_cdf
 
     def __post_init__(self) -> None:
-        if not (self.gamma_bar > 0.0 and math.isfinite(self.gamma_bar)):
-            raise DomainError(f"gamma_bar must be positive, got {self.gamma_bar}")
-        geo = _params.geometry(self.params)
-        ups = _params.upsilon(self.params)
+        super().__post_init__()
         p = self.params
-        ln_lam = (
-            math.log(p.ms - 1.0)
-            + math.log(ups)
-            + 0.5 * p.alpha * math.log(self.gamma_bar)
-        )
-        object.__setattr__(self, "geometry", geo)
-        object.__setattr__(self, "upsilon", ups)
-        object.__setattr__(self, "_hsq", geo.H * geo.H)
-        object.__setattr__(self, "_ln_lam", ln_lam)
-        object.__setattr__(
-            self, "_pdf_consts", _k.aef_pdf_consts(p.alpha, p.mu, p.ms, geo.h, ln_lam)
+        geo = _params.geometry(p)
+        ups = _params.upsilon(p)
+        hsq = geo.H * geo.H
+        ln_lam = self._ln_lambda(ups)
+        _freeze(
+            self, geometry=geo, upsilon=ups, _hsq=hsq, _ln_lam=ln_lam,
+            _pdf_consts=_k.aef_pdf_consts(p.alpha, p.mu, p.ms, geo.h, hsq, ln_lam),
+            _cdf_consts=_k.aef_cdf_consts(p.alpha, p.mu, p.ms, geo.h, hsq, ln_lam),
         )
 
     def _head(self) -> tuple:
@@ -75,45 +68,6 @@ class AefDist:
             - 2.0 * p.mu * self._ln_lam
         )
         return ln_a, float(p.alpha * p.mu)
-
-    def snr_pdf(self, gamma: float, ctrl: SeriesControl | None = None) -> float:
-        """Density of the instantaneous SNR at gamma >= 0.
-
-        Its 2F1 factor comes from scipy.special for ms <= 50, where ctrl
-        has no effect; ctrl governs the series that evaluates it for larger
-        ms (or where scipy's value leaves the double range).
-        """
-        if not gamma >= 0.0:
-            raise DomainError(f"gamma must be non-negative, got {gamma}")
-        if gamma == 0.0:
-            return _k.pdf_at_zero(*self._head())
-        if gamma == math.inf:
-            return 0.0
-        if ctrl is None:
-            ctrl = default_control()
-        value, status = _k.aef_snr_pdf_kernel(
-            self._pdf_consts, self._hsq, math.log(gamma),
-            ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
-        )
-        return density_value("snr_pdf", value, status)
-
-    def snr_cdf(self, gamma: float, ctrl: SeriesControl | None = None) -> SeriesResult:
-        """CDF of the instantaneous SNR at gamma >= 0, as a truncated series.
-
-        The returned value is clamped to [0, 1] after convergence; any
-        clamping adjustment is added to est_error.
-        """
-        end = cdf_endpoint(gamma)
-        if end is not None:
-            return end
-        if ctrl is None:
-            ctrl = default_control()
-        p = self.params
-        raw, terms, est, status = _k.aef_snr_cdf_kernel(
-            p.alpha, p.mu, p.ms, self.geometry.h, self._hsq, self._ln_lam,
-            float(gamma), ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
-        )
-        return cdf_clamped(raw, terms, est, status == STATUS_OK)
 
     def cdf_truncation_bound(self, gamma: float, k0: int) -> float:
         """Upper bound on the CDF-series remainder after its first k0 terms
@@ -128,7 +82,7 @@ class AefDist:
         p = self.params
         value, status = _k.aef_cdf_bound_kernel(
             p.alpha, p.mu, p.ms, self.geometry.h, self._hsq, self._ln_lam,
-            float(gamma), int(k0), ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
+            float(gamma), int(k0), ctrl.rel_tol, ctrl.max_terms,
         )
         if status == STATUS_DIVERGED:
             raise ConvergenceError(
@@ -142,43 +96,17 @@ class AefDist:
 
 
 @dataclass(frozen=True)
-class AefEnvelope:
-    """alpha-eta-F signal envelope with mean power omega_power = E[R^2].
+class AefEnvelope(Envelope):
+    """alpha-eta-F signal envelope with mean power omega_power = E[R^2]."""
 
-    R^2 follows the SNR law at gamma_bar = omega_power, so the envelope
-    density is 2r f(r^2) of that AefDist.
-    """
+    _law = AefDist
+    # bound here, not only inherited: perfbench's tracer wraps the class's own __dict__
+    envelope_pdf = Envelope.envelope_pdf
 
-    params: AefParams
-    omega_power: float
-    geometry: Geometry = field(init=False, repr=False)
-    upsilon: float = field(init=False, repr=False)
-    _snr: AefDist = field(init=False, repr=False)
+    @property
+    def geometry(self) -> Geometry:
+        return self._snr.geometry
 
-    def __post_init__(self) -> None:
-        if not (self.omega_power > 0.0 and math.isfinite(self.omega_power)):
-            raise DomainError(f"omega_power must be positive, got {self.omega_power}")
-        snr = AefDist(self.params, self.omega_power)
-        object.__setattr__(self, "_snr", snr)
-        object.__setattr__(self, "geometry", snr.geometry)
-        object.__setattr__(self, "upsilon", snr.upsilon)
-
-    def envelope_pdf(self, r: float, ctrl: SeriesControl | None = None) -> float:
-        """Density of the signal envelope at r >= 0; ctrl acts as in
-        AefDist.snr_pdf."""
-        if not r >= 0.0:
-            raise DomainError(f"r must be non-negative, got {r}")
-        d = self._snr
-        if r == 0.0:
-            ln_a, q = d._head()
-            return _k.pdf_at_zero(ln_a, 2.0 * q)
-        if r == math.inf:
-            return 0.0
-        if ctrl is None:
-            ctrl = default_control()
-        ln_r = math.log(r)
-        value, status = _k.aef_snr_pdf_kernel(
-            d._pdf_consts, d._hsq, 2.0 * ln_r,
-            ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms, _k.LN2 + ln_r,
-        )
-        return density_value("envelope_pdf", value, status)
+    @property
+    def upsilon(self) -> float:
+        return self._snr.upsilon

@@ -1,12 +1,14 @@
 """Analytical densities of the alpha-kappa-F composite fading distribution.
 
-AkfDist models the instantaneous SNR with mean gamma_bar: snr_pdf, the
-snr_cdf_series (a Poisson-weighted mixture of regularized incomplete betas,
-an exact reformulation of the integrated PDF series), and snr_cdf_closed,
-which dispatches between two closed forms: a Kampe de Feriet expression on
-the small-argument side and a two-term Humbert Psi1 expression on the
-large-argument side. AkfEnvelope models the signal envelope R with mean
-power omega_power = E[R^2].
+AkfDist models the instantaneous SNR with mean gamma_bar: snr_pdf, snr_cdf
+(a Poisson-weighted mixture of regularized incomplete betas, an exact
+reformulation of the integrated PDF series; also named snr_cdf_series), and
+snr_cdf_closed, which dispatches between two closed forms: a Kampe de
+Feriet expression on the small-argument side and a two-term Humbert Psi1
+expression on the large-argument side. AkfEnvelope models the signal
+envelope R with mean power omega_power = E[R^2]. Both use the front ends
+of series.Law and series.Envelope; this module supplies the kernels, their
+constants and the CDF head.
 
 kappa below params.KAPPA_ZERO_CUTOFF routes through exact kappa -> 0 limit
 forms (the alpha-F distribution).
@@ -18,17 +20,17 @@ from dataclasses import dataclass, field
 
 from . import _kernels as _k
 from . import params as _params
-from .params import AkfParams
 from .series import (
     STATUS_OK,
     ConvergenceError,
-    DomainError,
+    Envelope,
+    Law,
     SeriesControl,
     SeriesResult,
+    _freeze,
     cdf_clamped,
     cdf_endpoint,
     default_control,
-    density_value,
 )
 
 __all__ = ["AkfDist", "AkfEnvelope"]
@@ -40,29 +42,26 @@ CLOSED_FORM_GUARD = 0.05
 
 
 @dataclass(frozen=True)
-class AkfDist:
+class AkfDist(Law):
     """alpha-kappa-F instantaneous-SNR distribution with mean SNR gamma_bar."""
 
-    params: AkfParams
-    gamma_bar: float
     omega_norm: float = field(init=False, repr=False)
-    _ln_lam: float = field(init=False, repr=False)
-    _pdf_consts: tuple = field(init=False, repr=False)
+
+    _pdf_kernel = staticmethod(_k.akf_snr_pdf_kernel)
+    _cdf_kernel = staticmethod(_k.akf_snr_cdf_kernel)
+    # bound here, not only inherited: perfbench's tracer wraps the class's own __dict__
+    snr_pdf = Law.snr_pdf
+    snr_cdf = snr_cdf_series = Law.snr_cdf
 
     def __post_init__(self) -> None:
-        if not (self.gamma_bar > 0.0 and math.isfinite(self.gamma_bar)):
-            raise DomainError(f"gamma_bar must be positive, got {self.gamma_bar}")
+        super().__post_init__()
         p = self.params
         om = _params.omega(p)
-        ln_lam = (
-            math.log(p.ms - 1.0)
-            + math.log(om)
-            + 0.5 * p.alpha * math.log(self.gamma_bar)
-        )
-        object.__setattr__(self, "omega_norm", om)
-        object.__setattr__(self, "_ln_lam", ln_lam)
-        object.__setattr__(
-            self, "_pdf_consts", _k.akf_pdf_consts(p.alpha, p.mu, p.ms, p.kappa, ln_lam)
+        ln_lam = self._ln_lambda(om)
+        _freeze(
+            self, omega_norm=om, _ln_lam=ln_lam,
+            _pdf_consts=_k.akf_pdf_consts(p.alpha, p.mu, p.ms, p.kappa, ln_lam),
+            _cdf_consts=_k.akf_cdf_consts(p.alpha, p.mu, p.ms, p.kappa, ln_lam),
         )
 
     def _head(self) -> tuple:
@@ -76,46 +75,6 @@ class AkfDist:
             - p.mu * self._ln_lam
         )
         return ln_a, 0.5 * p.alpha * p.mu
-
-    def snr_pdf(self, gamma: float, ctrl: SeriesControl | None = None) -> float:
-        """Density of the instantaneous SNR at gamma >= 0.
-
-        Its 1F1 factor comes from scipy.special for ms <= 50, where ctrl
-        has no effect; ctrl governs the series that evaluates it for larger
-        ms (or where scipy's value leaves the double range).
-        """
-        if not gamma >= 0.0:
-            raise DomainError(f"gamma must be non-negative, got {gamma}")
-        if gamma == 0.0:
-            return _k.pdf_at_zero(*self._head())
-        if gamma == math.inf:
-            return 0.0
-        if ctrl is None:
-            ctrl = default_control()
-        value, status = _k.akf_snr_pdf_kernel(
-            self._pdf_consts, math.log(gamma), ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
-        )
-        return density_value("snr_pdf", value, status)
-
-    def snr_cdf_series(
-        self, gamma: float, ctrl: SeriesControl | None = None
-    ) -> SeriesResult:
-        """CDF of the instantaneous SNR as the Poisson-weighted mixture series.
-
-        The returned value is clamped to [0, 1] after convergence; any
-        clamping adjustment is added to est_error.
-        """
-        end = cdf_endpoint(gamma)
-        if end is not None:
-            return end
-        if ctrl is None:
-            ctrl = default_control()
-        p = self.params
-        raw, terms, est, status = _k.akf_snr_cdf_kernel(
-            p.alpha, p.mu, p.ms, p.kappa, self._ln_lam,
-            float(gamma), ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
-        )
-        return cdf_clamped(raw, terms, est, status == STATUS_OK)
 
     def _ln_x1(self, gamma: float) -> float:
         p = self.params
@@ -152,7 +111,7 @@ class AkfDist:
             x1 = math.exp(ln_x1)
             ln_f, sgn, terms, est_rel, status = _k.kdf_2_1_ln(
                 p.mu + p.ms, p.mu, p.mu + 1.0, p.mu, mk * x1, -x1,
-                ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
+                ctrl.rel_tol, ctrl.max_terms,
             )
             if status == 2:
                 raise ConvergenceError("snr_cdf_closed: Kampe de Feriet series diverged")
@@ -162,52 +121,24 @@ class AkfDist:
         if ln_x1 > math.log1p(CLOSED_FORM_GUARD):
             ln2, s2, t2, e2, st2 = _k.humbert_psi1_ln(
                 p.mu + p.ms, p.ms, 1.0 + p.ms, p.mu, -math.exp(-ln_x1), mk,
-                ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
+                ctrl.rel_tol, ctrl.max_terms,
             )
             if st2 == 2:
                 raise ConvergenceError("snr_cdf_closed: Humbert series diverged")
             ln_c2 = -mk - math.log(p.ms) - _k._lbeta(p.mu, p.ms) - p.ms * ln_x1
             term2 = s2 * math.exp(ln_c2 + ln2)
             return cdf_clamped(1.0 - term2, t2, e2 * abs(term2), st2 == STATUS_OK)
-        return self.snr_cdf_series(gamma, ctrl)
+        return self.snr_cdf(gamma, ctrl)
 
 
 @dataclass(frozen=True)
-class AkfEnvelope:
-    """alpha-kappa-F signal envelope with mean power omega_power = E[R^2].
+class AkfEnvelope(Envelope):
+    """alpha-kappa-F signal envelope with mean power omega_power = E[R^2]."""
 
-    R^2 follows the SNR law at gamma_bar = omega_power, so the envelope
-    density is 2r f(r^2) of that AkfDist.
-    """
+    _law = AkfDist
+    # bound here, not only inherited: perfbench's tracer wraps the class's own __dict__
+    envelope_pdf = Envelope.envelope_pdf
 
-    params: AkfParams
-    omega_power: float
-    omega_norm: float = field(init=False, repr=False)
-    _snr: AkfDist = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not (self.omega_power > 0.0 and math.isfinite(self.omega_power)):
-            raise DomainError(f"omega_power must be positive, got {self.omega_power}")
-        snr = AkfDist(self.params, self.omega_power)
-        object.__setattr__(self, "_snr", snr)
-        object.__setattr__(self, "omega_norm", snr.omega_norm)
-
-    def envelope_pdf(self, r: float, ctrl: SeriesControl | None = None) -> float:
-        """Density of the signal envelope at r >= 0; ctrl acts as in
-        AkfDist.snr_pdf."""
-        if not r >= 0.0:
-            raise DomainError(f"r must be non-negative, got {r}")
-        d = self._snr
-        if r == 0.0:
-            ln_a, q = d._head()
-            return _k.pdf_at_zero(ln_a, 2.0 * q)
-        if r == math.inf:
-            return 0.0
-        if ctrl is None:
-            ctrl = default_control()
-        ln_r = math.log(r)
-        value, status = _k.akf_snr_pdf_kernel(
-            d._pdf_consts, 2.0 * ln_r,
-            ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms, _k.LN2 + ln_r,
-        )
-        return density_value("envelope_pdf", value, status)
+    @property
+    def omega_norm(self) -> float:
+        return self._snr.omega_norm

@@ -192,10 +192,8 @@ def _make_evaluator(args, params):
     if q == "snr-pdf":
         return (lambda x: (dist.snr_pdf(x), 0.0, True)), spec
     if q == "snr-cdf":
-        cdf = dist.snr_cdf if args.dist == "aef" else dist.snr_cdf_series
-
         def eval_cdf(x):
-            r = cdf(x)
+            r = dist.snr_cdf(x)
             return r.value, r.est_error, r.converged
 
         return eval_cdf, spec

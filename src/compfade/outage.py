@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import _kernels as _k
 from .aef import AefDist
 from .akf import AkfDist
-from .series import DomainError, SeriesControl, SeriesResult
+from .series import DomainError, Law, SeriesControl, SeriesResult
 
 __all__ = [
     "GainPair",
@@ -46,13 +46,11 @@ def outage(
     gamma_th: float,
     ctrl: SeriesControl | None = None,
 ) -> SeriesResult:
-    """Outage probability P[gamma < gamma_th], delegated to the family CDF."""
+    """Outage probability P[gamma < gamma_th]: the law's mixture CDF snr_cdf."""
     _check_threshold(gamma_th)
-    if isinstance(dist, AefDist):
-        return dist.snr_cdf(gamma_th, ctrl)
-    if isinstance(dist, AkfDist):
-        return dist.snr_cdf_series(gamma_th, ctrl)
-    raise DomainError(f"unsupported distribution type {type(dist).__name__}")
+    if not isinstance(dist, Law):
+        raise DomainError(f"unsupported distribution type {type(dist).__name__}")
+    return dist.snr_cdf(gamma_th, ctrl)
 
 
 def _ln_asymptote(dist: AefDist | AkfDist, gamma_th: float) -> tuple:
@@ -86,7 +84,7 @@ def gains(dist: AefDist | AkfDist, gamma_th: float) -> GainPair:
     """Coding and diversity gains of the high-SNR outage law
     (G_c gamma_bar)^(-G_d); consistent with the asymptotic outage at any
     gamma_bar by construction."""
-    if not isinstance(dist, (AefDist, AkfDist)):
+    if not isinstance(dist, Law):
         raise DomainError(f"unsupported distribution type {type(dist).__name__}")
     ln_asym, gd = _ln_asymptote(dist, gamma_th)
     return GainPair(gc=math.exp(-ln_asym / gd - math.log(dist.gamma_bar)), gd=gd)

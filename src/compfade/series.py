@@ -1,12 +1,22 @@
-"""Series evaluation controls, results, and the error types shared by every engine."""
+"""Series evaluation controls, results and error types shared by every
+engine, and the front ends of both composite laws: Law (the one density
+front end _density and the one mixture CDF snr_cdf) and Envelope. Each
+family supplies only its kernels, their per-distribution constants and
+the head of its CDF.
+"""
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+from . import _kernels as _k
+
+if TYPE_CHECKING:
+    from .params import AefParams, AkfParams
 
 DEFAULT_REL_TOL = 1e-12
-DEFAULT_ABS_TOL = 1e-300
 DEFAULT_MAX_TERMS = 100_000
 
 # Kernel status codes (returned by _kernels, mapped to exceptions/flags here).
@@ -27,19 +37,16 @@ class ConvergenceError(ArithmeticError):
 class SeriesControl:
     """Termination policy for a series summation.
 
-    rel_tol is measured term-to-partial-sum; abs_tol is an absolute floor;
-    max_terms caps each summation index.
+    rel_tol is measured term-to-partial-sum; max_terms caps each summation
+    index.
     """
 
     rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
     max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self) -> None:
         if not self.rel_tol > 0.0:
             raise DomainError("rel_tol must be > 0, got %r" % (self.rel_tol,))
-        if self.abs_tol < 0.0:
-            raise DomainError("abs_tol must be >= 0, got %r" % (self.abs_tol,))
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1, got %r" % (self.max_terms,))
 
@@ -91,16 +98,6 @@ def cdf_endpoint(gamma: float) -> SeriesResult | None:
     return None
 
 
-def density_value(name: str, value: float, status: int) -> float:
-    """A density kernel's result at 0 < gamma < inf; ConvergenceError if its
-    series did not converge or the density overflowed."""
-    if status != STATUS_OK:
-        raise ConvergenceError(f"{name}: embedded hypergeometric did not converge")
-    if not math.isfinite(value):
-        raise ConvergenceError(f"{name}: the density overflowed the double range")
-    return value
-
-
 def cdf_clamped(raw: float, terms: int, est: float, converged: bool) -> SeriesResult:
     """A summed CDF clamped to [0, 1]; the clamping adjustment is added to
     est_error."""
@@ -111,3 +108,109 @@ def cdf_clamped(raw: float, terms: int, est: float, converged: bool) -> SeriesRe
         est_error=est + abs(raw - value),
         converged=converged,
     )
+
+
+def _freeze(obj, **values) -> None:
+    """Set derived fields of a frozen dataclass in __post_init__."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+
+
+@dataclass(frozen=True)
+class Law:
+    """Instantaneous-SNR law with mean SNR gamma_bar. A family subclass sets
+    _ln_lam, _pdf_consts and _cdf_consts in __post_init__, names its kernels
+    in _pdf_kernel and _cdf_kernel, and gives _head."""
+
+    params: AefParams | AkfParams
+    gamma_bar: float
+    _ln_lam: float = field(init=False, repr=False)
+    _pdf_consts: tuple = field(init=False, repr=False)
+    _cdf_consts: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not (self.gamma_bar > 0.0 and math.isfinite(self.gamma_bar)):
+            raise DomainError(f"gamma_bar must be positive, got {self.gamma_bar}")
+
+    def _ln_lambda(self, norm: float) -> float:
+        """ln Lambda = ln((ms - 1) norm gamma_bar^(alpha/2)), with norm the
+        family's power normalizer (upsilon or omega)."""
+        p = self.params
+        return (
+            math.log(p.ms - 1.0)
+            + math.log(norm)
+            + 0.5 * p.alpha * math.log(self.gamma_bar)
+        )
+
+    def _density(self, name: str, var: str, x: float, power: float,
+                 ctrl: SeriesControl | None) -> float:
+        """Density at x >= 0 of x = gamma^(1/power): power 1 is the SNR,
+        power 2 the envelope (gamma_bar the mean power). The kernel takes
+        ln gamma = power ln x and the log-Jacobian, so an x whose power
+        under- or overflows stays on the curve; pdf(0) follows from the CDF
+        head A gamma^q = A x^(power q)."""
+        if not x >= 0.0:
+            raise DomainError(f"{var} must be non-negative, got {x}")
+        if x == 0.0:
+            ln_a, q = self._head()
+            return _k.pdf_at_zero(ln_a, power * q)
+        if x == math.inf:
+            return 0.0
+        if ctrl is None:
+            ctrl = default_control()
+        ln_x = math.log(x)
+        ln_jac = 0.0 if power == 1.0 else (power - 1.0) * ln_x + math.log(power)
+        value, status = self._pdf_kernel(
+            self._pdf_consts, power * ln_x, ctrl.rel_tol, ctrl.max_terms, ln_jac
+        )
+        if status != STATUS_OK:
+            raise ConvergenceError(f"{name}: embedded hypergeometric did not converge")
+        if not math.isfinite(value):
+            raise ConvergenceError(f"{name}: the density overflowed the double range")
+        return value
+
+    def snr_pdf(self, gamma: float, ctrl: SeriesControl | None = None) -> float:
+        """Density of the instantaneous SNR at gamma >= 0.
+
+        Its hypergeometric factor (the alpha-eta-F 2F1, the alpha-kappa-F
+        1F1) comes from scipy.special for ms <= 50, where ctrl has no
+        effect; ctrl governs the series that evaluates it for larger ms (or
+        where scipy's value leaves the double range).
+        """
+        return self._density("snr_pdf", "gamma", gamma, 1.0, ctrl)
+
+    def snr_cdf(self, gamma: float, ctrl: SeriesControl | None = None) -> SeriesResult:
+        """CDF of the instantaneous SNR at gamma >= 0, as a truncated mixture
+        of regularized incomplete betas (negative binomial weights for
+        alpha-eta-F, Poisson for alpha-kappa-F), clamped to [0, 1]; any
+        clamping adjustment is added to est_error."""
+        end = cdf_endpoint(gamma)
+        if end is not None:
+            return end
+        if ctrl is None:
+            ctrl = default_control()
+        raw, terms, est, status = self._cdf_kernel(
+            self._cdf_consts, float(gamma), ctrl.rel_tol, ctrl.max_terms
+        )
+        return cdf_clamped(raw, terms, est, status == STATUS_OK)
+
+
+@dataclass(frozen=True)
+class Envelope:
+    """Signal envelope R with mean power omega_power = E[R^2]: R^2 follows
+    the subclass's _law at gamma_bar = omega_power, so its density is
+    2r f(r^2)."""
+
+    params: AefParams | AkfParams
+    omega_power: float
+    _snr: Law = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not (self.omega_power > 0.0 and math.isfinite(self.omega_power)):
+            raise DomainError(f"omega_power must be positive, got {self.omega_power}")
+        _freeze(self, _snr=self._law(self.params, self.omega_power))
+
+    def envelope_pdf(self, r: float, ctrl: SeriesControl | None = None) -> float:
+        """Density of the signal envelope at r >= 0; ctrl acts as in
+        snr_pdf."""
+        return self._snr._density("envelope_pdf", "r", r, 2.0, ctrl)

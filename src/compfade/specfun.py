@@ -35,8 +35,6 @@ __all__ = [
 
 _POCH_PRODUCT_MAX = 128
 
-_PATHS = {"auto": 0, "direct": 1, "pfaff": 2, "euler": 3}
-
 
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
@@ -68,12 +66,12 @@ def pochhammer(x: float, n: int) -> float:
 
 
 def _finish(
+    name: str,
     ln_abs: float,
     sign: float,
     terms: int,
     est_rel: float,
     status: int,
-    name: str,
 ) -> SeriesResult:
     if status == STATUS_DIVERGED:
         raise ConvergenceError(f"{name}: no convergent series route for these arguments")
@@ -101,7 +99,6 @@ def gauss_2f1(
     c: float,
     z: float,
     ctrl: SeriesControl | None = None,
-    path: str = "auto",
 ) -> SeriesResult:
     """Gauss hypergeometric 2F1(a, b; c; z) for real arguments.
 
@@ -109,22 +106,17 @@ def gauss_2f1(
     map for z in (0.5, 1) when it accelerates decay; the Gauss summation
     value at z = 1 when the series converges there. A terminating numerator
     parameter (non-positive integer a or b) gives the exact polynomial for
-    any z. path forces a branch ("direct", "pfaff", "euler") for
-    cross-checking; "auto" dispatches as above.
+    any z.
     """
     if ctrl is None:
         ctrl = default_control()
-    if path not in _PATHS:
-        raise DomainError(f"gauss_2f1: unknown path {path!r}")
     if _is_nonpos_int(c) and not (
         (_is_nonpos_int(a) and a > c) or (_is_nonpos_int(b) and b > c)
     ):
         raise DomainError(f"gauss_2f1: c = {c} is a non-positive integer")
-    out = _k.gauss_2f1_ln(
-        float(a), float(b), float(c), float(z),
-        ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms, _PATHS[path],
-    )
-    return _finish(out[0], out[1], out[2], out[3], out[4], "gauss_2f1")
+    return _finish("gauss_2f1", *_k.gauss_2f1_ln(
+        float(a), float(b), float(c), float(z), ctrl.rel_tol, ctrl.max_terms,
+    ))
 
 
 def kummer_1f1(
@@ -144,10 +136,9 @@ def kummer_1f1(
         ctrl = default_control()
     if _is_nonpos_int(b) and not (_is_nonpos_int(a) and a > b):
         raise DomainError(f"kummer_1f1: b = {b} is a non-positive integer")
-    out = _k.kummer_1f1_ln(
-        float(a), float(b), float(z), ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms
-    )
-    return _finish(out[0], out[1], out[2], out[3], out[4], "kummer_1f1")
+    return _finish("kummer_1f1", *_k.kummer_1f1_ln(
+        float(a), float(b), float(z), ctrl.rel_tol, ctrl.max_terms
+    ))
 
 
 def humbert_psi1(
@@ -178,11 +169,10 @@ def humbert_psi1(
         )
     if abs(x) >= 1.0 and not b_term:
         raise ConvergenceError(f"humbert_psi1: |x| = {abs(x)} >= 1 outside convergence domain")
-    out = _k.humbert_psi1_ln(
+    return _finish("humbert_psi1", *_k.humbert_psi1_ln(
         float(a), float(b), float(c), float(cp), float(x), float(y),
-        ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
-    )
-    return _finish(out[0], out[1], out[2], out[3], out[4], "humbert_psi1")
+        ctrl.rel_tol, ctrl.max_terms,
+    ))
 
 
 def kdf_2_1(
@@ -208,8 +198,7 @@ def kdf_2_1(
         raise DomainError(f"kdf_2_1: b1 = {b1} is a non-positive integer")
     if _is_nonpos_int(c1):
         raise DomainError(f"kdf_2_1: c1 = {c1} is a non-positive integer")
-    out = _k.kdf_2_1_ln(
+    return _finish("kdf_2_1", *_k.kdf_2_1_ln(
         float(a1), float(a2), float(b1), float(c1), float(x), float(y),
-        ctrl.rel_tol, ctrl.abs_tol, ctrl.max_terms,
-    )
-    return _finish(out[0], out[1], out[2], out[3], out[4], "kdf_2_1")
+        ctrl.rel_tol, ctrl.max_terms,
+    ))

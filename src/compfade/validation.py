@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from . import _kernels as _k
 from . import cases, mc, specfun
 from .aef import AefDist, AefEnvelope
 from .akf import CLOSED_FORM_GUARD, AkfDist, AkfEnvelope
@@ -124,12 +125,6 @@ def _standard_grids() -> list:
     ]
 
 
-def _head_exponent(p: AefParams | AkfParams) -> float:
-    if isinstance(p, AefParams):
-        return p.alpha * p.mu - 1.0
-    return 0.5 * p.alpha * p.mu - 1.0
-
-
 def _quad_split(f, split: float, head_exp: float, tail_decay: float) -> float:
     """Integral of f over (0, inf) with power substitutions that regularize
     an x**head_exp endpoint at zero and an x**(-tail_decay) tail."""
@@ -157,11 +152,10 @@ def _quad_head(f, upper: float, head_exp: float) -> float:
 
 
 def _snr_pdf_fn(p: AefParams | AkfParams, gamma_bar: float = 1.0):
-    if isinstance(p, AefParams):
-        d = AefDist(p, gamma_bar)
-        return d, d.snr_pdf
-    d = AkfDist(p, gamma_bar)
-    return d, d.snr_pdf
+    """The SNR law at p, its density, and the density's exponent at 0 (that
+    of the CDF head, less one)."""
+    d = (AefDist if isinstance(p, AefParams) else AkfDist)(p, gamma_bar)
+    return d, d.snr_pdf, d._head()[1] - 1.0
 
 
 def check_normalization(grids=None) -> list:
@@ -172,9 +166,9 @@ def check_normalization(grids=None) -> list:
         grids = _standard_grids()
     for p in grids:
         tag = _aef_tag(p) if isinstance(p, AefParams) else _akf_tag(p)
-        _, pdf = _snr_pdf_fn(p)
+        _, pdf, head_exp = _snr_pdf_fn(p)
         total = _quad_split(
-            pdf, 1.0, _head_exponent(p), 1.0 + 0.5 * p.alpha * p.ms
+            pdf, 1.0, head_exp, 1.0 + 0.5 * p.alpha * p.ms
         )
         dev = abs(total - 1.0)
         checks.append(
@@ -191,10 +185,10 @@ def check_mean(grids=None) -> list:
         grids = _standard_grids()
     for p in grids:
         tag = _aef_tag(p) if isinstance(p, AefParams) else _akf_tag(p)
-        _, pdf = _snr_pdf_fn(p)
+        _, pdf, head_exp = _snr_pdf_fn(p)
         mean = _quad_split(
             lambda g: g * pdf(g), 1.0,
-            _head_exponent(p) + 1.0, 0.5 * p.alpha * p.ms,
+            head_exp + 1.0, 0.5 * p.alpha * p.ms,
         )
         dev = abs(mean - 1.0)
         checks.append(Check(f"mean-{tag}", dev, MEAN_TOL, dev <= MEAN_TOL))
@@ -214,8 +208,7 @@ def check_cdf(grids=None) -> list:
     for p in grids:
         is_aef = isinstance(p, AefParams)
         tag = _aef_tag(p) if is_aef else _akf_tag(p)
-        d, pdf = _snr_pdf_fn(p)
-        head_exp = _head_exponent(p)
+        d, pdf, head_exp = _snr_pdf_fn(p)
         dev = 0.0
         dev_closed = -1.0
         acc = _quad_head(pdf, _CDF_POINTS[0], head_exp)
@@ -225,10 +218,8 @@ def check_cdf(grids=None) -> list:
                 seg, _ = integrate.quad(pdf, prev, g, **_QUAD_OPTS)
                 acc += seg
                 prev = g
-            if is_aef:
-                series = d.snr_cdf(g).value
-            else:
-                series = d.snr_cdf_series(g).value
+            series = d.snr_cdf(g).value
+            if not is_aef:
                 x1 = math.exp(d._ln_x1(g))
                 if abs(x1 - 1.0) > CLOSED_FORM_GUARD:
                     closed = d.snr_cdf_closed(g).value
@@ -269,8 +260,10 @@ def check_fisher() -> list:
 
 def _flip_h_sign(d: AefDist) -> AefDist:
     """Test-harness mutation hook: inject a sign error into the squared
-    cluster-imbalance term so downstream checks must catch it."""
-    object.__setattr__(d, "_hsq", -d._hsq)
+    cluster-imbalance term of the CDF so downstream checks must catch it."""
+    p = d.params
+    object.__setattr__(d, "_cdf_consts", _k.aef_cdf_consts(
+        p.alpha, p.mu, p.ms, d.geometry.h, -d._hsq, d._ln_lam))
     return d
 
 
@@ -280,10 +273,7 @@ def _snr_cdf_interp(d, samples: np.ndarray):
     lo = max(samples[0] * 0.5, 1e-300)
     hi = samples[-1] * 1.001
     grid = np.concatenate(([0.0], np.geomspace(lo, hi, 4000)))
-    if isinstance(d, AefDist):
-        vals = np.array([d.snr_cdf(g).value for g in grid])
-    else:
-        vals = np.array([d.snr_cdf_series(g).value for g in grid])
+    vals = np.array([d.snr_cdf(g).value for g in grid])
     return np.interp(samples, grid, vals)
 
 
@@ -310,16 +300,12 @@ def check_mc(n: int = 1_000_000, seed: int = 777, flip_h_sign: bool = False,
         is_aef = isinstance(p, AefParams)
         tag = _aef_tag(p) if is_aef else _akf_tag(p)
         phys = mc.make_phys(p, power_target=1.0)
-        if is_aef:
-            r = mc.sample_aef_envelope(phys, n, seed + i)
-            d = AefDist(p, 1.0)
-            env = AefEnvelope(p, 1.0)
-            if flip_h_sign:
-                d = _flip_h_sign(d)
-        else:
-            r = mc.sample_akf_envelope(phys, n, seed + i)
-            d = AkfDist(p, 1.0)
-            env = AkfEnvelope(p, 1.0)
+        sample = mc.sample_aef_envelope if is_aef else mc.sample_akf_envelope
+        r = sample(phys, n, seed + i)
+        d = (AefDist if is_aef else AkfDist)(p, 1.0)
+        env = (AefEnvelope if is_aef else AkfEnvelope)(p, 1.0)
+        if flip_h_sign and is_aef:
+            d = _flip_h_sign(d)
         r.sort()
         gamma = r * r  # gamma_bar = omega_power = 1
         f_snr = _snr_cdf_interp(d, gamma)
@@ -395,7 +381,7 @@ def check_asym() -> list:
             checks.append(
                 Check(f"asym-ratio-{tag}@{ratio:g}", dev, tol, dev <= tol)
             )
-        gd = p.alpha * p.mu if is_aef else 0.5 * p.alpha * p.mu
+        gd = d._head()[1]
         slope = (math.log(exact[1e4]) - math.log(exact[1e5])) / math.log(10.0)
         dev = abs(slope / gd - 1.0)
         checks.append(Check(f"asym-slope-{tag}", dev, SLOPE_TOL, dev <= SLOPE_TOL))
@@ -411,62 +397,6 @@ def check_lattice(tolerance: float = 1e-4) -> list:
     ]
 
 
-def _mp_setup():
-    import mpmath
-
-    mpmath.mp.dps = 60
-    return mpmath
-
-
-def _mp_psi1(mp, a, b, c, cp, x, y):
-    """Humbert Psi1 by adaptive row summation at extended precision.
-
-    Rows run over the y index with 2F1 factors in x: for x < 0 < y every row
-    keeps one sign, whereas the x-major ordering alternates and cancels
-    catastrophically, so this orientation stays trustworthy as an oracle.
-    """
-    s = mp.mpf(0)
-    coef = mp.mpf(1)
-    small = 0
-    for n in range(100000):
-        row = coef * mp.hyp2f1(a + n, b, c, x)
-        s += row
-        if abs(row) <= mp.mpf(10) ** (-45) * max(abs(s), mp.mpf(1e-290)):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-        coef *= mp.mpf(a + n) / (mp.mpf(cp + n) * (n + 1)) * y
-        if coef == 0:
-            break
-    return s
-
-
-def _mp_kdf(mp, a1, a2, b1, c1, x, y):
-    """Kampe de Feriet F 2:0;0 / 1:1;0 by adaptive row summation."""
-    s = mp.mpf(0)
-    coef = mp.mpf(1)
-    small = 0
-    for m in range(100000):
-        row = coef * mp.hyp2f1(a1 + m, a2 + m, b1 + m, y)
-        s += row
-        if abs(row) <= mp.mpf(10) ** (-45) * max(abs(s), mp.mpf(1e-290)):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-        coef *= (
-            mp.mpf(a1 + m) * mp.mpf(a2 + m)
-            / (mp.mpf(b1 + m) * mp.mpf(c1 + m) * (m + 1))
-            * x
-        )
-        if coef == 0:
-            break
-    return s
-
-
 def _rel_err(got: float, want: float) -> float:
     scale = max(abs(want), 1e-300)
     return abs(got - want) / scale
@@ -476,7 +406,9 @@ def check_engines(seed: int = 20250817, points: int = 100) -> list:
     """Criterion: each series engine agrees with a 50+ digit oracle within
     1e-10 on random in-domain points, and the two-variable engines collapse
     to their one-variable reductions within 1e-12."""
-    mp = _mp_setup()
+    from . import _oracles as orc  # imports mpmath, so only when this check runs
+
+    mp = orc.mp_setup()
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -510,7 +442,7 @@ def check_engines(seed: int = 20250817, points: int = 100) -> list:
         x = rng.uniform(-0.9, 0.9)
         y = rng.uniform(-4.0, 8.0)
         got = specfun.humbert_psi1(a, b, c, cp, x, y).value
-        want = float(_mp_psi1(mp, a, b, c, cp, x, y))
+        want = float(orc.mp_humbert_psi1(a, b, c, cp, x, y))
         worst = max(worst, _rel_err(got, want))
     checks.append(Check("engine-humbert-psi1", worst, ENGINE_TOL, worst <= ENGINE_TOL))
 
@@ -526,7 +458,7 @@ def check_engines(seed: int = 20250817, points: int = 100) -> list:
         x = rng.uniform(0.0, 2.0)
         y = rng.uniform(-2.5, 0.9)
         got = specfun.kdf_2_1(a1, a2, b1, c1, x, y).value
-        want = float(_mp_kdf(mp, a1, a2, b1, c1, x, y))
+        want = float(orc.mp_kdf_2_1(a1, a2, b1, c1, x, y))
         worst = max(worst, _rel_err(got, want))
     checks.append(Check("engine-kdf-2-1", worst, ENGINE_TOL, worst <= ENGINE_TOL))
 
@@ -542,7 +474,7 @@ def check_engines(seed: int = 20250817, points: int = 100) -> list:
         x = rng.uniform(0.0, 15.0)
         y = rng.uniform(-0.95, -0.05)
         got = specfun.kdf_2_1(a1, a2, a2 + 1.0, c1, x, y).value
-        want = float(_mp_kdf(mp, a1, a2, a2 + 1.0, c1, x, y))
+        want = float(orc.mp_kdf_2_1(a1, a2, a2 + 1.0, c1, x, y))
         worst = max(worst, _rel_err(got, want))
     checks.append(
         Check("engine-kdf-2-1-beta-rows", worst, ENGINE_TOL, worst <= ENGINE_TOL)

@@ -3,81 +3,24 @@
 Everything here is evaluated with mpmath at 60 significant digits (the
 closed-form densities at 40) and is deliberately written against the
 defining series or closed form of each function rather than the production
-kernels, so the two routes share no code. The helpers
+kernels, so the two routes share no code. The Psi1 and Kampe de Feriet
+oracles are those of compfade._oracles, which the validation battery uses
+too. The helpers
 are slow; tests call them for a handful of spot checks and otherwise rely
 on constants frozen from these same routines.
 """
 
 import mpmath as mp
 
-DPS = 60
+from compfade._oracles import (  # noqa: F401  the oracles are re-exported for the tests
+    _STOP,
+    _TINY,
+    mp_humbert_psi1,
+    mp_kdf_2_1,
+)
+from compfade._oracles import mp_setup as _setup
+
 DENSITY_DPS = 40
-_TINY = mp.mpf(10) ** -290
-_STOP = mp.mpf(10) ** -50
-
-
-def _setup():
-    mp.mp.dps = DPS
-
-
-def mp_gauss_2f1(a, b, c, z):
-    """Gauss 2F1 via mpmath's own implementation."""
-    _setup()
-    return mp.hyp2f1(a, b, c, z)
-
-
-def mp_kummer_1f1(a, c, z):
-    """Kummer 1F1 via mpmath's own implementation."""
-    _setup()
-    return mp.hyp1f1(a, c, z)
-
-
-def mp_humbert_psi1(a, b, c, cp, x, y, max_rows=20000):
-    """Humbert Psi1 summed over the y-index.
-
-    Each row is coef_n * 2F1(a+n, b; c; x) with
-    coef_{n+1} = coef_n * (a+n) y / ((cp+n)(n+1)). For x < 0 < y the rows
-    share one sign, so this orientation stays well conditioned exactly
-    where the row-over-x orientation loses all precision.
-    """
-    _setup()
-    s = mp.mpf(0)
-    coef = mp.mpf(1)
-    small = 0
-    for n in range(max_rows):
-        row = coef * mp.hyp2f1(a + n, b, c, x)
-        s += row
-        if abs(row) <= _STOP * max(abs(s), _TINY):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-        coef *= mp.mpf(a + n) / (mp.mpf(cp + n) * (n + 1)) * y
-    return s
-
-
-def mp_kdf_2_1(a1, a2, b1, c1, x, y, max_rows=20000):
-    """Kampe de Feriet F(2:0;0 / 1:1;0) summed over the x-index.
-
-    Each row is coef_m * 2F1(a1+m, a2+m; b1+m; y) with
-    coef_{m+1} = coef_m * (a1+m)(a2+m) x / ((b1+m)(c1+m)(m+1)).
-    """
-    _setup()
-    s = mp.mpf(0)
-    coef = mp.mpf(1)
-    small = 0
-    for m in range(max_rows):
-        row = coef * mp.hyp2f1(a1 + m, a2 + m, b1 + m, y)
-        s += row
-        if abs(row) <= _STOP * max(abs(s), _TINY):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-        coef *= mp.mpf(a1 + m) * mp.mpf(a2 + m) / (mp.mpf(b1 + m) * mp.mpf(c1 + m) * (m + 1)) * x
-    return s
 
 
 def _mp_beta_mixture(ln_odds, a0, da, b, ln_weights, terms):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from compfade import _kernels as _k
-from compfade.series import DEFAULT_ABS_TOL, DEFAULT_REL_TOL
+from compfade.series import DEFAULT_REL_TOL
 import oracles
 
 ENGINE_TOL = 1e-10
@@ -66,7 +66,7 @@ GOLDEN = [
 
 
 def _kernel(args, max_terms):
-    return _k.humbert_psi1_ln(*args, DEFAULT_REL_TOL, DEFAULT_ABS_TOL, max_terms)
+    return _k.humbert_psi1_ln(*args, DEFAULT_REL_TOL, max_terms)
 
 
 @pytest.mark.parametrize("row", GOLDEN)
@@ -149,7 +149,7 @@ def test_psi1_blocks_match_the_diagonal_loop_on_random_calls():
     for args in _random_calls(120):
         ln_abs, sign, terms, _, status = _kernel(args[:6], args[6])
         ln_ref, sign_ref, terms_ref, status_ref = _psi1_by_diagonal(
-            *args[:6], DEFAULT_REL_TOL, DEFAULT_ABS_TOL, args[6])
+            *args[:6], DEFAULT_REL_TOL, _k._ABS_TOL, args[6])
         assert (terms, status, sign) == (terms_ref, status_ref, sign_ref), args
         assert abs(ln_abs - ln_ref) <= GOLDEN_TOL + 4.0 * math.ulp(ln_ref), args
         rescaled += ln_ref > math.log(1e290)
