@@ -37,6 +37,7 @@ from .params import (
 from .series import (
     ConvergenceError,
     DomainError,
+    LaneResult,
     SeriesControl,
     SeriesResult,
     default_control,
@@ -69,6 +70,7 @@ __all__ = [
     "GainPair",
     "Geometry",
     "GofReport",
+    "LaneResult",
     "LatticeCheck",
     "LatticeReport",
     "PhysAef",

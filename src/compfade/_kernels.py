@@ -66,6 +66,10 @@ _PSI1_UPPER = ~np.tri(_PSI1_BLOCK, dtype=bool)  # [j, i]: i > j
 # past it hyp2f1 drifts to 5e-12 near z = 0 by ms = 250 and gives NaN at
 # ms = 1e4, so the series are kept there
 _SCIPY_MS_MAX = 50.0
+# _beta_mixture_lanes hands its last live lanes to _beta_mixture once no
+# more than this many are left: one array step cost 20-30 us, one scalar
+# term 2-4 us (CHANGES.md)
+_LANES_MIN = 8
 
 
 def _is_nonpos_int(x):
@@ -785,3 +789,193 @@ def akf_snr_cdf_kernel(consts, g, rel_tol, max_terms):
     alpha, mu, ms, ln_mu1k, ln_lam, ln_w0, ln_z = consts
     ln_x1 = ln_mu1k + 0.5 * alpha * math.log(g) - ln_lam
     return _beta_mixture(mu, 1, ms, ln_x1, ln_w0, ln_z, 1.0, 1.0, 0.0, rel_tol, max_terms)
+
+
+# --- lanes: one array call per grid ------------------------------------------
+#
+# Each *_lanes function evaluates its scalar kernel at every point (lane) of
+# an array argument of finite, positive points, with the same float
+# operations in the same order, so a lane differs from the scalar call only
+# where numpy's exp and log round differently from libm's. A lane that the
+# array form does not serve goes through the scalar kernel itself.
+
+
+def _scalar_rest(kernel, consts, ln_g, rel_tol, max_terms, ln_jac, values, served):
+    """Fill the lanes not served by a density's array form from its scalar
+    kernel, one at a time. Returns (values, statuses)."""
+    status = np.zeros(ln_g.shape, dtype=np.int64)
+    for j in np.flatnonzero(~served):
+        values[j], status[j] = kernel(
+            consts, float(ln_g[j]), rel_tol, max_terms, float(ln_jac[j])
+        )
+    return values, status
+
+
+def aef_snr_pdf_lanes(consts, ln_g, rel_tol, max_terms, ln_jac):
+    """aef_snr_pdf_kernel at every lane of the arrays ln_g and ln_jac.
+
+    For ms <= _SCIPY_MS_MAX the 2F1 factor of all lanes comes from one
+    scipy.special.hyp2f1 call, in Euler's form above z = 1/2 with 1 - z
+    formed as the scalar kernel forms it. Larger ms, and lanes where
+    z < 0, 1 - z is not positive or scipy's value is not a positive finite
+    double, take the scalar kernel. Returns (values, statuses).
+    """
+    alpha, mu, ms, hsq, h2, h2_lo, ln_lam, ln_c, lb, ln_2muh, ln_2mu = consts
+    values = np.zeros(ln_g.shape)
+    served = np.zeros(ln_g.shape, dtype=bool)
+    if ms <= _SCIPY_MS_MAX:
+        with np.errstate(all="ignore"):
+            gexp = 0.5 * alpha * ln_g
+            ln_den = np.logaddexp(ln_2muh + gexp, ln_lam)
+            z = hsq * np.exp(2.0 * (ln_2mu + gexp) - 2.0 * ln_den)
+            euler = z > 0.5
+            s = np.exp(ln_lam - ln_den)
+            omz = np.where(euler, ((h2 - hsq) + h2_lo + hsq * s * (2.0 - s)) / h2, 1.0 - z)
+            a, b, c = mu + 0.5 * ms, mu + 0.5 * (ms + 1.0), mu + 0.5
+            ln_pre = np.where(euler, (c - a - b) * np.log(omz), 0.0)
+            f = _sc.hyp2f1(np.where(euler, c - a, a), np.where(euler, c - b, b), c, z)
+            ln_pdf = (
+                ln_c
+                + (alpha * mu - 1.0) * ln_g
+                + ln_jac
+                - lb
+                - (2.0 * mu + ms) * ln_den
+                + (ln_pre + np.log(f))
+            )
+            values = np.exp(ln_pdf)
+        served = (z >= 0.0) & (omz > 0.0) & (f > 0.0) & (f < math.inf)
+    return _scalar_rest(aef_snr_pdf_kernel, consts, ln_g, rel_tol, max_terms, ln_jac,
+                        values, served)
+
+
+def akf_snr_pdf_lanes(consts, ln_g, rel_tol, max_terms, ln_jac):
+    """akf_snr_pdf_kernel at every lane of the arrays ln_g and ln_jac.
+
+    For ms <= _SCIPY_MS_MAX the 1F1 factor of all lanes comes from one
+    scipy.special.hyp1f1 call in Kummer's form (1 at x = 0). Larger ms, and
+    lanes where scipy's value is not a positive finite double, take the
+    scalar kernel. Returns (values, statuses).
+    """
+    alpha, mu, ms, mk, ln_lam, ln_c, ln_mu1k = consts
+    values = np.zeros(ln_g.shape)
+    served = np.zeros(ln_g.shape, dtype=bool)
+    if ms <= _SCIPY_MS_MAX:
+        with np.errstate(all="ignore"):
+            gexp = 0.5 * alpha * ln_g
+            ln_head = (0.5 * alpha * mu - 1.0) * ln_g + ln_jac
+            ln_den = np.logaddexp(ln_mu1k + gexp, ln_lam)
+            x = mk * np.exp(ln_mu1k + gexp - ln_den)
+            f = _sc.hyp1f1(-ms, mu, -x)
+            ln_pdf = ln_c - (mu + ms) * ln_den + ln_head + (x + np.log(f))
+            values = np.exp(ln_pdf)
+        served = (f > 0.0) & (f < math.inf)
+    return _scalar_rest(akf_snr_pdf_kernel, consts, ln_g, rel_tol, max_terms, ln_jac,
+                        values, served)
+
+
+def _reg_inc_beta_lanes(a, b, x, cx):
+    """reg_inc_beta at every lane of the arrays x and cx = 1 - x."""
+    out = np.empty(x.shape)
+    hi = x > 0.5
+    out[hi] = _sc.betaincc(b, a, cx[hi])
+    out[~hi] = _sc.betainc(a, b, x[~hi])
+    return out
+
+
+def _inc_beta_up_lanes(i, ln_t, anchor, a, b, x, cx, lnx, lncx):
+    """_inc_beta_up at every lane; only the lanes that fell below _REANCHOR
+    times their anchor are recomputed by scipy."""
+    i = i - np.exp(ln_t)
+    a1 = a + 1.0
+    ln_t = ln_t + lnx + math.log((a + b) / a1)
+    re = i < _REANCHOR * anchor
+    if re.any():
+        i[re] = _reg_inc_beta_lanes(a1, b, x[re], cx[re])
+        ln_t[re] = _ln_beta_step(a1, b, lnx[re], lncx[re])
+        anchor = np.where(re, i, anchor)
+    return i, ln_t, anchor
+
+
+def _beta_mixture_lanes(a, step, b, ln_y, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms):
+    """_beta_mixture at every lane of the array ln_y.
+
+    The weights depend on k alone and are computed once per k, as scalars,
+    with _beta_mixture's float operations. Each lane keeps its own
+    incomplete beta, step term, anchor, partial sum and count of small
+    terms, and leaves the loop once it passes the scalar stop test, so
+    terms_used and status are those of the scalar call. A step costs about
+    as much as _LANES_MIN scalar terms, so once no more lanes than that are
+    live, they are summed again by _beta_mixture, from the start. Returns
+    the arrays (raw_value, terms, est_error_abs, status).
+    """
+    t = np.log1p(np.exp(-np.abs(ln_y)))
+    pos = ln_y > 0.0
+    lnx = np.where(pos, -t, ln_y - t)
+    lncx = np.where(pos, -ln_y - t, -t)
+    x, cx = np.exp(lnx), np.exp(lncx)
+    i = _reg_inc_beta_lanes(a, b, x, cx)
+    ln_w = ln_w0
+    sgn = 1.0
+    s = math.exp(ln_w) * i
+    n = ln_y.shape[0]
+    if ln_z == -math.inf:
+        return s, np.ones(n, dtype=np.int64), np.zeros(n), np.where(np.isfinite(s), 0, 1)
+    out_s, out_est = np.empty(n), np.empty(n)
+    out_terms = np.empty(n, dtype=np.int64)
+    out_status = np.ones(n, dtype=np.int64)
+    live = np.arange(n)
+    est = np.abs(s)
+    small = np.zeros(n, dtype=np.int64)
+    ln_t = _ln_beta_step(a, b, lnx, lncx)
+    anchor = i.copy()
+    k = 0
+    while k + 1 < max_terms and live.size > _LANES_MIN:
+        ln_w += ln_z + math.log(r + d * k) - math.log(k + 1.0)
+        sgn *= sgn_z
+        ak = a + step * k
+        i, ln_t, anchor = _inc_beta_up_lanes(i, ln_t, anchor, ak, b, x, cx, lnx, lncx)
+        if step == 2:
+            i, ln_t, anchor = _inc_beta_up_lanes(i, ln_t, anchor, ak + 1.0, b, x, cx,
+                                                 lnx, lncx)
+        k += 1
+        term = sgn * math.exp(ln_w) * i
+        s = s + term
+        est = np.abs(term)
+        # a NaN passes this test as well, ending the lane; it is reported below
+        small += 1
+        small[est > np.maximum(rel_tol * np.abs(s), _ABS_TOL)] = 0
+        done = small >= 2
+        if done.any():
+            ended = live[done]
+            out_s[ended], out_est[ended] = s[done], est[done]
+            out_terms[ended] = k + 1
+            out_status[ended] = 0
+            keep = ~done
+            live, s, est, small, i, ln_t, anchor, x, cx, lnx, lncx = (
+                v[keep] for v in (live, s, est, small, i, ln_t, anchor, x, cx, lnx, lncx)
+            )
+    out_s[live], out_est[live] = s, est
+    out_terms[live] = k + 1
+    if k + 1 < max_terms:
+        for j in live:
+            out_s[j], out_terms[j], out_est[j], out_status[j] = _beta_mixture(
+                a, step, b, float(ln_y[j]), ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms
+            )
+    out_status[~np.isfinite(out_s)] = 1
+    return out_s, out_terms, out_est, out_status
+
+
+def aef_snr_cdf_lanes(consts, g, rel_tol, max_terms):
+    """aef_snr_cdf_kernel at every lane of the array g."""
+    alpha, mu, ms, ln_2muh, ln_lam, ln_w0, ln_q, sgn_q = consts
+    ln_y = ln_2muh + 0.5 * alpha * np.log(g) - ln_lam
+    return _beta_mixture_lanes(2.0 * mu, 2, ms, ln_y, ln_w0, ln_q, sgn_q, mu, 1.0,
+                               rel_tol, max_terms)
+
+
+def akf_snr_cdf_lanes(consts, g, rel_tol, max_terms):
+    """akf_snr_cdf_kernel at every lane of the array g."""
+    alpha, mu, ms, ln_mu1k, ln_lam, ln_w0, ln_z = consts
+    ln_x1 = ln_mu1k + 0.5 * alpha * np.log(g) - ln_lam
+    return _beta_mixture_lanes(mu, 1, ms, ln_x1, ln_w0, ln_z, 1.0, 1.0, 0.0,
+                               rel_tol, max_terms)

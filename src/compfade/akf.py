@@ -49,6 +49,8 @@ class AkfDist(Law):
 
     _pdf_kernel = staticmethod(_k.akf_snr_pdf_kernel)
     _cdf_kernel = staticmethod(_k.akf_snr_cdf_kernel)
+    _pdf_lanes = staticmethod(_k.akf_snr_pdf_lanes)
+    _cdf_lanes = staticmethod(_k.akf_snr_cdf_lanes)
     # bound here, not only inherited: perfbench's tracer wraps the class's own __dict__
     snr_pdf = Law.snr_pdf
     snr_cdf = snr_cdf_series = Law.snr_cdf

@@ -123,13 +123,12 @@ class LatticeReport:
 
 def _max_dev(grid: np.ndarray, pdf_a, pdf_b, cdf_a=None, cdf_b=None) -> float:
     """Largest gap over the grid between the pdfs of two laws and, when
-    their CDF callables are given, between the CDF values."""
-    dev = 0.0
-    for g in grid:
-        dev = max(dev, abs(pdf_a(g) - pdf_b(g)))
-        if cdf_a is not None:
-            dev = max(dev, abs(cdf_a(g).value - cdf_b(g).value))
-    return dev
+    their CDF callables are given, between the CDF values; one array call
+    per curve."""
+    dev = np.max(np.abs(pdf_a(grid) - pdf_b(grid)))
+    if cdf_a is not None:
+        dev = max(dev, np.max(np.abs(cdf_a(grid).value - cdf_b(grid).value)))
+    return float(dev)
 
 
 def check_lattice(tolerance: float = 1e-4) -> LatticeReport:

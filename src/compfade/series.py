@@ -3,6 +3,11 @@ engine, and the front ends of both composite laws: Law (the one density
 front end _density and the one mixture CDF snr_cdf) and Envelope. Each
 family supplies only its kernels, their per-distribution constants and
 the head of its CDF.
+
+The densities and the mixture CDF take a float or an np.ndarray. A float
+runs the scalar kernels; an array runs every point as a lane of one array
+computation (the _kernels *_lanes functions), and the CDF then returns a
+LaneResult of arrays in place of a SeriesResult.
 """
 from __future__ import annotations
 
@@ -10,6 +15,8 @@ import math
 import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from . import _kernels as _k
 
@@ -66,6 +73,17 @@ class SeriesResult:
     converged: bool
 
 
+@dataclass(frozen=True)
+class LaneResult:
+    """SeriesResult of an array call: each field is an array of the
+    argument's shape, holding that point's SeriesResult field."""
+
+    value: np.ndarray
+    terms_used: np.ndarray
+    est_error: np.ndarray
+    converged: np.ndarray
+
+
 def _control_from_env() -> SeriesControl:
     raw = os.environ.get("COMPFADE_MAX_TERMS")
     if raw is None:
@@ -110,6 +128,22 @@ def cdf_clamped(raw: float, terms: int, est: float, converged: bool) -> SeriesRe
     )
 
 
+def _lanes(var: str, x: np.ndarray) -> np.ndarray:
+    """The points of an array argument as a flat float array; raises
+    DomainError for a negative or NaN point."""
+    x = np.asarray(x, dtype=float).ravel()
+    if not np.all(x >= 0.0):
+        raise DomainError(f"{var} must be non-negative, got {x[~(x >= 0.0)][0]}")
+    return x
+
+
+def _density_error(name: str, failed: bool) -> ConvergenceError:
+    """The error of a density whose series failed or that overflowed."""
+    if failed:
+        return ConvergenceError(f"{name}: embedded hypergeometric did not converge")
+    return ConvergenceError(f"{name}: the density overflowed the double range")
+
+
 def _freeze(obj, **values) -> None:
     """Set derived fields of a frozen dataclass in __post_init__."""
     for name, value in values.items():
@@ -119,8 +153,9 @@ def _freeze(obj, **values) -> None:
 @dataclass(frozen=True)
 class Law:
     """Instantaneous-SNR law with mean SNR gamma_bar. A family subclass sets
-    _ln_lam, _pdf_consts and _cdf_consts in __post_init__, names its kernels
-    in _pdf_kernel and _cdf_kernel, and gives _head."""
+    _ln_lam, _pdf_consts and _cdf_consts in __post_init__, names its scalar
+    kernels in _pdf_kernel and _cdf_kernel and their array forms in
+    _pdf_lanes and _cdf_lanes, and gives _head."""
 
     params: AefParams | AkfParams
     gamma_bar: float
@@ -148,7 +183,10 @@ class Law:
         power 2 the envelope (gamma_bar the mean power). The kernel takes
         ln gamma = power ln x and the log-Jacobian, so an x whose power
         under- or overflows stays on the curve; pdf(0) follows from the CDF
-        head A gamma^q = A x^(power q)."""
+        head A gamma^q = A x^(power q). An np.ndarray x goes to
+        _density_lanes."""
+        if isinstance(x, np.ndarray):
+            return self._density_lanes(name, var, x, power, ctrl)
         if not x >= 0.0:
             raise DomainError(f"{var} must be non-negative, got {x}")
         if x == 0.0:
@@ -163,14 +201,43 @@ class Law:
         value, status = self._pdf_kernel(
             self._pdf_consts, power * ln_x, ctrl.rel_tol, ctrl.max_terms, ln_jac
         )
-        if status != STATUS_OK:
-            raise ConvergenceError(f"{name}: embedded hypergeometric did not converge")
-        if not math.isfinite(value):
-            raise ConvergenceError(f"{name}: the density overflowed the double range")
+        if status != STATUS_OK or not math.isfinite(value):
+            raise _density_error(name, status != STATUS_OK)
         return value
 
-    def snr_pdf(self, gamma: float, ctrl: SeriesControl | None = None) -> float:
-        """Density of the instantaneous SNR at gamma >= 0.
+    def _density_lanes(self, name: str, var: str, x: np.ndarray, power: float,
+                       ctrl: SeriesControl | None) -> np.ndarray:
+        """_density at every point of the array x, as lanes of one call to
+        the family's _pdf_lanes; an array of x's shape. Raises as the
+        scalar call would at any of its points."""
+        shape = np.shape(x)
+        x = _lanes(var, x)
+        out = np.zeros(x.shape)
+        zero = x == 0.0
+        if zero.any():
+            ln_a, q = self._head()
+            out[zero] = _k.pdf_at_zero(ln_a, power * q)
+        mid = np.flatnonzero((x > 0.0) & (x < math.inf))
+        if mid.size:
+            if ctrl is None:
+                ctrl = default_control()
+            ln_x = np.log(x[mid])
+            if power == 1.0:
+                ln_jac = np.zeros(mid.size)
+            else:
+                ln_jac = (power - 1.0) * ln_x + math.log(power)
+            values, status = self._pdf_lanes(
+                self._pdf_consts, power * ln_x, ctrl.rel_tol, ctrl.max_terms, ln_jac
+            )
+            if status.any() or not np.isfinite(values).all():
+                raise _density_error(name, status.any())
+            out[mid] = values
+        return out.reshape(shape)
+
+    def snr_pdf(self, gamma: float | np.ndarray,
+                ctrl: SeriesControl | None = None) -> float | np.ndarray:
+        """Density of the instantaneous SNR at gamma >= 0, or at every point
+        of an np.ndarray gamma.
 
         Its hypergeometric factor (the alpha-eta-F 2F1, the alpha-kappa-F
         1F1) comes from scipy.special for ms <= 50, where ctrl has no
@@ -179,11 +246,18 @@ class Law:
         """
         return self._density("snr_pdf", "gamma", gamma, 1.0, ctrl)
 
-    def snr_cdf(self, gamma: float, ctrl: SeriesControl | None = None) -> SeriesResult:
+    def snr_cdf(self, gamma: float | np.ndarray,
+                ctrl: SeriesControl | None = None) -> SeriesResult | LaneResult:
         """CDF of the instantaneous SNR at gamma >= 0, as a truncated mixture
         of regularized incomplete betas (negative binomial weights for
         alpha-eta-F, Poisson for alpha-kappa-F), clamped to [0, 1]; any
-        clamping adjustment is added to est_error."""
+        clamping adjustment is added to est_error.
+
+        An np.ndarray gamma gives a LaneResult whose fields are arrays of
+        its shape; ctrl's rel_tol and max_terms then act on each point as
+        on a scalar call."""
+        if isinstance(gamma, np.ndarray):
+            return self._cdf_lanes_result(gamma, ctrl)
         end = cdf_endpoint(gamma)
         if end is not None:
             return end
@@ -193,6 +267,30 @@ class Law:
             self._cdf_consts, float(gamma), ctrl.rel_tol, ctrl.max_terms
         )
         return cdf_clamped(raw, terms, est, status == STATUS_OK)
+
+    def _cdf_lanes_result(self, gamma: np.ndarray,
+                          ctrl: SeriesControl | None) -> LaneResult:
+        """snr_cdf at every point of the array gamma, as lanes of one call to
+        the family's _cdf_lanes, with cdf_endpoint's values at 0 and inf and
+        cdf_clamped's clamping."""
+        shape = np.shape(gamma)
+        g = _lanes("gamma", gamma)
+        value = (g > 0.0).astype(float)
+        terms = np.zeros(g.shape, dtype=np.int64)
+        est = np.zeros(g.shape)
+        converged = np.ones(g.shape, dtype=bool)
+        mid = np.flatnonzero((g > 0.0) & (g < math.inf))
+        if mid.size:
+            if ctrl is None:
+                ctrl = default_control()
+            raw, terms[mid], e, status = self._cdf_lanes(
+                self._cdf_consts, g[mid], ctrl.rel_tol, ctrl.max_terms
+            )
+            value[mid] = np.clip(raw, 0.0, 1.0)
+            est[mid] = e + np.abs(raw - value[mid])
+            converged[mid] = status == STATUS_OK
+        return LaneResult(value=value.reshape(shape), terms_used=terms.reshape(shape),
+                          est_error=est.reshape(shape), converged=converged.reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -210,7 +308,8 @@ class Envelope:
             raise DomainError(f"omega_power must be positive, got {self.omega_power}")
         _freeze(self, _snr=self._law(self.params, self.omega_power))
 
-    def envelope_pdf(self, r: float, ctrl: SeriesControl | None = None) -> float:
-        """Density of the signal envelope at r >= 0; ctrl acts as in
-        snr_pdf."""
+    def envelope_pdf(self, r: float | np.ndarray,
+                     ctrl: SeriesControl | None = None) -> float | np.ndarray:
+        """Density of the signal envelope at r >= 0 (or at every point of an
+        np.ndarray r); ctrl acts as in snr_pdf."""
         return self._snr._density("envelope_pdf", "r", r, 2.0, ctrl)

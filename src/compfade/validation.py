@@ -45,6 +45,12 @@ CDF_QUAD_TOL = 1e-8
 CDF_CLOSED_TOL = 1e-8
 FISHER_TOL = 1e-10
 KS_LIMIT = 2e-3
+# the envelope CDF replaces its first _HEAD_CELLS linear cells [0, r_n] by
+# the CDF head up to r0 = _HEAD_R0 r1, then _HEAD_POINTS geometric grid
+# points up to r_n
+_HEAD_CELLS = 64
+_HEAD_R0 = 1e-30
+_HEAD_POINTS = 4001
 ENGINE_TOL = 1e-10
 REDUCTION_TOL = 1e-12
 ASYM_RATIO_TOLS = ((1e3, 0.05), (1e4, 0.01), (1e5, 0.003))
@@ -273,18 +279,26 @@ def _snr_cdf_interp(d, samples: np.ndarray):
     lo = max(samples[0] * 0.5, 1e-300)
     hi = samples[-1] * 1.001
     grid = np.concatenate(([0.0], np.geomspace(lo, hi, 4000)))
-    vals = np.array([d.snr_cdf(g).value for g in grid])
-    return np.interp(samples, grid, vals)
+    return np.interp(samples, grid, d.snr_cdf(grid).value)
 
 
 def _envelope_cdf_interp(env, samples: np.ndarray) -> np.ndarray:
     """Envelope CDF by cumulative trapezoid integration of envelope_pdf on
-    a dense linear grid; independent of the SNR-domain series route."""
+    a dense linear grid; independent of the SNR-domain series route.
+
+    The density is infinite at r = 0 when 2q < 1 (F ~ A r^(2q)), and the
+    first linear cells may then hold much of the mass. So the first
+    _HEAD_CELLS of them are a geometric grid from r0 = _HEAD_R0 r1 on, and
+    the CDF starts from the head A r0^(2q) at r0."""
     hi = samples[-1] * 1.002
-    grid = np.linspace(0.0, hi, 25001)
-    vals = np.array([env.envelope_pdf(r) for r in grid])
-    cdf = np.concatenate(([0.0], np.cumsum((vals[1:] + vals[:-1]) * 0.5 * np.diff(grid))))
-    return np.interp(samples, grid, cdf)
+    lin = np.linspace(0.0, hi, 25001)
+    head = np.geomspace(_HEAD_R0 * lin[1], lin[_HEAD_CELLS], _HEAD_POINTS)
+    grid = np.concatenate((head, lin[_HEAD_CELLS + 1:]))
+    vals = env.envelope_pdf(grid)
+    ln_a, q = env._snr._head()
+    cells = (vals[1:] + vals[:-1]) * 0.5 * np.diff(grid)
+    cdf = np.concatenate(([0.0, math.exp(ln_a + 2.0 * q * math.log(grid[0]))], cells))
+    return np.interp(samples, np.concatenate(([0.0], grid)), np.cumsum(cdf))
 
 
 def check_mc(n: int = 1_000_000, seed: int = 777, flip_h_sign: bool = False,
