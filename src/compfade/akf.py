@@ -18,11 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import _kernels as _k
 from . import params as _params
 from .series import (
     STATUS_OK,
     ConvergenceError,
+    DomainError,
     Envelope,
     Law,
     SeriesControl,
@@ -100,7 +103,12 @@ class AkfDist(Law):
         -1/X1, mu kappa) = e^(-mu kappa) 1F1(mu; mu; mu kappa), is exactly 1
         and is not summed: there terms_used and est_error are those of the
         second term's Psi1 alone.
+
+        The closed forms take one point per call: an np.ndarray gamma raises
+        DomainError (snr_cdf takes arrays).
         """
+        if isinstance(gamma, np.ndarray):
+            raise DomainError("snr_cdf_closed takes one point per call, got an array")
         end = cdf_endpoint(gamma)
         if end is not None:
             return end

@@ -281,8 +281,7 @@ def cmd_sample(args, stream) -> int:
 
 
 def cmd_validate(args, stream) -> int:
-    # imported here: the battery pulls in scipy.integrate, which the other
-    # commands never need
+    # imported here, so the other commands do not load the battery
     from . import validation
 
     report = validation.run_battery(
@@ -295,6 +294,8 @@ def cmd_validate(args, stream) -> int:
         + (f" ({', '.join(failed[:6])})" if failed else "")
     )
     print(f"validate {args.level}: {summary}", file=sys.stderr)
+    timing = ", ".join(f"{group} {s:.3f}" for group, s in report["seconds"].items())
+    print(f"validate {args.level} seconds: {timing}", file=sys.stderr)
     return 0 if report["passed"] else 3
 
 

@@ -10,10 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _kernels as _k
 from .aef import AefDist
 from .akf import AkfDist
-from .series import DomainError, Law, SeriesControl, SeriesResult
+from .series import DomainError, LaneResult, Law, SeriesControl, SeriesResult
 
 __all__ = [
     "GainPair",
@@ -43,11 +45,17 @@ def _check_threshold(gamma_th: float) -> None:
 
 def outage(
     dist: AefDist | AkfDist,
-    gamma_th: float,
+    gamma_th: float | np.ndarray,
     ctrl: SeriesControl | None = None,
-) -> SeriesResult:
-    """Outage probability P[gamma < gamma_th]: the law's mixture CDF snr_cdf."""
-    _check_threshold(gamma_th)
+) -> SeriesResult | LaneResult:
+    """Outage probability P[gamma < gamma_th]: the law's mixture CDF snr_cdf.
+    An np.ndarray of thresholds gives a LaneResult, from one array call."""
+    if isinstance(gamma_th, np.ndarray):
+        bad = ~((gamma_th > 0.0) & np.isfinite(gamma_th))
+        if bad.any():
+            raise DomainError(f"gamma_th must be positive, got {gamma_th[bad][0]}")
+    else:
+        _check_threshold(gamma_th)
     if not isinstance(dist, Law):
         raise DomainError(f"unsupported distribution type {type(dist).__name__}")
     return dist.snr_cdf(gamma_th, ctrl)

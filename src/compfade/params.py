@@ -16,6 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 
+from . import _kernels as _k
 from . import specfun
 from ._kernels import KAPPA_ZERO_CUTOFF
 from .series import ConvergenceError, DomainError
@@ -176,9 +177,9 @@ def upsilon(p: AefParams) -> float:
     if not f.converged:
         raise ConvergenceError("upsilon: geometry hypergeometric did not converge")
     ln_bracket = (
-        math.log(specfun.beta(2.0 * p.mu, p.ms))
+        _k._lbeta(2.0 * p.mu, p.ms)
         + p.mu * math.log(h)
-        - math.log(specfun.beta(2.0 * p.mu + q, p.ms - q))
+        - _k._lbeta(2.0 * p.mu + q, p.ms - q)
         - math.log(f.value)
     )
     return 2.0 * p.mu * h / (p.ms - 1.0) * math.exp(0.5 * p.alpha * ln_bracket)
@@ -194,9 +195,7 @@ def omega(p: AkfParams) -> float:
     cutoff uses the exact limit form.
     """
     q = 2.0 / p.alpha
-    ln_bb = math.log(specfun.beta(p.mu, p.ms)) - math.log(
-        specfun.beta(p.mu + q, p.ms - q)
-    )
+    ln_bb = _k._lbeta(p.mu, p.ms) - _k._lbeta(p.mu + q, p.ms - q)
     if p.kappa < KAPPA_ZERO_CUTOFF:
         return p.mu / (p.ms - 1.0) * math.exp(0.5 * p.alpha * ln_bb)
     mk = p.mu * p.kappa

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -30,6 +31,14 @@ DEFAULT_MAX_TERMS = 100_000
 STATUS_OK = 0
 STATUS_MAX_TERMS = 1
 STATUS_DIVERGED = 2
+
+
+# The density's log is a sum in which terms of size ms |ln Lambda| cancel,
+# so it rounds by about eps ms |ln Lambda|: at gamma_bar = 1 the
+# alpha-eta-F density was 1.7e-4 off at ms = 1e11 and 1e12 and twice the
+# true value at 1e15. The densities refuse shapes where that rounding
+# passes 1e-3.
+_LN_PREFACTOR_MAX = 1e-3 / sys.float_info.epsilon
 
 
 class DomainError(ValueError):
@@ -144,6 +153,12 @@ def _density_error(name: str, failed: bool) -> ConvergenceError:
     return ConvergenceError(f"{name}: the density overflowed the double range")
 
 
+def _cdf_error() -> ConvergenceError:
+    """The error of a mixture CDF whose sum is not finite (an incomplete
+    beta that scipy gives as NaN, at shapes such as ms = 1e300)."""
+    return ConvergenceError("snr_cdf: the mixture sum is not finite")
+
+
 def _freeze(obj, **values) -> None:
     """Set derived fields of a frozen dataclass in __post_init__."""
     for name, value in values.items():
@@ -194,6 +209,8 @@ class Law:
             return _k.pdf_at_zero(ln_a, power * q)
         if x == math.inf:
             return 0.0
+        if self.params.ms * abs(self._ln_lam) > _LN_PREFACTOR_MAX:
+            raise self._prefactor_error(name)
         if ctrl is None:
             ctrl = default_control()
         ln_x = math.log(x)
@@ -204,6 +221,15 @@ class Law:
         if status != STATUS_OK or not math.isfinite(value):
             raise _density_error(name, status != STATUS_OK)
         return value
+
+    def _prefactor_error(self, name: str) -> ConvergenceError:
+        """The error of a density whose log-prefactor is too large to keep
+        it to _LN_PREFACTOR_MAX's 1e-3."""
+        return ConvergenceError(
+            f"{name}: the density overflowed the precision of a double: its "
+            f"log-prefactor ms ln Lambda = {self.params.ms * self._ln_lam:.3g} "
+            "rounds by more than 1e-3"
+        )
 
     def _density_lanes(self, name: str, var: str, x: np.ndarray, power: float,
                        ctrl: SeriesControl | None) -> np.ndarray:
@@ -219,6 +245,8 @@ class Law:
             out[zero] = _k.pdf_at_zero(ln_a, power * q)
         mid = np.flatnonzero((x > 0.0) & (x < math.inf))
         if mid.size:
+            if self.params.ms * abs(self._ln_lam) > _LN_PREFACTOR_MAX:
+                raise self._prefactor_error(name)
             if ctrl is None:
                 ctrl = default_control()
             ln_x = np.log(x[mid])
@@ -255,7 +283,8 @@ class Law:
 
         An np.ndarray gamma gives a LaneResult whose fields are arrays of
         its shape; ctrl's rel_tol and max_terms then act on each point as
-        on a scalar call."""
+        on a scalar call. Raises ConvergenceError where the sum is not
+        finite."""
         if isinstance(gamma, np.ndarray):
             return self._cdf_lanes_result(gamma, ctrl)
         end = cdf_endpoint(gamma)
@@ -266,6 +295,8 @@ class Law:
         raw, terms, est, status = self._cdf_kernel(
             self._cdf_consts, float(gamma), ctrl.rel_tol, ctrl.max_terms
         )
+        if not math.isfinite(raw):
+            raise _cdf_error()
         return cdf_clamped(raw, terms, est, status == STATUS_OK)
 
     def _cdf_lanes_result(self, gamma: np.ndarray,
@@ -286,6 +317,8 @@ class Law:
             raw, terms[mid], e, status = self._cdf_lanes(
                 self._cdf_consts, g[mid], ctrl.rel_tol, ctrl.max_terms
             )
+            if not np.isfinite(raw).all():
+                raise _cdf_error()
             value[mid] = np.clip(raw, 0.0, 1.0)
             est[mid] = e + np.abs(raw - value[mid])
             converged[mid] = status == STATUS_OK

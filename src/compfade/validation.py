@@ -5,15 +5,21 @@ adaptive quadrature of the densities, extended-precision series oracles for
 the special-function engines, and the physical-model Monte-Carlo samplers
 for the distributions as a whole. Checks return structured results so the
 battery can be rendered as JSON and asserted in tests.
+
+The quadrature (_integrate, for the normalization, mean and CDF checks) is
+an array Gauss-Legendre mesh, not scipy.integrate.quad: each refinement
+round evaluates the density once, on an array of all its pending nodes,
+through the densities' lanes.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from . import _kernels as _k
 from . import cases, mc, specfun
@@ -57,6 +63,18 @@ ASYM_RATIO_TOLS = ((1e3, 0.05), (1e4, 0.01), (1e5, 0.003))
 SLOPE_TOL = 0.02
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=400)
+# _integrate: Gauss-Legendre orders per panel (integral, error estimate),
+# the ratio of its geometric meshes, the share of epsabs its
+# analytic remainders may take, how far in x/split its meshes may reach,
+# and its round budget
+_GAUSS_ORDERS = (20, 10)
+_GAUSS_RULES = [special.roots_legendre(n) for n in _GAUSS_ORDERS]
+_GAUSS_NODES = np.concatenate([nodes for nodes, _ in _GAUSS_RULES])
+_GAUSS_WEIGHTS = [weights for _, weights in _GAUSS_RULES]
+_MESH_RATIO = 0.2
+_REMAINDER_SHARE = 0.25
+_X_SPAN = 1e100
+_ROUNDS = 30
 
 # Axes of the standard 81-point parameter grids (gamma_bar = 1 throughout;
 # eta is Format I).
@@ -131,30 +149,108 @@ def _standard_grids() -> list:
     ]
 
 
-def _quad_split(f, split: float, head_exp: float, tail_decay: float) -> float:
-    """Integral of f over (0, inf) with power substitutions that regularize
-    an x**head_exp endpoint at zero and an x**(-tail_decay) tail."""
-    p = max(1.0, 1.6 / (1.0 + head_exp))
-    head, _ = integrate.quad(
-        lambda t: f(split * t**p) * split * p * t ** (p - 1.0),
-        0.0, 1.0, **_QUAD_OPTS,
-    )
-    q = max(1.0, 1.6 / (tail_decay - 1.0))
-    tail, _ = integrate.quad(
-        lambda u: f(split * u**-q) * split * q * u ** (-q - 1.0),
-        0.0, 1.0, **_QUAD_OPTS,
-    )
-    return head + tail
+def _integrate(f, split: float, head_exp: float, tail_decay: float | None = None,
+               marks=()) -> tuple:
+    """Integral of f over (0, split], and over (0, inf) when tail_decay is
+    given, for an f that takes an array and goes as x^head_exp at 0 and as
+    x^(-tail_decay) at inf; also the integrals over (0, m] for the marks
+    m <= split.
 
+    The substitution x = split t^k maps each side onto t in (0, 1]: the head
+    with k = p = max(1, 1.6/(1 + head_exp)), the tail with k = -q,
+    q = max(1, 1.6/(tail_decay - 1)). The integrand g(t) = f(x) |dx/dt| then
+    goes as t^s at t = 0, with s = p(1 + head_exp) - 1 or
+    q(tail_decay - 1) - 1, both at least 0.6. Each side is a geometric mesh
+    of (0, 1] with ratio _MESH_RATIO down to an edge t0, below which the
+    analytic remainder t0 g(t0)/(1 + s) is added. The mesh starts where
+    t^(1 + s) reaches the remainder's allowance, _REMAINDER_SHARE of
+    epsabs, and grows inward while the remainder exceeds it, up to where
+    x/split passes _X_SPAN^(+-1): there f is taken to be on its endpoint
+    power law (the densities' next terms are smaller by a factor of about
+    _X_SPAN^(-alpha/2), 1e-50 at alpha = 1), and a density has not yet
+    underflowed. The marks are edges of the head mesh.
 
-def _quad_head(f, upper: float, head_exp: float) -> float:
-    """Integral of f over (0, upper) with the endpoint substitution."""
-    p = max(1.0, 1.6 / (1.0 + head_exp))
-    val, _ = integrate.quad(
-        lambda t: f(upper * t**p) * upper * p * t ** (p - 1.0),
-        0.0, 1.0, **_QUAD_OPTS,
-    )
-    return val
+    Each panel takes the Gauss-Legendre rules of _GAUSS_ORDERS: the higher
+    order gives its integral, the difference to the lower its error
+    estimate. A panel whose estimate exceeds its share (by t-width) of the
+    tolerance max(epsabs, epsrel |total|) of _QUAD_OPTS is bisected. f is
+    called once per round, on an array of every pending node of both
+    sides.
+
+    Returns (total, np.ndarray of the integrals over (0, m] for m in marks).
+    Raises ConvergenceError for a non-finite integral, or when panels are
+    still pending after _ROUNDS rounds or past _QUAD_OPTS["limit"] panels.
+    """
+    a = np.array([head_exp] if tail_decay is None else [head_exp, -tail_decay])
+    k = np.copysign(np.maximum(1.0, 1.6 / np.abs(1.0 + a)), 1.0 + a)
+    s = k * (1.0 + a) - 1.0
+    step = -math.log(_MESH_RATIO)
+    # side i's innermost edge is t0 = _MESH_RATIO^depth[i]
+    max_depth = np.ceil(math.log(_X_SPAN) / (np.abs(k) * step))
+    allowance = _REMAINDER_SHARE * _QUAD_OPTS["epsabs"]
+    depth = np.minimum(max_depth, np.ceil(-math.log(allowance) / ((1.0 + s) * step)))
+    t_marks = (np.asarray(marks, dtype=float) / split) ** (1.0 / k[0])
+    if t_marks.size:
+        depth[0] = max(depth[0], math.ceil(-math.log(t_marks.min()) / step))
+    lo, hi, side = [], [], []
+    for i in range(a.size):
+        edges = _MESH_RATIO ** np.arange(depth[i], -1.0, -1.0)
+        if i == 0:
+            edges = np.union1d(edges, t_marks)
+        lo.append(edges[:-1])
+        hi.append(edges[1:])
+        side.append(np.full(edges.size - 1, i))
+    lo, hi, side = np.concatenate(lo), np.concatenate(hi), np.concatenate(side)
+    rest = np.zeros(a.size)
+    new_rest = np.ones(a.size, dtype=bool)  # sides whose t0 is still to evaluate
+    kept_hi, kept_side, kept_val = [], [], []
+    kept_sum = 0.0
+    for _ in range(_ROUNDS):
+        t0 = _MESH_RATIO ** depth[new_rest]
+        nodes = ((0.5 * (lo + hi))[:, None]
+                 + (0.5 * (hi - lo))[:, None] * _GAUSS_NODES).ravel()
+        t = np.concatenate((nodes, t0))
+        kt = np.concatenate((np.repeat(k[side], _GAUSS_NODES.size), k[new_rest]))
+        g = f(split * t**kt) * (split * np.abs(kt) * t ** (kt - 1.0))
+        rest[new_rest] = t0 * g[nodes.size:] / (1.0 + s[new_rest])
+        g = g[:nodes.size].reshape(lo.size, _GAUSS_NODES.size)
+        half = 0.5 * (hi - lo)
+        fine = half * (g[:, :_GAUSS_ORDERS[0]] @ _GAUSS_WEIGHTS[0])
+        coarse = half * (g[:, _GAUSS_ORDERS[0]:] @ _GAUSS_WEIGHTS[1])
+        total = kept_sum + np.sum(fine) + np.sum(rest)
+        if not math.isfinite(total):
+            raise ConvergenceError("quadrature: the integral is not finite")
+        tol = max(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * abs(total))
+        ok = np.abs(fine - coarse) <= tol * (hi - lo) / a.size
+        kept_hi.append(hi[ok])
+        kept_side.append(side[ok])
+        kept_val.append(fine[ok])
+        kept_sum += np.sum(fine[ok])
+        mid = (0.5 * (lo + hi))[~ok]
+        lo, hi = np.concatenate((lo[~ok], mid)), np.concatenate((mid, hi[~ok]))
+        side = np.tile(side[~ok], 2)
+        # deepen the mesh of a side whose remainder is above its allowance,
+        # by as many panels as its power law asks for
+        new_rest = (np.abs(rest) > allowance) & (depth < max_depth)
+        for i in np.flatnonzero(new_rest):
+            more = math.ceil(math.log(abs(rest[i]) / allowance) / ((1.0 + s[i]) * step))
+            deeper = min(max_depth[i], depth[i] + more)
+            edges = _MESH_RATIO ** np.arange(deeper, depth[i] - 1.0, -1.0)
+            lo = np.concatenate((lo, edges[:-1]))
+            hi = np.concatenate((hi, edges[1:]))
+            side = np.concatenate((side, np.full(edges.size - 1, i)))
+            depth[i] = deeper
+        if not lo.size or sum(v.size for v in kept_val) + lo.size > _QUAD_OPTS["limit"]:
+            break
+    if lo.size:
+        raise ConvergenceError(
+            f"quadrature: {lo.size} panels pending after {len(kept_val)} of "
+            f"{_ROUNDS} rounds and {_QUAD_OPTS['limit']} panels, at tolerance {tol:.3g}"
+        )
+    kept_hi, kept_side, kept_val = map(np.concatenate, (kept_hi, kept_side, kept_val))
+    head_hi, head_val = kept_hi[kept_side == 0], kept_val[kept_side == 0]
+    at_marks = np.array([rest[0] + np.sum(head_val[head_hi <= tm]) for tm in t_marks])
+    return float(kept_sum + np.sum(rest)), at_marks
 
 
 def _snr_pdf_fn(p: AefParams | AkfParams, gamma_bar: float = 1.0):
@@ -162,6 +258,16 @@ def _snr_pdf_fn(p: AefParams | AkfParams, gamma_bar: float = 1.0):
     of the CDF head, less one)."""
     d = (AefDist if isinstance(p, AefParams) else AkfDist)(p, gamma_bar)
     return d, d.snr_pdf, d._head()[1] - 1.0
+
+
+def _quadrature_check(name: str, limit: float, deviation) -> Check:
+    """Check of deviation(), a callable that integrates; a quadrature that
+    does not converge fails the check, its message the detail."""
+    try:
+        dev = deviation()
+    except ConvergenceError as exc:
+        return Check(name, math.nan, limit, False, detail=str(exc))
+    return Check(name, dev, limit, dev <= limit)
 
 
 def check_normalization(grids=None) -> list:
@@ -173,13 +279,11 @@ def check_normalization(grids=None) -> list:
     for p in grids:
         tag = _aef_tag(p) if isinstance(p, AefParams) else _akf_tag(p)
         _, pdf, head_exp = _snr_pdf_fn(p)
-        total = _quad_split(
-            pdf, 1.0, head_exp, 1.0 + 0.5 * p.alpha * p.ms
-        )
-        dev = abs(total - 1.0)
-        checks.append(
-            Check(f"norm-{tag}", dev, NORMALIZATION_TOL, dev <= NORMALIZATION_TOL)
-        )
+        tail_decay = 1.0 + 0.5 * p.alpha * p.ms
+        checks.append(_quadrature_check(
+            f"norm-{tag}", NORMALIZATION_TOL,
+            lambda: abs(_integrate(pdf, 1.0, head_exp, tail_decay)[0] - 1.0),
+        ))
     return checks
 
 
@@ -192,12 +296,12 @@ def check_mean(grids=None) -> list:
     for p in grids:
         tag = _aef_tag(p) if isinstance(p, AefParams) else _akf_tag(p)
         _, pdf, head_exp = _snr_pdf_fn(p)
-        mean = _quad_split(
-            lambda g: g * pdf(g), 1.0,
-            head_exp + 1.0, 0.5 * p.alpha * p.ms,
-        )
-        dev = abs(mean - 1.0)
-        checks.append(Check(f"mean-{tag}", dev, MEAN_TOL, dev <= MEAN_TOL))
+        tail_decay = 0.5 * p.alpha * p.ms
+        checks.append(_quadrature_check(
+            f"mean-{tag}", MEAN_TOL,
+            lambda: abs(_integrate(lambda g: g * pdf(g), 1.0, head_exp + 1.0,
+                                   tail_decay)[0] - 1.0),
+        ))
     return checks
 
 
@@ -207,7 +311,11 @@ _CDF_POINTS = np.geomspace(0.05, 8.0, 10)
 def check_cdf(grids=None) -> list:
     """Criterion: snr_cdf matches quadrature of snr_pdf within 1e-8 at ten
     points per grid cell; for the kappa family the closed forms match the
-    series within 1e-8 outside the dispatch guard band."""
+    series within 1e-8 outside the dispatch guard band.
+
+    The series CDF is one array call per grid cell, and the quadrature one
+    _integrate call with the ten points as marks; the closed forms take one
+    point per call."""
     checks = []
     if grids is None:
         grids = _standard_grids()
@@ -215,23 +323,19 @@ def check_cdf(grids=None) -> list:
         is_aef = isinstance(p, AefParams)
         tag = _aef_tag(p) if is_aef else _akf_tag(p)
         d, pdf, head_exp = _snr_pdf_fn(p)
-        dev = 0.0
+        series = d.snr_cdf(_CDF_POINTS).value
+        checks.append(_quadrature_check(
+            f"cdf-quad-{tag}", CDF_QUAD_TOL,
+            lambda: float(np.max(np.abs(series - _integrate(
+                pdf, _CDF_POINTS[-1], head_exp, marks=_CDF_POINTS)[1]))),
+        ))
+        if is_aef:
+            continue
         dev_closed = -1.0
-        acc = _quad_head(pdf, _CDF_POINTS[0], head_exp)
-        prev = _CDF_POINTS[0]
-        for g in _CDF_POINTS:
-            if g > prev:
-                seg, _ = integrate.quad(pdf, prev, g, **_QUAD_OPTS)
-                acc += seg
-                prev = g
-            series = d.snr_cdf(g).value
-            if not is_aef:
-                x1 = math.exp(d._ln_x1(g))
-                if abs(x1 - 1.0) > CLOSED_FORM_GUARD:
-                    closed = d.snr_cdf_closed(g).value
-                    dev_closed = max(dev_closed, abs(closed - series))
-            dev = max(dev, abs(series - acc))
-        checks.append(Check(f"cdf-quad-{tag}", dev, CDF_QUAD_TOL, dev <= CDF_QUAD_TOL))
+        for g, value in zip(_CDF_POINTS, series.tolist()):
+            if abs(math.exp(d._ln_x1(g)) - 1.0) > CLOSED_FORM_GUARD:
+                closed = d.snr_cdf_closed(float(g)).value
+                dev_closed = max(dev_closed, abs(closed - value))
         if dev_closed >= 0.0:
             checks.append(
                 Check(
@@ -557,32 +661,41 @@ def run_battery(
     """Run the validation battery and return a JSON-ready report dict.
 
     quick: normalization grid, lattice equivalences, one Monte-Carlo pairing
-    at n = 10^5. full: the entire acceptance battery at n = 10^6.
+    at n = 10^5. full: the entire acceptance battery at n = 10^6. The
+    report's "seconds" maps each check group to its wall time.
     """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
-    checks = []
     if level == "quick":
-        checks += check_normalization()
-        checks += check_lattice()
-        checks += check_mc(
-            n=100_000, seed=seed, flip_h_sign=flip_h_sign,
-            configs=[MC_AEF_CONFIGS[0]],
+        groups = (
+            ("normalization", check_normalization),
+            ("lattice", check_lattice),
+            ("mc", lambda: check_mc(n=100_000, seed=seed, flip_h_sign=flip_h_sign,
+                                    configs=[MC_AEF_CONFIGS[0]])),
         )
     else:
-        checks += check_normalization()
-        checks += check_mean()
-        checks += check_cdf()
-        checks += check_fisher()
-        checks += check_mc(n=1_000_000, seed=seed, flip_h_sign=flip_h_sign)
-        checks += check_bound(seed=seed)
-        checks += check_asym()
-        checks += check_lattice()
-        checks += check_engines(seed=seed)
-        checks += check_determinism()
+        groups = (
+            ("normalization", check_normalization),
+            ("mean", check_mean),
+            ("cdf", check_cdf),
+            ("fisher", check_fisher),
+            ("mc", lambda: check_mc(n=1_000_000, seed=seed, flip_h_sign=flip_h_sign)),
+            ("bound", lambda: check_bound(seed=seed)),
+            ("asym", check_asym),
+            ("lattice", check_lattice),
+            ("engines", lambda: check_engines(seed=seed)),
+            ("determinism", check_determinism),
+        )
+    checks = []
+    seconds = {}
+    for group, run in groups:
+        start = time.perf_counter()
+        checks += run()
+        seconds[group] = time.perf_counter() - start
     return {
         "level": level,
         "seed": seed,
         "passed": all(c.passed for c in checks),
         "checks": [dataclasses.asdict(c) for c in checks],
+        "seconds": seconds,
     }

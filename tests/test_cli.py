@@ -217,6 +217,9 @@ def test_validate_quick_passes():
     assert doc["passed"] is True
     assert doc["level"] == "quick"
     assert all(set(c) >= {"name", "measured", "limit", "passed"} for c in doc["checks"])
+    assert list(doc["seconds"]) == ["normalization", "lattice", "mc"]
+    assert all(s > 0.0 for s in doc["seconds"].values())
+    assert "validate quick seconds: normalization " in r.stderr.decode()
 
 
 def test_validate_detects_seeded_defect():

@@ -102,9 +102,11 @@ def test_cdf_lanes_match_scalar_calls(name, law, envelope, p, gamma_bar):
 
 @pytest.mark.parametrize("name,law,envelope,p", laws("aef-I", "akf"))
 def test_short_arrays_match_scalar_calls(name, law, envelope, p):
-    # no more than _k._LANES_MIN live lanes are summed by the scalar loop
+    # arrays of fewer than _k._LANES_START points, and the last
+    # _k._LANES_MIN live lanes of longer ones, are summed by the scalar loop
     d = law(p, 1.0)
-    for grid in (GRID[100:101], GRID[100:103], GRID[95:95 + _k._LANES_MIN + 1]):
+    for grid in (GRID[100:101], GRID[100:103], GRID[95:95 + _k._LANES_MIN + 1],
+                 GRID[95:95 + _k._LANES_START]):
         _assert_cdf_lanes(d.snr_cdf(grid), [d.snr_cdf(float(g)) for g in grid])
 
 

@@ -6,8 +6,11 @@ import os
 import subprocess
 import sys
 
+import mpmath as mp
 import pytest
+from scipy import special
 
+from compfade import _kernels as _k
 from compfade import (
     AefDist,
     AefEnvelope,
@@ -73,6 +76,57 @@ def test_normalization_out_of_the_double_range_raises(build):
     # overflows: none of them may escape as a bare arithmetic error
     with pytest.raises(ConvergenceError, match="normalization constant"):
         build()
+
+
+@pytest.mark.parametrize("ms", [1e4, 1e6, 1e12, 1e15])
+@pytest.mark.parametrize("a", [0.3, 2.0, 60.0])
+def test_lbeta_matches_betaln_at_large_shapes(a, ms):
+    got, want = _k._lbeta(a, ms), special.betaln(a, ms)
+    if a + ms > _k._LBETA_LGAMMA_MAX:
+        assert got == want
+    else:
+        # the lgamma difference rounds by about eps (a + b) ln(a + b)
+        assert abs(got - want) <= 4.0 * 2.0**-52 * (a + ms) * math.log(a + ms)
+    with mp.workdps(40):
+        exact = mp.loggamma(a) + mp.loggamma(ms) - mp.loggamma(mp.mpf(a) + ms)
+    assert abs(got - float(exact)) <= 1e-8 * abs(float(exact))
+
+
+def _eta_mu_cdf(eta, mu, g):
+    """CDF at g of the ms -> inf limit of the alpha-eta-F law at alpha = 2,
+    gamma_bar = 1, Format I: the eta-mu law."""
+    with mp.workdps(30):
+        h, H = (2 + 1 / mp.mpf(eta) + eta) / 4, (1 / mp.mpf(eta) - eta) / 4
+        c = 2 * mp.sqrt(mp.pi) * mu ** (mu + 0.5) * h**mu / (mp.gamma(mu) * H ** (mu - 0.5))
+        return float(mp.quad(lambda x: c * x ** (mu - 0.5) * mp.exp(-2 * mu * h * x)
+                             * mp.besseli(mu - 0.5, 2 * mu * H * x), [0, g]))
+
+
+def _kappa_mu_cdf(kappa, mu, g):
+    """CDF at g of the ms -> inf limit of the alpha-kappa-F law at alpha = 2,
+    gamma_bar = 1: the kappa-mu law."""
+    with mp.workdps(30):
+        c = mu * (1 + kappa) ** ((mu + 1) / 2) / (kappa ** ((mu - 1) / 2) * mp.exp(mu * kappa))
+        return float(mp.quad(lambda x: c * x ** ((mu - 1) / 2) * mp.exp(-mu * (1 + kappa) * x)
+                             * mp.besseli(mu - 1, 2 * mu * mp.sqrt(kappa * (1 + kappa) * x)),
+                             [0, g]))
+
+
+@pytest.mark.parametrize("ms", [1e15, 1e100, 1e300])
+def test_cdf_at_huge_ms_is_the_limit_law_or_raises(ms):
+    # a CDF within 1/ms of the ms -> inf law, or ConvergenceError. With
+    # ln B from the lgamma difference alone (ln B(2, 1e15) = -64.0 for
+    # -69.08), ms = 1e300 gave a converged 0.99999999999999
+    cases = ((AefDist(AefParams(alpha=2.0, eta=0.5, mu=1.0, ms=ms), 1.0),
+              _eta_mu_cdf(0.5, 1.0, 1.0)),
+             (AkfDist(AkfParams(alpha=2.0, kappa=1.0, mu=1.0, ms=ms), 1.0),
+              _kappa_mu_cdf(1.0, 1.0, 1.0)))
+    for d, want in cases:
+        try:
+            r = d.snr_cdf(1.0)
+        except ConvergenceError:
+            continue
+        assert r.converged and abs(r.value - want) <= 1e-12
 
 
 @pytest.mark.parametrize("density", [

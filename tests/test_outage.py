@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from compfade import (
@@ -11,6 +12,7 @@ from compfade import (
     AkfParams,
     DomainError,
     GainPair,
+    LaneResult,
     asymptotic_outage_aef,
     asymptotic_outage_akf,
     gains,
@@ -119,3 +121,24 @@ def test_gain_pair_validation():
         GainPair(gc=0.0, gd=1.0)
     with pytest.raises(DomainError):
         GainPair(gc=1.0, gd=-2.0)
+
+
+def test_outage_on_an_array_is_one_lane_call(aef_dist, akf_dist):
+    thresholds = np.array([0.05, 0.5, 1.0, 7.0])
+    for d in (aef_dist, akf_dist):
+        got = outage(d, thresholds)
+        assert isinstance(got, LaneResult)
+        want = [outage(d, float(g)) for g in thresholds]
+        assert np.max(np.abs(got.value - [r.value for r in want])) <= 2e-15
+        assert got.terms_used.tolist() == [r.terms_used for r in want]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_outage_rejects_an_array_with_a_bad_threshold(aef_dist, bad):
+    with pytest.raises(DomainError, match="gamma_th"):
+        outage(aef_dist, np.array([0.5, bad, 2.0]))
+
+
+def test_closed_cdf_takes_one_point_per_call(akf_dist):
+    with pytest.raises(DomainError, match="one point"):
+        akf_dist.snr_cdf_closed(np.array([0.5, 1.0]))
