@@ -56,6 +56,8 @@ _REANCHOR = 1e-2
 _LN_POW_MIN = -700.0  # e^-700 = 1e-304, just above the subnormal range
 # absolute floor of every stop test: a term below it counts as small
 _ABS_TOL = 1e-300
+_LN_ABS_TOL = math.log(_ABS_TOL)
+CDF_LN_W0 = 5  # index of ln w_0, the mixtures' first weight, in the CDF consts
 # humbert_psi1_ln sums up to this many diagonals per block, in blocks of
 # at most this many terms (1 MB of doubles)
 _PSI1_BLOCK = 64
@@ -578,15 +580,10 @@ def _beta_mixture(a, step, b, ln_y, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms
 
 def aef_pdf_consts(alpha, mu, ms, h, hsq, ln_lam):
     """The per-distribution constants of aef_snr_pdf_kernel, computed once:
-    H^2, h^2 as an unevaluated sum hi + lo (Dekker's exact product), the
-    leading part of the density's constant log-prefactor, ln B(2mu, ms)
-    (subtracted later, in the order the density has always been summed, so
-    the series route stays bit-identical), ln(2 mu h) and ln(2 mu)."""
-    split = 134217729.0 * h  # 2^27 + 1: Veltkamp's split of h into halves
-    h_hi = split - (split - h)
-    h_lo = h - h_hi
-    h2 = h * h
-    h2_lo = ((h_hi * h_hi - h2) + 2.0 * h_hi * h_lo) + h_lo * h_lo
+    h, H^2, h^2, the leading part of the density's constant log-prefactor,
+    ln B(2mu, ms) (subtracted later, in the order the density has always
+    been summed, so the series route stays bit-identical), ln(2 mu h) and
+    ln(2 mu)."""
     ln_c = (
         math.log(alpha)
         + (2.0 * mu - 1.0) * LN2
@@ -594,7 +591,7 @@ def aef_pdf_consts(alpha, mu, ms, h, hsq, ln_lam):
         + mu * math.log(h)
         + ms * ln_lam
     )
-    return (alpha, mu, ms, hsq, h2, h2_lo, ln_lam, ln_c, _lbeta(2.0 * mu, ms),
+    return (alpha, mu, ms, h, hsq, h * h, ln_lam, ln_c, _lbeta(2.0 * mu, ms),
             math.log(2.0 * mu * h), math.log(2.0 * mu))
 
 
@@ -637,18 +634,18 @@ def aef_snr_pdf_kernel(consts, ln_g, rel_tol, max_terms, ln_jac):
     underflows, on the curve. The 2F1 factor comes from _density_2f1_ln.
     At strong imbalance z = (H/h)^2 t^2, t = 2 mu h g^(alpha/2) / D, nears 1,
     and 1 - z taken from the double z keeps few digits. Above z = 1/2 it is
-    formed as (h^2 - H^2 + H^2 (1 - t)(1 + t)) / h^2 instead, with h^2 exact
-    and 1 - t = Lambda/D: every part is positive, and h^2 - H^2 is exact
-    there.
+    formed as (h + H^2 (1 - t)(1 + t)) / h^2 instead, from the identity
+    h^2 - H^2 = h of both geometry formats and 1 - t = s = Lambda/D: both
+    parts are positive, and s (2 - s) keeps the digits of 1 - t^2.
     """
-    alpha, mu, ms, hsq, h2, h2_lo, ln_lam, ln_c, lb, ln_2muh, ln_2mu = consts
+    alpha, mu, ms, h, hsq, h2, ln_lam, ln_c, lb, ln_2muh, ln_2mu = consts
     gexp = 0.5 * alpha * ln_g
     ln_den = _logaddexp(ln_2muh + gexp, ln_lam)
     z = hsq * math.exp(2.0 * (ln_2mu + gexp) - 2.0 * ln_den)
     omz = 1.0 - z
     if z > 0.5:
         s = math.exp(ln_lam - ln_den)
-        omz = ((h2 - hsq) + h2_lo + hsq * s * (2.0 - s)) / h2
+        omz = (h + hsq * s * (2.0 - s)) / h2
     ln_f, sgn_f, st = _density_2f1_ln(mu, ms, z, omz, rel_tol, max_terms)
     if st != 0:
         return 0.0, st
@@ -834,7 +831,7 @@ def aef_snr_pdf_lanes(consts, ln_g, rel_tol, max_terms, ln_jac):
     z < 0, 1 - z is not positive or scipy's value is not a positive finite
     double, take the scalar kernel. Returns (values, statuses).
     """
-    alpha, mu, ms, hsq, h2, h2_lo, ln_lam, ln_c, lb, ln_2muh, ln_2mu = consts
+    alpha, mu, ms, h, hsq, h2, ln_lam, ln_c, lb, ln_2muh, ln_2mu = consts
     values = np.zeros(ln_g.shape)
     served = np.zeros(ln_g.shape, dtype=bool)
     if ms <= _SCIPY_MS_MAX:
@@ -844,7 +841,7 @@ def aef_snr_pdf_lanes(consts, ln_g, rel_tol, max_terms, ln_jac):
             z = hsq * np.exp(2.0 * (ln_2mu + gexp) - 2.0 * ln_den)
             euler = z > 0.5
             s = np.exp(ln_lam - ln_den)
-            omz = np.where(euler, ((h2 - hsq) + h2_lo + hsq * s * (2.0 - s)) / h2, 1.0 - z)
+            omz = np.where(euler, (h + hsq * s * (2.0 - s)) / h2, 1.0 - z)
             a, b, c = mu + 0.5 * ms, mu + 0.5 * (ms + 1.0), mu + 0.5
             ln_pre = np.where(euler, (c - a - b) * np.log(omz), 0.0)
             f = _sc.hyp2f1(np.where(euler, c - a, a), np.where(euler, c - b, b), c, z)

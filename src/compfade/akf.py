@@ -10,8 +10,9 @@ envelope R with mean power omega_power = E[R^2]. Both use the front ends
 of series.Law and series.Envelope; this module supplies the kernels, their
 constants and the CDF head.
 
-kappa below params.KAPPA_ZERO_CUTOFF routes through exact kappa -> 0 limit
-forms (the alpha-F distribution).
+kappa below _kernels.KAPPA_ZERO_CUTOFF routes through exact kappa -> 0 limit
+forms (the alpha-F distribution). Both CDF routes raise ConvergenceError
+past mu kappa = 690.8, where e^(-mu kappa) is below the stop tests' floor.
 """
 from __future__ import annotations
 
@@ -105,8 +106,11 @@ class AkfDist(Law):
         second term's Psi1 alone.
 
         The closed forms take one point per call: an np.ndarray gamma raises
-        DomainError (snr_cdf takes arrays).
+        DomainError (snr_cdf takes arrays). Past mu kappa = 690.8 it raises
+        ConvergenceError as snr_cdf does: the Kampe de Feriet form was
+        1.6e-8 off at mu kappa = 700 and 0.4 off at 800.
         """
+        self._require_first_weight("snr_cdf_closed")
         if isinstance(gamma, np.ndarray):
             raise DomainError("snr_cdf_closed takes one point per call, got an array")
         end = cdf_endpoint(gamma)

@@ -21,7 +21,6 @@ from scipy import special as sc
 
 from .params import AefParams, AkfParams, Format, _require_shape
 from .series import DomainError
-from . import specfun
 
 __all__ = [
     "PhysAef",
@@ -259,30 +258,36 @@ def _gamma_ratio(ms: float, q: float) -> float:
 
 
 def _aef_sum_moment(p: PhysAef, q: float) -> float:
-    """E[S^q] for S = sum of the 4 mu_int squared (scaled) Gaussians."""
+    """E[S^q] for S = sum of the 4 mu_int squared (scaled) Gaussians, the
+    sum of gamma(mu, 2a)- and gamma(mu, 2b)-distributed halves:
+    (2b)^q Gamma(2mu + q)/Gamma(2mu) 2F1(-q, mu; 2mu; 1 - a/b), one
+    scipy.special.hyp2f1 call."""
     if p.format is Format.FORMAT_I:
         a, b = p.sigma_x2, p.sigma_y2
     else:
         a = p.sigma2 * (1.0 + p.eta)
         b = p.sigma2 * (1.0 - p.eta)
     mu = float(p.mu_int)
-    f = specfun.gauss_2f1(-q, mu, 2.0 * mu, 1.0 - a / b)
+    f = float(sc.hyp2f1(-q, mu, 2.0 * mu, 1.0 - a / b))
     return (
         (2.0 * b) ** q
         * math.exp(math.lgamma(2.0 * mu + q) - math.lgamma(2.0 * mu))
-        * f.value
+        * f
     )
 
 
 def _akf_sum_moment(p: PhysAkf, q: float) -> float:
-    """E[S^q] for S = sum of mu_int mean-shifted squared Gaussian pairs."""
+    """E[S^q] for S = sum of mu_int mean-shifted squared Gaussian pairs:
+    (2 sigma2)^q Gamma(mu + q)/Gamma(mu) 1F1(-q; mu; -mu kappa), Kummer's
+    form of e^(-mu kappa) 1F1(mu + q; mu; mu kappa), one
+    scipy.special.hyp1f1 call with no e^(mu kappa) to overflow."""
     mu = float(p.mu_int)
     mk = 0.5 * p.d2 / p.sigma2
-    f = specfun.kummer_1f1(mu + q, mu, mk)
+    f = float(sc.hyp1f1(-q, mu, -mk))
     return (
         (2.0 * p.sigma2) ** q
-        * math.exp(math.lgamma(mu + q) - math.lgamma(mu) - mk)
-        * f.value
+        * math.exp(math.lgamma(mu + q) - math.lgamma(mu))
+        * f
     )
 
 
@@ -323,35 +328,17 @@ def make_phys(
             f"physical sampler requires integer mu (whole clusters), got {mu}"
         )
     mu_int = int(round(mu))
-    scale_sq = 1.0
     if isinstance(params, AefParams):
-        if params.format is Format.FORMAT_I:
-            base = PhysAef(
-                alpha=params.alpha, mu_int=mu_int, format=params.format,
-                eta=params.eta, ms=params.ms,
-                sigma_x2=params.eta, sigma_y2=1.0,
-            )
-        else:
-            base = PhysAef(
-                alpha=params.alpha, mu_int=mu_int, format=params.format,
-                eta=params.eta, ms=params.ms, sigma2=1.0,
-            )
-        if power_target is None:
-            return base
-        if not power_target > 0.0:
-            raise DomainError(f"power_target must be positive, got {power_target}")
-        scale_sq = (power_target / envelope_sq_mean(base)) ** (0.5 * params.alpha)
-        if params.format is Format.FORMAT_I:
+        def build(s2: float) -> PhysAef:
+            if params.format is Format.FORMAT_I:
+                scales = dict(sigma_x2=params.eta * s2, sigma_y2=s2)
+            else:
+                scales = dict(sigma2=s2)
             return PhysAef(
                 alpha=params.alpha, mu_int=mu_int, format=params.format,
-                eta=params.eta, ms=params.ms,
-                sigma_x2=params.eta * scale_sq, sigma_y2=scale_sq,
+                eta=params.eta, ms=params.ms, **scales,
             )
-        return PhysAef(
-            alpha=params.alpha, mu_int=mu_int, format=params.format,
-            eta=params.eta, ms=params.ms, sigma2=scale_sq,
-        )
-    if isinstance(params, AkfParams):
+    elif isinstance(params, AkfParams):
         def build(s2: float) -> PhysAkf:
             comp = math.sqrt(params.kappa * s2)
             means = tuple([comp] * mu_int)
@@ -359,15 +346,14 @@ def make_phys(
                 alpha=params.alpha, mu_int=mu_int, sigma2=s2,
                 kappa=params.kappa, p=means, q=means, ms=params.ms,
             )
-
-        base = build(1.0)
-        if power_target is None:
-            return base
-        if not power_target > 0.0:
-            raise DomainError(f"power_target must be positive, got {power_target}")
-        scale_sq = (power_target / envelope_sq_mean(base)) ** (0.5 * params.alpha)
-        return build(scale_sq)
-    raise DomainError(f"unsupported parameter type {type(params).__name__}")
+    else:
+        raise DomainError(f"unsupported parameter type {type(params).__name__}")
+    base = build(1.0)
+    if power_target is None:
+        return base
+    if not power_target > 0.0:
+        raise DomainError(f"power_target must be positive, got {power_target}")
+    return build((power_target / envelope_sq_mean(base)) ** (0.5 * params.alpha))
 
 
 def ks_distance(emp: EmpiricalDist, cdf) -> float:

@@ -16,9 +16,9 @@ import functools
 import math
 from dataclasses import dataclass
 
+from scipy.special import hyp1f1, hyp2f1
+
 from . import _kernels as _k
-from . import specfun
-from ._kernels import KAPPA_ZERO_CUTOFF
 from .series import ConvergenceError, DomainError
 
 __all__ = [
@@ -136,25 +136,40 @@ def _require_moment(alpha: float, ms: float) -> None:
         )
 
 
-def _normalizer(constant):
-    """Guards a normalization constant: DomainError where the 2/alpha-order
-    moment does not exist, and ConvergenceError unless the constant and
-    its factors are positive finite doubles. Huge or tiny shapes overflow
-    an exp on the way (OverflowError, or ConvergenceError from a special
-    function whose value leaves the double range) or take the log of a
-    Beta function that underflowed to 0 (ValueError)."""
+# alpha/2 times the bracket's rounding above which a normalizer is refused
+_BRACKET_ROUNDING_MAX = 1e-10
 
-    @functools.wraps(constant)
+
+def _normalizer(terms):
+    """The normalization constant pre [B(a, b) / (B(a + q, b - q) F)]^(alpha/2),
+    q = 2/alpha, given terms(p) = (pre, a, b, F); ln B is _kernels._lbeta.
+
+    Raises DomainError where the 2/alpha-order moment does not exist, and
+    ConvergenceError where the constant is not a positive finite double or
+    alpha/2 times the bracket's rounding, eps times the size of its log
+    terms and of F, passes _BRACKET_ROUNDING_MAX. At alpha = 1e300 the
+    bracket's log is a difference of order 2/alpha between terms of order
+    1, and the bare closed form gave omega = 0.5 for 2.006 (mu = 1,
+    kappa = 0.5, ms = 4). _lbeta's own loss at large shapes, eps (a + b)
+    ln(a + b), is not counted. A huge or tiny shape overflows an exp
+    (OverflowError) or takes the log of a factor that is not positive
+    (ValueError) on the way."""
+
+    @functools.wraps(terms)
     def checked(p):
         _require_moment(p.alpha, p.ms)
+        q = 2.0 / p.alpha
         try:
-            value = constant(p)
-        except (OverflowError, ValueError, ConvergenceError):
-            value = math.nan
-        if not 0.0 < value < math.inf:
+            pre, a, b, f = terms(p)
+            logs = (_k._lbeta(a, b), _k._lbeta(a + q, b - q), math.log(f))
+            rounding = 0.5 * p.alpha * 2.0**-52 * (1.0 + sum(map(abs, logs)))
+            value = math.exp(math.log(pre) + 0.5 * p.alpha * (logs[0] - logs[1] - logs[2]))
+        except (OverflowError, ValueError):
+            value = rounding = math.nan
+        if not (0.0 < value < math.inf and rounding <= _BRACKET_ROUNDING_MAX):
             raise ConvergenceError(
-                f"{constant.__name__}: the normalization constant or a factor of "
-                "it is not a positive finite double at these shape parameters"
+                f"{terms.__name__}: the normalization constant is not a positive "
+                f"finite double within {_BRACKET_ROUNDING_MAX:g} at these shape parameters"
             )
         return value
 
@@ -162,47 +177,30 @@ def _normalizer(constant):
 
 
 @_normalizer
-def upsilon(p: AefParams) -> float:
+def upsilon(p: AefParams):
     """Mean-SNR normalization constant of the alpha-eta-F distribution.
 
-    upsilon = (2 mu h / (ms - 1)) * [B(2mu, ms) h^mu / (B(2mu + 2/alpha,
-    ms - 2/alpha) 2F1(mu + 1/alpha, mu + 1/alpha + 1/2; mu + 1/2; H^2/h^2))
-    ]^(alpha/2). Equals 1 at alpha = 2, eta = 1.
+    upsilon = (2 mu / (ms - 1)) * [B(2mu, ms) / (B(2mu + q, ms - q)
+    2F1(1/2 - q/2, -q/2; mu + 1/2; (H/h)^2))]^(alpha/2), q = 2/alpha:
+    Euler's transformation (DLMF 15.8.1) of the geometry 2F1 with the exact
+    1 - (H/h)^2 = 1/h, whose power cancels h. The 2F1 is one
+    scipy.special.hyp2f1 call. Equals 1 at alpha = 2 for every eta (the
+    2F1 terminates at 1).
     """
-    geo = geometry(p)
-    h, H = geo.h, geo.H
-    q = 2.0 / p.alpha
-    zsq = (H / h) * (H / h)
-    f = specfun.gauss_2f1(p.mu + 0.5 * q, p.mu + 0.5 * q + 0.5, p.mu + 0.5, zsq)
-    if not f.converged:
-        raise ConvergenceError("upsilon: geometry hypergeometric did not converge")
-    ln_bracket = (
-        _k._lbeta(2.0 * p.mu, p.ms)
-        + p.mu * math.log(h)
-        - _k._lbeta(2.0 * p.mu + q, p.ms - q)
-        - math.log(f.value)
-    )
-    return 2.0 * p.mu * h / (p.ms - 1.0) * math.exp(0.5 * p.alpha * ln_bracket)
+    geo, q = geometry(p), 2.0 / p.alpha
+    f = float(hyp2f1(0.5 - 0.5 * q, -0.5 * q, p.mu + 0.5, (geo.H / geo.h) ** 2))
+    return 2.0 * p.mu / (p.ms - 1.0), 2.0 * p.mu, p.ms, f
 
 
 @_normalizer
-def omega(p: AkfParams) -> float:
+def omega(p: AkfParams):
     """Mean-SNR normalization constant of the alpha-kappa-F distribution.
 
-    omega = (mu (1 + kappa) / (ms - 1)) * [B(mu, ms) e^(mu kappa) /
-    (B(mu + 2/alpha, ms - 2/alpha) 1F1(mu + 2/alpha; mu; mu kappa))
-    ]^(alpha/2). Equals 1 at alpha = 2, kappa -> 0; kappa below the zero
-    cutoff uses the exact limit form.
+    omega = (mu (1 + kappa) / (ms - 1)) * [B(mu, ms) / (B(mu + q, ms - q)
+    1F1(-q; mu; -mu kappa))]^(alpha/2), q = 2/alpha: Kummer's transformation
+    (DLMF 13.2.39) of 1F1(mu + q; mu; mu kappa), whose e^(mu kappa) cancels.
+    The 1F1 is one scipy.special.hyp1f1 call, exactly 1 at kappa = 0. Equals
+    1 at alpha = 2 for every kappa (the 1F1 terminates at 1 + kappa).
     """
-    q = 2.0 / p.alpha
-    ln_bb = _k._lbeta(p.mu, p.ms) - _k._lbeta(p.mu + q, p.ms - q)
-    if p.kappa < KAPPA_ZERO_CUTOFF:
-        return p.mu / (p.ms - 1.0) * math.exp(0.5 * p.alpha * ln_bb)
-    mk = p.mu * p.kappa
-    f = specfun.kummer_1f1(p.mu + q, p.mu, mk)
-    if not f.converged:
-        raise ConvergenceError("omega: confluent hypergeometric did not converge")
-    ln_bracket = ln_bb + mk - math.log(f.value)
-    return (
-        p.mu * (1.0 + p.kappa) / (p.ms - 1.0) * math.exp(0.5 * p.alpha * ln_bracket)
-    )
+    f = float(hyp1f1(-2.0 / p.alpha, p.mu, -p.mu * p.kappa))
+    return p.mu * (1.0 + p.kappa) / (p.ms - 1.0), p.mu, p.ms, f

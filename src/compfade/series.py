@@ -284,7 +284,8 @@ class Law:
         An np.ndarray gamma gives a LaneResult whose fields are arrays of
         its shape; ctrl's rel_tol and max_terms then act on each point as
         on a scalar call. Raises ConvergenceError where the sum is not
-        finite."""
+        finite, and at every gamma where _require_first_weight does."""
+        self._require_first_weight("snr_cdf")
         if isinstance(gamma, np.ndarray):
             return self._cdf_lanes_result(gamma, ctrl)
         end = cdf_endpoint(gamma)
@@ -298,6 +299,16 @@ class Law:
         if not math.isfinite(raw):
             raise _cdf_error()
         return cdf_clamped(raw, terms, est, status == STATUS_OK)
+
+    def _require_first_weight(self, name: str) -> None:
+        """Raises ConvergenceError where the mixture's first weight (e^(-mu
+        kappa), h^(-mu)) is below the stop tests' floor 1e-300: the sum would
+        end before the weights rise (5.3e-308 for 1.6e-8 at mu kappa = 720)."""
+        if self._cdf_consts[_k.CDF_LN_W0] < _k._LN_ABS_TOL:
+            raise ConvergenceError(
+                f"{name}: the mixture's first weight is below {_k._ABS_TOL:g}, the floor "
+                f"of its stop tests (mu kappa or mu ln h above {-_k._LN_ABS_TOL:.1f})"
+            )
 
     def _cdf_lanes_result(self, gamma: np.ndarray,
                           ctrl: SeriesControl | None) -> LaneResult:

@@ -28,19 +28,25 @@ def _mp_beta_mixture(ln_odds, a0, da, b, ln_weights, terms):
     (1 + e^ln_odds) and ln_weights yielding (ln|weight_k|, sign_k).
 
     terms=None sums until the weights times the betas stop mattering at
-    this precision; an integer sums exactly the first `terms` terms.
+    this precision, testing that only from the mode of the weights on (the
+    first k whose weight is below the one before): the leading weights of
+    a large mu kappa are far below any floor. An integer sums exactly the
+    first `terms` terms.
     """
     _setup()
     odds = mp.exp(mp.mpf(ln_odds))
     w = odds / (1 + odds)
     s = mp.mpf(0)
     small = 0
+    ln_prev, past_mode = None, False
     for k, (ln_wk, sgn) in enumerate(ln_weights):
         if terms is not None and k >= terms:
             break
         term = sgn * mp.exp(ln_wk) * mp.betainc(a0 + k * da, b, 0, w, regularized=True)
         s += term
-        if terms is None:
+        past_mode = past_mode or (ln_prev is not None and ln_wk < ln_prev)
+        ln_prev = ln_wk
+        if terms is None and past_mode:
             if abs(term) <= _STOP * max(abs(s), _TINY):
                 small += 1
                 if small >= 3:
@@ -86,20 +92,22 @@ def mp_aef_cdf(mu, ms, h, hsq, ln_y, terms=None):
     return _mp_beta_mixture(ln_y, 2 * mu, 2, mp.mpf(ms), weights(), terms)
 
 
-def mp_aef_pdf(alpha, mu, ms, h, hsq, ln_lam, gamma):
+def mp_aef_pdf(alpha, mu, ms, h, ln_lam, gamma):
     """alpha-eta-F SNR density in closed form,
     alpha 2^(2mu-1) mu^(2mu) h^mu Lambda^ms g^(alpha mu - 1)
     / (B(2mu, ms) D^(2mu + ms)) 2F1(mu + ms/2, mu + (ms+1)/2; mu + 1/2; z)
     with D = 2 mu h g^(alpha/2) + Lambda and z = H^2 (2 mu g^(alpha/2) / D)^2,
-    at ln Lambda = ln_lam and H^2 = hsq: the doubles the density kernel is
-    given, so only the kernel's own arithmetic is measured. gamma may be
-    an mpf (an envelope point r^2)."""
+    at ln Lambda = ln_lam and the double h the density kernel is given,
+    so only the kernel's own arithmetic is measured. H^2 is taken as
+    h^2 - h, exact in both geometry formats, and not from the rounded
+    double H^2, whose rounding would show as that of 1 - z = 1/h at strong
+    imbalance. gamma may be an mpf (an envelope point r^2)."""
     with mp.workdps(DENSITY_DPS):
-        alpha, mu, ms, h, hsq, ln_lam = (mp.mpf(v) for v in (alpha, mu, ms, h, hsq, ln_lam))
+        alpha, mu, ms, h, ln_lam = (mp.mpf(v) for v in (alpha, mu, ms, h, ln_lam))
         g = mp.mpf(gamma)
         ge = g ** (alpha / 2)
         den = 2 * mu * h * ge + mp.exp(ln_lam)
-        z = hsq * (2 * mu * ge / den) ** 2
+        z = (h * h - h) * (2 * mu * ge / den) ** 2
         ln_pdf = (mp.log(alpha) + (2 * mu - 1) * mp.log(2) + 2 * mu * mp.log(mu)
                   + mu * mp.log(h) + ms * ln_lam + (alpha * mu - 1) * mp.log(g)
                   - _mp_lbeta(2 * mu, ms) - (2 * mu + ms) * mp.log(den))

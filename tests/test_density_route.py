@@ -27,6 +27,7 @@ from compfade import (
     SeriesControl,
 )
 from compfade import _kernels as _k
+from compfade import params as _params
 from compfade.params import Format
 from conftest import rel_err
 from oracles import DENSITY_DPS, mp_aef_pdf, mp_akf_pdf
@@ -45,7 +46,7 @@ EPS = 2.220446049250313e-16
 
 def _aef_oracle(d, x, envelope=False):
     p = d.params
-    args = (p.alpha, p.mu, p.ms, d.geometry.h, d._hsq, d._ln_lam)
+    args = (p.alpha, p.mu, p.ms, d.geometry.h, d._ln_lam)
     if envelope:
         r = mp.mpf(x)
         return 2 * r * mp_aef_pdf(*args, r * r)
@@ -231,16 +232,22 @@ def test_series_control_governs_only_the_series_route(make):
         make(1e5).snr_pdf(1.0, one_term)
 
 
-def test_closed_cdf_drops_the_constant_humbert_term():
+def test_closed_cdf_drops_the_constant_humbert_term(monkeypatch):
     # Values before the constant first term was dropped: (params, gamma_bar,
     # gamma, value, est_error). The value moves by no more than the error
     # estimate of that term's sum, and terms_used and est_error are now the
-    # second term's alone (smaller).
+    # second term's alone (smaller). The values were taken with the omega
+    # of their time, from the power series, which was up to 2.2e-13 off
+    # here; it is frozen below so that only the Humbert change is measured.
     base = dict(alpha=2.5, kappa=1.5, mu=1.2, ms=4.0)
     tail_a = dict(alpha=1.1662670039922167, mu=1.7479139500442937,
                   ms=2.0455173384494008, kappa=37.25360458688263)
     tail_b = dict(alpha=0.9057125651248272, mu=2.25140272766099,
                   ms=2.305451353845446, kappa=29.821172039025416)
+    omega_then = {AkfParams(**base): 1.0910680810237026,
+                  AkfParams(**tail_a): 0.5363812426680662,
+                  AkfParams(**tail_b): 0.28782071632261824}
+    monkeypatch.setattr(_params, "omega", omega_then.__getitem__)
     before = [
         (base, 1.0, 1.3, 0.752018360360232, 8.501632388408039e-14),
         (base, 1.0, 2.0, 0.9037375285610987, 4.760066227918119e-14),

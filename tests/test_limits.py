@@ -66,14 +66,36 @@ def test_asymptotes_beyond_the_double_range_are_infinite():
     assert asymptotic_outage_aef(aef, 1e300) == math.inf
 
 
+def _lbeta_rounding(a, b):
+    """Bound on _lbeta's rounding: eps (a + b) ln(a + b) on the lgamma
+    difference, eps |ln B| from betaln (times 4, as below)."""
+    if a + b > _k._LBETA_LGAMMA_MAX:
+        return 4.0 * 2.0**-52 * abs(_k._lbeta(a, b))
+    return 4.0 * 2.0**-52 * (a + b) * math.log(a + b)
+
+
+@pytest.mark.parametrize("dist, a, b", [
+    (lambda: AkfDist(AkfParams(alpha=2.0, kappa=0.5, mu=1e300, ms=4.0), 1.0).omega_norm,
+     1e300, 4.0),
+    (lambda: AefDist(AefParams(alpha=2.0, eta=0.5, mu=1e5, ms=4.0), 1.0).upsilon,
+     2e5, 4.0),
+], ids=["akf-mu=1e300", "aef-mu=1e5"])
+def test_normalizer_at_huge_mu_is_one_at_alpha_two(dist, a, b):
+    # the series forms left the double range here (omega underflowed to 0,
+    # the geometry 2F1 overflowed); the closed forms give the true value,
+    # 1 at alpha = 2, within the rounding of the two ln B in the bracket
+    tol = _lbeta_rounding(a, b) + _lbeta_rounding(a + 1.0, b - 1.0)
+    assert abs(dist() - 1.0) <= tol
+
+
 @pytest.mark.parametrize("build", [
-    lambda: AkfDist(AkfParams(alpha=2.0, kappa=0.5, mu=1e300, ms=4.0), 1.0),
-    lambda: AefDist(AefParams(alpha=2.0, eta=0.5, mu=1e5, ms=4.0), 1.0),
     lambda: AkfDist(AkfParams(alpha=1e300, kappa=0.5, mu=1.0, ms=4.0), 1.0),
-])
-def test_normalization_out_of_the_double_range_raises(build):
-    # omega underflows to 0, the geometry 2F1 overflows, the bracket power
-    # overflows: none of them may escape as a bare arithmetic error
+    lambda: AefDist(AefParams(alpha=1e300, eta=0.5, mu=1.0, ms=4.0), 1.0),
+], ids=["akf", "aef"])
+def test_normalization_at_huge_alpha_raises(build):
+    # the bracket's log is a difference of order 2/alpha between terms of
+    # order 1, and alpha/2 times its rounding is past 1e-10: a bare closed
+    # form gave omega = 0.5 for 2.006 here. No bare arithmetic error either
     with pytest.raises(ConvergenceError, match="normalization constant"):
         build()
 

@@ -114,6 +114,41 @@ def test_make_phys_field_mapping(phys_aef, phys_akf):
     assert rel_err(d2 / (2 * 2 * phys_akf.sigma2), 1.5) <= 1e-12
 
 
+@pytest.mark.parametrize("params", [
+    AefParams(alpha=2.5, eta=0.4, mu=2.0, ms=4.0),
+    AefParams(alpha=1.7, eta=-0.6, mu=3.0, ms=2.5, format=Format.FORMAT_II),
+    AkfParams(alpha=3.0, kappa=1.5, mu=3.0, ms=5.0),
+], ids=["aef-I", "aef-II", "akf"])
+@pytest.mark.parametrize("power_target", [None, 2.7])
+def test_make_phys_builds_each_field_from_one_scale(params, power_target):
+    # every field of the physical model, built by hand from the unit-scale
+    # configuration and the scale that meets power_target, and the draws
+    # they give, bit for bit
+    mu_int = int(params.mu)
+    s2 = 1.0
+    if power_target is not None:
+        unit = make_phys(params)
+        s2 = (power_target / envelope_sq_mean(unit)) ** (0.5 * params.alpha)
+    if isinstance(params, AkfParams):
+        means = tuple([math.sqrt(params.kappa * s2)] * mu_int)
+        want = PhysAkf(alpha=params.alpha, mu_int=mu_int, sigma2=s2, kappa=params.kappa,
+                       p=means, q=means, ms=params.ms)
+        sample = sample_akf_envelope
+    else:
+        scales = (dict(sigma_x2=params.eta * s2, sigma_y2=s2)
+                  if params.format is Format.FORMAT_I else dict(sigma2=s2))
+        want = PhysAef(alpha=params.alpha, mu_int=mu_int, format=params.format,
+                       eta=params.eta, ms=params.ms, **scales)
+        sample = sample_aef_envelope
+    got = make_phys(params, power_target=power_target)
+    assert type(got) is type(want)
+    for name in got.__dataclass_fields__:
+        assert getattr(got, name) == getattr(want, name), name
+    assert sample(got, 512, 5).tobytes() == sample(want, 512, 5).tobytes()
+    if power_target is not None:
+        assert rel_err(envelope_sq_mean(got), power_target) <= 1e-12
+
+
 def test_make_phys_rejects_fractional_mu():
     with pytest.raises(DomainError, match="integer mu"):
         make_phys(AefParams(alpha=2.0, eta=1.0, mu=0.5, ms=4.0))

@@ -11,6 +11,7 @@ the deep lower tail at strong line of sight, where many terms matter.
 import math
 
 import pytest
+from scipy import special
 
 from compfade import (
     AefDist,
@@ -63,6 +64,19 @@ def test_akf_deep_lower_tail_matches_mixture_oracle(kw, gamma_bar, ratio):
     assert r.converged
     assert rel_err(r.value, want) <= MIXTURE_TOL
     assert outage(d, g).value == r.value
+
+
+@pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("mu, kappa", [(1.2, 700.0), (1.2, 1e3 / 1.2)])
+def test_akf_mixture_oracle_sums_past_the_mode_at_large_mu_kappa(mu, kappa, g):
+    # the oracle's weights rise from e^(-mu kappa), far below its floor, to
+    # their mode at mu kappa; stopping before it gave 0.0 for 0.6237 here.
+    # scipy's noncentral F (Boost) is the independent reference
+    d = AkfDist(AkfParams(alpha=2.5, kappa=kappa, mu=mu, ms=4.0), 1.0)
+    ln_x1 = d._ln_x1(g)
+    want = special.ncfdtr(2.0 * mu, 8.0, 2.0 * mu * kappa, math.exp(ln_x1) * 4.0 / mu)
+    got = float(oracles.mp_akf_cdf(mu, 4.0, kappa, ln_x1))
+    assert rel_err(got, want) <= MIXTURE_TOL
 
 
 @pytest.mark.parametrize("ratio", [1e-4, 1e-3, 1.0, 1e3])

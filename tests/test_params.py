@@ -98,8 +98,8 @@ def test_omega_frozen_spot():
 
 
 def test_omega_continuous_at_kappa_cutoff():
-    # kappa below the zero cutoff switches to the exact limit expression;
-    # the two branches must agree through the seam.
+    # omega has no kappa cutoff branch (1F1(-q; mu; 0) = 1); it must still
+    # be continuous as kappa -> 0, where the densities' cutoff sits.
     lo = omega(AkfParams(alpha=3.0, kappa=0.0, mu=1.5, ms=4.0))
     hi = omega(AkfParams(alpha=3.0, kappa=1e-9, mu=1.5, ms=4.0))
     assert rel_err(hi, lo) <= 1e-7
