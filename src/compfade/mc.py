@@ -4,7 +4,25 @@ The samplers build envelopes directly from the generative model: sums of
 squared Gaussians (optionally mean-shifted or correlated), all multiplied by
 a single shared inverse-Nakagami-squared shadowing variate per draw, then
 raised to 1/alpha. Nothing here evaluates an analytical density, so sampler
-output is independent ground truth for the formula modules.
+output is independent ground truth for the formula modules; the only
+special functions are scipy.special's.
+
+The shadowing variate is Z^2 = (ms - 1)/x with x the gamma(ms) quantile at
+the draw's uniform u. Each sampler call tabulates y = ln x at 128 nodes
+uniform in w = logit(u) on [-38, 38] (gammaincinv, or gammainccinv above
+the median) with the slope dy/dw = u(1 - u)/(x f(x)). A draw takes the
+cubic Hermite interpolant of ln x at its logit u, then one Halley step on
+the residual P(ms, x) - u, or (1 - u) - Q(ms, x) above u = 1/2: the scheme
+of DiDonato and Morris (ACM TOMS Algorithm 654), with the gamma density f
+in Temme's form. The table depends on ms only, so every draw is still a
+pure function of (ms, u). Against (ms - 1)/gammaincinv(ms, u) the draws
+agree within 2.2e-14 relative for 1 < ms <= 1e6, from u = 2^-53 to
+1 - 2^-53, at about a third of its cost. The worst case is at ms = 1.05,
+u = 0.655, where the table's draw is 5.9e-15 and gammaincinv's 1.5e-14 off
+mpmath. Above ms = 1e6 each draw calls gammaincinv, as before: from there
+on scipy's incomplete gamma functions lose digits in the far tails
+(gammainc(1e6, x) is 1.1e-5 off at u = 3.2e-6), so the table's nodes and
+the Halley residual no longer agree there.
 
 Streams are counter-based (Philox). Each draw consumes a fixed-width row of
 uniforms padded to a multiple of 4 (the Philox block size), so generating
@@ -40,6 +58,10 @@ __all__ = [
 _CHUNK_ROWS = 1 << 18
 _U_FLOOR = 2.0 ** -53  # keep uniforms strictly inside (0, 1)
 _KS_SAFETY = 1.2
+_TABLE_MS_MAX = 1e6  # shadowing by quantile table up to here, gammaincinv above
+_TABLE_NODES = 128
+_TABLE_W = 38.0  # nodes span logit(u) in [-38, 38]; logit(2^-53) = -36.7
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -169,20 +191,85 @@ def _padded_width(columns: int) -> int:
     return 4 * ((columns + 3) // 4)
 
 
-def sample_inv_nakagami_sq(ms: float, n: int, seed: int, start: int = 0) -> np.ndarray:
-    """n draws of the squared normalized inverse-Nakagami shadowing variate:
-    inverse-gamma with shape ms and scale ms-1, so the mean is exactly 1."""
-    _require_shape(ms=ms)
+def _draw(n: int, seed: int, start: int, width: int, rows_to_draws) -> np.ndarray:
+    """Draws [start, start+n) of a stream of width-wide uniform rows, made
+    from blocks of at most _CHUNK_ROWS rows by rows_to_draws."""
     if n < 0 or start < 0:
         raise DomainError("n and start must be non-negative")
     out = np.empty(n, dtype=np.float64)
     done = 0
     while done < n:
         rows = min(_CHUNK_ROWS, n - done)
-        u = _uniform_rows(seed, 4, start + done, rows)
-        out[done : done + rows] = (ms - 1.0) / sc.gammaincinv(ms, u[:, 0])
+        out[done : done + rows] = rows_to_draws(_uniform_rows(seed, width, start + done, rows))
         done += rows
     return out
+
+
+def _ln_gamma_star(a: float) -> float:
+    """ln Gamma*(a) = ln Gamma(a) - (a - 1/2) ln a + a - ln sqrt(2 pi), the
+    Stirling correction: from lgamma below a = 10, above it from five terms
+    of Stirling's series (error below 2e-14)."""
+    if a < 10.0:
+        return math.lgamma(a) - (a - 0.5) * math.log(a) + a - _LN_SQRT_2PI
+    r = 1.0 / (a * a)
+    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (
+        1.0 / 1680.0 - r / 1188.0)))) / a
+
+
+def _ln_x_gamma_pdf(ms: float, c: float, x: np.ndarray) -> np.ndarray:
+    """ln(x f(x)) for the gamma(ms) density f in Temme's form
+    c - ms (d - ln(1 + d)), d = x/ms - 1, c = ln(ms/(2 pi))/2 - ln Gamma*(ms):
+    no term grows with ms. ln(1 + d) is taken as ln(x/ms): as accurate as
+    log1p(d) where d is exact (x/ms in [1/2, 2]), and below that it keeps the
+    digits log1p(d) loses."""
+    q = x / ms
+    return c - ms * ((q - 1.0) - np.log(q))
+
+
+def _shadowing(ms: float):
+    """Z^2 = (ms - 1)/x, x the gamma(ms) quantile, as a function of the
+    uniforms u in [2^-53, 1 - 2^-53] (see the module docstring)."""
+    if ms > _TABLE_MS_MAX:
+        return lambda u: (ms - 1.0) / sc.gammaincinv(ms, u)
+    w = np.linspace(-_TABLE_W, _TABLE_W, _TABLE_NODES)
+    h = w[1] - w[0]
+    u, v = sc.expit(w), sc.expit(-w)
+    lo = w <= 0.0
+    x = np.empty_like(w)
+    x[lo] = sc.gammaincinv(ms, u[lo])
+    x[~lo] = sc.gammainccinv(ms, v[~lo])
+    c = 0.5 * math.log(ms / (2.0 * math.pi)) - _ln_gamma_star(ms)
+    y = np.log(x)
+    m = h * np.exp(np.log(u) + np.log(v) - _ln_x_gamma_pdf(ms, c, x))  # dy/dt
+    dy = np.diff(y)
+    # Hermite cubic of node interval k in t in [0, 1): a0 + t(a1 + t(a2 + t a3))
+    a0, a1 = y[:-1], m[:-1]
+    a2 = 3.0 * dy - 2.0 * m[:-1] - m[1:]
+    a3 = m[:-1] + m[1:] - 2.0 * dy
+
+    def z2(u: np.ndarray) -> np.ndarray:
+        t = (np.log(u) - np.log1p(-u) + _TABLE_W) / h
+        k = t.astype(np.intp)
+        t -= k
+        x = np.exp(a0[k] + t * (a1[k] + t * (a2[k] + t * a3[k])))
+        lo = u <= 0.5
+        hi = ~lo
+        r = np.empty_like(x)
+        r[lo] = sc.gammainc(ms, x[lo]) - u[lo]
+        r[hi] = (1.0 - u[hi]) - sc.gammaincc(ms, x[hi])
+        step = r * x * np.exp(-_ln_x_gamma_pdf(ms, c, x))  # Newton's r / f
+        x -= step / (1.0 - 0.5 * step * ((ms - 1.0) / x - 1.0))  # Halley, f'/f = (ms-1)/x - 1
+        return (ms - 1.0) / x
+
+    return z2
+
+
+def sample_inv_nakagami_sq(ms: float, n: int, seed: int, start: int = 0) -> np.ndarray:
+    """n draws of the squared normalized inverse-Nakagami shadowing variate:
+    inverse-gamma with shape ms and scale ms-1, so the mean is exactly 1."""
+    _require_shape(ms=ms)
+    z2 = _shadowing(ms)
+    return _draw(n, seed, start, 4, lambda u: z2(u[:, 0]))
 
 
 def _aef_width(mu_int: int) -> int:
@@ -196,54 +283,38 @@ def _akf_width(mu_int: int) -> int:
 def sample_aef_envelope(p: PhysAef, n: int, seed: int, start: int = 0) -> np.ndarray:
     """n draws of the alpha-eta-F envelope R = (Z^2 sum(X_i^2 + Y_i^2))^(1/alpha)
     over 2 mu_int cluster pairs, one shared Z^2 per draw."""
-    if n < 0 or start < 0:
-        raise DomainError("n and start must be non-negative")
     m2 = 2 * p.mu_int
-    width = _aef_width(p.mu_int)
     inv_alpha = 1.0 / p.alpha
-    out = np.empty(n, dtype=np.float64)
-    done = 0
-    while done < n:
-        rows = min(_CHUNK_ROWS, n - done)
-        u = _uniform_rows(seed, width, start + done, rows)
-        z2 = (p.ms - 1.0) / sc.gammaincinv(p.ms, u[:, 0])
-        g = sc.ndtri(u[:, 1 : 1 + 4 * p.mu_int])
+    z2 = _shadowing(p.ms)
+
+    def envelope(u: np.ndarray) -> np.ndarray:
+        g = sc.ndtri(u[:, 1 : 1 + 2 * m2])
         if p.format is Format.FORMAT_I:
-            m = np.empty_like(g)
-            m[:, :m2] = g[:, :m2] * math.sqrt(p.sigma_x2)
-            m[:, m2:] = g[:, m2:] * math.sqrt(p.sigma_y2)
+            g[:, :m2] *= math.sqrt(p.sigma_x2)
+            g[:, m2:] *= math.sqrt(p.sigma_y2)
         else:
-            sig = math.sqrt(p.sigma2)
-            m = np.empty_like(g)
-            m[:, :m2] = g[:, :m2] * sig
-            m[:, m2:] = (p.eta * g[:, :m2] + math.sqrt(1.0 - p.eta * p.eta) * g[:, m2:]) * sig
-        s = np.sum(m * m, axis=1)
-        out[done : done + rows] = (z2 * s) ** inv_alpha
-        done += rows
-    return out
+            g[:, m2:] *= math.sqrt(1.0 - p.eta * p.eta)
+            g[:, m2:] += p.eta * g[:, :m2]
+            g *= math.sqrt(p.sigma2)
+        return (z2(u[:, 0]) * np.einsum("ij,ij->i", g, g)) ** inv_alpha
+
+    return _draw(n, seed, start, _aef_width(p.mu_int), envelope)
 
 
 def sample_akf_envelope(p: PhysAkf, n: int, seed: int, start: int = 0) -> np.ndarray:
     """n draws of the alpha-kappa-F envelope
     R = (Z^2 sum((X_i + p_i)^2 + (Y_i + q_i)^2))^(1/alpha) over mu_int cluster
     pairs, one shared Z^2 per draw."""
-    if n < 0 or start < 0:
-        raise DomainError("n and start must be non-negative")
-    width = _akf_width(p.mu_int)
     inv_alpha = 1.0 / p.alpha
     sig = math.sqrt(p.sigma2)
     shift = np.asarray(list(p.p) + list(p.q), dtype=np.float64)
-    out = np.empty(n, dtype=np.float64)
-    done = 0
-    while done < n:
-        rows = min(_CHUNK_ROWS, n - done)
-        u = _uniform_rows(seed, width, start + done, rows)
-        z2 = (p.ms - 1.0) / sc.gammaincinv(p.ms, u[:, 0])
+    z2 = _shadowing(p.ms)
+
+    def envelope(u: np.ndarray) -> np.ndarray:
         m = sc.ndtri(u[:, 1 : 1 + 2 * p.mu_int]) * sig + shift
-        s = np.sum(m * m, axis=1)
-        out[done : done + rows] = (z2 * s) ** inv_alpha
-        done += rows
-    return out
+        return (z2(u[:, 0]) * np.einsum("ij,ij->i", m, m)) ** inv_alpha
+
+    return _draw(n, seed, start, _akf_width(p.mu_int), envelope)
 
 
 def _gamma_ratio(ms: float, q: float) -> float:

@@ -7,9 +7,11 @@ acceptance battery meaningful.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special as sc
 
 from compfade import (
     AefParams,
@@ -25,6 +27,7 @@ from compfade import (
     sample_akf_envelope,
     sample_inv_nakagami_sq,
 )
+from compfade import mc
 from compfade.mc import PhysAef, PhysAkf, envelope_alpha_mean, envelope_sq_mean
 from conftest import rel_err
 
@@ -81,6 +84,66 @@ def test_single_row_offset_matches(phys_aef):
     full = sample_aef_envelope(phys_aef, 10, 7)
     tail = sample_aef_envelope(phys_aef, 9, 7, start=1)
     assert tail.tobytes() == full[1:].tobytes()
+
+
+def _edge_uniforms() -> np.ndarray:
+    # 2e5 uniforms of the sampler's own stream, and both tails at every
+    # power of two down to the floor 2^-53
+    k = np.arange(1, 54, dtype=np.float64)
+    return np.concatenate([mc._uniform_rows(2024, 4, 0, 200_000)[:, 0],
+                           2.0 ** -k, 1.0 - 2.0 ** -k])
+
+
+@pytest.mark.parametrize("ms", [1.0 + 1e-9, 1.0001, 1.05, 1.3, 2.6, 4.0, 11.7, 60.0,
+                                1e3, 1e5, 1e6])
+def test_shadowing_table_matches_gammaincinv(ms):
+    # the quantile table plus one Halley step against a gammaincinv call per
+    # draw, over the bulk and both tails down to the uniforms' floor
+    u = _edge_uniforms()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = mc._shadowing(ms)(u)
+    want = (ms - 1.0) / sc.gammaincinv(ms, u)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+    z = sample_inv_nakagami_sq(ms, 4000, 3)
+    u3 = mc._uniform_rows(3, 4, 0, 4000)[:, 0]
+    assert np.max(np.abs(z / ((ms - 1.0) / sc.gammaincinv(ms, u3)) - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("ms", [1e6, float(np.nextafter(1e6, math.inf)), 1e7, 1e12, 1e15,
+                                1e30, 1e100, 1e200, 1e300])
+def test_shadowing_at_huge_ms_is_finite_and_matches_in_the_bulk(ms):
+    # no NaN, overflow or RuntimeWarning at any ms; in the bulk the draws are
+    # gammaincinv's, whichever route the shadowing takes
+    u = _edge_uniforms()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = mc._shadowing(ms)(u)
+        z = sample_inv_nakagami_sq(ms, 2000, 8)
+        r = sample_akf_envelope(make_phys(AkfParams(alpha=2.5, kappa=1.5, mu=2.0, ms=ms)),
+                                2000, 8)
+    assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+    assert np.all(np.isfinite(z)) and np.all(np.isfinite(r))
+    bulk = (u >= 0.01) & (u <= 0.99)
+    want = (ms - 1.0) / sc.gammaincinv(ms, u[bulk])
+    assert np.max(np.abs(got[bulk] / want - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("sampler", ["inv_nakagami", "aef", "akf"])
+def test_partitions_across_the_block_edge_are_byte_identical(phys_aef, phys_akf, sampler):
+    # one stream past the first _CHUNK_ROWS block against a call that starts
+    # 3 rows before the block edge and against single-draw calls around it:
+    # each call builds its shadowing table from ms alone
+    draw = {
+        "inv_nakagami": lambda n, start: sample_inv_nakagami_sq(4.0, n, 61, start=start),
+        "aef": lambda n, start: sample_aef_envelope(phys_aef, n, 61, start=start),
+        "akf": lambda n, start: sample_akf_envelope(phys_akf, n, 61, start=start),
+    }[sampler]
+    edge = mc._CHUNK_ROWS
+    full = draw(edge + 5, 0)
+    assert draw(8, edge - 3).tobytes() == full[edge - 3 :].tobytes()
+    singles = np.concatenate([draw(1, i) for i in range(edge - 3, edge + 5)])
+    assert singles.tobytes() == full[edge - 3 :].tobytes()
 
 
 def test_cross_family_byte_identity():
