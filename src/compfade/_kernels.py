@@ -662,8 +662,12 @@ def aef_snr_pdf_kernel(consts, ln_g, rel_tol, max_terms, ln_jac):
 
 def aef_cdf_consts(alpha, mu, ms, h, hsq, ln_lam):
     """The per-distribution constants of aef_snr_cdf_kernel, computed once:
-    the mixture's shape and weight parameters and ln(2 mu h)."""
-    ln_q = math.log(abs(hsq)) - 2.0 * math.log(h) if hsq != 0.0 else -math.inf
+    the mixture's shape and weight parameters and ln(2 mu h). The weights'
+    ratio q = H^2/h^2 is 1 - 1/h, from h^2 - H^2 = h of both geometry
+    formats, so ln|q| = log1p(-1/h) and the weights h^-mu (mu)_k/k! q^k sum
+    to h^-mu (1 - q)^-mu = 1 to rounding; q's sign is that of hsq, and
+    ln|q| is -inf where hsq or 1 - 1/h is 0."""
+    ln_q = math.log1p(-1.0 / h) if hsq != 0.0 and h > 1.0 else -math.inf
     return (alpha, mu, ms, math.log(2.0 * mu * h), ln_lam, -mu * math.log(h), ln_q,
             math.copysign(1.0, hsq))
 
@@ -809,79 +813,105 @@ def akf_snr_cdf_kernel(consts, g, rel_tol, max_terms):
 # operations in the same order, so a lane differs from the scalar call only
 # where numpy's exp and log round differently from libm's. A lane that the
 # array form does not serve goes through the scalar kernel itself.
+#
+# The density lanes also take per-lane constants: each entry of consts is
+# either a scalar, shared by every lane, or an array aligned with ln_g, so
+# one call evaluates the densities of many distributions of a family. The
+# scipy form serves the lanes whose ms is at most _SCIPY_MS_MAX, and every
+# other lane takes the scalar kernel with its own constants; a call whose
+# constants are all scalars (one distribution) is the case where the lanes
+# share them.
 
 
-def _scalar_rest(kernel, consts, ln_g, rel_tol, max_terms, ln_jac, values, served):
-    """Fill the lanes not served by a density's array form from its scalar
-    kernel, one at a time. Returns (values, statuses)."""
+def _scipy_or_scalar_lanes(kernel, scipy_form, consts, ln_g, rel_tol, max_terms, ln_jac):
+    """A density kernel at every lane: scipy_form(consts, ln_g, ln_jac) ->
+    (values, served) on the lanes whose ms (consts[2]) is at most
+    _SCIPY_MS_MAX, the scalar kernel on the rest and on any lane scipy_form
+    does not serve. Returns (values, statuses)."""
+    fit = consts[2] <= _SCIPY_MS_MAX
+    values = np.zeros(ln_g.shape)
+    served = np.zeros(ln_g.shape, dtype=bool)
+    if isinstance(fit, np.ndarray) and not fit.all():
+        lanes = np.flatnonzero(fit)
+        if lanes.size:
+            values[lanes], served[lanes] = scipy_form(
+                tuple(c[lanes] if isinstance(c, np.ndarray) else c for c in consts),
+                ln_g[lanes], ln_jac[lanes])
+    elif isinstance(fit, np.ndarray) or fit:
+        values, served = scipy_form(consts, ln_g, ln_jac)
     status = np.zeros(ln_g.shape, dtype=np.int64)
     for j in np.flatnonzero(~served):
+        lane = tuple(float(c[j]) if isinstance(c, np.ndarray) else c for c in consts)
         values[j], status[j] = kernel(
-            consts, float(ln_g[j]), rel_tol, max_terms, float(ln_jac[j])
+            lane, float(ln_g[j]), rel_tol, max_terms, float(ln_jac[j])
         )
     return values, status
 
 
-def aef_snr_pdf_lanes(consts, ln_g, rel_tol, max_terms, ln_jac):
-    """aef_snr_pdf_kernel at every lane of the arrays ln_g and ln_jac.
-
-    For ms <= _SCIPY_MS_MAX the 2F1 factor of all lanes comes from one
+def _aef_scipy_form(consts, ln_g, ln_jac):
+    """The alpha-eta-F density with the 2F1 factor of all lanes from one
     scipy.special.hyp2f1 call, in Euler's form above z = 1/2 with 1 - z
-    formed as the scalar kernel forms it. Larger ms, and lanes where
-    z < 0, 1 - z is not positive or scipy's value is not a positive finite
-    double, take the scalar kernel. Returns (values, statuses).
-    """
+    formed as the scalar kernel forms it. Returns (values, served): a lane
+    where z < 0, 1 - z is not positive or scipy's value is not a positive
+    finite double is not served."""
     alpha, mu, ms, h, hsq, h2, ln_lam, ln_c, lb, ln_2muh, ln_2mu = consts
-    values = np.zeros(ln_g.shape)
-    served = np.zeros(ln_g.shape, dtype=bool)
-    if ms <= _SCIPY_MS_MAX:
-        with np.errstate(all="ignore"):
-            gexp = 0.5 * alpha * ln_g
-            ln_den = np.logaddexp(ln_2muh + gexp, ln_lam)
-            z = hsq * np.exp(2.0 * (ln_2mu + gexp) - 2.0 * ln_den)
-            euler = z > 0.5
-            s = np.exp(ln_lam - ln_den)
-            omz = np.where(euler, (h + hsq * s * (2.0 - s)) / h2, 1.0 - z)
-            a, b, c = mu + 0.5 * ms, mu + 0.5 * (ms + 1.0), mu + 0.5
-            ln_pre = np.where(euler, (c - a - b) * np.log(omz), 0.0)
-            f = _sc.hyp2f1(np.where(euler, c - a, a), np.where(euler, c - b, b), c, z)
-            ln_pdf = (
-                ln_c
-                + (alpha * mu - 1.0) * ln_g
-                + ln_jac
-                - lb
-                - (2.0 * mu + ms) * ln_den
-                + (ln_pre + np.log(f))
-            )
-            values = np.exp(ln_pdf)
-        served = (z >= 0.0) & (omz > 0.0) & (f > 0.0) & (f < math.inf)
-    return _scalar_rest(aef_snr_pdf_kernel, consts, ln_g, rel_tol, max_terms, ln_jac,
-                        values, served)
+    with np.errstate(all="ignore"):
+        gexp = 0.5 * alpha * ln_g
+        ln_den = np.logaddexp(ln_2muh + gexp, ln_lam)
+        z = hsq * np.exp(2.0 * (ln_2mu + gexp) - 2.0 * ln_den)
+        euler = z > 0.5
+        s = np.exp(ln_lam - ln_den)
+        omz = np.where(euler, (h + hsq * s * (2.0 - s)) / h2, 1.0 - z)
+        a, b, c = mu + 0.5 * ms, mu + 0.5 * (ms + 1.0), mu + 0.5
+        ln_pre = np.where(euler, (c - a - b) * np.log(omz), 0.0)
+        f = _sc.hyp2f1(np.where(euler, c - a, a), np.where(euler, c - b, b), c, z)
+        ln_pdf = (
+            ln_c
+            + (alpha * mu - 1.0) * ln_g
+            + ln_jac
+            - lb
+            - (2.0 * mu + ms) * ln_den
+            + (ln_pre + np.log(f))
+        )
+        values = np.exp(ln_pdf)
+    return values, (z >= 0.0) & (omz > 0.0) & (f > 0.0) & (f < math.inf)
+
+
+def _akf_scipy_form(consts, ln_g, ln_jac):
+    """The alpha-kappa-F density with the 1F1 factor of all lanes from one
+    scipy.special.hyp1f1 call in Kummer's form (1 at x = 0). Returns
+    (values, served): a lane where scipy's value is not a positive finite
+    double is not served."""
+    alpha, mu, ms, mk, ln_lam, ln_c, ln_mu1k = consts
+    with np.errstate(all="ignore"):
+        gexp = 0.5 * alpha * ln_g
+        ln_head = (0.5 * alpha * mu - 1.0) * ln_g + ln_jac
+        ln_den = np.logaddexp(ln_mu1k + gexp, ln_lam)
+        x = mk * np.exp(ln_mu1k + gexp - ln_den)
+        f = _sc.hyp1f1(-ms, mu, -x)
+        ln_pdf = ln_c - (mu + ms) * ln_den + ln_head + (x + np.log(f))
+        values = np.exp(ln_pdf)
+    return values, (f > 0.0) & (f < math.inf)
+
+
+def aef_snr_pdf_lanes(consts, ln_g, rel_tol, max_terms, ln_jac):
+    """aef_snr_pdf_kernel at every lane of the arrays ln_g and ln_jac, each
+    entry of consts a scalar or an array of per-lane constants: the 2F1
+    factor of the lanes with ms <= _SCIPY_MS_MAX from one scipy call
+    (_aef_scipy_form), the scalar kernel elsewhere. Returns (values,
+    statuses)."""
+    return _scipy_or_scalar_lanes(aef_snr_pdf_kernel, _aef_scipy_form, consts, ln_g,
+                                  rel_tol, max_terms, ln_jac)
 
 
 def akf_snr_pdf_lanes(consts, ln_g, rel_tol, max_terms, ln_jac):
-    """akf_snr_pdf_kernel at every lane of the arrays ln_g and ln_jac.
-
-    For ms <= _SCIPY_MS_MAX the 1F1 factor of all lanes comes from one
-    scipy.special.hyp1f1 call in Kummer's form (1 at x = 0). Larger ms, and
-    lanes where scipy's value is not a positive finite double, take the
-    scalar kernel. Returns (values, statuses).
-    """
-    alpha, mu, ms, mk, ln_lam, ln_c, ln_mu1k = consts
-    values = np.zeros(ln_g.shape)
-    served = np.zeros(ln_g.shape, dtype=bool)
-    if ms <= _SCIPY_MS_MAX:
-        with np.errstate(all="ignore"):
-            gexp = 0.5 * alpha * ln_g
-            ln_head = (0.5 * alpha * mu - 1.0) * ln_g + ln_jac
-            ln_den = np.logaddexp(ln_mu1k + gexp, ln_lam)
-            x = mk * np.exp(ln_mu1k + gexp - ln_den)
-            f = _sc.hyp1f1(-ms, mu, -x)
-            ln_pdf = ln_c - (mu + ms) * ln_den + ln_head + (x + np.log(f))
-            values = np.exp(ln_pdf)
-        served = (f > 0.0) & (f < math.inf)
-    return _scalar_rest(akf_snr_pdf_kernel, consts, ln_g, rel_tol, max_terms, ln_jac,
-                        values, served)
+    """akf_snr_pdf_kernel at every lane of the arrays ln_g and ln_jac, each
+    entry of consts a scalar or an array of per-lane constants: the 1F1
+    factor of the lanes with ms <= _SCIPY_MS_MAX from one scipy call
+    (_akf_scipy_form), the scalar kernel elsewhere. Returns (values,
+    statuses)."""
+    return _scipy_or_scalar_lanes(akf_snr_pdf_kernel, _akf_scipy_form, consts, ln_g,
+                                  rel_tol, max_terms, ln_jac)
 
 
 def _reg_inc_beta_lanes(a, b, x, cx):

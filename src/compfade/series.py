@@ -7,7 +7,9 @@ the head of its CDF.
 The densities and the mixture CDF take a float or an np.ndarray. A float
 runs the scalar kernels; an array runs every point as a lane of one array
 computation (the _kernels *_lanes functions), and the CDF then returns a
-LaneResult of arrays in place of a SeriesResult.
+LaneResult of arrays in place of a SeriesResult. Law._densities evaluates
+the densities of many laws of one family in one such computation, each
+lane with its law's constants.
 """
 from __future__ import annotations
 
@@ -233,20 +235,44 @@ class Law:
 
     def _density_lanes(self, name: str, var: str, x: np.ndarray, power: float,
                        ctrl: SeriesControl | None) -> np.ndarray:
-        """_density at every point of the array x, as lanes of one call to
-        the family's _pdf_lanes; an array of x's shape. Raises as the
-        scalar call would at any of its points."""
-        shape = np.shape(x)
+        """_density at every point of the array x: _densities' one-law
+        case; an array of x's shape. Raises as the scalar call would at any
+        of its points."""
+        values, errors = Law._densities([self], name, var, x, None, power, ctrl)
+        if errors:
+            raise errors[0]
+        return values.reshape(np.shape(x))
+
+    @staticmethod
+    def _densities(laws: list, name: str, var: str, x: np.ndarray, which,
+                   power: float, ctrl: SeriesControl | None) -> tuple:
+        """_density of laws[which[i]] at x[i] for every point of the array x,
+        for laws of one family, as lanes of one call to the family's
+        _pdf_lanes in which each lane takes its law's _pdf_consts; which is
+        None for one law. Returns (values, errors), values a flat array:
+        errors maps the index of each law that fails, as its scalar call
+        would raise (the _LN_PREFACTOR_MAX guard, a series that did not
+        converge, an overflow), to that ConvergenceError, and its lanes hold
+        NaN. The other laws' lanes are unaffected."""
         x = _lanes(var, x)
+        if which is None:
+            which = np.zeros(x.size, dtype=np.intp)
         out = np.zeros(x.shape)
+        errors = {}
         zero = x == 0.0
         if zero.any():
-            ln_a, q = self._head()
-            out[zero] = _k.pdf_at_zero(ln_a, power * q)
-        mid = np.flatnonzero((x > 0.0) & (x < math.inf))
+            for i in np.unique(which[zero]):
+                ln_a, q = laws[i]._head()
+                out[zero & (which == i)] = _k.pdf_at_zero(ln_a, power * q)
+        mid = (x > 0.0) & (x < math.inf)
+        for i, law in enumerate(laws):
+            if law.params.ms * abs(law._ln_lam) > _LN_PREFACTOR_MAX:
+                lanes = which == i
+                if (mid & lanes).any():
+                    errors[i] = law._prefactor_error(name)
+                    mid &= ~lanes
+        mid = np.flatnonzero(mid)
         if mid.size:
-            if self.params.ms * abs(self._ln_lam) > _LN_PREFACTOR_MAX:
-                raise self._prefactor_error(name)
             if ctrl is None:
                 ctrl = default_control()
             ln_x = np.log(x[mid])
@@ -254,13 +280,23 @@ class Law:
                 ln_jac = np.zeros(mid.size)
             else:
                 ln_jac = (power - 1.0) * ln_x + math.log(power)
-            values, status = self._pdf_lanes(
-                self._pdf_consts, power * ln_x, ctrl.rel_tol, ctrl.max_terms, ln_jac
+            if len(laws) == 1:
+                consts = laws[0]._pdf_consts
+            else:
+                table = np.ascontiguousarray(np.array([law._pdf_consts for law in laws]).T)
+                consts = tuple(table[:, which[mid]])
+            values, status = laws[0]._pdf_lanes(
+                consts, power * ln_x, ctrl.rel_tol, ctrl.max_terms, ln_jac
             )
-            if status.any() or not np.isfinite(values).all():
-                raise _density_error(name, status.any())
+            bad = (status != 0) | ~np.isfinite(values)
+            if bad.any():
+                for i in np.unique(which[mid[bad]]):
+                    errors[int(i)] = _density_error(
+                        name, bool(np.any(status[which[mid] == i])))
             out[mid] = values
-        return out.reshape(shape)
+        if errors:
+            out[np.isin(which, list(errors))] = math.nan
+        return out, errors
 
     def snr_pdf(self, gamma: float | np.ndarray,
                 ctrl: SeriesControl | None = None) -> float | np.ndarray:

@@ -7,9 +7,13 @@ for the distributions as a whole. Checks return structured results so the
 battery can be rendered as JSON and asserted in tests.
 
 The quadrature (_integrate, for the normalization, mean and CDF checks) is
-an array Gauss-Legendre mesh, not scipy.integrate.quad: each refinement
-round evaluates the density once, on an array of all its pending nodes,
-through the densities' lanes.
+an array Gauss-Legendre mesh, not scipy.integrate.quad, and each of those
+checks integrates all its grid cells in one mesh: every panel carries its
+cell, each cell accepts, bisects and deepens its panels as it would alone,
+and a cell that fails drops out with its own error while the others go
+on. Each refinement round evaluates the densities once per family, on an
+array of every pending node of every cell (series.Law._densities, the
+lanes with per-cell constants).
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from .akf import CLOSED_FORM_GUARD, AkfDist, AkfEnvelope
 from .outage import asymptotic_outage_aef, asymptotic_outage_akf
 from .outage import outage as outage_probability
 from .params import AefParams, AkfParams, Format
-from .series import ConvergenceError, SeriesControl
+from .series import ConvergenceError, Law, SeriesControl
 
 __all__ = [
     "Check",
@@ -49,6 +53,10 @@ NORMALIZATION_TOL = 1e-7
 MEAN_TOL = 1e-6
 CDF_QUAD_TOL = 1e-8
 CDF_CLOSED_TOL = 1e-8
+# scipy's ncfdtr drifts as its denominator degrees of freedom 2 ms grow:
+# against the series (and mpmath) 6.8e-14 at ms = 50, 8e-12 at 1e4 and
+# 2.9e-10 at 1e5; the standard grids' ms is at most 30
+CDF_NCF_TOL = 1e-10
 FISHER_TOL = 1e-10
 KS_LIMIT = 2e-3
 # the envelope CDF replaces its first _HEAD_CELLS linear cells [0, r_n] by
@@ -149,17 +157,48 @@ def _standard_grids() -> list:
     ]
 
 
-def _integrate(f, split: float, head_exp: float, tail_decay: float | None = None,
-               marks=()) -> tuple:
-    """Integral of f over (0, split], and over (0, inf) when tail_decay is
-    given, for an f that takes an array and goes as x^head_exp at 0 and as
-    x^(-tail_decay) at inf; also the integrals over (0, m] for the marks
-    m <= split.
+def _mesh(j, deep, shallow, extra_j=(), extra_t=()) -> tuple:
+    """Panels (lo, hi, j) of the geometric meshes of the sides j: side j[i]'s
+    edges are _MESH_RATIO^e for e from deep[i] down to shallow[i], with the
+    extra edges extra_t of the sides extra_j added. Ordered by side, then
+    by t."""
+    counts = (deep - shallow + 1.0).astype(np.intp)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    e = np.repeat(deep, counts) - (np.arange(first.size) - first)
+    side = np.concatenate((np.repeat(j, counts), extra_j)).astype(np.intp)
+    t = np.concatenate((_MESH_RATIO ** e, extra_t))
+    order = np.lexsort((t, side))
+    side, t = side[order], t[order]
+    new = np.ones(t.size, dtype=bool)
+    new[1:] = (side[1:] != side[:-1]) | (t[1:] != t[:-1])
+    side, t = side[new], t[new]
+    inner = side[1:] == side[:-1]
+    return t[:-1][inner], t[1:][inner], side[:-1][inner]
 
-    The substitution x = split t^k maps each side onto t in (0, 1]: the head
-    with k = p = max(1, 1.6/(1 + head_exp)), the tail with k = -q,
-    q = max(1, 1.6/(tail_decay - 1)). The integrand g(t) = f(x) |dx/dt| then
-    goes as t^s at t = 0, with s = p(1 + head_exp) - 1 or
+
+def _integrate(f, split: float, head_exp, tail_decay=None, marks=()) -> tuple:
+    """Integrals over (0, split], and over (0, inf) when tail_decay is given,
+    of n integrands (cells) that go as x^head_exp at 0 and as
+    x^(-tail_decay) at inf, with head_exp and tail_decay arrays of n; also
+    the integrals over (0, m] for the marks m <= split.
+
+    f(x, cell) takes arrays of points and of their cells and returns
+    (values, errors): errors maps each cell whose integrand failed to its
+    ConvergenceError. Returns (totals, at_marks, errors): arrays of n and of
+    n x len(marks), and errors mapping each failed cell to its
+    ConvergenceError, its totals NaN. A cell fails on its integrand's
+    error, on a non-finite integral, or when panels are still pending after
+    _ROUNDS rounds or past _QUAD_OPTS["limit"] panels; the other cells go
+    on as if alone.
+
+    With a scalar head_exp (and tail_decay) it integrates one f(x) alone:
+    it returns (total, np.ndarray of the integrals at the marks) and raises
+    the cell's ConvergenceError.
+
+    The substitution x = split t^k maps each side of a cell onto t in
+    (0, 1]: the head with k = p = max(1, 1.6/(1 + head_exp)), the tail with
+    k = -q, q = max(1, 1.6/(tail_decay - 1)). The integrand g(t) = f(x)
+    |dx/dt| then goes as t^s at t = 0, with s = p(1 + head_exp) - 1 or
     q(tail_decay - 1) - 1, both at least 0.6. Each side is a geometric mesh
     of (0, 1] with ratio _MESH_RATIO down to an edge t0, below which the
     analytic remainder t0 g(t0)/(1 + s) is added. The mesh starts where
@@ -172,85 +211,123 @@ def _integrate(f, split: float, head_exp: float, tail_decay: float | None = None
 
     Each panel takes the Gauss-Legendre rules of _GAUSS_ORDERS: the higher
     order gives its integral, the difference to the lower its error
-    estimate. A panel whose estimate exceeds its share (by t-width) of the
-    tolerance max(epsabs, epsrel |total|) of _QUAD_OPTS is bisected. f is
-    called once per round, on an array of every pending node of both
-    sides.
-
-    Returns (total, np.ndarray of the integrals over (0, m] for m in marks).
-    Raises ConvergenceError for a non-finite integral, or when panels are
-    still pending after _ROUNDS rounds or past _QUAD_OPTS["limit"] panels.
+    estimate. A panel whose estimate exceeds its share (by t-width) of its
+    cell's tolerance max(epsabs, epsrel |total|) of _QUAD_OPTS is bisected.
+    Every panel carries its side j = cell * sides + side, and each cell's
+    sums come from np.bincount over its panels, in the order a lone cell
+    has them. f is called once per round, on an array of every pending
+    node of every cell.
     """
-    a = np.array([head_exp] if tail_decay is None else [head_exp, -tail_decay])
+    if np.ndim(head_exp) == 0:
+        totals, at_marks, errors = _integrate(
+            lambda x, cell: (f(x), {}), split, np.array([head_exp]),
+            None if tail_decay is None else np.array([tail_decay]), marks)
+        if errors:
+            raise errors[0]
+        return float(totals[0]), at_marks[0]
+    head_exp = np.asarray(head_exp, dtype=float)
+    n = head_exp.size
+    if tail_decay is None:
+        sides, a = 1, head_exp
+    else:
+        sides = 2
+        a = np.column_stack((head_exp, -np.asarray(tail_decay, dtype=float))).ravel()
     k = np.copysign(np.maximum(1.0, 1.6 / np.abs(1.0 + a)), 1.0 + a)
     s = k * (1.0 + a) - 1.0
     step = -math.log(_MESH_RATIO)
-    # side i's innermost edge is t0 = _MESH_RATIO^depth[i]
+    # side j's innermost edge is t0 = _MESH_RATIO^depth[j]
     max_depth = np.ceil(math.log(_X_SPAN) / (np.abs(k) * step))
     allowance = _REMAINDER_SHARE * _QUAD_OPTS["epsabs"]
     depth = np.minimum(max_depth, np.ceil(-math.log(allowance) / ((1.0 + s) * step)))
-    t_marks = (np.asarray(marks, dtype=float) / split) ** (1.0 / k[0])
-    if t_marks.size:
-        depth[0] = max(depth[0], math.ceil(-math.log(t_marks.min()) / step))
-    lo, hi, side = [], [], []
-    for i in range(a.size):
-        edges = _MESH_RATIO ** np.arange(depth[i], -1.0, -1.0)
-        if i == 0:
-            edges = np.union1d(edges, t_marks)
-        lo.append(edges[:-1])
-        hi.append(edges[1:])
-        side.append(np.full(edges.size - 1, i))
-    lo, hi, side = np.concatenate(lo), np.concatenate(hi), np.concatenate(side)
-    rest = np.zeros(a.size)
-    new_rest = np.ones(a.size, dtype=bool)  # sides whose t0 is still to evaluate
-    kept_hi, kept_side, kept_val = [], [], []
-    kept_sum = 0.0
-    for _ in range(_ROUNDS):
-        t0 = _MESH_RATIO ** depth[new_rest]
+    marks = np.asarray(marks, dtype=float)
+    t_marks = (marks / split)[None, :] ** (1.0 / k[::sides, None])
+    if marks.size:
+        depth[::sides] = np.maximum(depth[::sides],
+                                    np.ceil(-np.log(t_marks.min(axis=1)) / step))
+    heads = np.arange(0, n * sides, sides)
+    lo, hi, pj = _mesh(np.arange(n * sides), depth, np.zeros(n * sides),
+                       np.repeat(heads, marks.size), t_marks.ravel())
+    rest = np.zeros(n * sides)
+    new_rest = np.ones(n * sides, dtype=bool)  # sides whose t0 is still to evaluate
+    live = np.ones(n, dtype=bool)
+    errors = {}
+    kept_hi, kept_j, kept_val = [], [], []
+    kept_sum = np.zeros(n)
+    kept_count = np.zeros(n, dtype=np.intp)
+    for rounds in range(1, _ROUNDS + 1):
+        jr = np.flatnonzero(new_rest)
+        t0 = _MESH_RATIO ** depth[jr]
         nodes = ((0.5 * (lo + hi))[:, None]
                  + (0.5 * (hi - lo))[:, None] * _GAUSS_NODES).ravel()
         t = np.concatenate((nodes, t0))
-        kt = np.concatenate((np.repeat(k[side], _GAUSS_NODES.size), k[new_rest]))
-        g = f(split * t**kt) * (split * np.abs(kt) * t ** (kt - 1.0))
-        rest[new_rest] = t0 * g[nodes.size:] / (1.0 + s[new_rest])
+        kt = np.concatenate((np.repeat(k[pj], _GAUSS_NODES.size), k[jr]))
+        cell = np.concatenate((np.repeat(pj // sides, _GAUSS_NODES.size), jr // sides))
+        values, failed = f(split * t**kt, cell)
+        for c, exc in failed.items():
+            errors.setdefault(c, exc)
+            live[c] = False
+        g = values * (split * np.abs(kt) * t ** (kt - 1.0))
+        rest[jr] = t0 * g[nodes.size:] / (1.0 + s[jr])
         g = g[:nodes.size].reshape(lo.size, _GAUSS_NODES.size)
         half = 0.5 * (hi - lo)
         fine = half * (g[:, :_GAUSS_ORDERS[0]] @ _GAUSS_WEIGHTS[0])
         coarse = half * (g[:, _GAUSS_ORDERS[0]:] @ _GAUSS_WEIGHTS[1])
-        total = kept_sum + np.sum(fine) + np.sum(rest)
-        if not math.isfinite(total):
-            raise ConvergenceError("quadrature: the integral is not finite")
-        tol = max(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * abs(total))
-        ok = np.abs(fine - coarse) <= tol * (hi - lo) / a.size
-        kept_hi.append(hi[ok])
-        kept_side.append(side[ok])
-        kept_val.append(fine[ok])
-        kept_sum += np.sum(fine[ok])
-        mid = (0.5 * (lo + hi))[~ok]
-        lo, hi = np.concatenate((lo[~ok], mid)), np.concatenate((mid, hi[~ok]))
-        side = np.tile(side[~ok], 2)
+        pc = pj // sides
+        total = (kept_sum + np.bincount(pc, fine, minlength=n)
+                 + rest.reshape(n, sides).sum(axis=1))
+        for c in np.flatnonzero(live & ~np.isfinite(total)).tolist():
+            errors[c] = ConvergenceError("quadrature: the integral is not finite")
+            live[c] = False
+        tol = np.maximum(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * np.abs(total))
+        ok = np.abs(fine - coarse) <= tol[pc] * (hi - lo) / sides
+        keep, split_up = ok & live[pc], ~ok & live[pc]
+        kept_hi.append(hi[keep])
+        kept_j.append(pj[keep])
+        kept_val.append(fine[keep])
+        kept_sum += np.bincount(pc[keep], fine[keep], minlength=n)
+        kept_count += np.bincount(pc[keep], minlength=n)
+        mid = (0.5 * (lo + hi))[split_up]
+        lo, hi = np.concatenate((lo[split_up], mid)), np.concatenate((mid, hi[split_up]))
+        pj = np.tile(pj[split_up], 2)
         # deepen the mesh of a side whose remainder is above its allowance,
         # by as many panels as its power law asks for
-        new_rest = (np.abs(rest) > allowance) & (depth < max_depth)
-        for i in np.flatnonzero(new_rest):
-            more = math.ceil(math.log(abs(rest[i]) / allowance) / ((1.0 + s[i]) * step))
-            deeper = min(max_depth[i], depth[i] + more)
-            edges = _MESH_RATIO ** np.arange(deeper, depth[i] - 1.0, -1.0)
-            lo = np.concatenate((lo, edges[:-1]))
-            hi = np.concatenate((hi, edges[1:]))
-            side = np.concatenate((side, np.full(edges.size - 1, i)))
-            depth[i] = deeper
-        if not lo.size or sum(v.size for v in kept_val) + lo.size > _QUAD_OPTS["limit"]:
+        new_rest = ((np.abs(rest) > allowance) & (depth < max_depth)
+                    & np.repeat(live, sides))
+        if new_rest.any():
+            jr = np.flatnonzero(new_rest)
+            more = np.ceil(np.log(np.abs(rest[jr]) / allowance) / ((1.0 + s[jr]) * step))
+            deeper = np.minimum(max_depth[jr], depth[jr] + more)
+            new_lo, new_hi, new_j = _mesh(jr, deeper, depth[jr])
+            lo, hi = np.concatenate((lo, new_lo)), np.concatenate((hi, new_hi))
+            pj = np.concatenate((pj, new_j))
+            depth[jr] = deeper
+        pending = np.bincount(pj // sides, minlength=n)
+        over = (pending > 0) & ((kept_count + pending > _QUAD_OPTS["limit"])
+                                | (rounds == _ROUNDS))
+        for c in np.flatnonzero(over).tolist():
+            errors[c] = ConvergenceError(
+                f"quadrature: {pending[c]} panels pending after {rounds} of "
+                f"{_ROUNDS} rounds and {_QUAD_OPTS['limit']} panels, at tolerance "
+                f"{tol[c]:.3g}")
+            live[c] = False
+        if over.any():
+            stay = live[pj // sides]
+            lo, hi, pj = lo[stay], hi[stay], pj[stay]
+            new_rest &= np.repeat(live, sides)
+        if not lo.size:
             break
-    if lo.size:
-        raise ConvergenceError(
-            f"quadrature: {lo.size} panels pending after {len(kept_val)} of "
-            f"{_ROUNDS} rounds and {_QUAD_OPTS['limit']} panels, at tolerance {tol:.3g}"
-        )
-    kept_hi, kept_side, kept_val = map(np.concatenate, (kept_hi, kept_side, kept_val))
-    head_hi, head_val = kept_hi[kept_side == 0], kept_val[kept_side == 0]
-    at_marks = np.array([rest[0] + np.sum(head_val[head_hi <= tm]) for tm in t_marks])
-    return float(kept_sum + np.sum(rest)), at_marks
+    kept_hi, kept_j, kept_val = map(np.concatenate, (kept_hi, kept_j, kept_val))
+    totals = kept_sum + rest.reshape(n, sides).sum(axis=1)
+    head = kept_j % sides == 0
+    hc, head_hi, head_val = kept_j[head] // sides, kept_hi[head], kept_val[head]
+    at_marks = np.empty((n, marks.size))
+    for m in range(marks.size):
+        at_marks[:, m] = rest[::sides] + np.bincount(
+            hc, head_val * (head_hi <= t_marks[hc, m]), minlength=n)
+    failed = list(errors)
+    totals[failed] = math.nan
+    at_marks[failed] = math.nan
+    return totals, at_marks, errors
 
 
 def _snr_pdf_fn(p: AefParams | AkfParams, gamma_bar: float = 1.0):
@@ -260,49 +337,80 @@ def _snr_pdf_fn(p: AefParams | AkfParams, gamma_bar: float = 1.0):
     return d, d.snr_pdf, d._head()[1] - 1.0
 
 
-def _quadrature_check(name: str, limit: float, deviation) -> Check:
-    """Check of deviation(), a callable that integrates; a quadrature that
-    does not converge fails the check, its message the detail."""
-    try:
-        dev = deviation()
-    except ConvergenceError as exc:
-        return Check(name, math.nan, limit, False, detail=str(exc))
-    return Check(name, dev, limit, dev <= limit)
+def _grid_pdf(laws: list):
+    """The densities of the SNR laws of a grid as one integrand of
+    _integrate, f(x, cell) -> (values, errors) with the density of
+    laws[cell[i]] at x[i]: one series.Law._densities call per family, each
+    failing law reported with its scalar call's ConvergenceError."""
+    is_aef = np.array([isinstance(d, AefDist) for d in laws], dtype=bool)
+    families = []
+    for member in (is_aef, ~is_aef):
+        cells = np.flatnonzero(member)
+        if cells.size:
+            local = np.full(len(laws), -1)
+            local[cells] = np.arange(cells.size)
+            families.append((cells, [laws[c] for c in cells], local))
+
+    def pdf(x, cell):
+        values = np.empty(x.shape)
+        errors = {}
+        for cells, group, local in families:
+            lanes = local[cell] >= 0
+            values[lanes], failed = Law._densities(
+                group, "snr_pdf", "gamma", x[lanes], local[cell[lanes]], 1.0, None)
+            errors.update((int(cells[i]), exc) for i, exc in failed.items())
+        return values, errors
+
+    return pdf
+
+
+def _grid_cells(grids) -> tuple:
+    """The grid cells' tags, SNR laws and density exponents at 0."""
+    tags, laws, head_exp = [], [], []
+    for p in grids:
+        tags.append(_aef_tag(p) if isinstance(p, AefParams) else _akf_tag(p))
+        d, _, e = _snr_pdf_fn(p)
+        laws.append(d)
+        head_exp.append(e)
+    return tags, laws, np.array(head_exp)
+
+
+def _quadrature_check(name: str, limit: float, deviation: float, error=None) -> Check:
+    """Check of one cell's deviation; a cell whose quadrature failed fails
+    the check, its ConvergenceError's message the detail."""
+    if error is not None:
+        return Check(name, math.nan, limit, False, detail=str(error))
+    return Check(name, deviation, limit, deviation <= limit)
 
 
 def check_normalization(grids=None) -> list:
     """Criterion: integral of snr_pdf over (0, inf) equals 1 within 1e-7
-    on the standard parameter grids."""
-    checks = []
-    if grids is None:
-        grids = _standard_grids()
-    for p in grids:
-        tag = _aef_tag(p) if isinstance(p, AefParams) else _akf_tag(p)
-        _, pdf, head_exp = _snr_pdf_fn(p)
-        tail_decay = 1.0 + 0.5 * p.alpha * p.ms
-        checks.append(_quadrature_check(
-            f"norm-{tag}", NORMALIZATION_TOL,
-            lambda: abs(_integrate(pdf, 1.0, head_exp, tail_decay)[0] - 1.0),
-        ))
-    return checks
+    on the standard parameter grids; one _integrate call over all cells."""
+    grids = _standard_grids() if grids is None else list(grids)
+    tags, laws, head_exp = _grid_cells(grids)
+    tail_decay = np.array([1.0 + 0.5 * p.alpha * p.ms for p in grids])
+    totals, _, errors = _integrate(_grid_pdf(laws), 1.0, head_exp, tail_decay)
+    return [_quadrature_check(f"norm-{tag}", NORMALIZATION_TOL, abs(total - 1.0),
+                              errors.get(c))
+            for c, (tag, total) in enumerate(zip(tags, totals.tolist()))]
 
 
 def check_mean(grids=None) -> list:
     """Criterion: integral of gamma * snr_pdf equals gamma_bar within 1e-6,
-    verifying the power normalizers end-to-end."""
-    checks = []
-    if grids is None:
-        grids = _standard_grids()
-    for p in grids:
-        tag = _aef_tag(p) if isinstance(p, AefParams) else _akf_tag(p)
-        _, pdf, head_exp = _snr_pdf_fn(p)
-        tail_decay = 0.5 * p.alpha * p.ms
-        checks.append(_quadrature_check(
-            f"mean-{tag}", MEAN_TOL,
-            lambda: abs(_integrate(lambda g: g * pdf(g), 1.0, head_exp + 1.0,
-                                   tail_decay)[0] - 1.0),
-        ))
-    return checks
+    verifying the power normalizers end-to-end; one _integrate call over
+    all cells."""
+    grids = _standard_grids() if grids is None else list(grids)
+    tags, laws, head_exp = _grid_cells(grids)
+    tail_decay = np.array([0.5 * p.alpha * p.ms for p in grids])
+    pdf = _grid_pdf(laws)
+
+    def integrand(x, cell):
+        values, errors = pdf(x, cell)
+        return x * values, errors
+
+    totals, _, errors = _integrate(integrand, 1.0, head_exp + 1.0, tail_decay)
+    return [_quadrature_check(f"mean-{tag}", MEAN_TOL, abs(total - 1.0), errors.get(c))
+            for c, (tag, total) in enumerate(zip(tags, totals.tolist()))]
 
 
 _CDF_POINTS = np.geomspace(0.05, 8.0, 10)
@@ -310,41 +418,42 @@ _CDF_POINTS = np.geomspace(0.05, 8.0, 10)
 
 def check_cdf(grids=None) -> list:
     """Criterion: snr_cdf matches quadrature of snr_pdf within 1e-8 at ten
-    points per grid cell; for the kappa family the closed forms match the
-    series within 1e-8 outside the dispatch guard band.
+    points per grid cell; for the kappa family the series matches the
+    noncentral F CDF (scipy.special.ncfdtr) within 1e-10, and the closed
+    forms match the series within 1e-8 outside the dispatch guard band.
 
     The series CDF is one array call per grid cell, and the quadrature one
-    _integrate call with the ten points as marks; the closed forms take one
-    point per call."""
+    _integrate call over all cells with the ten points as marks; the closed
+    forms take one point per call. The alpha-kappa-F CDF is the noncentral
+    F(2 mu, 2 ms; 2 mu kappa) CDF at ms X1/mu, and ncfdtr (Boost) shares no
+    code with the series: a NaN from it fails the check."""
+    grids = _standard_grids() if grids is None else list(grids)
+    tags, laws, head_exp = _grid_cells(grids)
+    _, at_marks, errors = _integrate(_grid_pdf(laws), _CDF_POINTS[-1], head_exp,
+                                     marks=_CDF_POINTS)
     checks = []
-    if grids is None:
-        grids = _standard_grids()
-    for p in grids:
-        is_aef = isinstance(p, AefParams)
-        tag = _aef_tag(p) if is_aef else _akf_tag(p)
-        d, pdf, head_exp = _snr_pdf_fn(p)
+    for c, (tag, d) in enumerate(zip(tags, laws)):
         series = d.snr_cdf(_CDF_POINTS).value
         checks.append(_quadrature_check(
             f"cdf-quad-{tag}", CDF_QUAD_TOL,
-            lambda: float(np.max(np.abs(series - _integrate(
-                pdf, _CDF_POINTS[-1], head_exp, marks=_CDF_POINTS)[1]))),
-        ))
-        if is_aef:
+            float(np.max(np.abs(series - at_marks[c]))), errors.get(c)))
+        if isinstance(d, AefDist):
             continue
+        p = d.params
+        x1 = np.array([math.exp(d._ln_x1(g)) for g in _CDF_POINTS])
+        ncf = special.ncfdtr(2.0 * p.mu, 2.0 * p.ms, 2.0 * p.mu * p.kappa,
+                             p.ms * x1 / p.mu)
+        dev_ncf = float(np.max(np.abs(series - ncf)))
         dev_closed = -1.0
-        for g, value in zip(_CDF_POINTS, series.tolist()):
-            if abs(math.exp(d._ln_x1(g)) - 1.0) > CLOSED_FORM_GUARD:
+        for g, x, value in zip(_CDF_POINTS, x1.tolist(), series.tolist()):
+            if abs(x - 1.0) > CLOSED_FORM_GUARD:
                 closed = d.snr_cdf_closed(float(g)).value
                 dev_closed = max(dev_closed, abs(closed - value))
         if dev_closed >= 0.0:
-            checks.append(
-                Check(
-                    f"cdf-closed-{tag}",
-                    dev_closed,
-                    CDF_CLOSED_TOL,
-                    dev_closed <= CDF_CLOSED_TOL,
-                )
-            )
+            checks.append(Check(f"cdf-closed-{tag}", dev_closed, CDF_CLOSED_TOL,
+                                dev_closed <= CDF_CLOSED_TOL))
+        checks.append(Check(f"cdf-ncf-{tag}", dev_ncf, CDF_NCF_TOL,
+                            dev_ncf <= CDF_NCF_TOL))
     return checks
 
 

@@ -9,6 +9,7 @@ the deep lower tail at strong line of sight, where many terms matter.
 """
 
 import math
+import sys
 
 import pytest
 from scipy import special
@@ -159,3 +160,30 @@ def test_closed_form_results_hold_plain_python_types(g):
 
 def test_humbert_psi1_result_holds_plain_python_types():
     _assert_plain(humbert_psi1(1.3, 0.7, 2.1, 1.9, 0.5, 2.5))
+
+
+@pytest.mark.parametrize("eta", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("mu", [0.5, 1.0, 2.5, 7.0])
+def test_aef_negative_binomial_weights_sum_to_one(eta, mu):
+    # the weights h^-mu (mu)_k/k! q^k sum to h^-mu (1 - q)^-mu, here in
+    # mpmath from the double constants ln w0 = -mu ln h and ln q. With
+    # q = 1 - 1/h from h^2 - H^2 = h the sum is 1 within 1e-15 up to mu = 1;
+    # past that the rounding of ln w0 itself, eps |ln w0|, dominates. ln q
+    # taken as ln H^2 - 2 ln h left it 1 - 2.8e-13 off at eta = 1e-3, mu = 1.
+    d = AefDist(AefParams(alpha=2.0, eta=eta, mu=mu, ms=4.0), 1.0)
+    ln_w0, ln_q, sgn_q = d._cdf_consts[_k.CDF_LN_W0], d._cdf_consts[6], d._cdf_consts[7]
+    assert sgn_q == 1.0
+    mp = oracles._setup()
+    q = mp.exp(mp.mpf(ln_q))
+    total = mp.exp(mp.mpf(ln_w0)) * (1 - q) ** (-mu)
+    if eta == 1e-2:
+        # the same sum term by term, past the mode until the weights are
+        # below 1e-30 (some 2000 terms here, 10^5 and more at smaller eta)
+        terms, weight, k = mp.mpf(0), mp.exp(mp.mpf(ln_w0)), 0
+        while weight > mp.mpf(10) ** -30 or k < mu / (1 - q):
+            terms += weight
+            weight *= (mu + k) / mp.mpf(k + 1) * q
+            k += 1
+        assert abs(terms - total) <= 1e-25
+    eps = sys.float_info.epsilon
+    assert abs(float(total) - 1.0) <= max(1e-15, eps * (abs(ln_w0) + mu + 2.0))

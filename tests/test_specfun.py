@@ -247,3 +247,27 @@ def test_kdf_2_1_beta_rows_past_the_underflow_of_the_incomplete_beta(args):
 def test_value_beyond_the_double_range_raises_convergence_error(call):
     with pytest.raises(ConvergenceError, match="leaves the double range"):
         call()
+
+
+@pytest.mark.parametrize("args", [
+    (1.3, 2.2, 3.1, 0.8, 1.5, -0.3),     # below y = 1/2 the recurrence is unstable:
+    (12.0, 2.0, 3.0, 1.5, 14.0, -0.05),  # 110 rows, 12 of them direct
+    (0.7, 4.1, 2.5, 1.9, 1.9, 0.75),     # above, 82 rows from the first two
+])
+def test_kdf_oracle_rows_by_recurrence_match_direct_rows(args):
+    # the reference sums mpmath 2F1 rows, one per row, with the same
+    # exact shifts a1 + m etc.
+    from itertools import count
+
+    from compfade import _oracles
+
+    a1, a2, b1, c1, x, y = args
+    with mpmath.workdps(_oracles._KDF_DPS):
+        want = _oracles._rows(
+            (mpmath.hyp2f1(mpmath.mpf(a1) + m, mpmath.mpf(a2) + m, mpmath.mpf(b1) + m, y)
+             for m in count()),
+            lambda m: ((mpmath.mpf(a1) + m) * (mpmath.mpf(a2) + m)
+                       / ((mpmath.mpf(b1) + m) * (mpmath.mpf(c1) + m) * (m + 1)) * x),
+            100000)
+        got = oracles.mp_kdf_2_1(*args)
+        assert abs(got - want) <= mpmath.mpf(10) ** -30 * abs(want)
