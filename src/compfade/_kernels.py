@@ -26,9 +26,13 @@ z = 1/2, and the alpha-kappa-F 1F1 from hyp1f1 in Kummer's form, both for
 ms <= _SCIPY_MS_MAX. Larger ms, and any value scipy does not give as a
 positive finite double, go to the series (gauss_2f1_ln, kummer_1f1_ln),
 which the SeriesControl settings then govern; both 2F1 routes take
-Euler's prefactor from the exact 1 - z. The kernels' constants are
-computed once per distribution (aef_pdf_consts, aef_cdf_consts,
-akf_pdf_consts, akf_cdf_consts).
+Euler's prefactor from the exact 1 - z. Each density is the derivative
+of its CDF head, p A g^(p-1), times s^(c+ms), s = Lambda/D, and that
+factor; ln s = -ln(1 + e^u) comes from _beta_argument, so no term of size
+ms ln Lambda is formed, and the densities keep their digits at any ms. The
+kernels' constants are computed once per distribution (aef_pdf_consts,
+aef_cdf_consts, akf_pdf_consts, akf_cdf_consts). ln B(a, b) takes
+Stirling's form above a + b = 1e3 (_lbeta).
 
 The single series and the mixtures add one term per interpreted loop
 step. The Humbert Psi1 double series instead advances every live column
@@ -47,7 +51,6 @@ from scipy import special as _sc
 # below this, kappa-dependent factors are replaced by their exact kappa -> 0
 # limit forms for numerical hygiene
 KAPPA_ZERO_CUTOFF = 1e-10
-LN2 = math.log(2.0)
 
 _LN_RESCALE = 645.0  # e^645 is close to the overflow edge; rescale margin below it
 # an incomplete beta stepped by recurrence is recomputed once it falls below
@@ -72,12 +75,11 @@ _SCIPY_MS_MAX = 50.0
 # more than this many are left: one array step cost 20-30 us, one scalar
 # term 2-4 us (CHANGES.md)
 _LANES_MIN = 8
-# _lbeta's lgamma difference loses about eps (a + b) ln(a + b); betaln does
-# too until its asymptotic form takes over. Measured against mpmath, for a
-# in [0.05, 100]: both 3e-9 relative at a + b = 1e6, at 2e6 lgamma 6e-9 and
-# betaln 3e-10, at 1e10 lgamma 4e-5 and betaln 7e-16. betaln costs about
-# 0.6 us more a call, so below this the lgamma difference is kept
-_LBETA_LGAMMA_MAX = 1e6
+# _lbeta's lgamma difference loses about eps (a + b) ln(a + b) (1.7e-12
+# relative at a + b = 1e3, 3e-9 at 1e6, against mpmath); above this a + b it
+# takes Stirling's form instead, which keeps no term that grows with b
+_LBETA_STIRLING_MIN = 1e3
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # an array of fewer points goes to _beta_mixture point by point: on the
 # battery's 162 grid cells, 10 to 30 points cost 1.1-2x as much in lanes
 # (the loop and its hand-off) as in scalar calls, 32 points about the same
@@ -101,12 +103,29 @@ def _lgamma_sign(x):
     return math.lgamma(x), -1.0
 
 
+def _ln_gamma_star(a):
+    """ln Gamma*(a) = ln Gamma(a) - (a - 1/2) ln a + a - ln sqrt(2 pi), the
+    Stirling correction: from lgamma below a = 10, above it from five terms
+    of Stirling's series (error below 2e-14)."""
+    if a < 10.0:
+        return math.lgamma(a) - (a - 0.5) * math.log(a) + a - _LN_SQRT_2PI
+    r = 1.0 / (a * a)
+    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (
+        1.0 / 1680.0 - r / 1188.0)))) / a
+
+
 def _lbeta(a, b):
-    """ln B(a, b) for a, b > 0: from lgamma up to a + b = _LBETA_LGAMMA_MAX,
-    from scipy.special.betaln above it."""
-    if a + b > _LBETA_LGAMMA_MAX:
-        return float(_sc.betaln(a, b))
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    """ln B(a, b) for a, b > 0: the lgamma difference up to a + b =
+    _LBETA_STIRLING_MIN, above it, with a <= b and c = a + b, Stirling's form
+    lgamma(a) - a ln c - (b - 1/2) log1p(a/b) + a + Gamma*(b) - Gamma*(c)
+    (the ln Gamma* of _ln_gamma_star), whose terms do not grow with b."""
+    c = a + b
+    if c <= _LBETA_STIRLING_MIN:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(c)
+    if a > b:
+        a, b = b, a
+    return (math.lgamma(a) - a * math.log(c) - (b - 0.5) * math.log1p(a / b) + a
+            + _ln_gamma_star(b) - _ln_gamma_star(c))
 
 
 def pdf_at_zero(ln_a, q):
@@ -163,16 +182,6 @@ def _signed_exp(sgn, ln_abs):
         return sgn * math.exp(ln_abs)
     except OverflowError:
         return sgn * math.inf
-
-
-def _logaddexp(la, lb):
-    if la == -math.inf:
-        return lb
-    if lb == -math.inf:
-        return la
-    if la > lb:
-        return la + math.log1p(math.exp(lb - la))
-    return lb + math.log1p(math.exp(la - lb))
 
 
 def _beta_argument(ln_y):
@@ -578,21 +587,12 @@ def _beta_mixture(a, step, b, ln_y, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms
     return s, k + 1, est, status if math.isfinite(s) else 1
 
 
-def aef_pdf_consts(alpha, mu, ms, h, hsq, ln_lam):
-    """The per-distribution constants of aef_snr_pdf_kernel, computed once:
-    h, H^2, h^2, the leading part of the density's constant log-prefactor,
-    ln B(2mu, ms) (subtracted later, in the order the density has always
-    been summed, so the series route stays bit-identical), ln(2 mu h) and
-    ln(2 mu)."""
-    ln_c = (
-        math.log(alpha)
-        + (2.0 * mu - 1.0) * LN2
-        + 2.0 * mu * math.log(mu)
-        + mu * math.log(h)
-        + ms * ln_lam
-    )
-    return (alpha, mu, ms, h, hsq, h * h, ln_lam, ln_c, _lbeta(2.0 * mu, ms),
-            math.log(2.0 * mu * h), math.log(2.0 * mu))
+def aef_pdf_consts(alpha, mu, ms, h, hsq, ln_lam, ln_a):
+    """The per-distribution constants of aef_snr_pdf_kernel, computed once
+    from ln A of the CDF head A g^p, p = alpha mu: h, H^2, h^2, ln(p A) and
+    ln(2 mu h / Lambda)."""
+    return (alpha, mu, ms, h, hsq, h * h, math.log(alpha * mu) + ln_a,
+            math.log(2.0 * mu * h) - ln_lam)
 
 
 def _density_2f1_ln(mu, ms, z, omz, rel_tol, max_terms):
@@ -628,35 +628,33 @@ def aef_snr_pdf_kernel(consts, ln_g, rel_tol, max_terms, ln_jac):
     """Density of the alpha-eta-F instantaneous SNR at g = exp(ln_g) > 0, times
     exp(ln_jac), given consts = aef_pdf_consts(...). Returns (value, status).
 
+    The density is p A g^(p - 1) s^(2 mu + ms) 2F1(...; z): the derivative
+    of the CDF head A g^p, p = alpha mu, times the powers of s = Lambda/D,
+    D = Lambda + 2 mu h g^(alpha/2). With u = ln(2 mu h g^(alpha/2) /
+    Lambda), ln s = -ln(1 + e^u) and t = 1 - s come from _beta_argument(u),
+    so the terms of size ms ln Lambda that the paper's Lambda^ms /
+    D^(2 mu + ms) cancels are never formed.
+
     ln_jac is the log-Jacobian of a change of variables: the envelope density
     at r is this kernel at ln_g = 2 ln r, ln_jac = ln 2 + ln r, with Lambda
     built from the mean power. Taking logs keeps r below 1e-154, where r*r
     underflows, on the curve. The 2F1 factor comes from _density_2f1_ln.
-    At strong imbalance z = (H/h)^2 t^2, t = 2 mu h g^(alpha/2) / D, nears 1,
-    and 1 - z taken from the double z keeps few digits. Above z = 1/2 it is
-    formed as (h + H^2 (1 - t)(1 + t)) / h^2 instead, from the identity
-    h^2 - H^2 = h of both geometry formats and 1 - t = s = Lambda/D: both
-    parts are positive, and s (2 - s) keeps the digits of 1 - t^2.
+    At strong imbalance z = (H/h)^2 t^2 nears 1, and 1 - z taken from the
+    double z keeps few digits. Above z = 1/2 it is formed as
+    (h + H^2 (1 - t)(1 + t)) / h^2 instead, from the identity h^2 - H^2 = h
+    of both geometry formats and 1 - t = s: both parts are positive, and
+    s (2 - s) keeps the digits of 1 - t^2.
     """
-    alpha, mu, ms, h, hsq, h2, ln_lam, ln_c, lb, ln_2muh, ln_2mu = consts
-    gexp = 0.5 * alpha * ln_g
-    ln_den = _logaddexp(ln_2muh + gexp, ln_lam)
-    z = hsq * math.exp(2.0 * (ln_2mu + gexp) - 2.0 * ln_den)
+    alpha, mu, ms, h, hsq, h2, ln_pa, ln_y0 = consts
+    t, s, _, ln_s = _beta_argument(ln_y0 + 0.5 * alpha * ln_g)
+    z = hsq * (t * t) / h2
     omz = 1.0 - z
     if z > 0.5:
-        s = math.exp(ln_lam - ln_den)
         omz = (h + hsq * s * (2.0 - s)) / h2
     ln_f, sgn_f, st = _density_2f1_ln(mu, ms, z, omz, rel_tol, max_terms)
     if st != 0:
         return 0.0, st
-    ln_pdf = (
-        ln_c
-        + (alpha * mu - 1.0) * ln_g
-        + ln_jac
-        - lb
-        - (2.0 * mu + ms) * ln_den
-        + ln_f
-    )
+    ln_pdf = ln_pa + (alpha * mu - 1.0) * ln_g + ln_jac + (2.0 * mu + ms) * ln_s + ln_f
     return _signed_exp(sgn_f, ln_pdf), 0
 
 
@@ -691,13 +689,13 @@ def aef_snr_cdf_kernel(consts, g, rel_tol, max_terms):
                          rel_tol, max_terms)
 
 
-def aef_cdf_bound_kernel(alpha, mu, ms, h, hsq, ln_lam, g, k0, rel_tol, max_terms):
+def aef_cdf_bound_kernel(alpha, mu, ms, h, hsq, ln_lam, ln_a, g, k0, rel_tol, max_terms):
     """Closed-form upper bound on the CDF-series remainder after K0-1 terms.
 
-    Includes the series' common prefactor 2^(2mu-1) h^mu / (Gamma(2mu)Gamma(ms)).
-    The bounding 2F1 argument is w = (2 mu H g^(alpha/2)/Lambda)^2; for w >= 1
-    that series has no convergent real form and status 2 is returned.
-    Returns (value, status).
+    Its prefactor is the CDF head A g^(alpha mu), given ln A, times
+    mu / (mu + k0). The bounding 2F1 argument is w = (2 mu H
+    g^(alpha/2)/Lambda)^2; for w >= 1 that series has no convergent real
+    form and status 2 is returned. Returns (value, status).
     """
     gexp = 0.5 * alpha * math.log(g)
     w = 0.0
@@ -719,54 +717,38 @@ def aef_cdf_bound_kernel(alpha, mu, ms, h, hsq, ln_lam, g, k0, rel_tol, max_term
     if iw <= 0.0:
         return 0.0, 0
     ln_f1 = math.log(b0) - b0 * ln_y + _lbeta(b0, ms) + math.log(iw)
-    ln_x = math.log(mu) + gexp - ln_lam
-    ln_t = (
-        (2.0 * mu - 1.0) * LN2
-        + mu * math.log(h)
-        - _lbeta(2.0 * mu, ms)
-        + ln_f1
-        + 2.0 * mu * ln_x
-        - math.log(mu + k0)
-        + ln_f2
-    )
+    ln_t = ln_a + 2.0 * mu * gexp + math.log(mu / (mu + k0)) + ln_f1 + ln_f2
     return sgn_f2 * math.exp(ln_t), 0
 
 
-def akf_pdf_consts(alpha, mu, ms, kappa, ln_lam):
-    """The per-distribution constants of akf_snr_pdf_kernel, computed once:
-    mu kappa, the density's constant log-prefactor and ln(mu (1 + kappa)).
-    kappa below KAPPA_ZERO_CUTOFF is taken as 0, the exact kappa -> 0 limit
-    (alpha-F form)."""
+def akf_pdf_consts(alpha, mu, ms, kappa, ln_lam, ln_a):
+    """The per-distribution constants of akf_snr_pdf_kernel, computed once
+    from ln A of the CDF head A g^p, p = alpha mu / 2: mu kappa, ln(p A) and
+    ln(mu (1 + kappa) / Lambda). kappa below KAPPA_ZERO_CUTOFF is taken as
+    0, the exact kappa -> 0 limit (alpha-F form)."""
     if kappa < KAPPA_ZERO_CUTOFF:
         kappa = 0.0
-    ln_c = (
-        math.log(alpha)
-        + mu * math.log(mu)
-        + mu * math.log1p(kappa)
-        + ms * ln_lam
-        - mu * kappa
-        - LN2
-        - _lbeta(mu, ms)
-    )
-    return alpha, mu, ms, mu * kappa, ln_lam, ln_c, math.log(mu * (1.0 + kappa))
+    return (alpha, mu, ms, mu * kappa, math.log(0.5 * alpha * mu) + ln_a,
+            math.log(mu * (1.0 + kappa)) - ln_lam)
 
 
 def akf_snr_pdf_kernel(consts, ln_g, rel_tol, max_terms, ln_jac):
     """Density of the alpha-kappa-F instantaneous SNR at g = exp(ln_g) > 0, times
     exp(ln_jac), given consts = akf_pdf_consts(...). Returns (value, status).
 
-    ln_jac works as in aef_snr_pdf_kernel. The factor 1F1(mu + ms; mu; x)
-    comes, for ms <= _SCIPY_MS_MAX, from scipy.special.hyp1f1 in Kummer's
-    form e^x 1F1(-ms; mu; -x), since the direct form overflows past
-    x = 700; the controls are then unused. A value scipy does not give as a
-    positive finite double, and every larger ms, goes to the kummer_1f1_ln
-    series. At kappa = 0 (x = 0) the factor is 1.
+    The density is p A g^(p - 1) s^(mu + ms) 1F1(mu + ms; mu; x), p =
+    alpha mu / 2, with s = Lambda/D as in aef_snr_pdf_kernel, D = Lambda +
+    mu (1 + kappa) g^(alpha/2) and x = mu kappa (1 - s). ln_jac works as in
+    aef_snr_pdf_kernel. The factor 1F1(mu + ms; mu; x) comes, for ms <=
+    _SCIPY_MS_MAX, from scipy.special.hyp1f1 in Kummer's form e^x 1F1(-ms;
+    mu; -x), since the direct form overflows past x = 700; the controls are
+    then unused. A value scipy does not give as a positive finite double,
+    and every larger ms, goes to the kummer_1f1_ln series. At kappa = 0
+    (x = 0) the factor is 1.
     """
-    alpha, mu, ms, mk, ln_lam, ln_c, ln_mu1k = consts
-    gexp = 0.5 * alpha * ln_g
-    ln_head = (0.5 * alpha * mu - 1.0) * ln_g + ln_jac
-    ln_den = _logaddexp(ln_mu1k + gexp, ln_lam)
-    x = mk * math.exp(ln_mu1k + gexp - ln_den)
+    alpha, mu, ms, mk, ln_pa, ln_y0 = consts
+    t, _, _, ln_s = _beta_argument(ln_y0 + 0.5 * alpha * ln_g)
+    x = mk * t
     ln_f, sgn_f = 0.0, 1.0
     if x > 0.0:
         f = _sc.hyp1f1(-ms, mu, -x) if ms <= _SCIPY_MS_MAX else math.inf
@@ -776,7 +758,7 @@ def akf_snr_pdf_kernel(consts, ln_g, rel_tol, max_terms, ln_jac):
             ln_f, sgn_f, _, _, st = kummer_1f1_ln(mu + ms, mu, x, rel_tol, max_terms)
             if st != 0:
                 return 0.0, st
-    ln_pdf = ln_c - (mu + ms) * ln_den + ln_head + ln_f
+    ln_pdf = ln_pa + (0.5 * alpha * mu - 1.0) * ln_g + ln_jac + (mu + ms) * ln_s + ln_f
     return _signed_exp(sgn_f, ln_pdf), 0
 
 
@@ -811,8 +793,11 @@ def akf_snr_cdf_kernel(consts, g, rel_tol, max_terms):
 # Each *_lanes function evaluates its scalar kernel at every point (lane) of
 # an array argument of finite, positive points, with the same float
 # operations in the same order, so a lane differs from the scalar call only
-# where numpy's exp and log round differently from libm's. A lane that the
-# array form does not serve goes through the scalar kernel itself.
+# where numpy's exp and log round differently from libm's; the density
+# forms take 1 - s, s and ln s, s = 1/(1 + e^u), from scipy's expit and
+# log_expit (one call each) where the scalar kernels take them from
+# _beta_argument. A lane that the array form does not serve goes through
+# the scalar kernel itself.
 #
 # The density lanes also take per-lane constants: each entry of consts is
 # either a scalar, shared by every lane, or an array aligned with ln_g, so
@@ -854,26 +839,18 @@ def _aef_scipy_form(consts, ln_g, ln_jac):
     formed as the scalar kernel forms it. Returns (values, served): a lane
     where z < 0, 1 - z is not positive or scipy's value is not a positive
     finite double is not served."""
-    alpha, mu, ms, h, hsq, h2, ln_lam, ln_c, lb, ln_2muh, ln_2mu = consts
+    alpha, mu, ms, h, hsq, h2, ln_pa, ln_y0 = consts
+    u = ln_y0 + 0.5 * alpha * ln_g
     with np.errstate(all="ignore"):
-        gexp = 0.5 * alpha * ln_g
-        ln_den = np.logaddexp(ln_2muh + gexp, ln_lam)
-        z = hsq * np.exp(2.0 * (ln_2mu + gexp) - 2.0 * ln_den)
+        t, s, ln_s = _sc.expit(u), _sc.expit(-u), _sc.log_expit(-u)
+        z = hsq * (t * t) / h2
         euler = z > 0.5
-        s = np.exp(ln_lam - ln_den)
         omz = np.where(euler, (h + hsq * s * (2.0 - s)) / h2, 1.0 - z)
         a, b, c = mu + 0.5 * ms, mu + 0.5 * (ms + 1.0), mu + 0.5
         ln_pre = np.where(euler, (c - a - b) * np.log(omz), 0.0)
         f = _sc.hyp2f1(np.where(euler, c - a, a), np.where(euler, c - b, b), c, z)
-        ln_pdf = (
-            ln_c
-            + (alpha * mu - 1.0) * ln_g
-            + ln_jac
-            - lb
-            - (2.0 * mu + ms) * ln_den
-            + (ln_pre + np.log(f))
-        )
-        values = np.exp(ln_pdf)
+        values = np.exp(ln_pa + (alpha * mu - 1.0) * ln_g + ln_jac + (2.0 * mu + ms) * ln_s
+                        + (ln_pre + np.log(f)))
     return values, (z >= 0.0) & (omz > 0.0) & (f > 0.0) & (f < math.inf)
 
 
@@ -882,15 +859,14 @@ def _akf_scipy_form(consts, ln_g, ln_jac):
     scipy.special.hyp1f1 call in Kummer's form (1 at x = 0). Returns
     (values, served): a lane where scipy's value is not a positive finite
     double is not served."""
-    alpha, mu, ms, mk, ln_lam, ln_c, ln_mu1k = consts
+    alpha, mu, ms, mk, ln_pa, ln_y0 = consts
+    u = ln_y0 + 0.5 * alpha * ln_g
     with np.errstate(all="ignore"):
-        gexp = 0.5 * alpha * ln_g
-        ln_head = (0.5 * alpha * mu - 1.0) * ln_g + ln_jac
-        ln_den = np.logaddexp(ln_mu1k + gexp, ln_lam)
-        x = mk * np.exp(ln_mu1k + gexp - ln_den)
+        x = mk * _sc.expit(u)
+        ln_s = _sc.log_expit(-u)
         f = _sc.hyp1f1(-ms, mu, -x)
-        ln_pdf = ln_c - (mu + ms) * ln_den + ln_head + (x + np.log(f))
-        values = np.exp(ln_pdf)
+        values = np.exp(ln_pa + (0.5 * alpha * mu - 1.0) * ln_g + ln_jac + (mu + ms) * ln_s
+                        + (x + np.log(f)))
     return values, (f > 0.0) & (f < math.inf)
 
 

@@ -50,13 +50,15 @@ def _rows(rows, ratio, max_rows):
 
 def mp_humbert_psi1(a, b, c, cp, x, y, max_rows=100000):
     """Humbert Psi1 summed over the y-index: rows 2F1(a+n, b; c; x) with
-    coef_(n+1) = coef_n (a+n) y / ((cp+n)(n+1)). For x < 0 < y the rows
-    share one sign, so this orientation stays well conditioned exactly
-    where the row-over-x orientation loses all precision."""
+    coef_(n+1) = coef_n (a+n) y / ((cp+n)(n+1)), with the shifts n added
+    exactly. For x < 0 < y the rows share one sign, so this orientation
+    stays well conditioned exactly where the row-over-x orientation loses
+    all precision."""
     mp_setup()
+    a, cp = mp.mpf(a), mp.mpf(cp)
     return _rows(
         (mp.hyp2f1(a + n, b, c, x) for n in count()),
-        lambda n: mp.mpf(a + n) / (mp.mpf(cp + n) * (n + 1)) * y,
+        lambda n: (a + n) / ((cp + n) * (n + 1)) * y,
         max_rows,
     )
 

@@ -54,22 +54,19 @@ class AefDist(Law):
         ups = _params.upsilon(p)
         hsq = geo.H * geo.H
         ln_lam = self._ln_lambda(ups)
-        _freeze(
-            self, geometry=geo, upsilon=ups, _hsq=hsq, _ln_lam=ln_lam,
-            _pdf_consts=_k.aef_pdf_consts(p.alpha, p.mu, p.ms, geo.h, hsq, ln_lam),
-            _cdf_consts=_k.aef_cdf_consts(p.alpha, p.mu, p.ms, geo.h, hsq, ln_lam),
-        )
-
-    def _head(self) -> tuple:
-        """(ln A, p) of the CDF head F(x) ~ A x^p as x -> 0, with p = alpha mu."""
-        p = self.params
+        # the CDF head A x^p, p = alpha mu
         ln_a = (
             (2.0 * p.mu - 1.0) * math.log(2.0 * p.mu)
-            + p.mu * math.log(self.geometry.h)
+            + p.mu * math.log(geo.h)
             - _k._lbeta(2.0 * p.mu, p.ms)
-            - 2.0 * p.mu * self._ln_lam
+            - 2.0 * p.mu * ln_lam
         )
-        return ln_a, float(p.alpha * p.mu)
+        _freeze(
+            self, geometry=geo, upsilon=ups, _hsq=hsq, _ln_lam=ln_lam,
+            _head=(ln_a, float(p.alpha * p.mu)),
+            _pdf_consts=_k.aef_pdf_consts(p.alpha, p.mu, p.ms, geo.h, hsq, ln_lam, ln_a),
+            _cdf_consts=_k.aef_cdf_consts(p.alpha, p.mu, p.ms, geo.h, hsq, ln_lam),
+        )
 
     def cdf_truncation_bound(self, gamma: float, k0: int) -> float:
         """Upper bound on the CDF-series remainder after its first k0 terms
@@ -84,7 +81,7 @@ class AefDist(Law):
         p = self.params
         value, status = _k.aef_cdf_bound_kernel(
             p.alpha, p.mu, p.ms, self.geometry.h, self._hsq, self._ln_lam,
-            float(gamma), int(k0), ctrl.rel_tol, ctrl.max_terms,
+            self._head[0], float(gamma), int(k0), ctrl.rel_tol, ctrl.max_terms,
         )
         if status == STATUS_DIVERGED:
             raise ConvergenceError(

@@ -64,23 +64,19 @@ class AkfDist(Law):
         p = self.params
         om = _params.omega(p)
         ln_lam = self._ln_lambda(om)
-        _freeze(
-            self, omega_norm=om, _ln_lam=ln_lam,
-            _pdf_consts=_k.akf_pdf_consts(p.alpha, p.mu, p.ms, p.kappa, ln_lam),
-            _cdf_consts=_k.akf_cdf_consts(p.alpha, p.mu, p.ms, p.kappa, ln_lam),
-        )
-
-    def _head(self) -> tuple:
-        """(ln A, p) of the CDF head F(x) ~ A x^p as x -> 0, with p = alpha mu / 2."""
-        p = self.params
+        # the CDF head A x^p, p = alpha mu / 2
         ln_a = (
             (p.mu - 1.0) * math.log(p.mu)
             - p.mu * p.kappa
             + p.mu * math.log1p(p.kappa)
             - _k._lbeta(p.mu, p.ms)
-            - p.mu * self._ln_lam
+            - p.mu * ln_lam
         )
-        return ln_a, 0.5 * p.alpha * p.mu
+        _freeze(
+            self, omega_norm=om, _ln_lam=ln_lam, _head=(ln_a, 0.5 * p.alpha * p.mu),
+            _pdf_consts=_k.akf_pdf_consts(p.alpha, p.mu, p.ms, p.kappa, ln_lam, ln_a),
+            _cdf_consts=_k.akf_cdf_consts(p.alpha, p.mu, p.ms, p.kappa, ln_lam),
+        )
 
     def _ln_x1(self, gamma: float) -> float:
         p = self.params
@@ -129,8 +125,9 @@ class AkfDist(Law):
             )
             if status == 2:
                 raise ConvergenceError("snr_cdf_closed: Kampe de Feriet series diverged")
-            ln_lead = -mk - math.log(p.mu) - _k._lbeta(p.mu, p.ms) + p.mu * ln_x1
-            raw = sgn * math.exp(ln_lead + ln_f)
+            # led by the CDF head A gamma^p = e^(-mu kappa) X1^mu / (mu B(mu, ms))
+            ln_a, power = self._head
+            raw = sgn * math.exp(ln_a + power * math.log(gamma) + ln_f)
             return cdf_clamped(raw, terms, est_rel * abs(raw), status == STATUS_OK)
         if ln_x1 > math.log1p(CLOSED_FORM_GUARD):
             ln2, s2, t2, e2, st2 = _k.humbert_psi1_ln(

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as sc
 
+from ._kernels import _ln_gamma_star
 from .params import AefParams, AkfParams, Format, _require_shape
 from .series import DomainError
 
@@ -61,7 +62,6 @@ _KS_SAFETY = 1.2
 _TABLE_MS_MAX = 1e6  # shadowing by quantile table up to here, gammaincinv above
 _TABLE_NODES = 128
 _TABLE_W = 38.0  # nodes span logit(u) in [-38, 38]; logit(2^-53) = -36.7
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -203,17 +203,6 @@ def _draw(n: int, seed: int, start: int, width: int, rows_to_draws) -> np.ndarra
         out[done : done + rows] = rows_to_draws(_uniform_rows(seed, width, start + done, rows))
         done += rows
     return out
-
-
-def _ln_gamma_star(a: float) -> float:
-    """ln Gamma*(a) = ln Gamma(a) - (a - 1/2) ln a + a - ln sqrt(2 pi), the
-    Stirling correction: from lgamma below a = 10, above it from five terms
-    of Stirling's series (error below 2e-14)."""
-    if a < 10.0:
-        return math.lgamma(a) - (a - 0.5) * math.log(a) + a - _LN_SQRT_2PI
-    r = 1.0 / (a * a)
-    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (
-        1.0 / 1680.0 - r / 1188.0)))) / a
 
 
 def _ln_x_gamma_pdf(ms: float, c: float, x: np.ndarray) -> np.ndarray:

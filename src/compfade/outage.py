@@ -65,7 +65,7 @@ def _ln_asymptote(dist: AefDist | AkfDist, gamma_th: float) -> tuple:
     """(ln of the asymptotic outage, diversity gain): the CDF head A x^p of
     the family at x = gamma_th."""
     _check_threshold(gamma_th)
-    ln_a, p = dist._head()
+    ln_a, p = dist._head
     return ln_a + p * math.log(gamma_th), p
 
 

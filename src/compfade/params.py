@@ -150,10 +150,10 @@ def _normalizer(terms):
     terms and of F, passes _BRACKET_ROUNDING_MAX. At alpha = 1e300 the
     bracket's log is a difference of order 2/alpha between terms of order
     1, and the bare closed form gave omega = 0.5 for 2.006 (mu = 1,
-    kappa = 0.5, ms = 4). _lbeta's own loss at large shapes, eps (a + b)
-    ln(a + b), is not counted. A huge or tiny shape overflows an exp
-    (OverflowError) or takes the log of a factor that is not positive
-    (ValueError) on the way."""
+    kappa = 0.5, ms = 4). _lbeta's own loss, up to eps (a + b) ln(a + b)
+    on its lgamma difference (a + b <= 1e3), is not counted. A huge or
+    tiny shape overflows an exp (OverflowError) or takes the log of a
+    factor that is not positive (ValueError) on the way."""
 
     @functools.wraps(terms)
     def checked(p):

@@ -2,7 +2,10 @@
 engine, and the front ends of both composite laws: Law (the one density
 front end _density and the one mixture CDF snr_cdf) and Envelope. Each
 family supplies only its kernels, their per-distribution constants and
-the head of its CDF.
+the head of its CDF, A x^p as x -> 0, which each law stores as _head =
+(ln A, p). The density constants are built from it (the densities are
+its derivative times powers of Lambda/D), and pdf(0), the outage
+asymptote and the validation battery read it.
 
 The densities and the mixture CDF take a float or an np.ndarray. A float
 runs the scalar kernels; an array runs every point as a lane of one array
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -33,14 +35,6 @@ DEFAULT_MAX_TERMS = 100_000
 STATUS_OK = 0
 STATUS_MAX_TERMS = 1
 STATUS_DIVERGED = 2
-
-
-# The density's log is a sum in which terms of size ms |ln Lambda| cancel,
-# so it rounds by about eps ms |ln Lambda|: at gamma_bar = 1 the
-# alpha-eta-F density was 1.7e-4 off at ms = 1e11 and 1e12 and twice the
-# true value at 1e15. The densities refuse shapes where that rounding
-# passes 1e-3.
-_LN_PREFACTOR_MAX = 1e-3 / sys.float_info.epsilon
 
 
 class DomainError(ValueError):
@@ -170,13 +164,15 @@ def _freeze(obj, **values) -> None:
 @dataclass(frozen=True)
 class Law:
     """Instantaneous-SNR law with mean SNR gamma_bar. A family subclass sets
-    _ln_lam, _pdf_consts and _cdf_consts in __post_init__, names its scalar
-    kernels in _pdf_kernel and _cdf_kernel and their array forms in
-    _pdf_lanes and _cdf_lanes, and gives _head."""
+    _ln_lam, _head, _pdf_consts and _cdf_consts in __post_init__, and names
+    its scalar kernels in _pdf_kernel and _cdf_kernel and their array forms
+    in _pdf_lanes and _cdf_lanes. _head is (ln A, p) of the CDF head
+    F(x) ~ A x^p as x -> 0; the density constants are built from it."""
 
     params: AefParams | AkfParams
     gamma_bar: float
     _ln_lam: float = field(init=False, repr=False)
+    _head: tuple = field(init=False, repr=False)
     _pdf_consts: tuple = field(init=False, repr=False)
     _cdf_consts: tuple = field(init=False, repr=False)
 
@@ -207,12 +203,10 @@ class Law:
         if not x >= 0.0:
             raise DomainError(f"{var} must be non-negative, got {x}")
         if x == 0.0:
-            ln_a, q = self._head()
+            ln_a, q = self._head
             return _k.pdf_at_zero(ln_a, power * q)
         if x == math.inf:
             return 0.0
-        if self.params.ms * abs(self._ln_lam) > _LN_PREFACTOR_MAX:
-            raise self._prefactor_error(name)
         if ctrl is None:
             ctrl = default_control()
         ln_x = math.log(x)
@@ -223,15 +217,6 @@ class Law:
         if status != STATUS_OK or not math.isfinite(value):
             raise _density_error(name, status != STATUS_OK)
         return value
-
-    def _prefactor_error(self, name: str) -> ConvergenceError:
-        """The error of a density whose log-prefactor is too large to keep
-        it to _LN_PREFACTOR_MAX's 1e-3."""
-        return ConvergenceError(
-            f"{name}: the density overflowed the precision of a double: its "
-            f"log-prefactor ms ln Lambda = {self.params.ms * self._ln_lam:.3g} "
-            "rounds by more than 1e-3"
-        )
 
     def _density_lanes(self, name: str, var: str, x: np.ndarray, power: float,
                        ctrl: SeriesControl | None) -> np.ndarray:
@@ -251,9 +236,9 @@ class Law:
         _pdf_lanes in which each lane takes its law's _pdf_consts; which is
         None for one law. Returns (values, errors), values a flat array:
         errors maps the index of each law that fails, as its scalar call
-        would raise (the _LN_PREFACTOR_MAX guard, a series that did not
-        converge, an overflow), to that ConvergenceError, and its lanes hold
-        NaN. The other laws' lanes are unaffected."""
+        would raise (a series that did not converge, an overflow), to that
+        ConvergenceError, and its lanes hold NaN. The other laws' lanes are
+        unaffected."""
         x = _lanes(var, x)
         if which is None:
             which = np.zeros(x.size, dtype=np.intp)
@@ -262,16 +247,9 @@ class Law:
         zero = x == 0.0
         if zero.any():
             for i in np.unique(which[zero]):
-                ln_a, q = laws[i]._head()
+                ln_a, q = laws[i]._head
                 out[zero & (which == i)] = _k.pdf_at_zero(ln_a, power * q)
-        mid = (x > 0.0) & (x < math.inf)
-        for i, law in enumerate(laws):
-            if law.params.ms * abs(law._ln_lam) > _LN_PREFACTOR_MAX:
-                lanes = which == i
-                if (mid & lanes).any():
-                    errors[i] = law._prefactor_error(name)
-                    mid &= ~lanes
-        mid = np.flatnonzero(mid)
+        mid = np.flatnonzero((x > 0.0) & (x < math.inf))
         if mid.size:
             if ctrl is None:
                 ctrl = default_control()

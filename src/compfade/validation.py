@@ -334,7 +334,7 @@ def _snr_pdf_fn(p: AefParams | AkfParams, gamma_bar: float = 1.0):
     """The SNR law at p, its density, and the density's exponent at 0 (that
     of the CDF head, less one)."""
     d = (AefDist if isinstance(p, AefParams) else AkfDist)(p, gamma_bar)
-    return d, d.snr_pdf, d._head()[1] - 1.0
+    return d, d.snr_pdf, d._head[1] - 1.0
 
 
 def _grid_pdf(laws: list):
@@ -508,7 +508,7 @@ def _envelope_cdf_interp(env, samples: np.ndarray) -> np.ndarray:
     head = np.geomspace(_HEAD_R0 * lin[1], lin[_HEAD_CELLS], _HEAD_POINTS)
     grid = np.concatenate((head, lin[_HEAD_CELLS + 1:]))
     vals = env.envelope_pdf(grid)
-    ln_a, q = env._snr._head()
+    ln_a, q = env._snr._head
     cells = (vals[1:] + vals[:-1]) * 0.5 * np.diff(grid)
     cdf = np.concatenate(([0.0, math.exp(ln_a + 2.0 * q * math.log(grid[0]))], cells))
     return np.interp(samples, np.concatenate(([0.0], grid)), np.cumsum(cdf))
@@ -608,7 +608,7 @@ def check_asym() -> list:
             checks.append(
                 Check(f"asym-ratio-{tag}@{ratio:g}", dev, tol, dev <= tol)
             )
-        gd = d._head()[1]
+        gd = d._head[1]
         slope = (math.log(exact[1e4]) - math.log(exact[1e5])) / math.log(10.0)
         dev = abs(slope / gd - 1.0)
         checks.append(Check(f"asym-slope-{tag}", dev, SLOPE_TOL, dev <= SLOPE_TOL))

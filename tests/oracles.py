@@ -1,14 +1,17 @@
 """Independent extended-precision references used to freeze test constants.
 
 Everything here is evaluated with mpmath at 60 significant digits (the
-closed-form densities at 40) and is deliberately written against the
-defining series or closed form of each function rather than the production
-kernels, so the two routes share no code. The Psi1 and Kampe de Feriet
+closed-form densities at 40, plus the digits their terms of size ms ln ms
+cancel) and is deliberately written against the defining series or closed
+form of each function rather than the production kernels, so the two
+routes share no code. The Psi1 and Kampe de Feriet
 oracles are those of compfade._oracles, which the validation battery uses
 too. The helpers
 are slow; tests call them for a handful of spot checks and otherwise rely
 on constants frozen from these same routines.
 """
+
+import math
 
 import mpmath as mp
 
@@ -21,6 +24,12 @@ from compfade._oracles import (  # noqa: F401  the oracles are re-exported for t
 from compfade._oracles import mp_setup as _setup
 
 DENSITY_DPS = 40
+
+
+def _density_dps(ms):
+    """DENSITY_DPS digits plus those the closed-form densities lose where
+    their terms of size ms ln Lambda and ln Gamma(ms) cancel."""
+    return DENSITY_DPS + int(math.log10(ms)) + 4
 
 
 def _mp_beta_mixture(ln_odds, a0, da, b, ln_weights, terms):
@@ -102,7 +111,7 @@ def mp_aef_pdf(alpha, mu, ms, h, ln_lam, gamma):
     h^2 - h, exact in both geometry formats, and not from the rounded
     double H^2, whose rounding would show as that of 1 - z = 1/h at strong
     imbalance. gamma may be an mpf (an envelope point r^2)."""
-    with mp.workdps(DENSITY_DPS):
+    with mp.workdps(_density_dps(ms)):
         alpha, mu, ms, h, ln_lam = (mp.mpf(v) for v in (alpha, mu, ms, h, ln_lam))
         g = mp.mpf(gamma)
         ge = g ** (alpha / 2)
@@ -122,7 +131,7 @@ def mp_akf_pdf(alpha, mu, ms, kappa, ln_lam, gamma):
     with D = mu (1+kappa) g^(alpha/2) + Lambda and
     x = mu kappa mu (1+kappa) g^(alpha/2) / D, at ln Lambda = ln_lam (the
     double the density kernel is given). gamma may be an mpf."""
-    with mp.workdps(DENSITY_DPS):
+    with mp.workdps(_density_dps(ms)):
         alpha, mu, ms, kappa, ln_lam = (mp.mpf(v) for v in (alpha, mu, ms, kappa, ln_lam))
         g = mp.mpf(gamma)
         ge = mu * (1 + kappa) * g ** (alpha / 2)

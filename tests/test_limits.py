@@ -7,8 +7,8 @@ import subprocess
 import sys
 
 import mpmath as mp
+import numpy as np
 import pytest
-from scipy import special
 
 from compfade import _kernels as _k
 from compfade import (
@@ -24,6 +24,7 @@ from compfade import (
     asymptotic_outage_akf,
     default_control,
 )
+from conftest import rel_err
 
 AEF = [AefParams(alpha=3.5, eta=0.5, mu=1.5, ms=3.0),
        AefParams(alpha=2.0, eta=-0.4, mu=0.7, ms=2.5, format=Format.FORMAT_II)]
@@ -68,8 +69,8 @@ def test_asymptotes_beyond_the_double_range_are_infinite():
 
 def _lbeta_rounding(a, b):
     """Bound on _lbeta's rounding: eps (a + b) ln(a + b) on the lgamma
-    difference, eps |ln B| from betaln (times 4, as below)."""
-    if a + b > _k._LBETA_LGAMMA_MAX:
+    difference, eps |ln B| in Stirling's form (times 4)."""
+    if a + b > _k._LBETA_STIRLING_MIN:
         return 4.0 * 2.0**-52 * abs(_k._lbeta(a, b))
     return 4.0 * 2.0**-52 * (a + b) * math.log(a + b)
 
@@ -100,38 +101,43 @@ def test_normalization_at_huge_alpha_raises(build):
         build()
 
 
-@pytest.mark.parametrize("ms", [1e4, 1e6, 1e12, 1e15])
+@pytest.mark.parametrize("ms", [1e4, 1e6, 1e12, 1e15, 1e100, 1e300])
 @pytest.mark.parametrize("a", [0.3, 2.0, 60.0])
-def test_lbeta_matches_betaln_at_large_shapes(a, ms):
-    got, want = _k._lbeta(a, ms), special.betaln(a, ms)
-    if a + ms > _k._LBETA_LGAMMA_MAX:
-        assert got == want
-    else:
-        # the lgamma difference rounds by about eps (a + b) ln(a + b)
-        assert abs(got - want) <= 4.0 * 2.0**-52 * (a + ms) * math.log(a + ms)
-    with mp.workdps(40):
-        exact = mp.loggamma(a) + mp.loggamma(ms) - mp.loggamma(mp.mpf(a) + ms)
-    assert abs(got - float(exact)) <= 1e-8 * abs(float(exact))
+def test_lbeta_matches_mpmath_at_large_shapes(a, ms):
+    # Stirling's form keeps the digits the lgamma difference and betaln lose
+    # (both 3e-9 relative at a + b = 1e6); the reference keeps 40 digits
+    # after its own loggamma terms of size ms ln ms cancel
+    with mp.workdps(40 + int(math.log10(ms)) + 3):
+        exact = float(mp.loggamma(a) + mp.loggamma(ms) - mp.loggamma(mp.mpf(a) + ms))
+    for got in (_k._lbeta(a, ms), _k._lbeta(ms, a)):
+        assert abs(got - exact) <= 1e-14 * max(1.0, abs(exact))
+
+
+def _eta_mu_pdf(eta, mu):
+    """Density of the ms -> inf limit of the alpha-eta-F law at alpha = 2,
+    gamma_bar = 1, Format I: the eta-mu law, at the working precision."""
+    h, H = (2 + 1 / mp.mpf(eta) + eta) / 4, (1 / mp.mpf(eta) - eta) / 4
+    c = 2 * mp.sqrt(mp.pi) * mu ** (mu + 0.5) * h**mu / (mp.gamma(mu) * H ** (mu - 0.5))
+    return lambda x: (c * x ** (mu - 0.5) * mp.exp(-2 * mu * h * x)
+                      * mp.besseli(mu - 0.5, 2 * mu * H * x))
+
+
+def _kappa_mu_pdf(kappa, mu):
+    """Density of the ms -> inf limit of the alpha-kappa-F law at alpha = 2,
+    gamma_bar = 1: the kappa-mu law, at the working precision."""
+    c = mu * (1 + kappa) ** ((mu + 1) / 2) / (kappa ** ((mu - 1) / 2) * mp.exp(mu * kappa))
+    return lambda x: (c * x ** ((mu - 1) / 2) * mp.exp(-mu * (1 + kappa) * x)
+                      * mp.besseli(mu - 1, 2 * mu * mp.sqrt(kappa * (1 + kappa) * x)))
 
 
 def _eta_mu_cdf(eta, mu, g):
-    """CDF at g of the ms -> inf limit of the alpha-eta-F law at alpha = 2,
-    gamma_bar = 1, Format I: the eta-mu law."""
     with mp.workdps(30):
-        h, H = (2 + 1 / mp.mpf(eta) + eta) / 4, (1 / mp.mpf(eta) - eta) / 4
-        c = 2 * mp.sqrt(mp.pi) * mu ** (mu + 0.5) * h**mu / (mp.gamma(mu) * H ** (mu - 0.5))
-        return float(mp.quad(lambda x: c * x ** (mu - 0.5) * mp.exp(-2 * mu * h * x)
-                             * mp.besseli(mu - 0.5, 2 * mu * H * x), [0, g]))
+        return float(mp.quad(_eta_mu_pdf(eta, mu), [0, g]))
 
 
 def _kappa_mu_cdf(kappa, mu, g):
-    """CDF at g of the ms -> inf limit of the alpha-kappa-F law at alpha = 2,
-    gamma_bar = 1: the kappa-mu law."""
     with mp.workdps(30):
-        c = mu * (1 + kappa) ** ((mu + 1) / 2) / (kappa ** ((mu - 1) / 2) * mp.exp(mu * kappa))
-        return float(mp.quad(lambda x: c * x ** ((mu - 1) / 2) * mp.exp(-mu * (1 + kappa) * x)
-                             * mp.besseli(mu - 1, 2 * mu * mp.sqrt(kappa * (1 + kappa) * x)),
-                             [0, g]))
+        return float(mp.quad(_kappa_mu_pdf(kappa, mu), [0, g]))
 
 
 @pytest.mark.parametrize("ms", [1e15, 1e100, 1e300])
@@ -151,13 +157,31 @@ def test_cdf_at_huge_ms_is_the_limit_law_or_raises(ms):
         assert r.converged and abs(r.value - want) <= 1e-12
 
 
-@pytest.mark.parametrize("density", [
-    lambda: AefDist(AefParams(alpha=2.0, eta=0.5, mu=1.0, ms=1e300), 1.0).snr_pdf(1.0),
-    lambda: AkfDist(AkfParams(alpha=0.5, kappa=1.0, mu=0.1, ms=10.0), 1e-3).snr_pdf(5e-324),
-])
-def test_overflowing_density_raises(density):
+@pytest.mark.parametrize("ms", [1e13, 1e100, 1.7e308])
+def test_density_at_huge_ms_is_the_limit_law_or_raises(ms):
+    # a density within 1e-12 + 1/ms of the ms -> inf law, or ConvergenceError,
+    # at a float point and in lanes. With ms ln Lambda and (2mu + ms) ln D
+    # formed apart, the densities were 1.7e-4 off at ms = 1e11 and refused
+    # past about 2e11
+    g = np.array([0.1, 1.0, 3.0])
+    with mp.workdps(30):
+        cases = ((AefDist(AefParams(alpha=2.0, eta=0.5, mu=1.0, ms=ms), 1.0),
+                  [float(_eta_mu_pdf(0.5, 1.0)(x)) for x in g]),
+                 (AkfDist(AkfParams(alpha=2.0, kappa=1.0, mu=1.0, ms=ms), 1.0),
+                  [float(_kappa_mu_pdf(1.0, 1.0)(x)) for x in g]))
+    for d, want in cases:
+        for got in (lambda: [d.snr_pdf(float(x)) for x in g], lambda: d.snr_pdf(g)):
+            try:
+                values = got()
+            except ConvergenceError:
+                continue
+            assert max(map(rel_err, values, want)) <= 1e-12 + 1.0 / ms
+
+
+def test_overflowing_density_raises():
+    d = AkfDist(AkfParams(alpha=0.5, kappa=1.0, mu=0.1, ms=10.0), 1e-3)
     with pytest.raises(ConvergenceError, match="density overflowed"):
-        density()
+        d.snr_pdf(5e-324)
 
 
 def test_default_control_is_resolved_once():
