@@ -15,9 +15,9 @@ large Gamma terms by very small powers, and only the combination is
 representable.
 
 The regularized incomplete beta comes from scipy.special (reg_inc_beta).
-The CDF mixtures and the Kampe de Feriet beta rows step it from term to
-term by the DLMF 8.17.20 recurrence and re-anchor on scipy once it has
-dropped by 1e-2 (_REANCHOR).
+The CDF mixture of both laws (_beta_mixture) and the Kampe de Feriet beta
+rows step it from term to term by the DLMF 8.17.20 recurrence and
+re-anchor on scipy once it has dropped by 1e-2 (_REANCHOR).
 
 The density kernels take their hypergeometric factor from scipy.special
 where scipy was measured accurate (scipy 1.17.1 within 4e-13 of mpmath):
@@ -34,7 +34,7 @@ kernels' constants are computed once per distribution (aef_pdf_consts,
 aef_cdf_consts, akf_pdf_consts, akf_cdf_consts). ln B(a, b) takes
 Stirling's form above a + b = 1e3 (_lbeta).
 
-The single series and the mixtures add one term per interpreted loop
+The single series and the mixture add one term per interpreted loop
 step. The Humbert Psi1 double series instead advances every live column
 over a block of up to _PSI1_BLOCK diagonals in one 2-D array, so its
 interpreted cost is paid per block rather than per diagonal; its stop test
@@ -71,18 +71,14 @@ _PSI1_UPPER = ~np.tri(_PSI1_BLOCK, dtype=bool)  # [j, i]: i > j
 # past it hyp2f1 drifts to 5e-12 near z = 0 by ms = 250 and gives NaN at
 # ms = 1e4, so the series are kept there
 _SCIPY_MS_MAX = 50.0
-# _beta_mixture_lanes hands its last live lanes to _beta_mixture once no
-# more than this many are left: one array step cost 20-30 us, one scalar
-# term 2-4 us (CHANGES.md)
-_LANES_MIN = 8
 # _lbeta's lgamma difference loses about eps (a + b) ln(a + b) (1.7e-12
 # relative at a + b = 1e3, 3e-9 at 1e6, against mpmath); above this a + b it
 # takes Stirling's form instead, which keeps no term that grows with b
 _LBETA_STIRLING_MIN = 1e3
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # an array of fewer points goes to _beta_mixture point by point: on the
-# battery's 162 grid cells, 10 to 30 points cost 1.1-2x as much in lanes
-# (the loop and its hand-off) as in scalar calls, 32 points about the same
+# battery's 162 grid cells (points 0.05 to 8), the array loop cost 2.4x the
+# scalar calls at 10 points, 1.3x at 20-24, 0.95x at 28-32 and 0.8x at 40
 _LANES_START = 32
 
 
@@ -540,10 +536,11 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, max_terms):
 # --- composite-distribution kernels -----------------------------------------
 
 
-def _beta_mixture(a, step, b, ln_y, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms):
-    """Mixture sum_k w_k I_x(a + step k, b) at x = y/(1+y), y = exp(ln_y),
-    summed from k = 0 upward until two successive terms fall below the
-    tolerances or max_terms terms are added.
+def _beta_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms):
+    """The CDF of both laws: sum_k w_k I_x(a + step k, b) at x = y/(1+y),
+    y = exp(ln_y), summed from k = 0 upward until two successive terms fall
+    below the tolerances or max_terms terms are added; the arguments after
+    ln_y are aef_cdf_consts' or akf_cdf_consts' past (ln y0, alpha/2).
 
     w_0 = exp(ln_w0) and w_(k+1)/w_k = sgn_z exp(ln_z) (r + d k)/(k + 1):
     negative binomial weights with d = 1, Poisson weights with r = 1, d = 0.
@@ -587,11 +584,12 @@ def _beta_mixture(a, step, b, ln_y, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms
     return s, k + 1, est, status if math.isfinite(s) else 1
 
 
-def aef_pdf_consts(alpha, mu, ms, h, hsq, ln_lam, ln_a):
+def aef_pdf_consts(alpha, mu, ms, h, ln_lam, ln_a):
     """The per-distribution constants of aef_snr_pdf_kernel, computed once
-    from ln A of the CDF head A g^p, p = alpha mu: h, H^2, h^2, ln(p A) and
-    ln(2 mu h / Lambda)."""
-    return (alpha, mu, ms, h, hsq, h * h, math.log(alpha * mu) + ln_a,
+    from ln A of the CDF head A g^p, p = alpha mu: 1/h, q = (H/h)^2 = 1 - 1/h,
+    ln(p A) and ln(2 mu h / Lambda); no eta overflows them."""
+    inv_h = 1.0 / h
+    return (alpha, mu, ms, inv_h, 1.0 - inv_h, math.log(alpha * mu) + ln_a,
             math.log(2.0 * mu * h) - ln_lam)
 
 
@@ -604,13 +602,10 @@ def _density_2f1_ln(mu, ms, z, omz, rel_tol, max_terms):
     2F1(c - a, c - b; c; z) with the prefactor from omz, exact as z nears 1.
     The form's 2F1 comes from scipy.special.hyp2f1 for ms <= _SCIPY_MS_MAX
     (the controls unused), else or where scipy's value is not a positive
-    finite double from the power series. A negative z (only a sign-flipped
-    H^2 makes one), or an omz rounded to 0, goes to gauss_2f1_ln.
+    finite double from the power series. The density kernels give
+    0 <= z <= 1 and omz > 0.
     """
     a, b, c = mu + 0.5 * ms, mu + 0.5 * (ms + 1.0), mu + 0.5
-    if z < 0.0 or not omz > 0.0:
-        ln_f, sgn_f, _, _, st = gauss_2f1_ln(a, b, c, z, rel_tol, max_terms)
-        return ln_f, sgn_f, st
     ln_pre = 0.0
     if z > 0.5:
         ln_pre, a, b = (c - a - b) * math.log(omz), c - a, c - b
@@ -639,18 +634,17 @@ def aef_snr_pdf_kernel(consts, ln_g, rel_tol, max_terms, ln_jac):
     at r is this kernel at ln_g = 2 ln r, ln_jac = ln 2 + ln r, with Lambda
     built from the mean power. Taking logs keeps r below 1e-154, where r*r
     underflows, on the curve. The 2F1 factor comes from _density_2f1_ln.
-    At strong imbalance z = (H/h)^2 t^2 nears 1, and 1 - z taken from the
-    double z keeps few digits. Above z = 1/2 it is formed as
-    (h + H^2 (1 - t)(1 + t)) / h^2 instead, from the identity h^2 - H^2 = h
-    of both geometry formats and 1 - t = s: both parts are positive, and
-    s (2 - s) keeps the digits of 1 - t^2.
+    Its argument is z = q t^2, q = (H/h)^2 = 1 - 1/h. At strong imbalance
+    z nears 1, and 1 - z taken from the double z keeps few digits. Above
+    z = 1/2 it is formed as 1/h + q s (2 - s) instead, from 1 - t = s:
+    both parts are positive, and s (2 - s) keeps the digits of 1 - t^2.
     """
-    alpha, mu, ms, h, hsq, h2, ln_pa, ln_y0 = consts
+    alpha, mu, ms, inv_h, q, ln_pa, ln_y0 = consts
     t, s, _, ln_s = _beta_argument(ln_y0 + 0.5 * alpha * ln_g)
-    z = hsq * (t * t) / h2
+    z = q * (t * t)
     omz = 1.0 - z
     if z > 0.5:
-        omz = (h + hsq * s * (2.0 - s)) / h2
+        omz = inv_h + q * s * (2.0 - s)
     ln_f, sgn_f, st = _density_2f1_ln(mu, ms, z, omz, rel_tol, max_terms)
     if st != 0:
         return 0.0, st
@@ -659,65 +653,48 @@ def aef_snr_pdf_kernel(consts, ln_g, rel_tol, max_terms, ln_jac):
 
 
 def aef_cdf_consts(alpha, mu, ms, h, hsq, ln_lam):
-    """The per-distribution constants of aef_snr_cdf_kernel, computed once:
-    the mixture's shape and weight parameters and ln(2 mu h). The weights'
-    ratio q = H^2/h^2 is 1 - 1/h, from h^2 - H^2 = h of both geometry
-    formats, so ln|q| = log1p(-1/h) and the weights h^-mu (mu)_k/k! q^k sum
-    to h^-mu (1 - q)^-mu = 1 to rounding; q's sign is that of hsq, and
-    ln|q| is -inf where hsq or 1 - 1/h is 0."""
+    """The alpha-eta-F CDF, computed once per distribution: (ln y0, alpha/2,
+    a, step, b, ln w0, ln z, sgn z, r, d), the odds ln y = ln y0 + (alpha/2)
+    ln g and the rest _beta_mixture's arguments. The k-th series term of the
+    CDF equals c_k I_w(2mu+2k, ms) with w = y/(1+y), y = 2 mu h g^(alpha/2) /
+    Lambda, and c_k = h^-mu (mu)_k / k! q^k: the exact identity 2F1(B+ms, B;
+    B+1; -y) = B y^-B Beta(B,ms) I_w(B, ms) applied term by term. The ratio
+    q = H^2/h^2 is 1 - 1/h (h^2 - H^2 = h in both geometry formats), so
+    ln|q| = log1p(-1/h) and the weights sum to h^-mu (1 - q)^-mu = 1 to
+    rounding; q has the sign of hsq, and ln|q| is -inf where hsq or 1 - 1/h
+    is 0."""
     ln_q = math.log1p(-1.0 / h) if hsq != 0.0 and h > 1.0 else -math.inf
-    return (alpha, mu, ms, math.log(2.0 * mu * h), ln_lam, -mu * math.log(h), ln_q,
-            math.copysign(1.0, hsq))
+    return (math.log(2.0 * mu * h) - ln_lam, 0.5 * alpha, 2.0 * mu, 2, ms,
+            -mu * math.log(h), ln_q, math.copysign(1.0, hsq), mu, 1.0)
 
 
-def aef_snr_cdf_kernel(consts, g, rel_tol, max_terms):
-    """CDF of the alpha-eta-F SNR as a mixture over k of regularized incomplete
-    betas, given consts = aef_cdf_consts(...).
-
-    The k-th series term of the CDF equals c_k I_w(2mu+2k, ms) with
-    w = y/(1+y), y = 2 mu h g^(alpha/2) / Lambda, and c_k = h^-mu (mu)_k /
-    k! (H/h)^(2k); this is the exact identity 2F1(B+ms, B; B+1; -y) =
-    B y^-B Beta(B,ms) I_w(B, ms) applied term by term, so no transformed
-    series is needed at large y. The c_k sum to 1 because h^2 - H^2 = h in
-    both geometry formats; eta = 1 (H = 0) leaves the k = 0 term alone.
-    Summed by _beta_mixture, two recurrence steps per term. Returns
-    (raw_value, terms, est_error_abs, status).
-    """
-    alpha, mu, ms, ln_2muh, ln_lam, ln_w0, ln_q, sgn_q = consts
-    ln_y = ln_2muh + 0.5 * alpha * math.log(g) - ln_lam
-    return _beta_mixture(2.0 * mu, 2, ms, ln_y, ln_w0, ln_q, sgn_q, mu, 1.0,
-                         rel_tol, max_terms)
-
-
-def aef_cdf_bound_kernel(alpha, mu, ms, h, hsq, ln_lam, ln_a, g, k0, rel_tol, max_terms):
+def aef_cdf_bound_kernel(consts, ln_a, g, k0, rel_tol, max_terms):
     """Closed-form upper bound on the CDF-series remainder after K0-1 terms.
 
     Its prefactor is the CDF head A g^(alpha mu), given ln A, times
-    mu / (mu + k0). The bounding 2F1 argument is w = (2 mu H
-    g^(alpha/2)/Lambda)^2; for w >= 1 that series has no convergent real
-    form and status 2 is returned. Returns (value, status).
+    mu / (mu + k0). The bounding 2F1 argument is w = q y^2, q and y from
+    consts = aef_cdf_consts(...); for w >= 1 that series has no convergent
+    real form and status 2 is returned. Returns (value, status).
     """
-    gexp = 0.5 * alpha * math.log(g)
-    w = 0.0
-    if hsq != 0.0:
-        ln_w = 2.0 * (math.log(2.0 * mu) + gexp) + math.log(abs(hsq)) - 2.0 * ln_lam
-        w = math.copysign(math.exp(ln_w), hsq)
+    ln_y0, half_alpha, a, _, ms, _, ln_q, sgn_q, mu, _ = consts
+    gexp = half_alpha * math.log(g)
+    ln_y = ln_y0 + gexp
+    w = _signed_exp(sgn_q, 2.0 * ln_y + ln_q)
     if w >= 1.0:
         return 0.0, 2
     ln_f2, sgn_f2, _, _, st2 = gauss_2f1_ln(
-        0.5 * (2.0 * mu + ms), 0.5 * (2.0 * mu + ms + 1.0), mu + 0.5, w, rel_tol, max_terms
+        0.5 * (a + ms), 0.5 * (a + ms + 1.0), mu + 0.5, w, rel_tol, max_terms
     )
     if st2 != 0:
         return 0.0, st2
     # leading 2F1(-y) factor through the incomplete-beta identity
-    b0 = 2.0 * mu + 2.0 * k0
-    ln_y = math.log(2.0 * mu * h) + gexp - ln_lam
+    b0 = a + 2.0 * k0
     w1, cw1, _, _ = _beta_argument(ln_y)
     iw = reg_inc_beta(b0, ms, w1, cw1)
     if iw <= 0.0:
         return 0.0, 0
     ln_f1 = math.log(b0) - b0 * ln_y + _lbeta(b0, ms) + math.log(iw)
-    ln_t = ln_a + 2.0 * mu * gexp + math.log(mu / (mu + k0)) + ln_f1 + ln_f2
+    ln_t = ln_a + a * gexp + math.log(mu / (mu + k0)) + ln_f1 + ln_f2
     return sgn_f2 * math.exp(ln_t), 0
 
 
@@ -763,29 +740,16 @@ def akf_snr_pdf_kernel(consts, ln_g, rel_tol, max_terms, ln_jac):
 
 
 def akf_cdf_consts(alpha, mu, ms, kappa, ln_lam):
-    """The per-distribution constants of akf_snr_cdf_kernel, computed once:
-    ln(mu (1 + kappa)) and the Poisson weights' ln w_0 and ln(mu kappa).
-    kappa below KAPPA_ZERO_CUTOFF keeps the t = 0 term alone at weight 1,
-    the exact kappa -> 0 limit."""
+    """The alpha-kappa-F CDF in the layout of aef_cdf_consts: the t-th term
+    is e^(-mu kappa) (mu kappa)^t / t! I_w1(mu + t, ms), w1 = X1/(1+X1), X1 =
+    mu (1 + kappa) g^(alpha/2) / Lambda. kappa below KAPPA_ZERO_CUTOFF keeps
+    the t = 0 term alone at weight 1, the exact kappa -> 0 limit."""
     if kappa < KAPPA_ZERO_CUTOFF:
         ln_w0, ln_z = 0.0, -math.inf
     else:
         ln_w0, ln_z = -mu * kappa, math.log(mu * kappa)
-    return alpha, mu, ms, math.log(mu * (1.0 + kappa)), ln_lam, ln_w0, ln_z
-
-
-def akf_snr_cdf_kernel(consts, g, rel_tol, max_terms):
-    """CDF of the alpha-kappa-F SNR: Poisson mixture of regularized incomplete
-    betas, given consts = akf_cdf_consts(...).
-
-    The t-th series term equals e^(-mu kappa)(mu kappa)^t/t! I_w1(mu+t, ms)
-    with w1 = X1/(1+X1), X1 = mu(1+kappa) g^(alpha/2)/Lambda (same incomplete
-    beta identity as the alpha-eta-F CDF). Summed by _beta_mixture, one
-    recurrence step per term. Returns (raw, terms, est, status).
-    """
-    alpha, mu, ms, ln_mu1k, ln_lam, ln_w0, ln_z = consts
-    ln_x1 = ln_mu1k + 0.5 * alpha * math.log(g) - ln_lam
-    return _beta_mixture(mu, 1, ms, ln_x1, ln_w0, ln_z, 1.0, 1.0, 0.0, rel_tol, max_terms)
+    return (math.log(mu * (1.0 + kappa)) - ln_lam, 0.5 * alpha, mu, 1, ms,
+            ln_w0, ln_z, 1.0, 1.0, 0.0)
 
 
 # --- lanes: one array call per grid ------------------------------------------
@@ -796,8 +760,8 @@ def akf_snr_cdf_kernel(consts, g, rel_tol, max_terms):
 # where numpy's exp and log round differently from libm's; the density
 # forms take 1 - s, s and ln s, s = 1/(1 + e^u), from scipy's expit and
 # log_expit (one call each) where the scalar kernels take them from
-# _beta_argument. A lane that the array form does not serve goes through
-# the scalar kernel itself.
+# _beta_argument. A density lane that the array form does not serve goes
+# through the scalar kernel; the mixture's array loop runs every lane to its stop.
 #
 # The density lanes also take per-lane constants: each entry of consts is
 # either a scalar, shared by every lane, or an array aligned with ln_g, so
@@ -837,21 +801,20 @@ def _aef_scipy_form(consts, ln_g, ln_jac):
     """The alpha-eta-F density with the 2F1 factor of all lanes from one
     scipy.special.hyp2f1 call, in Euler's form above z = 1/2 with 1 - z
     formed as the scalar kernel forms it. Returns (values, served): a lane
-    where z < 0, 1 - z is not positive or scipy's value is not a positive
-    finite double is not served."""
-    alpha, mu, ms, h, hsq, h2, ln_pa, ln_y0 = consts
+    where scipy's value is not a positive finite double is not served."""
+    alpha, mu, ms, inv_h, q, ln_pa, ln_y0 = consts
     u = ln_y0 + 0.5 * alpha * ln_g
     with np.errstate(all="ignore"):
         t, s, ln_s = _sc.expit(u), _sc.expit(-u), _sc.log_expit(-u)
-        z = hsq * (t * t) / h2
+        z = q * (t * t)
         euler = z > 0.5
-        omz = np.where(euler, (h + hsq * s * (2.0 - s)) / h2, 1.0 - z)
+        omz = np.where(euler, inv_h + q * s * (2.0 - s), 1.0 - z)
         a, b, c = mu + 0.5 * ms, mu + 0.5 * (ms + 1.0), mu + 0.5
         ln_pre = np.where(euler, (c - a - b) * np.log(omz), 0.0)
         f = _sc.hyp2f1(np.where(euler, c - a, a), np.where(euler, c - b, b), c, z)
         values = np.exp(ln_pa + (alpha * mu - 1.0) * ln_g + ln_jac + (2.0 * mu + ms) * ln_s
                         + (ln_pre + np.log(f)))
-    return values, (z >= 0.0) & (omz > 0.0) & (f > 0.0) & (f < math.inf)
+    return values, (f > 0.0) & (f < math.inf)
 
 
 def _akf_scipy_form(consts, ln_g, ln_jac):
@@ -913,21 +876,20 @@ def _inc_beta_up_lanes(i, ln_t, anchor, a, b, x, cx, lnx, lncx):
     return i, ln_t, anchor
 
 
-def _beta_mixture_lanes(a, step, b, ln_y, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms):
+def _beta_mixture_lanes(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms):
     """_beta_mixture at every lane of the array ln_y.
 
     The weights depend on k alone and are computed once per k, as scalars,
     with _beta_mixture's float operations. Each lane keeps its own
     incomplete beta, step term, anchor, partial sum and count of small
     terms, and leaves the loop once it passes the scalar stop test, so
-    terms_used and status are those of the scalar call. A step costs about
-    as much as _LANES_MIN scalar terms, so once no more lanes than that are
-    live, they are summed again by _beta_mixture, from the start; with
-    fewer than _LANES_START lanes to begin with, every lane is. Returns
-    the arrays (raw_value, terms, est_error_abs, status).
+    terms_used and status are those of the scalar call; the loop runs
+    while any lane is live. An array of fewer than _LANES_START lanes is
+    summed by _beta_mixture point by point. Returns the arrays (raw_value,
+    terms, est_error_abs, status).
     """
     if ln_y.shape[0] < _LANES_START:
-        sums = [_beta_mixture(a, step, b, float(v), ln_w0, ln_z, sgn_z, r, d, rel_tol,
+        sums = [_beta_mixture(float(v), a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol,
                               max_terms) for v in ln_y]
         return tuple(np.array(field, dtype=dtype) for field, dtype in
                      zip(zip(*sums), (float, np.int64, float, np.int64)))
@@ -952,7 +914,7 @@ def _beta_mixture_lanes(a, step, b, ln_y, ln_w0, ln_z, sgn_z, r, d, rel_tol, max
     ln_t = _ln_beta_step(a, b, lnx, lncx)
     anchor = i.copy()
     k = 0
-    while k + 1 < max_terms and live.size > _LANES_MIN:
+    while k + 1 < max_terms and live.size:
         ln_w += ln_z + math.log(r + d * k) - math.log(k + 1.0)
         sgn *= sgn_z
         ak = a + step * k
@@ -979,26 +941,5 @@ def _beta_mixture_lanes(a, step, b, ln_y, ln_w0, ln_z, sgn_z, r, d, rel_tol, max
             )
     out_s[live], out_est[live] = s, est
     out_terms[live] = k + 1
-    if k + 1 < max_terms:
-        for j in live:
-            out_s[j], out_terms[j], out_est[j], out_status[j] = _beta_mixture(
-                a, step, b, float(ln_y[j]), ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms
-            )
     out_status[~np.isfinite(out_s)] = 1
     return out_s, out_terms, out_est, out_status
-
-
-def aef_snr_cdf_lanes(consts, g, rel_tol, max_terms):
-    """aef_snr_cdf_kernel at every lane of the array g."""
-    alpha, mu, ms, ln_2muh, ln_lam, ln_w0, ln_q, sgn_q = consts
-    ln_y = ln_2muh + 0.5 * alpha * np.log(g) - ln_lam
-    return _beta_mixture_lanes(2.0 * mu, 2, ms, ln_y, ln_w0, ln_q, sgn_q, mu, 1.0,
-                               rel_tol, max_terms)
-
-
-def akf_snr_cdf_lanes(consts, g, rel_tol, max_terms):
-    """akf_snr_cdf_kernel at every lane of the array g."""
-    alpha, mu, ms, ln_mu1k, ln_lam, ln_w0, ln_z = consts
-    ln_x1 = ln_mu1k + 0.5 * alpha * np.log(g) - ln_lam
-    return _beta_mixture_lanes(mu, 1, ms, ln_x1, ln_w0, ln_z, 1.0, 1.0, 0.0,
-                               rel_tol, max_terms)

@@ -4,10 +4,10 @@ AefDist models the instantaneous SNR with mean gamma_bar: snr_pdf, the
 snr_cdf series with controllable truncation, and a closed-form upper bound
 on the CDF truncation error. AefEnvelope models the signal envelope R with
 mean power omega_power = E[R^2]. Both use the front ends of series.Law and
-series.Envelope; this module supplies the kernels, their constants and
-the CDF head. The CDF is a mixture of regularized incomplete betas with
-negative binomial weights, an exact reformulation of the integrated PDF
-series that converges for arbitrarily large arguments.
+series.Envelope; this module supplies the density kernels, the density
+and CDF constants and the CDF head. The CDF is a mixture of regularized
+incomplete betas with negative binomial weights, an exact reformulation
+of the integrated PDF series that converges for arbitrarily large arguments.
 """
 from __future__ import annotations
 
@@ -37,12 +37,9 @@ class AefDist(Law):
 
     geometry: Geometry = field(init=False, repr=False)
     upsilon: float = field(init=False, repr=False)
-    _hsq: float = field(init=False, repr=False)
 
     _pdf_kernel = staticmethod(_k.aef_snr_pdf_kernel)
-    _cdf_kernel = staticmethod(_k.aef_snr_cdf_kernel)
     _pdf_lanes = staticmethod(_k.aef_snr_pdf_lanes)
-    _cdf_lanes = staticmethod(_k.aef_snr_cdf_lanes)
     # bound here, not only inherited: perfbench's tracer wraps the class's own __dict__
     snr_pdf = Law.snr_pdf
     snr_cdf = Law.snr_cdf
@@ -52,7 +49,6 @@ class AefDist(Law):
         p = self.params
         geo = _params.geometry(p)
         ups = _params.upsilon(p)
-        hsq = geo.H * geo.H
         ln_lam = self._ln_lambda(ups)
         # the CDF head A x^p, p = alpha mu
         ln_a = (
@@ -62,10 +58,11 @@ class AefDist(Law):
             - 2.0 * p.mu * ln_lam
         )
         _freeze(
-            self, geometry=geo, upsilon=ups, _hsq=hsq, _ln_lam=ln_lam,
+            self, geometry=geo, upsilon=ups, _ln_lam=ln_lam,
             _head=(ln_a, float(p.alpha * p.mu)),
-            _pdf_consts=_k.aef_pdf_consts(p.alpha, p.mu, p.ms, geo.h, hsq, ln_lam, ln_a),
-            _cdf_consts=_k.aef_cdf_consts(p.alpha, p.mu, p.ms, geo.h, hsq, ln_lam),
+            _pdf_consts=_k.aef_pdf_consts(p.alpha, p.mu, p.ms, geo.h, ln_lam, ln_a),
+            _cdf_consts=_k.aef_cdf_consts(p.alpha, p.mu, p.ms, geo.h, geo.H * geo.H,
+                                          ln_lam),
         )
 
     def cdf_truncation_bound(self, gamma: float, k0: int) -> float:
@@ -78,10 +75,9 @@ class AefDist(Law):
         if gamma == 0.0:
             return 0.0
         ctrl = default_control()
-        p = self.params
         value, status = _k.aef_cdf_bound_kernel(
-            p.alpha, p.mu, p.ms, self.geometry.h, self._hsq, self._ln_lam,
-            self._head[0], float(gamma), int(k0), ctrl.rel_tol, ctrl.max_terms,
+            self._cdf_consts, self._head[0], float(gamma), int(k0), ctrl.rel_tol,
+            ctrl.max_terms,
         )
         if status == STATUS_DIVERGED:
             raise ConvergenceError(

@@ -7,8 +7,8 @@ snr_cdf_closed, which dispatches between two closed forms: a Kampe de
 Feriet expression on the small-argument side and a two-term Humbert Psi1
 expression on the large-argument side. AkfEnvelope models the signal
 envelope R with mean power omega_power = E[R^2]. Both use the front ends
-of series.Law and series.Envelope; this module supplies the kernels, their
-constants and the CDF head.
+of series.Law and series.Envelope; this module supplies the density
+kernels, the density and CDF constants and the CDF head.
 
 kappa below _kernels.KAPPA_ZERO_CUTOFF routes through exact kappa -> 0 limit
 forms (the alpha-F distribution). Both CDF routes raise ConvergenceError
@@ -52,9 +52,9 @@ class AkfDist(Law):
     omega_norm: float = field(init=False, repr=False)
 
     _pdf_kernel = staticmethod(_k.akf_snr_pdf_kernel)
-    _cdf_kernel = staticmethod(_k.akf_snr_cdf_kernel)
     _pdf_lanes = staticmethod(_k.akf_snr_pdf_lanes)
-    _cdf_lanes = staticmethod(_k.akf_snr_cdf_lanes)
+    # ln X1, the odds of the CDF mixture
+    _ln_x1 = Law._ln_y
     # bound here, not only inherited: perfbench's tracer wraps the class's own __dict__
     snr_pdf = Law.snr_pdf
     snr_cdf = snr_cdf_series = Law.snr_cdf
@@ -76,14 +76,6 @@ class AkfDist(Law):
             self, omega_norm=om, _ln_lam=ln_lam, _head=(ln_a, 0.5 * p.alpha * p.mu),
             _pdf_consts=_k.akf_pdf_consts(p.alpha, p.mu, p.ms, p.kappa, ln_lam, ln_a),
             _cdf_consts=_k.akf_cdf_consts(p.alpha, p.mu, p.ms, p.kappa, ln_lam),
-        )
-
-    def _ln_x1(self, gamma: float) -> float:
-        p = self.params
-        return (
-            math.log(p.mu * (1.0 + p.kappa))
-            + 0.5 * p.alpha * math.log(gamma)
-            - self._ln_lam
         )
 
     def snr_cdf_closed(

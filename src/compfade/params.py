@@ -147,13 +147,13 @@ def _normalizer(terms):
     Raises DomainError where the 2/alpha-order moment does not exist, and
     ConvergenceError where the constant is not a positive finite double or
     alpha/2 times the bracket's rounding, eps times the size of its log
-    terms and of F, passes _BRACKET_ROUNDING_MAX. At alpha = 1e300 the
-    bracket's log is a difference of order 2/alpha between terms of order
-    1, and the bare closed form gave omega = 0.5 for 2.006 (mu = 1,
-    kappa = 0.5, ms = 4). _lbeta's own loss, up to eps (a + b) ln(a + b)
-    on its lgamma difference (a + b <= 1e3), is not counted. A huge or
-    tiny shape overflows an exp (OverflowError) or takes the log of a
-    factor that is not positive (ValueError) on the way."""
+    terms, of F and of the lgamma terms each ln B cancels, passes
+    _BRACKET_ROUNDING_MAX. At alpha = 1e300 the bracket's log is a
+    difference of order 2/alpha between terms of order 1, and the bare
+    closed form gave omega = 0.5 for 2.006 (mu = 1, kappa = 0.5, ms = 4);
+    the lgamma difference left omega 7.3e-10 off at alpha = 1e5, mu = 0.3,
+    ms = 40. A huge or tiny shape overflows an exp (OverflowError) or takes
+    the log of a factor that is not positive (ValueError) on the way."""
 
     @functools.wraps(terms)
     def checked(p):
@@ -162,7 +162,13 @@ def _normalizer(terms):
         try:
             pre, a, b, f = terms(p)
             logs = (_k._lbeta(a, b), _k._lbeta(a + q, b - q), math.log(f))
-            rounding = 0.5 * p.alpha * 2.0**-52 * (1.0 + sum(map(abs, logs)))
+            size = 1.0 + sum(map(abs, logs))
+            if a + b <= _k._LBETA_STIRLING_MIN:
+                # _lbeta's lgamma difference rounds like the lgamma terms it cancels
+                lg = math.lgamma
+                size += (abs(lg(a)) + abs(lg(b)) + abs(lg(a + q)) + abs(lg(b - q))
+                         + 2.0 * abs(lg(a + b)))
+            rounding = 0.5 * p.alpha * 2.0**-52 * size
             value = math.exp(math.log(pre) + 0.5 * p.alpha * (logs[0] - logs[1] - logs[2]))
         except (OverflowError, ValueError):
             value = rounding = math.nan

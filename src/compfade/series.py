@@ -1,11 +1,11 @@
 """Series evaluation controls, results and error types shared by every
 engine, and the front ends of both composite laws: Law (the one density
 front end _density and the one mixture CDF snr_cdf) and Envelope. Each
-family supplies only its kernels, their per-distribution constants and
-the head of its CDF, A x^p as x -> 0, which each law stores as _head =
-(ln A, p). The density constants are built from it (the densities are
-its derivative times powers of Lambda/D), and pdf(0), the outage
-asymptote and the validation battery read it.
+family supplies only its density kernels, the constants of its density
+and of its CDF mixture, and the head of its CDF, A x^p as x -> 0, stored
+as _head = (ln A, p). The density constants are built from it (the
+densities are its derivative times powers of Lambda/D), and pdf(0), the
+outage asymptote and the validation battery read it.
 
 The densities and the mixture CDF take a float or an np.ndarray. A float
 runs the scalar kernels; an array runs every point as a lane of one array
@@ -165,9 +165,10 @@ def _freeze(obj, **values) -> None:
 class Law:
     """Instantaneous-SNR law with mean SNR gamma_bar. A family subclass sets
     _ln_lam, _head, _pdf_consts and _cdf_consts in __post_init__, and names
-    its scalar kernels in _pdf_kernel and _cdf_kernel and their array forms
-    in _pdf_lanes and _cdf_lanes. _head is (ln A, p) of the CDF head
-    F(x) ~ A x^p as x -> 0; the density constants are built from it."""
+    its density kernel in _pdf_kernel and its array form in _pdf_lanes.
+    _head is (ln A, p) of the CDF head F(x) ~ A x^p as x -> 0; the density
+    constants are built from it. _cdf_consts is the CDF: ln y0, alpha/2 and
+    the arguments of _kernels._beta_mixture at ln y = ln y0 + (alpha/2) ln x."""
 
     params: AefParams | AkfParams
     gamma_bar: float
@@ -307,12 +308,17 @@ class Law:
             return end
         if ctrl is None:
             ctrl = default_control()
-        raw, terms, est, status = self._cdf_kernel(
-            self._cdf_consts, float(gamma), ctrl.rel_tol, ctrl.max_terms
+        c = self._cdf_consts
+        raw, terms, est, status = _k._beta_mixture(
+            c[0] + c[1] * math.log(gamma), *c[2:], ctrl.rel_tol, ctrl.max_terms
         )
         if not math.isfinite(raw):
             raise _cdf_error()
         return cdf_clamped(raw, terms, est, status == STATUS_OK)
+
+    def _ln_y(self, gamma: float) -> float:
+        """ln of the CDF mixture's odds at gamma > 0 (X1 on alpha-kappa-F)."""
+        return self._cdf_consts[0] + self._cdf_consts[1] * math.log(gamma)
 
     def _require_first_weight(self, name: str) -> None:
         """Raises ConvergenceError where the mixture's first weight (e^(-mu
@@ -326,9 +332,9 @@ class Law:
 
     def _cdf_lanes_result(self, gamma: np.ndarray,
                           ctrl: SeriesControl | None) -> LaneResult:
-        """snr_cdf at every point of the array gamma, as lanes of one call to
-        the family's _cdf_lanes, with cdf_endpoint's values at 0 and inf and
-        cdf_clamped's clamping."""
+        """snr_cdf at every point of the array gamma, as lanes of one
+        _kernels._beta_mixture_lanes call, with cdf_endpoint's values at 0
+        and inf and cdf_clamped's clamping."""
         shape = np.shape(gamma)
         g = _lanes("gamma", gamma)
         value = (g > 0.0).astype(float)
@@ -339,8 +345,9 @@ class Law:
         if mid.size:
             if ctrl is None:
                 ctrl = default_control()
-            raw, terms[mid], e, status = self._cdf_lanes(
-                self._cdf_consts, g[mid], ctrl.rel_tol, ctrl.max_terms
+            c = self._cdf_consts
+            raw, terms[mid], e, status = _k._beta_mixture_lanes(
+                c[0] + c[1] * np.log(g[mid]), *c[2:], ctrl.rel_tol, ctrl.max_terms
             )
             if not np.isfinite(raw).all():
                 raise _cdf_error()

@@ -482,7 +482,7 @@ def _flip_h_sign(d: AefDist) -> AefDist:
     cluster-imbalance term of the CDF so downstream checks must catch it."""
     p = d.params
     object.__setattr__(d, "_cdf_consts", _k.aef_cdf_consts(
-        p.alpha, p.mu, p.ms, d.geometry.h, -d._hsq, d._ln_lam))
+        p.alpha, p.mu, p.ms, d.geometry.h, -d.geometry.H ** 2, d._ln_lam))
     return d
 
 

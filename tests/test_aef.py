@@ -173,6 +173,9 @@ def test_truncation_bound_divergence_reported():
     d = AefDist(AefParams(alpha=2.0, eta=0.001, mu=1.0, ms=4.0), 1.0)
     with pytest.raises(ConvergenceError):
         d.cdf_truncation_bound(10.0, 2)
+    # an argument past e^709 raised a bare OverflowError
+    with pytest.raises(ConvergenceError):
+        d.cdf_truncation_bound(1e300, 2)
 
 
 def test_envelope_pdf_frozen_spot(aef_params):

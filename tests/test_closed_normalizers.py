@@ -4,8 +4,9 @@ upsilon and omega are each one scipy.special call: Euler's form of the
 geometry 2F1 with the exact 1 - (H/h)^2 = 1/h, and Kummer's form of the
 1F1, so neither h nor e^(mu kappa) is left to overflow. The checks here:
 both against 50-digit mpmath over a sweep of strong imbalance and large
-kappa; their refusal at huge alpha; the alpha-eta-F density at its
-eta -> 0 limit; the alpha-kappa-F CDFs against scipy's noncentral F up to
+kappa; their refusal at huge alpha, and where _lbeta's lgamma
+difference loses the digits; the alpha-eta-F density at its eta -> 0
+limit, out to eta = 1e-300 and 1e300; the alpha-kappa-F CDFs against scipy's noncentral F up to
 the first-weight floor, and their refusal past it; and the Monte-Carlo
 moments, which take the same two closed forms.
 """
@@ -21,6 +22,7 @@ from scipy import special as sc
 
 from compfade import (
     AefDist,
+    AefEnvelope,
     AefParams,
     AkfDist,
     AkfParams,
@@ -166,6 +168,37 @@ def test_density_tends_to_its_eta_zero_limit(eta):
     scalar = np.array([d.snr_pdf(float(x)) for x in g])
     assert np.max(np.abs(scalar / want - 1.0)) <= 100.0 * eta
     assert np.max(np.abs(d.snr_pdf(g) / want - 1.0)) <= 100.0 * eta
+
+
+@pytest.mark.parametrize("eta", [1e-155, 1e-300, 1e155, 1e300])
+def test_density_at_extreme_eta_is_its_limit_law(eta):
+    # H^2 and h^2 overflow from eta = 1e-155 (or 1e155, the same law):
+    # the density takes q = (H/h)^2 = 1 - 1/h and 1/h instead, and is its
+    # eta -> 0 limit up to the rounding of the log terms of size mu ln h
+    # (measured 6.1e-13 at 1e-300). It raised ConvergenceError here
+    g = np.array([0.01, 0.1, 1.0, 5.0, 50.0])
+    p = AefParams(alpha=2.5, eta=eta, mu=1.2, ms=4.0)
+    limit = AefParams(alpha=2.5, eta=1.0, mu=0.6, ms=4.0)
+    d, env = AefDist(p, 1.0), AefEnvelope(p, 1.0)
+    tol = 16.0 * 2.0**-52 * p.mu * math.log(d.geometry.h)
+    for law, lim, call in ((d, AefDist(limit, 1.0), "snr_pdf"),
+                           (env, AefEnvelope(limit, 1.0), "envelope_pdf")):
+        want = getattr(lim, call)(g)
+        scalar = np.array([getattr(law, call)(float(x)) for x in g])
+        assert np.max(np.abs(scalar / want - 1.0)) <= tol
+        assert np.max(np.abs(getattr(law, call)(g) / scalar - 1.0)) <= 1e-13
+
+
+def test_lgamma_difference_loss_is_refused_or_within_tolerance():
+    # _lbeta's lgamma difference at a = 0.3, b = 40 keeps eps (|lgamma a| +
+    # |lgamma b| + |lgamma(a + b)|), some 5e-14; alpha/2 = 5e4 makes it
+    # 7.3e-10 of omega, which was returned unrefused
+    p = AkfParams(alpha=1e5, kappa=0.5, mu=0.3, ms=40.0)
+    try:
+        got = omega(p)
+    except ConvergenceError:
+        return
+    assert _rel(got, mp_omega(p)) <= 1e-10
 
 
 def _akf(mu, mk, ms=4.0):

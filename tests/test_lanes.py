@@ -102,19 +102,38 @@ def test_cdf_lanes_match_scalar_calls(name, law, envelope, p, gamma_bar):
 
 @pytest.mark.parametrize("name,law,envelope,p", laws("aef-I", "akf"))
 def test_short_arrays_match_scalar_calls(name, law, envelope, p):
-    # arrays of fewer than _k._LANES_START points, and the last
-    # _k._LANES_MIN live lanes of longer ones, are summed by the scalar loop
+    # arrays of fewer than _k._LANES_START points are summed by the scalar
+    # loop point by point, longer ones by the array loop
     d = law(p, 1.0)
-    for grid in (GRID[100:101], GRID[100:103], GRID[95:95 + _k._LANES_MIN + 1],
-                 GRID[95:95 + _k._LANES_START]):
+    for grid in (GRID[100:101], GRID[100:103], GRID[95:104],
+                 GRID[95:95 + _k._LANES_START - 1], GRID[95:95 + _k._LANES_START]):
         _assert_cdf_lanes(d.snr_cdf(grid), [d.snr_cdf(float(g)) for g in grid])
+
+
+@pytest.mark.parametrize("max_terms", [100_000, 300])
+@pytest.mark.parametrize("d", [
+    AefDist(AefParams(alpha=2.5, eta=1e-2, mu=1.2, ms=4.0), 1.0),
+    AkfDist(AkfParams(alpha=2.5, kappa=200.0, mu=1.2, ms=4.0), 1.0),
+], ids=["aef", "akf"])
+def test_straggler_lanes_run_to_their_own_stop(d, max_terms):
+    # 4 to 28 terms in the deep lower tail, 357 (akf) or 630 (aef) at the 4
+    # large gammas: the array loop runs on for the stragglers alone, and
+    # with max_terms = 300 they end unconverged where the rest converged
+    grid = np.concatenate((np.geomspace(1e-6, 1e-3, 36), np.geomspace(1e2, 1e4, 4)))
+    assert grid.size >= _k._LANES_START
+    ctrl = SeriesControl(max_terms=max_terms)
+    lanes = d.snr_cdf(grid, ctrl)
+    scalars = [d.snr_cdf(float(g), ctrl) for g in grid]
+    _assert_cdf_lanes(lanes, scalars)
+    assert lanes.terms_used[-4:].min() > 10 * lanes.terms_used[:36].max()
+    assert lanes.converged[:36].all()
+    assert lanes.converged[-4:].all() == (max_terms == 100_000)
 
 
 def test_cdf_lanes_clamp_as_the_scalar_call_does(monkeypatch):
     raw = np.array([-1e-17, 0.25, 1.0 + 2e-16])
     terms, est, status = np.array([3, 4, 5]), np.full(3, 1e-18), np.array([0, 0, 1])
-    monkeypatch.setattr(AefDist, "_cdf_lanes",
-                        staticmethod(lambda *args: (raw, terms, est, status)))
+    monkeypatch.setattr(_k, "_beta_mixture_lanes", lambda *args: (raw, terms, est, status))
     got = AefDist(AefParams(alpha=2.5, eta=0.5, mu=1.2, ms=4.0), 1.0).snr_cdf(np.array([0.5, 1.0, 2.0]))
     want = [cdf_clamped(*args) for args in zip(raw, terms, est, status == 0)]
     assert got.value.tolist() == [r.value for r in want]

@@ -85,7 +85,8 @@ def test_akf_mixture_oracle_sums_past_the_mode_at_large_mu_kappa(mu, kappa, g):
 def test_aef_format_ii_negative_eta_matches_mixture_oracle(p, gamma_bar, ratio):
     d = AefDist(p, gamma_bar)
     g = gamma_bar * ratio
-    want = float(oracles.mp_aef_cdf(p.mu, p.ms, d.geometry.h, d._hsq, _aef_ln_y(d, g)))
+    want = float(oracles.mp_aef_cdf(p.mu, p.ms, d.geometry.h, d.geometry.H ** 2,
+                                    _aef_ln_y(d, g)))
     r = d.snr_cdf(g)
     assert r.converged
     assert rel_err(r.value, want) <= MIXTURE_TOL
@@ -98,9 +99,11 @@ def test_aef_alternating_weights_match_mixture_oracle(ratio):
     p, gamma_bar = FORMAT_II_NEG[0]
     d = AefDist(p, gamma_bar)
     g = gamma_bar * ratio
-    flipped = _k.aef_cdf_consts(p.alpha, p.mu, p.ms, d.geometry.h, -d._hsq, d._ln_lam)
-    raw, _, _, status = _k.aef_snr_cdf_kernel(flipped, g, 1e-12, 100_000)
-    want = float(oracles.mp_aef_cdf(p.mu, p.ms, d.geometry.h, -d._hsq, _aef_ln_y(d, g)))
+    hsq = d.geometry.H ** 2
+    flipped = _k.aef_cdf_consts(p.alpha, p.mu, p.ms, d.geometry.h, -hsq, d._ln_lam)
+    raw, _, _, status = _k._beta_mixture(flipped[0] + flipped[1] * math.log(g), *flipped[2:],
+                                         1e-12, 100_000)
+    want = float(oracles.mp_aef_cdf(p.mu, p.ms, d.geometry.h, -hsq, _aef_ln_y(d, g)))
     assert status == 0
     assert rel_err(raw, want) <= MIXTURE_TOL
 
@@ -115,7 +118,7 @@ def test_truncated_series_is_the_first_k_mixture_terms(k):
     g = 2.0
     d = SLOW_AEF
     r = d.snr_cdf(g, SeriesControl(max_terms=k))
-    want = oracles.mp_aef_cdf(d.params.mu, d.params.ms, d.geometry.h, d._hsq,
+    want = oracles.mp_aef_cdf(d.params.mu, d.params.ms, d.geometry.h, d.geometry.H ** 2,
                               _aef_ln_y(d, g), terms=k)
     assert r.terms_used == k and not r.converged
     assert rel_err(r.value, float(want)) <= MIXTURE_TOL
