@@ -24,9 +24,11 @@ where scipy was measured accurate (scipy 1.17.1 within 4e-13 of mpmath):
 the alpha-eta-F 2F1 from hyp2f1, through Euler's transformation above
 z = 1/2, and the alpha-kappa-F 1F1 from hyp1f1 in Kummer's form, both for
 ms <= _SCIPY_MS_MAX. Larger ms, and any value scipy does not give as a
-positive finite double, go to the series (gauss_2f1_ln, kummer_1f1_ln),
-which the SeriesControl settings then govern; both 2F1 routes take
-Euler's prefactor from the exact 1 - z. Each density is the derivative
+positive finite double, go to the power series (_hyper_series,
+kummer_1f1_ln), which the SeriesControl settings then govern; both 2F1
+routes take Euler's prefactor from the exact 1 - z, and where z rounds
+to 1 the series route takes Gauss's sum within rel_tol or refuses
+(_density_2f1_ln). No kappa is cut off to 0. Each density is the derivative
 of its CDF head, p A g^(p-1), times s^(c+ms), s = Lambda/D, and that
 factor; ln s = -ln(1 + e^u) comes from _beta_argument, so no term of size
 ms ln Lambda is formed, and the densities keep their digits at any ms. The
@@ -48,10 +50,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy import special as _sc
 
-# below this, kappa-dependent factors are replaced by their exact kappa -> 0
-# limit forms for numerical hygiene
-KAPPA_ZERO_CUTOFF = 1e-10
-
 _LN_RESCALE = 645.0  # e^645 is close to the overflow edge; rescale margin below it
 # an incomplete beta stepped by recurrence is recomputed once it falls below
 # this share of its last value from scipy
@@ -69,7 +67,7 @@ _PSI1_UPPER = ~np.tri(_PSI1_BLOCK, dtype=bool)  # [j, i]: i > j
 # the density kernels take their 2F1 and 1F1 from scipy.special up to this
 # ms, where scipy 1.17.1 was measured within 4e-13 of mpmath (CHANGES.md);
 # past it hyp2f1 drifts to 5e-12 near z = 0 by ms = 250 and gives NaN at
-# ms = 1e4, so the series are kept there
+# ms = 1e4, so the series (and Gauss's sum where z rounds to 1) are kept there
 _SCIPY_MS_MAX = 50.0
 # _lbeta's lgamma difference loses about eps (a + b) ln(a + b) (1.7e-12
 # relative at a + b = 1e3, 3e-9 at 1e6, against mpmath); above this a + b it
@@ -603,7 +601,10 @@ def _density_2f1_ln(mu, ms, z, omz, rel_tol, max_terms):
     The form's 2F1 comes from scipy.special.hyp2f1 for ms <= _SCIPY_MS_MAX
     (the controls unused), else or where scipy's value is not a positive
     finite double from the power series. The density kernels give
-    0 <= z <= 1 and omz > 0.
+    0 <= z <= 1 and omz > 0. Where z rounds to 1 the form's 2F1 is Gauss's
+    sum Gamma(c) Gamma(a + b - c) / (Gamma(a) Gamma(b)), taken where its
+    first-order change over the exact omz, omz |(c - a)(c - b)| / (a + b -
+    c - 1), is at most rel_tol; elsewhere at z = 1 status 2.
     """
     a, b, c = mu + 0.5 * ms, mu + 0.5 * (ms + 1.0), mu + 0.5
     ln_pre = 0.0
@@ -614,7 +615,10 @@ def _density_2f1_ln(mu, ms, z, omz, rel_tol, max_terms):
         if 0.0 < f < math.inf:
             return ln_pre + math.log(f), 1.0, 0
     if z >= 1.0:
-        return 0.0, 0.0, 2
+        # Euler's a, b here, so Gauss's c - a - b is the original a + b - c
+        if omz * abs(a * b) > rel_tol * (c - a - b - 1.0):
+            return 0.0, 0.0, 2
+        return ln_pre + _lbeta(c, c - a - b) - _lbeta(c - a, c - b), 1.0, 0
     ln_f, sgn_f, _, _, st = _hyper_series(a, b, c, z, rel_tol, max_terms)
     return ln_pre + ln_f, sgn_f, st
 
@@ -701,10 +705,7 @@ def aef_cdf_bound_kernel(consts, ln_a, g, k0, rel_tol, max_terms):
 def akf_pdf_consts(alpha, mu, ms, kappa, ln_lam, ln_a):
     """The per-distribution constants of akf_snr_pdf_kernel, computed once
     from ln A of the CDF head A g^p, p = alpha mu / 2: mu kappa, ln(p A) and
-    ln(mu (1 + kappa) / Lambda). kappa below KAPPA_ZERO_CUTOFF is taken as
-    0, the exact kappa -> 0 limit (alpha-F form)."""
-    if kappa < KAPPA_ZERO_CUTOFF:
-        kappa = 0.0
+    ln(mu (1 + kappa) / Lambda); kappa = 0 is the alpha-F law."""
     return (alpha, mu, ms, mu * kappa, math.log(0.5 * alpha * mu) + ln_a,
             math.log(mu * (1.0 + kappa)) - ln_lam)
 
@@ -742,14 +743,11 @@ def akf_snr_pdf_kernel(consts, ln_g, rel_tol, max_terms, ln_jac):
 def akf_cdf_consts(alpha, mu, ms, kappa, ln_lam):
     """The alpha-kappa-F CDF in the layout of aef_cdf_consts: the t-th term
     is e^(-mu kappa) (mu kappa)^t / t! I_w1(mu + t, ms), w1 = X1/(1+X1), X1 =
-    mu (1 + kappa) g^(alpha/2) / Lambda. kappa below KAPPA_ZERO_CUTOFF keeps
-    the t = 0 term alone at weight 1, the exact kappa -> 0 limit."""
-    if kappa < KAPPA_ZERO_CUTOFF:
-        ln_w0, ln_z = 0.0, -math.inf
-    else:
-        ln_w0, ln_z = -mu * kappa, math.log(mu * kappa)
+    mu (1 + kappa) g^(alpha/2) / Lambda. Where mu kappa is 0, ln z = -inf
+    leaves the t = 0 term alone at weight 1 (the alpha-F law)."""
+    mk = mu * kappa
     return (math.log(mu * (1.0 + kappa)) - ln_lam, 0.5 * alpha, mu, 1, ms,
-            ln_w0, ln_z, 1.0, 1.0, 0.0)
+            -mk, math.log(mk) if mk > 0.0 else -math.inf, 1.0, 1.0, 0.0)
 
 
 # --- lanes: one array call per grid ------------------------------------------

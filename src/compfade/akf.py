@@ -10,8 +10,8 @@ envelope R with mean power omega_power = E[R^2]. Both use the front ends
 of series.Law and series.Envelope; this module supplies the density
 kernels, the density and CDF constants and the CDF head.
 
-kappa below _kernels.KAPPA_ZERO_CUTOFF routes through exact kappa -> 0 limit
-forms (the alpha-F distribution). Both CDF routes raise ConvergenceError
+Every kappa >= 0 takes the same forms, with no cutoff near 0: kappa = 0
+is the alpha-F distribution. Both CDF routes raise ConvergenceError
 past mu kappa = 690.8, where e^(-mu kappa) is below the stop tests' floor.
 """
 from __future__ import annotations

@@ -12,11 +12,14 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .aef import AefDist
-from .akf import AkfDist
+from . import mc
+from .aef import AefDist, AefEnvelope
+from .akf import AkfDist, AkfEnvelope
+from .outage import asymptotic_outage_aef, asymptotic_outage_akf
 from .params import AefParams, AkfParams, Format, convert_format
 from .series import DomainError
 
@@ -36,6 +39,29 @@ MS_INF_PROXY = 1.0e5
 # The exact identities hold to roundoff, so they get fixed tight bounds.
 CROSS_FAMILY_TOL = 1e-8
 FORMAT_TOL = 1e-10
+
+
+class _Family(NamedTuple):
+    """What goes with a family's parameter bundle: its SNR law, its envelope
+    law, its physical-model sampler, its high-SNR outage and the format of
+    its tag in check names."""
+
+    law: type
+    envelope: type
+    sampler: str  # the name in mc, looked up at each call (a tracer may wrap it)
+    asymptote: Callable
+    tag: str
+
+    def sample(self, *args, **kwargs):
+        return getattr(mc, self.sampler)(*args, **kwargs)
+
+
+_FAMILIES = {
+    AefParams: _Family(AefDist, AefEnvelope, "sample_aef_envelope", asymptotic_outage_aef,
+                       "aef[a={alpha:g},eta={eta:g},mu={mu:g},ms={ms:g},fmt={format.value}]"),
+    AkfParams: _Family(AkfDist, AkfEnvelope, "sample_akf_envelope", asymptotic_outage_akf,
+                       "akf[a={alpha:g},k={kappa:g},mu={mu:g},ms={ms:g}]"),
+}
 
 
 class CaseId(Enum):
@@ -77,13 +103,12 @@ def reduce(
     kappa = 0 are exact and route to the limit formulas inside the density
     code. Raises DomainError for a case/family mismatch.
     """
-    is_aef = isinstance(params, AefParams)
-    is_akf = isinstance(params, AkfParams)
-    if not (is_aef or is_akf):
+    if type(params) not in _FAMILIES:
         raise DomainError(f"unsupported parameter type {type(params).__name__}")
+    is_aef = isinstance(params, AefParams)
     if case in _AEF_ONLY and not is_aef:
         raise DomainError(f"case {case.value} requires alpha-eta-F parameters")
-    if case in _AKF_ONLY and not is_akf:
+    if case in _AKF_ONLY and is_aef:
         raise DomainError(f"case {case.value} requires alpha-kappa-F parameters")
 
     if case is CaseId.ALPHA_ETA_MU or case is CaseId.ALPHA_KAPPA_MU:
@@ -152,27 +177,18 @@ def check_lattice(tolerance: float = 1e-4) -> LatticeReport:
         LatticeCheck("cross-family", dev_a, CROSS_FAMILY_TOL, dev_a <= CROSS_FAMILY_TOL)
     )
 
-    # (b) alpha-eta-F stabilizes as ms grows: successive deviations across
+    # (b, c) each family stabilizes as ms grows: successive deviations across
     # ms = 1e4, 1e5, 1e6 must shrink, and the last gap must sit below tolerance.
     grid_b = np.geomspace(0.1, 10.0, 15)
-    base = AefParams(alpha=2.5, eta=0.5, mu=1.5, ms=1.0e4)
-    d4 = AefDist(base, 1.0)
-    d5 = AefDist(dataclasses.replace(base, ms=1.0e5), 1.0)
-    d6 = AefDist(dataclasses.replace(base, ms=1.0e6), 1.0)
-    dev1 = _max_dev(grid_b, d4.snr_pdf, d5.snr_pdf)
-    dev2 = _max_dev(grid_b, d5.snr_pdf, d6.snr_pdf)
-    ok_b = dev2 < dev1 and dev2 <= tolerance
-    checks.append(LatticeCheck("aef-ms-stabilization", dev2, tolerance, ok_b))
-
-    # (c) same stabilization for alpha-kappa-F.
-    base_k = AkfParams(alpha=2.2, kappa=1.2, mu=1.5, ms=1.0e4)
-    k4 = AkfDist(base_k, 1.0)
-    k5 = AkfDist(dataclasses.replace(base_k, ms=1.0e5), 1.0)
-    k6 = AkfDist(dataclasses.replace(base_k, ms=1.0e6), 1.0)
-    dev1k = _max_dev(grid_b, k4.snr_pdf, k5.snr_pdf)
-    dev2k = _max_dev(grid_b, k5.snr_pdf, k6.snr_pdf)
-    ok_c = dev2k < dev1k and dev2k <= tolerance
-    checks.append(LatticeCheck("akf-ms-stabilization", dev2k, tolerance, ok_c))
+    for name, base in (
+        ("aef-ms-stabilization", AefParams(alpha=2.5, eta=0.5, mu=1.5, ms=1.0e4)),
+        ("akf-ms-stabilization", AkfParams(alpha=2.2, kappa=1.2, mu=1.5, ms=1.0e4)),
+    ):
+        law = _FAMILIES[type(base)].law
+        d4, d5, d6 = (law(dataclasses.replace(base, ms=ms), 1.0) for ms in (1e4, 1e5, 1e6))
+        dev1 = _max_dev(grid_b, d4.snr_pdf, d5.snr_pdf)
+        dev2 = _max_dev(grid_b, d5.snr_pdf, d6.snr_pdf)
+        checks.append(LatticeCheck(name, dev2, tolerance, dev2 < dev1 and dev2 <= tolerance))
 
     # (d) Format I and Format II describe the same distribution under the
     # eta conversion.

@@ -14,10 +14,7 @@ import sys
 
 import numpy as np
 
-from . import mc
-from .aef import AefDist, AefEnvelope
-from .akf import AkfDist, AkfEnvelope
-from .outage import asymptotic_outage_aef, asymptotic_outage_akf
+from . import cases, mc
 from .outage import outage as outage_probability
 from .params import AefParams, AkfParams, Format
 from .series import ConvergenceError, DomainError
@@ -150,7 +147,7 @@ def _build_grid(args) -> np.ndarray:
 def _params_dict(p: AefParams | AkfParams) -> dict:
     d = dataclasses.asdict(p)
     if isinstance(p, AefParams):
-        d["format"] = 1 if p.format is Format.FORMAT_I else 2
+        d["format"] = p.format.value
     return d
 
 
@@ -174,38 +171,31 @@ def _make_evaluator(args, params):
         },
         "db": bool(args.db),
     }
+    family = cases._FAMILIES[type(params)]
     if q == "envelope-pdf":
         if args.gamma_bar is not None:
             raise DomainError("--gamma-bar does not apply to envelope-pdf; "
                               "use --omega")
         omega = 1.0 if args.omega is None else args.omega
         spec["omega_power"] = omega
-        env = (AefEnvelope(params, omega) if args.dist == "aef"
-               else AkfEnvelope(params, omega))
+        env = family.envelope(params, omega)
         return (lambda x: (env.envelope_pdf(x), 0.0, True)), spec
     if args.omega is not None:
         raise DomainError(f"--omega does not apply to {q}; use --gamma-bar")
     gamma_bar = 1.0 if args.gamma_bar is None else args.gamma_bar
     spec["gamma_bar"] = gamma_bar
-    dist = (AefDist(params, gamma_bar) if args.dist == "aef"
-            else AkfDist(params, gamma_bar))
+    dist = family.law(params, gamma_bar)
     if q == "snr-pdf":
         return (lambda x: (dist.snr_pdf(x), 0.0, True)), spec
-    if q == "snr-cdf":
-        def eval_cdf(x):
-            r = dist.snr_cdf(x)
-            return r.value, r.est_error, r.converged
+    if q == "op-asym":
+        return (lambda x: (family.asymptote(dist, x), 0.0, True)), spec
+    series = dist.snr_cdf if q == "snr-cdf" else (lambda x: outage_probability(dist, x))
 
-        return eval_cdf, spec
-    if q == "op":
-        def eval_op(x):
-            r = outage_probability(dist, x)
-            return r.value, r.est_error, r.converged
+    def evaluate(x):
+        r = series(x)
+        return r.value, r.est_error, r.converged
 
-        return eval_op, spec
-    asym = (asymptotic_outage_aef if args.dist == "aef"
-            else asymptotic_outage_akf)
-    return (lambda x: (asym(dist, x), 0.0, True)), spec
+    return evaluate, spec
 
 
 def cmd_curve(args, stream) -> int:
@@ -253,8 +243,7 @@ def cmd_sample(args, stream) -> int:
     if args.chunks < 1:
         raise DomainError(f"--chunks must be >= 1, got {args.chunks}")
     phys = mc.make_phys(params, power_target=args.omega)
-    sampler = (mc.sample_aef_envelope if args.dist == "aef"
-               else mc.sample_akf_envelope)
+    sampler = cases._FAMILIES[type(params)].sample
     edges = np.linspace(0, args.n, args.chunks + 1).astype(int)
     parts = [
         sampler(phys, int(b - a), args.seed, start=int(a))

@@ -27,9 +27,8 @@ from scipy import special
 
 from . import _kernels as _k
 from . import cases, mc, specfun
-from .aef import AefDist, AefEnvelope
-from .akf import CLOSED_FORM_GUARD, AkfDist, AkfEnvelope
-from .outage import asymptotic_outage_aef, asymptotic_outage_akf
+from .aef import AefDist
+from .akf import CLOSED_FORM_GUARD, AkfDist
 from .outage import outage as outage_probability
 from .params import AefParams, AkfParams, Format
 from .series import ConvergenceError, Law, SeriesControl
@@ -131,13 +130,9 @@ class Check:
     detail: str = ""
 
 
-def _aef_tag(p: AefParams) -> str:
-    fmt = 1 if p.format is Format.FORMAT_I else 2
-    return f"aef[a={p.alpha:g},eta={p.eta:g},mu={p.mu:g},ms={p.ms:g},fmt={fmt}]"
-
-
-def _akf_tag(p: AkfParams) -> str:
-    return f"akf[a={p.alpha:g},k={p.kappa:g},mu={p.mu:g},ms={p.ms:g}]"
+def _tag(p: AefParams | AkfParams) -> str:
+    """The bundle's name in check names, e.g. akf[a=2,k=1,mu=1,ms=3]."""
+    return cases._FAMILIES[type(p)].tag.format_map(vars(p))
 
 
 def _standard_grids() -> list:
@@ -333,7 +328,7 @@ def _integrate(f, split: float, head_exp, tail_decay=None, marks=()) -> tuple:
 def _snr_pdf_fn(p: AefParams | AkfParams, gamma_bar: float = 1.0):
     """The SNR law at p, its density, and the density's exponent at 0 (that
     of the CDF head, less one)."""
-    d = (AefDist if isinstance(p, AefParams) else AkfDist)(p, gamma_bar)
+    d = cases._FAMILIES[type(p)].law(p, gamma_bar)
     return d, d.snr_pdf, d._head[1] - 1.0
 
 
@@ -342,14 +337,12 @@ def _grid_pdf(laws: list):
     _integrate, f(x, cell) -> (values, errors) with the density of
     laws[cell[i]] at x[i]: one series.Law._densities call per family, each
     failing law reported with its scalar call's ConvergenceError."""
-    is_aef = np.array([isinstance(d, AefDist) for d in laws], dtype=bool)
     families = []
-    for member in (is_aef, ~is_aef):
-        cells = np.flatnonzero(member)
-        if cells.size:
-            local = np.full(len(laws), -1)
-            local[cells] = np.arange(cells.size)
-            families.append((cells, [laws[c] for c in cells], local))
+    for kind in dict.fromkeys(map(type, laws)):
+        cells = np.flatnonzero([type(d) is kind for d in laws])
+        local = np.full(len(laws), -1)
+        local[cells] = np.arange(cells.size)
+        families.append((cells, [laws[c] for c in cells], local))
 
     def pdf(x, cell):
         values = np.empty(x.shape)
@@ -366,13 +359,9 @@ def _grid_pdf(laws: list):
 
 def _grid_cells(grids) -> tuple:
     """The grid cells' tags, SNR laws and density exponents at 0."""
-    tags, laws, head_exp = [], [], []
-    for p in grids:
-        tags.append(_aef_tag(p) if isinstance(p, AefParams) else _akf_tag(p))
-        d, _, e = _snr_pdf_fn(p)
-        laws.append(d)
-        head_exp.append(e)
-    return tags, laws, np.array(head_exp)
+    cells = [_snr_pdf_fn(p) for p in grids]
+    laws = [d for d, _, _ in cells]
+    return [_tag(p) for p in grids], laws, np.array([e for _, _, e in cells])
 
 
 def _quadrature_check(name: str, limit: float, deviation: float, error=None) -> Check:
@@ -383,34 +372,34 @@ def _quadrature_check(name: str, limit: float, deviation: float, error=None) -> 
     return Check(name, deviation, limit, deviation <= limit)
 
 
-def check_normalization(grids=None) -> list:
-    """Criterion: integral of snr_pdf over (0, inf) equals 1 within 1e-7
-    on the standard parameter grids; one _integrate call over all cells."""
+def _moment_check(name: str, limit: float, power: int, grids) -> list:
+    """Checks that the integral of gamma^power snr_pdf over (0, inf) is 1
+    (gamma_bar = 1) within limit on each cell of grids (the standard grids
+    when None), named name-tag; one _integrate call over all cells."""
     grids = _standard_grids() if grids is None else list(grids)
     tags, laws, head_exp = _grid_cells(grids)
-    tail_decay = np.array([1.0 + 0.5 * p.alpha * p.ms for p in grids])
-    totals, _, errors = _integrate(_grid_pdf(laws), 1.0, head_exp, tail_decay)
-    return [_quadrature_check(f"norm-{tag}", NORMALIZATION_TOL, abs(total - 1.0),
-                              errors.get(c))
-            for c, (tag, total) in enumerate(zip(tags, totals.tolist()))]
-
-
-def check_mean(grids=None) -> list:
-    """Criterion: integral of gamma * snr_pdf equals gamma_bar within 1e-6,
-    verifying the power normalizers end-to-end; one _integrate call over
-    all cells."""
-    grids = _standard_grids() if grids is None else list(grids)
-    tags, laws, head_exp = _grid_cells(grids)
-    tail_decay = np.array([0.5 * p.alpha * p.ms for p in grids])
+    tail_decay = np.array([1.0 - power + 0.5 * p.alpha * p.ms for p in grids])
     pdf = _grid_pdf(laws)
 
     def integrand(x, cell):
         values, errors = pdf(x, cell)
-        return x * values, errors
+        return x**power * values, errors
 
-    totals, _, errors = _integrate(integrand, 1.0, head_exp + 1.0, tail_decay)
-    return [_quadrature_check(f"mean-{tag}", MEAN_TOL, abs(total - 1.0), errors.get(c))
+    totals, _, errors = _integrate(integrand, 1.0, head_exp + power, tail_decay)
+    return [_quadrature_check(f"{name}-{tag}", limit, abs(total - 1.0), errors.get(c))
             for c, (tag, total) in enumerate(zip(tags, totals.tolist()))]
+
+
+def check_normalization(grids=None) -> list:
+    """Criterion: integral of snr_pdf over (0, inf) equals 1 within 1e-7
+    on the standard parameter grids."""
+    return _moment_check("norm", NORMALIZATION_TOL, 0, grids)
+
+
+def check_mean(grids=None) -> list:
+    """Criterion: integral of gamma * snr_pdf equals gamma_bar within 1e-6,
+    verifying the power normalizers end-to-end."""
+    return _moment_check("mean", MEAN_TOL, 1, grids)
 
 
 _CDF_POINTS = np.geomspace(0.05, 8.0, 10)
@@ -524,25 +513,17 @@ def check_mc(n: int = 1_000_000, seed: int = 777, flip_h_sign: bool = False,
     if configs is None:
         configs = list(MC_AEF_CONFIGS) + list(MC_AKF_CONFIGS)
     for i, p in enumerate(configs):
-        is_aef = isinstance(p, AefParams)
-        tag = _aef_tag(p) if is_aef else _akf_tag(p)
-        phys = mc.make_phys(p, power_target=1.0)
-        sample = mc.sample_aef_envelope if is_aef else mc.sample_akf_envelope
-        r = sample(phys, n, seed + i)
-        d = (AefDist if is_aef else AkfDist)(p, 1.0)
-        env = (AefEnvelope if is_aef else AkfEnvelope)(p, 1.0)
-        if flip_h_sign and is_aef:
+        family, tag = cases._FAMILIES[type(p)], _tag(p)
+        r = family.sample(mc.make_phys(p, power_target=1.0), n, seed + i)
+        d, env = family.law(p, 1.0), family.envelope(p, 1.0)
+        if flip_h_sign and isinstance(d, AefDist):
             d = _flip_h_sign(d)
         r.sort()
         gamma = r * r  # gamma_bar = omega_power = 1
-        f_snr = _snr_cdf_interp(d, gamma)
-        emp_g = mc.EmpiricalDist(samples=gamma, n=n)
-        ks_snr = mc.ks_distance(emp_g, lambda x, _f=f_snr: _f)
-        checks.append(Check(f"mc-ks-snr-{tag}", ks_snr, limit, ks_snr <= limit))
-        f_env = _envelope_cdf_interp(env, r)
-        emp_r = mc.EmpiricalDist(samples=r, n=n)
-        ks_env = mc.ks_distance(emp_r, lambda x, _f=f_env: _f)
-        checks.append(Check(f"mc-ks-env-{tag}", ks_env, limit, ks_env <= limit))
+        for kind, x, model in (("snr", gamma, _snr_cdf_interp(d, gamma)),
+                               ("env", r, _envelope_cdf_interp(env, r))):
+            ks = mc.ks_distance(mc.EmpiricalDist(samples=x, n=n), lambda _, _f=model: _f)
+            checks.append(Check(f"mc-ks-{kind}-{tag}", ks, limit, ks <= limit))
     return checks
 
 
@@ -576,7 +557,7 @@ def check_bound(seed: int = 424242, draws: int = 20) -> list:
             if excess > worst:
                 worst = excess
                 worst_detail = (
-                    f"{_aef_tag(p)} gamma={gamma:.4g} k0={k0} "
+                    f"{_tag(p)} gamma={gamma:.4g} k0={k0} "
                     f"remainder={remainder:.3e} bound={bound:.3e}"
                 )
     return [
@@ -592,16 +573,11 @@ def check_asym() -> list:
     checks = []
     gamma_th = 1.0
     for p in list(ASYM_AEF_SETS) + list(ASYM_AKF_SETS):
-        is_aef = isinstance(p, AefParams)
-        tag = _aef_tag(p) if is_aef else _akf_tag(p)
+        family, tag = cases._FAMILIES[type(p)], _tag(p)
         exact = {}
         for ratio, tol in ASYM_RATIO_TOLS:
-            if is_aef:
-                d = AefDist(p, ratio * gamma_th)
-                asym = asymptotic_outage_aef(d, gamma_th)
-            else:
-                d = AkfDist(p, ratio * gamma_th)
-                asym = asymptotic_outage_akf(d, gamma_th)
+            d = family.law(p, ratio * gamma_th)
+            asym = family.asymptote(d, gamma_th)
             op = outage_probability(d, gamma_th).value
             exact[ratio] = op
             dev = abs(op / asym - 1.0)
@@ -637,75 +613,45 @@ def check_engines(seed: int = 20250817, points: int = 100) -> list:
 
     mp = orc.mp_setup()
     rng = np.random.default_rng(seed)
-    checks = []
+    u = rng.uniform
 
-    worst = 0.0
-    for _ in range(points):
-        a = rng.uniform(0.1, 6.0)
-        b = rng.uniform(0.1, 6.0)
-        c = rng.uniform(0.3, 8.0)
-        z = rng.uniform(-4.0, 0.98)
-        got = specfun.gauss_2f1(a, b, c, z).value
-        want = float(mp.hyp2f1(a, b, c, z))
-        worst = max(worst, _rel_err(got, want))
-    checks.append(Check("engine-gauss-2f1", worst, ENGINE_TOL, worst <= ENGINE_TOL))
+    def beta_rows():
+        a2 = u(0.3, 4.0)
+        return a2 + u(0.5, 30.0), a2, a2 + 1.0, u(0.5, 6.0), u(0.0, 15.0), u(-0.95, -0.05)
 
-    worst = 0.0
-    for _ in range(points):
-        a = rng.uniform(0.1, 6.0)
-        b = rng.uniform(0.3, 8.0)
-        z = rng.uniform(-25.0, 25.0)
-        got = specfun.kummer_1f1(a, b, z).value
-        want = float(mp.hyp1f1(a, b, z))
-        worst = max(worst, _rel_err(got, want))
-    checks.append(Check("engine-kummer-1f1", worst, ENGINE_TOL, worst <= ENGINE_TOL))
-
-    worst = 0.0
-    for _ in range(points):
-        a = rng.uniform(0.3, 5.0)
-        b = rng.uniform(0.1, 4.0)
-        c = rng.uniform(0.5, 6.0)
-        cp = rng.uniform(0.5, 6.0)
-        x = rng.uniform(-0.9, 0.9)
-        y = rng.uniform(-4.0, 8.0)
-        got = specfun.humbert_psi1(a, b, c, cp, x, y).value
-        want = float(orc.mp_humbert_psi1(a, b, c, cp, x, y))
-        worst = max(worst, _rel_err(got, want))
-    checks.append(Check("engine-humbert-psi1", worst, ENGINE_TOL, worst <= ENGINE_TOL))
-
-    # x >= 0 is the engine's well-conditioned domain (and the only one the
-    # composite CDF exercises); negative x alternates and is cancellation
-    # limited by construction of the double series.
-    worst = 0.0
-    for _ in range(points):
-        a1 = rng.uniform(0.3, 5.0)
-        a2 = rng.uniform(0.3, 5.0)
-        b1 = rng.uniform(0.5, 6.0)
-        c1 = rng.uniform(0.5, 6.0)
-        x = rng.uniform(0.0, 2.0)
-        y = rng.uniform(-2.5, 0.9)
-        got = specfun.kdf_2_1(a1, a2, b1, c1, x, y).value
-        want = float(orc.mp_kdf_2_1(a1, a2, b1, c1, x, y))
-        worst = max(worst, _rel_err(got, want))
-    checks.append(Check("engine-kdf-2-1", worst, ENGINE_TOL, worst <= ENGINE_TOL))
-
-    # the contiguous b1 = a2 + 1 structure with y < 0 takes the
-    # incomplete-beta row route; sample it separately since random draws
-    # never hit the structure exactly, and push x well past where the
-    # generic power-series rows would lose precision
-    worst = 0.0
-    for _ in range(points // 4):
-        a2 = rng.uniform(0.3, 4.0)
-        a1 = a2 + rng.uniform(0.5, 30.0)
-        c1 = rng.uniform(0.5, 6.0)
-        x = rng.uniform(0.0, 15.0)
-        y = rng.uniform(-0.95, -0.05)
-        got = specfun.kdf_2_1(a1, a2, a2 + 1.0, c1, x, y).value
-        want = float(orc.mp_kdf_2_1(a1, a2, a2 + 1.0, c1, x, y))
-        worst = max(worst, _rel_err(got, want))
-    checks.append(
-        Check("engine-kdf-2-1-beta-rows", worst, ENGINE_TOL, worst <= ENGINE_TOL)
+    # (check name, draw count, argument draw, engine, oracle), drawn in order
+    engines = (
+        ("engine-gauss-2f1", points,
+         lambda: (u(0.1, 6.0), u(0.1, 6.0), u(0.3, 8.0), u(-4.0, 0.98)),
+         specfun.gauss_2f1, mp.hyp2f1),
+        ("engine-kummer-1f1", points,
+         lambda: (u(0.1, 6.0), u(0.3, 8.0), u(-25.0, 25.0)),
+         specfun.kummer_1f1, mp.hyp1f1),
+        ("engine-humbert-psi1", points,
+         lambda: (u(0.3, 5.0), u(0.1, 4.0), u(0.5, 6.0), u(0.5, 6.0), u(-0.9, 0.9),
+                  u(-4.0, 8.0)),
+         specfun.humbert_psi1, orc.mp_humbert_psi1),
+        # x >= 0 is the engine's well-conditioned domain (and the only one the
+        # composite CDF exercises); negative x alternates and is cancellation
+        # limited by construction of the double series.
+        ("engine-kdf-2-1", points,
+         lambda: (u(0.3, 5.0), u(0.3, 5.0), u(0.5, 6.0), u(0.5, 6.0), u(0.0, 2.0),
+                  u(-2.5, 0.9)),
+         specfun.kdf_2_1, orc.mp_kdf_2_1),
+        # the contiguous b1 = a2 + 1 structure with y < 0 takes the
+        # incomplete-beta row route; sample it separately since random draws
+        # never hit the structure exactly, and push x well past where the
+        # generic power-series rows would lose precision
+        ("engine-kdf-2-1-beta-rows", points // 4, beta_rows,
+         specfun.kdf_2_1, orc.mp_kdf_2_1),
     )
+    checks = []
+    for name, draws, draw, engine, oracle in engines:
+        worst = 0.0
+        for _ in range(draws):
+            args = draw()
+            worst = max(worst, _rel_err(engine(*args).value, float(oracle(*args))))
+        checks.append(Check(name, worst, ENGINE_TOL, worst <= ENGINE_TOL))
 
     # the identities hold to roundoff, so evaluate both sides at a control
     # tight enough that geometric-tail truncation sits well below 1e-12
@@ -747,10 +693,10 @@ def check_engines(seed: int = 20250817, points: int = 100) -> list:
 def check_determinism(seed: int = 99, n: int = 4096) -> list:
     """Criterion: sampler output is byte-identical across repeated runs and
     across partition layouts for a fixed seed."""
-    pa = mc.make_phys(AefParams(alpha=2.5, eta=0.4, mu=2.0, ms=4.0))
-    pk = mc.make_phys(AkfParams(alpha=3.0, kappa=1.5, mu=3.0, ms=5.0))
     ok = True
-    for phys, fn in ((pa, mc.sample_aef_envelope), (pk, mc.sample_akf_envelope)):
+    for p in (AefParams(alpha=2.5, eta=0.4, mu=2.0, ms=4.0),
+              AkfParams(alpha=3.0, kappa=1.5, mu=3.0, ms=5.0)):
+        phys, fn = mc.make_phys(p), cases._FAMILIES[type(p)].sample
         full = fn(phys, n, seed)
         ok = ok and full.tobytes() == fn(phys, n, seed).tobytes()
         for chunks in (2, 3, 7):

@@ -82,8 +82,7 @@ HEAVY_TAILS = [
 ]
 
 
-@pytest.mark.parametrize("p", HEAVY_TAILS, ids=[
-    V._aef_tag(p) if isinstance(p, AefParams) else V._akf_tag(p) for p in HEAVY_TAILS])
+@pytest.mark.parametrize("p", HEAVY_TAILS, ids=[V._tag(p) for p in HEAVY_TAILS])
 def test_heavy_tailed_means_agree_with_scalar_quadrature(p):
     _, pdf, head_exp = V._snr_pdf_fn(p)
     mean, _ = V._integrate(lambda g: g * pdf(g), 1.0, head_exp + 1.0, 0.5 * p.alpha * p.ms)
@@ -309,7 +308,7 @@ def test_a_failing_law_marks_only_its_own_lanes():
 
 def test_cdf_checks_the_kappa_family_against_the_noncentral_f(monkeypatch):
     ncf = [c for c in V.check_cdf(GRID) if c.name.startswith("cdf-ncf")]
-    assert [c.name for c in ncf] == [f"cdf-ncf-{V._akf_tag(GRID[1])}"]
+    assert [c.name for c in ncf] == [f"cdf-ncf-{V._tag(GRID[1])}"]
     assert ncf[0].passed and ncf[0].measured <= 1e-12
     # a NaN from ncfdtr is measured, not skipped
     real = V.special.ncfdtr

@@ -6,7 +6,8 @@ geometry 2F1 with the exact 1 - (H/h)^2 = 1/h, and Kummer's form of the
 both against 50-digit mpmath over a sweep of strong imbalance and large
 kappa; their refusal at huge alpha, and where _lbeta's lgamma
 difference loses the digits; the alpha-eta-F density at its eta -> 0
-limit, out to eta = 1e-300 and 1e300; the alpha-kappa-F CDFs against scipy's noncentral F up to
+limit, out to eta = 1e-300 and 1e300 and ms = 1e3; the alpha-kappa-F CDFs
+against the mixture oracle at tiny kappa and against scipy's noncentral F up to
 the first-weight floor, and their refusal past it; and the Monte-Carlo
 moments, which take the same two closed forms.
 """
@@ -174,19 +175,33 @@ def test_density_tends_to_its_eta_zero_limit(eta):
 def test_density_at_extreme_eta_is_its_limit_law(eta):
     # H^2 and h^2 overflow from eta = 1e-155 (or 1e155, the same law):
     # the density takes q = (H/h)^2 = 1 - 1/h and 1/h instead, and is its
-    # eta -> 0 limit up to the rounding of the log terms of size mu ln h
-    # (measured 6.1e-13 at 1e-300). It raised ConvergenceError here
+    # eta -> 0 limit up to the rounding of Euler's prefactor, of size
+    # (mu + ms) ln h (measured up to 1.45 eps (mu + ms) ln h). It raised
+    # ConvergenceError here; past ms = 50 it did so too where z rounds to
+    # 1, which Gauss's sum now serves. Points where the limit underflows
+    # must underflow too
     g = np.array([0.01, 0.1, 1.0, 5.0, 50.0])
-    p = AefParams(alpha=2.5, eta=eta, mu=1.2, ms=4.0)
-    limit = AefParams(alpha=2.5, eta=1.0, mu=0.6, ms=4.0)
-    d, env = AefDist(p, 1.0), AefEnvelope(p, 1.0)
-    tol = 16.0 * 2.0**-52 * p.mu * math.log(d.geometry.h)
-    for law, lim, call in ((d, AefDist(limit, 1.0), "snr_pdf"),
-                           (env, AefEnvelope(limit, 1.0), "envelope_pdf")):
-        want = getattr(lim, call)(g)
-        scalar = np.array([getattr(law, call)(float(x)) for x in g])
-        assert np.max(np.abs(scalar / want - 1.0)) <= tol
-        assert np.max(np.abs(getattr(law, call)(g) / scalar - 1.0)) <= 1e-13
+    for ms in (4.0, 60.0, 1e3):
+        p = AefParams(alpha=2.5, eta=eta, mu=1.2, ms=ms)
+        limit = AefParams(alpha=2.5, eta=1.0, mu=0.6, ms=ms)
+        d, env = AefDist(p, 1.0), AefEnvelope(p, 1.0)
+        tol = 3.0 * 2.0**-52 * (p.mu + p.ms) * math.log(d.geometry.h)
+        for law, lim, call in ((d, AefDist(limit, 1.0), "snr_pdf"),
+                               (env, AefEnvelope(limit, 1.0), "envelope_pdf")):
+            want = getattr(lim, call)(g)
+            scalar = np.array([getattr(law, call)(float(x)) for x in g])
+            live = want > 0.0
+            assert live[:3].all() and (scalar[~live] < 1e-300).all()
+            assert np.max(np.abs(scalar[live] / want[live] - 1.0)) <= tol
+            np.testing.assert_allclose(getattr(law, call)(g), scalar, rtol=1e-13, atol=0.0)
+
+
+def test_density_where_gauss_sum_is_too_coarse_raises():
+    # z rounds to 1 here too, but Gauss's sum would move by 1e-11 over
+    # the exact 1 - z = 4e-17, past rel_tol: the density still refuses
+    d = AefDist(AefParams(alpha=2.5, eta=1e-17, mu=1.2, ms=1e6), 1.0)
+    with pytest.raises(ConvergenceError):
+        d.snr_pdf(1e6)
 
 
 def test_lgamma_difference_loss_is_refused_or_within_tolerance():
@@ -231,6 +246,18 @@ def test_aef_cdf_refuses_past_the_first_weight_floor():
         d.snr_cdf(2.0)
     with pytest.raises(ConvergenceError, match="1e-300"):
         d.snr_cdf(np.array([0.5, 2.0]))
+
+
+@pytest.mark.parametrize("kappa", [1e-11, 5e-11])
+def test_akf_cdfs_at_tiny_kappa_match_the_mixture(kappa):
+    # a cutoff at kappa = 1e-10 took kappa as 0 below it, so the mixture
+    # kept only its first Poisson term at weight 1: 3.5e-12 off at 1e-11
+    # and 1.8e-11 at 5e-11 (gamma = 1)
+    d = AkfDist(AkfParams(alpha=2.5, kappa=kappa, mu=1.2, ms=4.0), 1.0)
+    for g in (0.01, 0.3, 1.0, 3.0, 30.0):
+        want = float(mp_akf_cdf(1.2, 4.0, kappa, d._ln_x1(g)))
+        assert abs(d.snr_cdf(g).value - want) <= 1e-13
+        assert abs(d.snr_cdf_closed(g).value - want) <= 1e-13
 
 
 def _ncf_cdf(d, g):
