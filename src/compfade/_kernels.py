@@ -193,8 +193,10 @@ def _hyper_series(a, b, c, z, rel_tol, max_terms, ln_pref=0.0, floor=_ABS_TOL):
     """Power series of 2F1(a, b; c; z), or of 1F1(a; c; z) when b is None,
     times exp(ln_pref), summed until two successive terms fall below rel_tol
     of the partial sum or below floor, or max_terms terms are added. The
-    partial sum is rescaled before it overflows, and a term of exactly zero
-    ends a terminating series. Returns (ln_abs, sign, terms, est_rel, status).
+    partial sum is rescaled before it overflows, a partial sum that is not
+    finite (an overflowed term) ends the sum with status 1, and a term of
+    exactly zero ends a terminating series. Returns (ln_abs, sign, terms,
+    est_rel, status).
     """
     t = 1.0
     s = 1.0
@@ -222,7 +224,10 @@ def _hyper_series(a, b, c, z, rel_tol, max_terms, ln_pref=0.0, floor=_ABS_TOL):
                 break
         else:
             small = 0
-        if abs(s) > 1e290 or at > 1e290:
+        if not (abs(s) <= 1e290 and at <= 1e290):
+            if not math.isfinite(s):
+                # an overflowed term (inf, or inf * 0 = NaN): no finite sum follows
+                break
             s *= 1e-290
             t *= 1e-290
             ln_scale += math.log(1e290)
@@ -752,22 +757,23 @@ def akf_cdf_consts(alpha, mu, ms, kappa, ln_lam):
 
 # --- lanes: one array call per grid ------------------------------------------
 #
-# Each *_lanes function evaluates its scalar kernel at every point (lane) of
-# an array argument of finite, positive points, with the same float
-# operations in the same order, so a lane differs from the scalar call only
-# where numpy's exp and log round differently from libm's; the density
-# forms take 1 - s, s and ln s, s = 1/(1 + e^u), from scipy's expit and
-# log_expit (one call each) where the scalar kernels take them from
-# _beta_argument. A density lane that the array form does not serve goes
-# through the scalar kernel; the mixture's array loop runs every lane to its stop.
+# The lanes functions evaluate a scalar kernel at every point (lane) of an
+# array argument of finite, positive points, with the same float operations
+# in the same order, so a lane differs from the scalar call only where
+# numpy's exp and log round differently from libm's. A density runs as
+# _scipy_or_scalar_lanes with its family's scalar kernel and scipy form
+# (_aef_scipy_form, _akf_scipy_form; a Law's _pdf_kernel and _pdf_form),
+# the forms taking 1 - s, s and ln s, s = 1/(1 + e^u), from scipy's expit
+# and log_expit where the scalar kernels take them from _beta_argument; a
+# lane the form does not serve goes through the scalar kernel. The
+# mixture's array loop (_beta_mixture_lanes) runs every lane to its stop.
 #
 # The density lanes also take per-lane constants: each entry of consts is
 # either a scalar, shared by every lane, or an array aligned with ln_g, so
-# one call evaluates the densities of many distributions of a family. The
-# scipy form serves the lanes whose ms is at most _SCIPY_MS_MAX, and every
-# other lane takes the scalar kernel with its own constants; a call whose
-# constants are all scalars (one distribution) is the case where the lanes
-# share them.
+# one call evaluates the densities of many distributions of a family
+# (series.Law._densities makes one such call per family). The scipy form
+# serves the lanes whose ms is at most _SCIPY_MS_MAX, and every other lane
+# takes the scalar kernel with its own constants.
 
 
 def _scipy_or_scalar_lanes(kernel, scipy_form, consts, ln_g, rel_tol, max_terms, ln_jac):
@@ -829,26 +835,6 @@ def _akf_scipy_form(consts, ln_g, ln_jac):
         values = np.exp(ln_pa + (0.5 * alpha * mu - 1.0) * ln_g + ln_jac + (mu + ms) * ln_s
                         + (x + np.log(f)))
     return values, (f > 0.0) & (f < math.inf)
-
-
-def aef_snr_pdf_lanes(consts, ln_g, rel_tol, max_terms, ln_jac):
-    """aef_snr_pdf_kernel at every lane of the arrays ln_g and ln_jac, each
-    entry of consts a scalar or an array of per-lane constants: the 2F1
-    factor of the lanes with ms <= _SCIPY_MS_MAX from one scipy call
-    (_aef_scipy_form), the scalar kernel elsewhere. Returns (values,
-    statuses)."""
-    return _scipy_or_scalar_lanes(aef_snr_pdf_kernel, _aef_scipy_form, consts, ln_g,
-                                  rel_tol, max_terms, ln_jac)
-
-
-def akf_snr_pdf_lanes(consts, ln_g, rel_tol, max_terms, ln_jac):
-    """akf_snr_pdf_kernel at every lane of the arrays ln_g and ln_jac, each
-    entry of consts a scalar or an array of per-lane constants: the 1F1
-    factor of the lanes with ms <= _SCIPY_MS_MAX from one scipy call
-    (_akf_scipy_form), the scalar kernel elsewhere. Returns (values,
-    statuses)."""
-    return _scipy_or_scalar_lanes(akf_snr_pdf_kernel, _akf_scipy_form, consts, ln_g,
-                                  rel_tol, max_terms, ln_jac)
 
 
 def _reg_inc_beta_lanes(a, b, x, cx):

@@ -39,7 +39,7 @@ class AefDist(Law):
     upsilon: float = field(init=False, repr=False)
 
     _pdf_kernel = staticmethod(_k.aef_snr_pdf_kernel)
-    _pdf_lanes = staticmethod(_k.aef_snr_pdf_lanes)
+    _pdf_form = staticmethod(_k._aef_scipy_form)
     # bound here, not only inherited: perfbench's tracer wraps the class's own __dict__
     snr_pdf = Law.snr_pdf
     snr_cdf = Law.snr_cdf

@@ -52,7 +52,7 @@ class AkfDist(Law):
     omega_norm: float = field(init=False, repr=False)
 
     _pdf_kernel = staticmethod(_k.akf_snr_pdf_kernel)
-    _pdf_lanes = staticmethod(_k.akf_snr_pdf_lanes)
+    _pdf_form = staticmethod(_k._akf_scipy_form)
     # ln X1, the odds of the CDF mixture
     _ln_x1 = Law._ln_y
     # bound here, not only inherited: perfbench's tracer wraps the class's own __dict__

@@ -9,10 +9,11 @@ outage asymptote and the validation battery read it.
 
 The densities and the mixture CDF take a float or an np.ndarray. A float
 runs the scalar kernels; an array runs every point as a lane of one array
-computation (the _kernels *_lanes functions), and the CDF then returns a
+computation (_kernels._scipy_or_scalar_lanes for the densities,
+_kernels._beta_mixture_lanes for the CDF), and the CDF then returns a
 LaneResult of arrays in place of a SeriesResult. Law._densities evaluates
-the densities of many laws of one family in one such computation, each
-lane with its law's constants.
+the densities of many laws of either family, one such computation per
+family, each lane with its law's constants.
 """
 from __future__ import annotations
 
@@ -165,7 +166,9 @@ def _freeze(obj, **values) -> None:
 class Law:
     """Instantaneous-SNR law with mean SNR gamma_bar. A family subclass sets
     _ln_lam, _head, _pdf_consts and _cdf_consts in __post_init__, and names
-    its density kernel in _pdf_kernel and its array form in _pdf_lanes.
+    its density kernel in _pdf_kernel and its scipy array form in _pdf_form
+    (the pair _kernels._scipy_or_scalar_lanes takes); Law._densities takes
+    laws of either family.
     _head is (ln A, p) of the CDF head F(x) ~ A x^p as x -> 0; the density
     constants are built from it. _cdf_consts is the CDF: ln y0, alpha/2 and
     the arguments of _kernels._beta_mixture at ln y = ln y0 + (alpha/2) ln x."""
@@ -197,10 +200,14 @@ class Law:
         power 2 the envelope (gamma_bar the mean power). The kernel takes
         ln gamma = power ln x and the log-Jacobian, so an x whose power
         under- or overflows stays on the curve; pdf(0) follows from the CDF
-        head A gamma^q = A x^(power q). An np.ndarray x goes to
-        _density_lanes."""
+        head A gamma^q = A x^(power q). An np.ndarray x is _densities' one-law
+        case, an array of x's shape; it raises as the scalar call would at
+        any of its points."""
         if isinstance(x, np.ndarray):
-            return self._density_lanes(name, var, x, power, ctrl)
+            values, errors = Law._densities([self], name, var, x, None, power, ctrl)
+            if errors:
+                raise errors[0]
+            return values.reshape(np.shape(x))
         if not x >= 0.0:
             raise DomainError(f"{var} must be non-negative, got {x}")
         if x == 0.0:
@@ -219,27 +226,18 @@ class Law:
             raise _density_error(name, status != STATUS_OK)
         return value
 
-    def _density_lanes(self, name: str, var: str, x: np.ndarray, power: float,
-                       ctrl: SeriesControl | None) -> np.ndarray:
-        """_density at every point of the array x: _densities' one-law
-        case; an array of x's shape. Raises as the scalar call would at any
-        of its points."""
-        values, errors = Law._densities([self], name, var, x, None, power, ctrl)
-        if errors:
-            raise errors[0]
-        return values.reshape(np.shape(x))
-
     @staticmethod
     def _densities(laws: list, name: str, var: str, x: np.ndarray, which,
                    power: float, ctrl: SeriesControl | None) -> tuple:
         """_density of laws[which[i]] at x[i] for every point of the array x,
-        for laws of one family, as lanes of one call to the family's
-        _pdf_lanes in which each lane takes its law's _pdf_consts; which is
-        None for one law. Returns (values, errors), values a flat array:
-        errors maps the index of each law that fails, as its scalar call
-        would raise (a series that did not converge, an overflow), to that
-        ConvergenceError, and its lanes hold NaN. The other laws' lanes are
-        unaffected."""
+        for laws of either family; which is None for one law. Each family
+        present, in order of first appearance, is one
+        _kernels._scipy_or_scalar_lanes call on its own lanes with its
+        _pdf_kernel and _pdf_form, each lane taking its law's _pdf_consts.
+        Returns (values, errors), values a flat array: errors maps the index
+        of each law that fails, as its scalar call would raise (a series
+        that did not converge, an overflow), to that ConvergenceError, and
+        its lanes hold NaN. The other laws' lanes are unaffected."""
         x = _lanes(var, x)
         if which is None:
             which = np.zeros(x.size, dtype=np.intp)
@@ -251,28 +249,33 @@ class Law:
                 ln_a, q = laws[i]._head
                 out[zero & (which == i)] = _k.pdf_at_zero(ln_a, power * q)
         mid = np.flatnonzero((x > 0.0) & (x < math.inf))
-        if mid.size:
-            if ctrl is None:
-                ctrl = default_control()
-            ln_x = np.log(x[mid])
+        if ctrl is None:
+            ctrl = default_control()
+        for kind in dict.fromkeys(map(type, laws)):
+            member = np.array([type(law) is kind for law in laws])
+            lanes = mid if member.all() else mid[member[which[mid]]]
+            if not lanes.size:
+                continue
+            members = np.flatnonzero(member)
+            ln_x = np.log(x[lanes])
             if power == 1.0:
-                ln_jac = np.zeros(mid.size)
+                ln_jac = np.zeros(lanes.size)
             else:
                 ln_jac = (power - 1.0) * ln_x + math.log(power)
-            if len(laws) == 1:
-                consts = laws[0]._pdf_consts
+            if members.size == 1:
+                consts = laws[members[0]]._pdf_consts
             else:
-                table = np.ascontiguousarray(np.array([law._pdf_consts for law in laws]).T)
-                consts = tuple(table[:, which[mid]])
-            values, status = laws[0]._pdf_lanes(
-                consts, power * ln_x, ctrl.rel_tol, ctrl.max_terms, ln_jac
+                rows = [laws[i]._pdf_consts for i in members]
+                table = np.ascontiguousarray(np.array(rows).T)
+                consts = tuple(table[:, np.searchsorted(members, which[lanes])])
+            values, status = _k._scipy_or_scalar_lanes(
+                kind._pdf_kernel, kind._pdf_form, consts, power * ln_x, ctrl.rel_tol,
+                ctrl.max_terms, ln_jac
             )
             bad = (status != 0) | ~np.isfinite(values)
-            if bad.any():
-                for i in np.unique(which[mid[bad]]):
-                    errors[int(i)] = _density_error(
-                        name, bool(np.any(status[which[mid] == i])))
-            out[mid] = values
+            for i in np.unique(which[lanes[bad]]):
+                errors[int(i)] = _density_error(name, bool(np.any(status[which[lanes] == i])))
+            out[lanes] = values
         if errors:
             out[np.isin(which, list(errors))] = math.nan
         return out, errors

@@ -11,9 +11,9 @@ an array Gauss-Legendre mesh, not scipy.integrate.quad, and each of those
 checks integrates all its grid cells in one mesh: every panel carries its
 cell, each cell accepts, bisects and deepens its panels as it would alone,
 and a cell that fails drops out with its own error while the others go
-on. Each refinement round evaluates the densities once per family, on an
-array of every pending node of every cell (series.Law._densities, the
-lanes with per-cell constants).
+on. Each refinement round evaluates the densities in one
+series.Law._densities call on an array of every pending node of every
+cell: one lanes call per family, with per-cell constants.
 """
 from __future__ import annotations
 
@@ -335,26 +335,8 @@ def _snr_pdf_fn(p: AefParams | AkfParams, gamma_bar: float = 1.0):
 def _grid_pdf(laws: list):
     """The densities of the SNR laws of a grid as one integrand of
     _integrate, f(x, cell) -> (values, errors) with the density of
-    laws[cell[i]] at x[i]: one series.Law._densities call per family, each
-    failing law reported with its scalar call's ConvergenceError."""
-    families = []
-    for kind in dict.fromkeys(map(type, laws)):
-        cells = np.flatnonzero([type(d) is kind for d in laws])
-        local = np.full(len(laws), -1)
-        local[cells] = np.arange(cells.size)
-        families.append((cells, [laws[c] for c in cells], local))
-
-    def pdf(x, cell):
-        values = np.empty(x.shape)
-        errors = {}
-        for cells, group, local in families:
-            lanes = local[cell] >= 0
-            values[lanes], failed = Law._densities(
-                group, "snr_pdf", "gamma", x[lanes], local[cell[lanes]], 1.0, None)
-            errors.update((int(cells[i]), exc) for i, exc in failed.items())
-        return values, errors
-
-    return pdf
+    laws[cell[i]] at x[i] (series.Law._densities)."""
+    return lambda x, cell: Law._densities(laws, "snr_pdf", "gamma", x, cell, 1.0, None)
 
 
 def _grid_cells(grids) -> tuple:
@@ -656,34 +638,20 @@ def check_engines(seed: int = 20250817, points: int = 100) -> list:
     # the identities hold to roundoff, so evaluate both sides at a control
     # tight enough that geometric-tail truncation sits well below 1e-12
     tight = SeriesControl(rel_tol=1e-14)
+    psi1, kdf, f21, f11 = (lambda *args, fn=fn: fn(*args, ctrl=tight).value for fn in (
+        specfun.humbert_psi1, specfun.kdf_2_1, specfun.gauss_2f1, specfun.kummer_1f1))
     worst = 0.0
     for _ in range(10):
-        a = rng.uniform(0.3, 4.0)
-        b = rng.uniform(0.2, 4.0)
-        c = rng.uniform(0.5, 5.0)
-        cp = rng.uniform(0.5, 5.0)
-        x = rng.uniform(-0.8, 0.8)
-        y = rng.uniform(-3.0, 6.0)
-        worst = max(worst, _rel_err(
-            specfun.humbert_psi1(a, b, c, cp, x, 0.0, ctrl=tight).value,
-            specfun.gauss_2f1(a, b, c, x, ctrl=tight).value,
-        ))
-        worst = max(worst, _rel_err(
-            specfun.humbert_psi1(a, b, c, cp, 0.0, y, ctrl=tight).value,
-            specfun.kummer_1f1(a, cp, y, ctrl=tight).value,
-        ))
-        worst = max(worst, _rel_err(
-            specfun.humbert_psi1(a, 0.0, c, cp, x, y, ctrl=tight).value,
-            specfun.kummer_1f1(a, cp, y, ctrl=tight).value,
-        ))
-        worst = max(worst, _rel_err(
-            specfun.kdf_2_1(a, b, c, cp, 0.0, x, ctrl=tight).value,
-            specfun.gauss_2f1(a, b, c, x, ctrl=tight).value,
-        ))
-        worst = max(worst, _rel_err(
-            specfun.kdf_2_1(a, b, c, cp, y, 0.0, ctrl=tight).value,
-            float(mp.hyper([a, b], [c, cp], y)),
-        ))
+        a, b, c, cp, x, y = (rng.uniform(lo, hi) for lo, hi in (
+            (0.3, 4.0), (0.2, 4.0), (0.5, 5.0), (0.5, 5.0), (-0.8, 0.8), (-3.0, 6.0)))
+        # (two-variable engine, its one-variable reduction), compared in order
+        for value, reduced in (
+                (psi1(a, b, c, cp, x, 0.0), f21(a, b, c, x)),
+                (psi1(a, b, c, cp, 0.0, y), f11(a, cp, y)),
+                (psi1(a, 0.0, c, cp, x, y), f11(a, cp, y)),
+                (kdf(a, b, c, cp, 0.0, x), f21(a, b, c, x)),
+                (kdf(a, b, c, cp, y, 0.0), float(mp.hyper([a, b], [c, cp], y)))):
+            worst = max(worst, _rel_err(value, reduced))
     checks.append(
         Check("engine-reductions", worst, REDUCTION_TOL, worst <= REDUCTION_TOL)
     )

@@ -229,13 +229,13 @@ def test_an_integrand_error_fails_its_cell_with_its_message():
 def test_normalization_makes_one_lanes_call_per_family_and_round(monkeypatch):
     calls = {AefDist: 0, AkfDist: 0}
     for cls in calls:
-        lanes = cls._pdf_lanes
+        form = cls._pdf_form
 
-        def counted(*args, _cls=cls, _lanes=lanes):
+        def counted(*args, _cls=cls, _form=form):
             calls[_cls] += 1
-            return _lanes(*args)
+            return _form(*args)
 
-        monkeypatch.setattr(cls, "_pdf_lanes", staticmethod(counted))
+        monkeypatch.setattr(cls, "_pdf_form", staticmethod(counted))
     rounds = []
     grid_pdf = V._grid_pdf
 
@@ -287,6 +287,49 @@ def test_stacked_lanes_equal_one_law_lanes_bit_for_bit(family, power):
         np.testing.assert_array_equal(stacked[np.argsort(order)][which == i], alone)
         if p.ms > 50.0 and power == 1.0:
             assert alone.tolist() == [law.snr_pdf(float(g)) for g in x]
+
+
+@pytest.mark.parametrize("power", [1.0, 2.0])
+def test_mixed_families_equal_one_family_calls_bit_for_bit(power):
+    # aef and akf laws interleaved, one law of each family with ms > 50
+    aef = [AefDist(p, 1.0) for p in MIXED if isinstance(p, AefParams)]
+    akf = [AkfDist(p, 1.0) for p in MIXED if isinstance(p, AkfParams)]
+    laws = [law for pair in zip(aef, akf) for law in pair]
+    x = np.geomspace(1e-6, 1e3, 31)
+    which = np.repeat(np.arange(len(laws)), x.size)
+    order = np.random.default_rng(7).permutation(which.size)
+    mixed, errors = Law._densities(laws, "snr_pdf", "gamma", np.tile(x, len(laws))[order],
+                                   which[order], power, None)
+    assert not errors
+    mixed = mixed[np.argsort(order)]
+    for group, first in ((aef, 0), (akf, 1)):
+        alone, errors = Law._densities(group, "snr_pdf", "gamma", np.tile(x, len(group)),
+                                       np.repeat(np.arange(len(group)), x.size), power, None)
+        assert not errors
+        for i in range(len(group)):
+            np.testing.assert_array_equal(mixed[which == first + 2 * i],
+                                          alone[i * x.size:(i + 1) * x.size])
+
+
+def test_a_failing_law_of_either_family_marks_only_its_own_lanes():
+    # one term is too few for either family's series route (ms = 1e5);
+    # the laws at ms 3 and 5 take scipy's values
+    one_term = SeriesControl(max_terms=1)
+    laws = [AefDist(AefParams(alpha=2.0, eta=0.5, mu=1.0, ms=3.0), 1.0),
+            AkfDist(AkfParams(alpha=2.0, kappa=1.0, mu=1.0, ms=1e5), 1.0),
+            AefDist(AefParams(alpha=2.0, eta=0.5, mu=1.0, ms=1e5), 1.0),
+            AkfDist(AkfParams(alpha=2.0, kappa=1.0, mu=1.0, ms=5.0), 1.0)]
+    x = np.geomspace(0.01, 10.0, 5)
+    values, errors = Law._densities(laws, "snr_pdf", "gamma", np.tile(x, 4),
+                                    np.repeat(np.arange(4), x.size), 1.0, one_term)
+    assert sorted(errors) == [1, 2]
+    assert all("did not converge" in str(e) for e in errors.values())
+    assert np.isnan(values[5:15]).all()
+    np.testing.assert_array_equal(values[:5], laws[0].snr_pdf(x))
+    np.testing.assert_array_equal(values[15:], laws[3].snr_pdf(x))
+    for law in laws[1:3]:
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            law.snr_pdf(x, one_term)
 
 
 def test_a_failing_law_marks_only_its_own_lanes():

@@ -178,6 +178,32 @@ def test_density_at_huge_ms_is_the_limit_law_or_raises(ms):
             assert max(map(rel_err, values, want)) <= 1e-12 + 1.0 / ms
 
 
+def test_hyper_series_ends_at_a_partial_sum_that_is_not_finite():
+    # (a + n)(b + n) overflows: an infinite sum was reported as converged;
+    # at z = 0 the first term is inf * 0 = NaN, which ran to max_terms
+    for z in (1e-300, 0.0):
+        _, _, terms, _, status = _k._hyper_series(1e155, 1e155, 1.5, z, 1e-12, 1000)
+        assert status == 1 and terms <= 3
+
+
+def test_density_past_the_series_range_refuses_at_once(monkeypatch):
+    # at ms = 1e200 t^2 underflows and the 2F1 series' first term is NaN;
+    # it took 100k NaN terms (80 ms) to refuse
+    series, used = _k._hyper_series, []
+
+    def counted(*args, **kwargs):
+        out = series(*args, **kwargs)
+        used.append(out[2])
+        return out
+
+    monkeypatch.setattr(_k, "_hyper_series", counted)
+    d = AefDist(AefParams(alpha=2.0, eta=0.5, mu=1.0, ms=1e200), 1.0)
+    for x in (1.0, np.array([0.5, 1.0, 2.0])):
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            d.snr_pdf(x)
+    assert used and max(used) <= 3
+
+
 def test_overflowing_density_raises():
     d = AkfDist(AkfParams(alpha=0.5, kappa=1.0, mu=0.1, ms=10.0), 1e-3)
     with pytest.raises(ConvergenceError, match="density overflowed"):
