@@ -437,21 +437,23 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, max_terms):
     Outer sum over m in x (coefficients by recurrence) of the rows
     2F1(a1+m, a2+m; b1+m; y), by default through the gauss dispatch.
     Converges for y < 1 and any x. For x >= 0 every outer term shares one
-    sign and the sum is well conditioned (the composite-CDF usage); negative
-    x alternates in m and relative accuracy degrades by the usual
-    cancellation factor once the rows grow before decaying.
+    sign and the sum is well conditioned; negative x alternates in m and
+    relative accuracy degrades by the usual cancellation factor once the
+    rows grow before decaying. Only specfun.kdf_2_1 calls it: the composite
+    CDF sums its Kampe de Feriet form as the mixture, term for term.
 
     When b1 = a2 + 1 with a1 > a2 > 0, x >= 0 and y < 0 (the contiguous
-    structure the composite CDF produces), each row reduces to an incomplete
-    beta with positive arguments, 2F1(A, B; B+1; y) =
+    structure of the composite CDF's form), each row reduces to an
+    incomplete beta with positive arguments, 2F1(A, B; B+1; y) =
     B |y|^(-B) B_w(B, A-B) at w = |y|/(1+|y|), so the rows are incomplete
     betas instead of power series. Row m needs I_w(a2+m, a1-a2), stepped
     from the previous row by the DLMF 8.17.20 recurrence and recomputed by
     reg_inc_beta as _inc_beta_up decides. Once w^(a2+m) nears the subnormal
     range, I_w loses its digits (or underflows), and the row comes from
-    Pfaff's transformation through scipy.special.hyp2f1 instead. The series
-    rows lose digits to internal cancellation once x |y| grows; the beta
-    route keeps every factor positive at any magnitude.
+    Pfaff's transformation through scipy.special.hyp2f1 instead, or its
+    power series where scipy gives no positive finite double (NaN at a1 =
+    1e5, w = 1e-150). The series rows lose digits to internal cancellation
+    once x |y| grows; the beta route keeps every factor positive.
 
     Returns (ln_abs, sign, terms, est_rel, status).
     """
@@ -489,15 +491,21 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, max_terms):
             if iw > 0.0 and bm * lnw > _LN_POW_MIN:
                 ln_f = math.log(bm) - bm * ln_y + _lbeta(bm, ams) + math.log(iw)
             else:  # (1+|y|)^-(a1+m) 2F1(a1+m, 1; bm+1; w)
-                ln_f = (a1 + m) * lncw + math.log(_sc.hyp2f1(a1 + m, 1.0, bm + 1.0, w))
+                f = _sc.hyp2f1(a1 + m, 1.0, bm + 1.0, w)
+                if 0.0 < f < math.inf:
+                    ln_f = math.log(f)
+                else:
+                    ln_f, _, _, _, in_st = _hyper_series(
+                        a1 + m, 1.0, bm + 1.0, w, rel_tol, max_terms)
+                    worst_inner = max(worst_inner, in_st)
+                ln_f += (a1 + m) * lncw
         else:
             ln_f, sgn_f, _, _, in_st = gauss_2f1_ln(
                 a1 + m, a2 + m, b1 + m, y, rel_tol, max_terms
             )
             if in_st == 2:
                 return 0.0, 0.0, m, 0.0, 2
-            if in_st == 1:
-                worst_inner = 1
+            worst_inner = max(worst_inner, in_st)
         e = ln_coef + ln_f - ln_scale
         if e > _LN_RESCALE:
             shift = e - 600.0

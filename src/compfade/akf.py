@@ -3,9 +3,9 @@
 AkfDist models the instantaneous SNR with mean gamma_bar: snr_pdf, snr_cdf
 (a Poisson-weighted mixture of regularized incomplete betas, an exact
 reformulation of the integrated PDF series; also named snr_cdf_series), and
-snr_cdf_closed, which dispatches between two closed forms: a Kampe de
-Feriet expression on the small-argument side and a two-term Humbert Psi1
-expression on the large-argument side. AkfEnvelope models the signal
+snr_cdf_closed: the paper's two-term Humbert Psi1 form on the
+large-argument side and snr_cdf below it, where the paper's Kampe de
+Feriet form is the same sum, term for term. AkfEnvelope models the signal
 envelope R with mean power omega_power = E[R^2]. Both use the front ends
 of series.Law and series.Envelope; this module supplies the density
 kernels, the density and CDF constants and the CDF head.
@@ -40,8 +40,9 @@ from .series import (
 __all__ = ["AkfDist", "AkfEnvelope"]
 
 # relative half-width of the guard band around the closed-form case boundary
-# X1 = 1: inside it the Humbert/Kampe arguments approach magnitude 1 and the
-# double series converge arbitrarily slowly, so the mixture series is used
+# X1 = 1: as X1 falls to 1 the Humbert argument -1/X1 approaches magnitude 1
+# and the double series converges arbitrarily slowly, so the Humbert form is
+# taken only above X1 = 1 + CLOSED_FORM_GUARD and the mixture series below
 CLOSED_FORM_GUARD = 0.05
 
 
@@ -84,9 +85,11 @@ class AkfDist(Law):
         """CDF via the closed forms, dispatched on X1 = mu(1+kappa)gamma^(alpha/2)
         / ((ms-1) omega gamma_bar^(alpha/2)).
 
-        X1 < 1 uses the Kampe de Feriet form, X1 > 1 the two-term Humbert Psi1
-        form; within the +-5% guard band around X1 = 1 both double series
-        degrade, so the mixture series is evaluated instead.
+        Above X1 = 1 + CLOSED_FORM_GUARD it is the two-term Humbert Psi1
+        form, elsewhere snr_cdf's result. The paper's Kampe de Feriet form
+        for X1 < 1 is that mixture term for term: its row m, 2F1(mu+ms+m,
+        mu+m; mu+1+m; -X1), times the CDF head is e^(-mu kappa)
+        (mu kappa)^m/m! I_w(mu+m, ms) at w = X1/(1+X1).
 
         The Humbert form's first term, e^(-mu kappa) Psi1(mu; 0; 1-ms, mu;
         -1/X1, mu kappa) = e^(-mu kappa) 1F1(mu; mu; mu kappa), is exactly 1
@@ -95,8 +98,8 @@ class AkfDist(Law):
 
         The closed forms take one point per call: an np.ndarray gamma raises
         DomainError (snr_cdf takes arrays). Past mu kappa = 690.8 it raises
-        ConvergenceError as snr_cdf does: the Kampe de Feriet form was
-        1.6e-8 off at mu kappa = 700 and 0.4 off at 800.
+        ConvergenceError on both sides, as the mixture it is below the band
+        does.
         """
         self._require_first_weight("snr_cdf_closed")
         if isinstance(gamma, np.ndarray):
@@ -104,34 +107,22 @@ class AkfDist(Law):
         end = cdf_endpoint(gamma)
         if end is not None:
             return end
+        ln_x1 = self._ln_x1(gamma)
+        if not ln_x1 > math.log1p(CLOSED_FORM_GUARD):
+            return self.snr_cdf(gamma, ctrl)
         if ctrl is None:
             ctrl = default_control()
         p = self.params
-        ln_x1 = self._ln_x1(gamma)
         mk = p.mu * p.kappa
-        if ln_x1 < math.log1p(-CLOSED_FORM_GUARD):
-            x1 = math.exp(ln_x1)
-            ln_f, sgn, terms, est_rel, status = _k.kdf_2_1_ln(
-                p.mu + p.ms, p.mu, p.mu + 1.0, p.mu, mk * x1, -x1,
-                ctrl.rel_tol, ctrl.max_terms,
-            )
-            if status == 2:
-                raise ConvergenceError("snr_cdf_closed: Kampe de Feriet series diverged")
-            # led by the CDF head A gamma^p = e^(-mu kappa) X1^mu / (mu B(mu, ms))
-            ln_a, power = self._head
-            raw = sgn * math.exp(ln_a + power * math.log(gamma) + ln_f)
-            return cdf_clamped(raw, terms, est_rel * abs(raw), status == STATUS_OK)
-        if ln_x1 > math.log1p(CLOSED_FORM_GUARD):
-            ln2, s2, t2, e2, st2 = _k.humbert_psi1_ln(
-                p.mu + p.ms, p.ms, 1.0 + p.ms, p.mu, -math.exp(-ln_x1), mk,
-                ctrl.rel_tol, ctrl.max_terms,
-            )
-            if st2 == 2:
-                raise ConvergenceError("snr_cdf_closed: Humbert series diverged")
-            ln_c2 = -mk - math.log(p.ms) - _k._lbeta(p.mu, p.ms) - p.ms * ln_x1
-            term2 = s2 * math.exp(ln_c2 + ln2)
-            return cdf_clamped(1.0 - term2, t2, e2 * abs(term2), st2 == STATUS_OK)
-        return self.snr_cdf(gamma, ctrl)
+        ln2, s2, t2, e2, st2 = _k.humbert_psi1_ln(
+            p.mu + p.ms, p.ms, 1.0 + p.ms, p.mu, -math.exp(-ln_x1), mk,
+            ctrl.rel_tol, ctrl.max_terms,
+        )
+        if st2 == 2:
+            raise ConvergenceError("snr_cdf_closed: Humbert series diverged")
+        ln_c2 = -mk - math.log(p.ms) - _k._lbeta(p.mu, p.ms) - p.ms * ln_x1
+        term2 = s2 * math.exp(ln_c2 + ln2)
+        return cdf_clamped(1.0 - term2, t2, e2 * abs(term2), st2 == STATUS_OK)
 
 
 @dataclass(frozen=True)

@@ -189,8 +189,8 @@ def kdf_2_1(
     Sum over m, n of (a1)_{m+n} (a2)_{m+n} / ((b1)_{m+n} (c1)_m) x^m y^n /
     (m! n!). Evaluated as an iterated sum: for each power of x the inner
     y-series is a Gauss 2F1 with shifted parameters, which keeps the
-    evaluation convergent for any x when |y| < 1 (the region this package
-    uses; y <= -1 still works through the 2F1 Pfaff map).
+    evaluation convergent for any x when |y| < 1 (the region of the alpha-
+    kappa-F CDF's form; y <= -1 still works through the 2F1 Pfaff map).
     """
     if ctrl is None:
         ctrl = default_control()

@@ -16,7 +16,9 @@ from compfade import (
     CLOSED_FORM_GUARD,
     DomainError,
     SeriesControl,
+    kdf_2_1,
 )
+from compfade.validation import _CDF_POINTS, _standard_grids
 from conftest import rel_err
 
 GOLDEN_TOL = 1e-11
@@ -36,8 +38,9 @@ def test_snr_cdf_series_frozen_spot(dist):
 
 
 def test_snr_cdf_closed_frozen_spots(dist):
-    # 0.3 sits on the small-argument closed form, 3.0 on the
-    # large-argument one; both must agree with their frozen references.
+    # 0.3 sits below the guard band, where the closed CDF is the mixture,
+    # 3.0 on the large-argument Humbert form; both must agree with their
+    # frozen references.
     assert rel_err(dist.snr_cdf_closed(0.3).value, 0.13718380329128696) <= GOLDEN_TOL
     assert rel_err(dist.snr_cdf_closed(3.0).value, 0.9706655239700187) <= GOLDEN_TOL
 
@@ -63,8 +66,9 @@ def test_snr_cdf_matches_quadrature(dist):
 
 
 def test_closed_form_agrees_with_series_both_branches(dist):
-    # Away from the switch point the closed forms and the incomplete-beta
-    # series are two independent routes to the same CDF.
+    # Above the guard band the Humbert form and the incomplete-beta series
+    # are two independent routes to the same CDF; below it the closed CDF
+    # is the series itself.
     for g in (0.2, 0.5, 0.9, 1.3, 2.0, 4.0):
         x1 = math.exp(dist._ln_x1(g))
         if abs(x1 - 1.0) <= CLOSED_FORM_GUARD:
@@ -81,6 +85,65 @@ def test_closed_form_guard_band_falls_back_to_series(dist):
     x1 = math.exp(dist._ln_x1(g))
     assert abs(x1 - 1.0) < CLOSED_FORM_GUARD
     assert dist.snr_cdf_closed(g).value == dist.snr_cdf_series(g).value
+
+
+# alpha 2, mu 5, ms 1e5 at gamma = 1e-60 (X1 = 5e-65 and 1e-64): the Kampe de
+# Feriet rows' scipy hyp2f1 gave NaN there, a converged NaN at kappa = 0 and
+# a NaN after 100k terms at kappa = 1
+_TAIL_KW = dict(alpha=2.0, mu=5.0, ms=1e5)
+_DEMO_KW = dict(alpha=2.5, kappa=1.5, mu=1.2, ms=4.0)
+_BELOW_BAND = [(_DEMO_KW, g) for g in (0.2, 0.3, 0.5, 0.9)] + [
+    (dict(alpha=0.8, kappa=100.0, mu=0.3, ms=30.0), 0.4),
+    (dict(kappa=0.0, **_TAIL_KW), 1e-60),
+    (dict(kappa=1.0, **_TAIL_KW), 1e-60),
+]
+
+
+@pytest.mark.parametrize("max_terms", [1, 2, 5, None])
+@pytest.mark.parametrize("kw, g", _BELOW_BAND)
+def test_closed_cdf_below_the_band_is_the_mixture(kw, g, max_terms):
+    # the Kampe de Feriet form's row m times the CDF head is the mixture's
+    # m-th term, so below the band the closed CDF is snr_cdf, field for field
+    d = AkfDist(AkfParams(**kw), 1.0)
+    assert math.exp(d._ln_x1(g)) < 1.0 - CLOSED_FORM_GUARD
+    ctrl = None if max_terms is None else SeriesControl(max_terms=max_terms)
+    assert d.snr_cdf_closed(g, ctrl) == d.snr_cdf(g, ctrl)
+
+
+@pytest.mark.parametrize("kappa, want, terms", [(0.0, 2.6045573177095607e-299, 1),
+                                                (1.0, 5.615798132098046e-300, 5)])
+def test_closed_cdf_in_the_deep_tail_at_huge_ms(kappa, want, terms):
+    r = AkfDist(AkfParams(kappa=kappa, **_TAIL_KW), 1.0).snr_cdf_closed(1e-60)
+    assert r.converged and r.terms_used <= terms
+    assert rel_err(r.value, want) <= 1e-13
+
+
+def _kdf_form(d, g):
+    # the paper's small-argument closed form: the CDF head e^(-mu kappa)
+    # X1^mu / (mu B(mu, ms)) times F^{2:0;0}_{1:1;0}[mu+ms, mu; mu+1: mu;
+    # mu kappa X1, -X1]
+    p = d.params
+    ln_x1 = d._ln_x1(g)
+    x1 = math.exp(ln_x1)
+    mk = p.mu * p.kappa
+    ln_beta = math.lgamma(p.mu) + math.lgamma(p.ms) - math.lgamma(p.mu + p.ms)
+    head = math.exp(-mk + p.mu * ln_x1 - math.log(p.mu) - ln_beta)
+    return head * kdf_2_1(p.mu + p.ms, p.mu, p.mu + 1.0, p.mu, mk * x1, -x1).value
+
+
+def test_kampe_de_feriet_form_matches_the_mixture(dist):
+    # the closed form is kept as a reference for the mixture below the band:
+    # at the spots above and at the battery's CDF points (check_cdf) below it
+    cases = [(dist, g) for g in (0.2, 0.3, 0.5, 0.9)]
+    for p in _standard_grids():
+        if isinstance(p, AkfParams):
+            d = AkfDist(p, 1.0)
+            cases += [(d, float(g)) for g in _CDF_POINTS]
+    below = [(d, g) for d, g in cases
+             if math.exp(d._ln_x1(g)) < 1.0 - CLOSED_FORM_GUARD]
+    assert len(below) > 400
+    for d, g in below:
+        assert abs(_kdf_form(d, g) - d.snr_cdf(g).value) <= 1e-13
 
 
 def test_cdf_monotone_and_bounded(dist):

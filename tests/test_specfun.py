@@ -240,6 +240,20 @@ def test_kdf_2_1_beta_rows_past_the_underflow_of_the_incomplete_beta(args):
     assert rel_err(r.value, float(oracles.mp_kdf_2_1(*args))) <= ENGINE_TOL
 
 
+@pytest.mark.parametrize("args", [
+    (100005.0, 5.0, 6.0, 5.0, 1e-6, -1e-150),
+    (3e5, 2.0, 3.0, 2.0, 1e-5, -1e-300),
+])
+def test_kdf_2_1_beta_rows_where_scipy_gives_nan(args):
+    # w^(a2 + m) is subnormal from the first row, and scipy's hyp2f1 gives
+    # NaN for the Pfaff rows at these a1: a NaN row never passed the stop
+    # test, so the sum ran 100k terms and raised; the rows' power series
+    # takes over there
+    r = kdf_2_1(*args)
+    assert r.converged and r.terms_used <= 20
+    assert rel_err(r.value, float(oracles.mp_kdf_2_1(*args))) <= ENGINE_TOL
+
+
 @pytest.mark.parametrize("call", [
     lambda: kummer_1f1(1.0, 1.0, 800.0),
     lambda: humbert_psi1(2.0, 1.0, 3.0, 1.5, 0.5, 900.0),
