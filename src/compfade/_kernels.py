@@ -15,9 +15,12 @@ large Gamma terms by very small powers, and only the combination is
 representable.
 
 The regularized incomplete beta comes from scipy.special (reg_inc_beta).
-The CDF mixture of both laws (_beta_mixture) and the Kampe de Feriet beta
-rows step it from term to term by the DLMF 8.17.20 recurrence and
-re-anchor on scipy once it has dropped by 1e-2 (_REANCHOR).
+The CDF mixture of both laws (_beta_mixture) takes it from scipy at its
+first and its last term only, and sums the steps T of the DLMF 8.17.20
+recurrence between them by parts, against the partial sums of the
+weights. The Kampe de Feriet beta rows of kdf_2_1_ln step it from row to
+row by the same recurrence and re-anchor on scipy once it has dropped by
+1e-2 (_REANCHOR, _inc_beta_up).
 
 The density kernels take their hypergeometric factor from scipy.special
 where scipy was measured accurate (scipy 1.17.1 within 4e-13 of mpmath):
@@ -51,8 +54,8 @@ from numpy.lib.stride_tricks import as_strided
 from scipy import special as _sc
 
 _LN_RESCALE = 645.0  # e^645 is close to the overflow edge; rescale margin below it
-# an incomplete beta stepped by recurrence is recomputed once it falls below
-# this share of its last value from scipy
+# kdf_2_1_ln's beta rows recompute their incomplete beta, stepped by
+# recurrence, once it falls below this share of its last value from scipy
 _REANCHOR = 1e-2
 _LN_POW_MIN = -700.0  # e^-700 = 1e-304, just above the subnormal range
 # absolute floor of every stop test: a term below it counts as small
@@ -75,9 +78,11 @@ _SCIPY_MS_MAX = 50.0
 _LBETA_STIRLING_MIN = 1e3
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # an array of fewer points goes to _beta_mixture point by point: on the
-# battery's 162 grid cells (points 0.05 to 8), the array loop cost 2.4x the
-# scalar calls at 10 points, 1.3x at 20-24, 0.95x at 28-32 and 0.8x at 40
-_LANES_START = 32
+# battery's 162 grid cells (points 0.05 to 8), the array loop cost 3.6x the
+# scalar calls at 10 points, 2.1x at 20, 1.4x at 32, 1.17x at 40, 1.0x at 48
+# and 0.78x at 64 (process time, best of 9); tests/test_lanes.py's 40-point
+# straggler grid must reach the array loop, so the start is not above 40
+_LANES_START = 40
 
 
 def _is_nonpos_int(x):
@@ -154,7 +159,8 @@ def _ln_beta_step(a, b, lnx, lncx):
 
 
 def _inc_beta_up(i, ln_t, anchor, a, b, x, cx, lnx, lncx):
-    """Step I = I_x(a,b) with ln_t = ln T(a) to I_x(a+1,b) and ln T(a+1).
+    """Step I = I_x(a,b) with ln_t = ln T(a) to I_x(a+1,b) and ln T(a+1), for
+    kdf_2_1_ln's beta rows (the CDF mixture sums T by parts instead).
 
     The subtraction I - T(a) cancels when T is close to I, and the loss
     compounds over successive steps, so I is recomputed by reg_inc_beta
@@ -548,51 +554,97 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, max_terms):
 
 
 def _beta_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms):
-    """The CDF of both laws: sum_k w_k I_x(a + step k, b) at x = y/(1+y),
-    y = exp(ln_y), summed from k = 0 upward until two successive terms fall
-    below the tolerances or max_terms terms are added; the arguments after
-    ln_y are aef_cdf_consts' or akf_cdf_consts' past (ln y0, alpha/2).
+    """The CDF of both laws: sum_k w_k I_k, I_k = I_x(a + step k, b) at x =
+    y/(1+y), y = exp(ln_y), from k = 0 upward until two successive terms
+    fall below the tolerances or max_terms terms are added; the arguments
+    after ln_y are aef_cdf_consts' or akf_cdf_consts' past (ln y0, alpha/2).
+    w_0 = exp(ln_w0), w_(k+1) = w_k sgn_z exp(ln_z) (r + d k)/(k + 1):
+    negative binomial weights with d = 1, Poisson with r = 1, d = 0; ln_z =
+    -inf leaves the k = 0 term alone.
 
-    w_0 = exp(ln_w0) and w_(k+1)/w_k = sgn_z exp(ln_z) (r + d k)/(k + 1):
-    negative binomial weights with d = 1, Poisson weights with r = 1, d = 0.
-    ln_z = -inf makes the k = 0 term the whole sum. I_x(a, b) comes from
-    reg_inc_beta; each later term takes `step` steps of the DLMF 8.17.20
-    recurrence (_inc_beta_up). Returns (raw_value, terms, est_error_abs,
-    status); a non-finite sum has status 1.
+    Summed by parts: with T_j = I_x(a + j, b) - I_x(a + j + 1, b) (DLMF
+    8.17.20), T_(j+1) = T_j x f_j, f_j = (a + b + j)/(a + j + 1), and C_k =
+    w_0 + ... + w_k, the first K terms are sum_(j < step (K-1)) T_j
+    C_(j // step) + C_(K-1) I_(K-1), positive terms for both laws. Only
+    I_0 and I_(K-1) come from scipy (reg_inc_beta). The T_j share the
+    rounding of ln T_0 (3.5e-14 at ms = 60), which scaling them by (I_0 -
+    I_(K-1)) / sum T_j, the sum they telescope to, removes. Above x = 1/2
+    the ratio x f_j is taken as f_j - f_j (1 - x): x holds 1 - x to one
+    absolute ulp only, an error the products would repeat at every step.
+    A T below e^_LN_POW_MIN is stepped by its logarithm until it rises
+    above it, since its products would keep few digits or none.
+
+    The stop test takes I_k as I_0 less the T_j summed, held within
+    T_(step k)/(1 - x min(1, f)) <= I_k <= T_(step k)/(1 - x max(1, f)),
+    f = f_(step k), the upper bound where its denominator is positive (the
+    ratios T_(j+1)/T_j lie between x and x f from j = step k on). Below
+    the lower bound that difference is all cancellation, and the upper
+    bound stands for I_k: the ratios change slowly, so it is nearly I_k
+    and never below it. Returns
+    (raw_value, terms, est_error_abs, status), est_error the last term; a
+    non-finite sum has status 1.
     """
     x, cx, lnx, lncx = _beta_argument(ln_y)
-    i = reg_inc_beta(a, b, x, cx)
-    ln_w = ln_w0
-    sgn = 1.0
-    s = math.exp(ln_w) * i
-    est = abs(s)
-    status = 1
+    i0 = reg_inc_beta(a, b, x, cx)
+    w = c = math.exp(ln_w0)
     if ln_z == -math.inf:
-        est, status, max_terms = 0.0, 0, 1
-    small = 0
-    k = 0
+        s = w * i0
+        return s, 1, 0.0, 0 if math.isfinite(s) else 1
+    z = sgn_z * math.exp(ln_z)
     ln_t = _ln_beta_step(a, b, lnx, lncx)
-    anchor = i
+    lag = ln_t < _LN_POW_MIN
+    t = 0.0 if lag else math.exp(ln_t)
+    p = sum_t = 0.0
+    upper = x > 0.5
+    aj = a
+    f = (a + b) / (a + 1.0)
+    rho = f - f * cx if upper else x * f
+    steps = range(step)
+    small = k = 0
+    status = 1
     while k + 1 < max_terms:
-        ln_w += ln_z + math.log(r + d * k) - math.log(k + 1.0)
-        sgn *= sgn_z
-        ak = a + step * k
-        i, ln_t, anchor = _inc_beta_up(i, ln_t, anchor, ak, b, x, cx, lnx, lncx)
-        if step == 2:
-            i, ln_t, anchor = _inc_beta_up(i, ln_t, anchor, ak + 1.0, b, x, cx, lnx, lncx)
+        dt = 0.0  # the T_j of this step
+        for _ in steps:
+            dt += t
+            if lag:
+                ln_t += math.log(rho)
+                lag = ln_t < _LN_POW_MIN
+                t = 0.0 if lag else math.exp(ln_t)
+            else:
+                t *= rho
+            aj += 1.0
+            f = (aj + b) / (aj + 1.0)
+            rho = f - f * cx if upper else x * f
+        p += c * dt
+        sum_t += dt
+        w *= z * (r + d * k) / (k + 1.0)
+        c += w
         k += 1
-        term = sgn * math.exp(ln_w) * i
-        s += term
-        est = abs(term)
-        # a NaN passes this test as well, ending the sum; it is reported below
-        if not est > max(rel_tol * abs(s), _ABS_TOL):
+        i_k = i0 - sum_t
+        if not lag:
+            om_lo, om_hi = (cx, 1.0 - rho) if f > 1.0 else (1.0 - rho, cx)
+            bound = t / om_lo
+            if i_k < bound:
+                if om_hi > 0.0:
+                    bound = t / om_hi
+                i_k = bound
+            elif om_hi > 0.0:
+                bound = t / om_hi
+                if i_k > bound:
+                    i_k = bound
+        at = abs(w) * i_k  # the term's size: i_k >= 0
+        # a NaN fails this test, which counts it small and ends the sum;
+        # it is reported below
+        if at > _ABS_TOL and at > rel_tol * abs(p + c * i_k):
+            small = 0
+        else:
             small += 1
             if small >= 2:
                 status = 0
                 break
-        else:
-            small = 0
-    return s, k + 1, est, status if math.isfinite(s) else 1
+    i = reg_inc_beta(a + step * k, b, x, cx) if k else i0
+    s = c * i + (p * ((i0 - i) / sum_t) if sum_t else p)
+    return s, k + 1, abs(w * i), status if math.isfinite(s) else 1
 
 
 def aef_pdf_consts(alpha, mu, ms, h, ln_lam, ln_a):
@@ -846,92 +898,106 @@ def _akf_scipy_form(consts, ln_g, ln_jac):
 
 
 def _reg_inc_beta_lanes(a, b, x, cx):
-    """reg_inc_beta at every lane of the arrays x and cx = 1 - x."""
+    """reg_inc_beta at every lane of the arrays x and cx = 1 - x; a is a
+    scalar or an array aligned with them."""
+    a = np.broadcast_to(a, x.shape)
     out = np.empty(x.shape)
     hi = x > 0.5
-    out[hi] = _sc.betaincc(b, a, cx[hi])
-    out[~hi] = _sc.betainc(a, b, x[~hi])
+    out[hi] = _sc.betaincc(b, a[hi], cx[hi])
+    out[~hi] = _sc.betainc(a[~hi], b, x[~hi])
     return out
-
-
-def _inc_beta_up_lanes(i, ln_t, anchor, a, b, x, cx, lnx, lncx):
-    """_inc_beta_up at every lane; only the lanes that fell below _REANCHOR
-    times their anchor are recomputed by scipy."""
-    i = i - np.exp(ln_t)
-    a1 = a + 1.0
-    ln_t = ln_t + lnx + math.log((a + b) / a1)
-    re = i < _REANCHOR * anchor
-    if re.any():
-        i[re] = _reg_inc_beta_lanes(a1, b, x[re], cx[re])
-        ln_t[re] = _ln_beta_step(a1, b, lnx[re], lncx[re])
-        anchor = np.where(re, i, anchor)
-    return i, ln_t, anchor
 
 
 def _beta_mixture_lanes(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms):
     """_beta_mixture at every lane of the array ln_y.
 
-    The weights depend on k alone and are computed once per k, as scalars,
-    with _beta_mixture's float operations. Each lane keeps its own
-    incomplete beta, step term, anchor, partial sum and count of small
-    terms, and leaves the loop once it passes the scalar stop test, so
-    terms_used and status are those of the scalar call; the loop runs
-    while any lane is live. An array of fewer than _LANES_START lanes is
-    summed by _beta_mixture point by point. Returns the arrays (raw_value,
-    terms, est_error_abs, status).
+    The weights, their sums C_k and the f_j are scalars shared by all
+    lanes. Each lane keeps its own T, sum of T and sum by parts, and leaves
+    the loop once it passes the scalar stop test, so terms_used and status
+    are those of the scalar call; the loop runs while any lane is live. One
+    reg_inc_beta call over the lanes gives I_0, one more each lane's
+    I_(K-1). An array of fewer than _LANES_START lanes is summed by
+    _beta_mixture point by point. Returns the arrays (raw_value, terms,
+    est_error_abs, status).
     """
     if ln_y.shape[0] < _LANES_START:
         sums = [_beta_mixture(float(v), a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol,
                               max_terms) for v in ln_y]
         return tuple(np.array(field, dtype=dtype) for field, dtype in
                      zip(zip(*sums), (float, np.int64, float, np.int64)))
-    t = np.log1p(np.exp(-np.abs(ln_y)))
+    u = np.log1p(np.exp(-np.abs(ln_y)))
     pos = ln_y > 0.0
-    lnx = np.where(pos, -t, ln_y - t)
-    lncx = np.where(pos, -ln_y - t, -t)
-    x, cx = np.exp(lnx), np.exp(lncx)
-    i = _reg_inc_beta_lanes(a, b, x, cx)
-    ln_w = ln_w0
-    sgn = 1.0
-    s = math.exp(ln_w) * i
+    lnx = np.where(pos, -u, ln_y - u)
+    lncx = np.where(pos, -ln_y - u, -u)
+    x, cx_all = np.exp(lnx), np.exp(lncx)
+    cx = cx_all
+    i0_all = i0 = _reg_inc_beta_lanes(a, b, x, cx)
+    w = c = math.exp(ln_w0)
     n = ln_y.shape[0]
     if ln_z == -math.inf:
+        s = w * i0
         return s, np.ones(n, dtype=np.int64), np.zeros(n), np.where(np.isfinite(s), 0, 1)
-    out_s, out_est = np.empty(n), np.empty(n)
-    out_terms = np.empty(n, dtype=np.int64)
+    z = sgn_z * math.exp(ln_z)
+    ln_t = _ln_beta_step(a, b, lnx, lncx)
+    lag = ln_t < _LN_POW_MIN
+    lagging = np.count_nonzero(lag)
+    t = np.where(lag, 0.0, np.exp(ln_t))
+    p, sum_t = np.zeros(n), np.zeros(n)
+    upper = x > 0.5
+    # rho = f rx - f rc is the scalar kernel's x f, or f - f cx above x = 1/2
+    rx, rc = np.where(upper, 1.0, x), np.where(upper, cx, 0.0)
+    aj = a
+    f = (a + b) / (a + 1.0)
+    rho = f * rx - f * rc
+    out_p, out_t, out_c, out_w = np.empty((4, n))
+    out_k = np.empty(n, dtype=np.int64)
     out_status = np.ones(n, dtype=np.int64)
     live = np.arange(n)
-    est = np.abs(s)
-    small = np.zeros(n, dtype=np.int64)
-    ln_t = _ln_beta_step(a, b, lnx, lncx)
-    anchor = i.copy()
+    small = np.zeros(n, dtype=bool)  # whether the lane's last term was small
     k = 0
-    while k + 1 < max_terms and live.size:
-        ln_w += ln_z + math.log(r + d * k) - math.log(k + 1.0)
-        sgn *= sgn_z
-        ak = a + step * k
-        i, ln_t, anchor = _inc_beta_up_lanes(i, ln_t, anchor, ak, b, x, cx, lnx, lncx)
-        if step == 2:
-            i, ln_t, anchor = _inc_beta_up_lanes(i, ln_t, anchor, ak + 1.0, b, x, cx,
-                                                 lnx, lncx)
-        k += 1
-        term = sgn * math.exp(ln_w) * i
-        s = s + term
-        est = np.abs(term)
-        # a NaN passes this test as well, ending the lane; it is reported below
-        small += 1
-        small[est > np.maximum(rel_tol * np.abs(s), _ABS_TOL)] = 0
-        done = small >= 2
-        if done.any():
-            ended = live[done]
-            out_s[ended], out_est[ended] = s[done], est[done]
-            out_terms[ended] = k + 1
-            out_status[ended] = 0
-            keep = ~done
-            live, s, est, small, i, ln_t, anchor, x, cx, lnx, lncx = (
-                v[keep] for v in (live, s, est, small, i, ln_t, anchor, x, cx, lnx, lncx)
-            )
-    out_s[live], out_est[live] = s, est
-    out_terms[live] = k + 1
-    out_status[~np.isfinite(out_s)] = 1
-    return out_s, out_terms, out_est, out_status
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while k + 1 < max_terms and live.size:
+            for j in range(step):
+                dt = dt + t if j else t
+                t = t * rho
+                if lagging:
+                    ln_t[lag] += np.log(rho[lag])
+                    up = lag & (ln_t >= _LN_POW_MIN)
+                    t[up] = np.exp(ln_t[up])
+                    lag &= ~up
+                    lagging = np.count_nonzero(lag)
+                aj += 1.0
+                f = (aj + b) / (aj + 1.0)
+                rho = f * rx - f * rc
+            p += c * dt
+            sum_t += dt
+            w *= z * (r + d * k) / (k + 1.0)
+            c += w
+            k += 1
+            om_lo, om_hi = (cx, 1.0 - rho) if f > 1.0 else (1.0 - rho, cx)
+            lo_b = t / om_lo
+            # t / 0 = inf where 1 - x max(1, f) <= 0: no upper bound (t > 0
+            # there but in a lagging lane, which takes I_0 instead)
+            hi_b = t / np.maximum(om_hi, 0.0)
+            i_k = i0 - sum_t
+            i_k = np.where(i_k < lo_b, np.where(om_hi > 0.0, hi_b, lo_b), np.minimum(i_k, hi_b))
+            if lagging:
+                i_k[lag] = i0[lag]
+            # a NaN fails this test as well, ending the lane; it is reported below
+            big = abs(w) * i_k > np.maximum(rel_tol * np.abs(p + c * i_k), _ABS_TOL)
+            done = small & ~big
+            small = ~big
+            if np.count_nonzero(done):
+                ended = live[done]
+                out_p[ended], out_t[ended] = p[done], sum_t[done]
+                out_c[ended], out_w[ended], out_k[ended] = c, w, k
+                out_status[ended] = 0
+                keep = ~done
+                live, p, sum_t, i0, t, ln_t, lag, small, rx, rc, cx, rho = (
+                    v[keep] for v in (live, p, sum_t, i0, t, ln_t, lag, small, rx, rc, cx,
+                                      rho))
+        out_p[live], out_t[live], out_c[live], out_w[live], out_k[live] = p, sum_t, c, w, k
+        i = _reg_inc_beta_lanes(a + step * out_k, b, x, cx_all)
+        s = out_c * i + np.where(out_t != 0.0, out_p * ((i0_all - i) / out_t), out_p)
+    out_status[~np.isfinite(s)] = 1
+    return s, out_k + 1, np.abs(out_w * i), out_status

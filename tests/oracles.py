@@ -65,6 +65,23 @@ def _mp_beta_mixture(ln_odds, a0, da, b, ln_weights, terms):
     return s
 
 
+def mp_kernel_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, terms):
+    """The first `terms` terms of _kernels._beta_mixture's sum, from its own
+    arguments taken as exact: weights w_0 = e^ln_w0, w_(k+1) = w_k sgn_z
+    e^ln_z (r + d k)/(k + 1), betas I_w(a + step k, b)."""
+    _setup()
+
+    def weights():
+        ln_wk, sgn, k = mp.mpf(ln_w0), 1, 0
+        while True:
+            yield ln_wk, sgn
+            ln_wk += mp.mpf(ln_z) + mp.log((mp.mpf(r) + d * k) / (k + 1))
+            sgn *= int(sgn_z)
+            k += 1
+
+    return _mp_beta_mixture(ln_y, mp.mpf(a), step, mp.mpf(b), weights(), terms)
+
+
 def mp_akf_cdf(mu, ms, kappa, ln_x1, terms=None):
     """alpha-kappa-F CDF as its Poisson mixture
     sum_t e^(-mu kappa) (mu kappa)^t / t! I_w(mu + t, ms), w = X1 / (1 + X1),

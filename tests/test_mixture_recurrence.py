@@ -1,16 +1,18 @@
-"""Mixture CDFs stepped by the incomplete-beta recurrence, and the Humbert
-Psi1 diagonal sweep, against the extended-precision oracles.
+"""Mixture CDFs summed by parts over the incomplete-beta recurrence, and the
+Humbert Psi1 diagonal sweep, against the extended-precision oracles.
 
-Each CDF series term is a weight times I_w(a + k, ms); the kernels step
-I_w from one term to the next with I_x(a+1, b) = I_x(a, b) - T(a) and
-recompute it with scipy.special (the anchor) once it has dropped by 1e-2
-from the last anchor. The cancellation in that subtraction is worst in
-the deep lower tail at strong line of sight, where many terms matter.
+Each CDF series term is a weight times I_w(a + k, ms). The kernels step
+T(a) = I_x(a, b) - I_x(a+1, b) from term to term by one product and sum
+T against the partial sums of the weights, so scipy.special is called
+for I at the first term and at the last one only. The deep lower tail at
+strong line of sight, where many terms matter and I falls fast, is where
+stepping I itself by I - T lost digits to cancellation.
 """
 
 import math
 import sys
 
+import numpy as np
 import pytest
 from scipy import special
 
@@ -128,6 +130,75 @@ def test_truncated_series_is_the_first_k_mixture_terms(k):
                               terms=k)
     assert r.terms_used == k and not r.converged
     assert rel_err(r.value, float(want)) <= MIXTURE_TOL
+
+
+# _beta_mixture's arguments (ln y, a, step, b, ln w0, ln z, sgn z, r, d) at two
+# alpha-kappa-F points where I falls fast, and their terms_used. Stepping I
+# by I - T and re-anchoring it on scipy at every hundredfold drop left these
+# 1.98e-13 and 6.8e-14 off the sum of their terms.
+FAST_DROPS = [
+    ((0.28093922288360496, 1.5925575289977438, 1, 1.7049429043372746, -52.840273822307466,
+      3.9672736617434126, 1.0, 1.0, 0.0), 79),
+    ((-2.8210240080849, 2.5393784477829064, 1, 15.891022518889262, -8.25490433034906,
+      2.1108074880074255, 1.0, 1.0, 0.0), 18),
+]
+
+
+@pytest.mark.parametrize("args,terms", FAST_DROPS)
+def test_mixture_is_its_terms_summed_to_rounding(args, terms):
+    raw, used, _, status = _k._beta_mixture(*args, 1e-12, 100_000)
+    assert status == 0 and used == terms
+    assert rel_err(raw, float(oracles.mp_kernel_mixture(*args, terms=used))) <= 2e-14
+
+
+def _count_scipy_calls(monkeypatch) -> list:
+    """Patches the incomplete betas the kernels call; returns the list that
+    records one entry per call."""
+    calls = []
+    for fn in ("betainc", "betaincc"):
+        real = getattr(_k._sc, fn)
+        monkeypatch.setattr(_k._sc, fn, lambda *args, _f=real: calls.append(1) or _f(*args))
+    return calls
+
+
+@pytest.mark.parametrize("ln_y", [FAST_DROPS[1][0][0], -3.5, 0.3, 4.0])
+def test_scalar_mixture_calls_scipy_at_most_twice(ln_y, monkeypatch):
+    # I_0 and the last term's I; re-anchoring at every hundredfold drop made
+    # 6 calls at the first point, where x = 0.056, and 7 at x = 0.029
+    args = FAST_DROPS[1][0][1:]
+    calls = _count_scipy_calls(monkeypatch)
+    _, terms, _, status = _k._beta_mixture(ln_y, *args, 1e-12, 100_000)
+    assert status == 0 and terms > 5
+    assert len(calls) <= 2
+
+
+def test_lanes_call_scipy_as_often_however_many_terms(monkeypatch):
+    d = AefDist(AefParams(alpha=2.5, eta=1e-2, mu=1.2, ms=4.0), 1.0)
+    grid = np.geomspace(1e-4, 1e2, 40)
+    assert grid.size >= _k._LANES_START
+    calls = _count_scipy_calls(monkeypatch)
+    counts = []
+    for max_terms in (5, 50, 100_000):
+        calls.clear()
+        r = d.snr_cdf(grid, SeriesControl(max_terms=max_terms))
+        counts.append(len(calls))
+    assert r.terms_used.max() > 500
+    assert counts[0] == counts[1] == counts[2]
+
+
+@pytest.mark.parametrize("g", [1.05, 1.15, 1.2])
+def test_akf_cdf_where_the_first_step_term_underflows(g):
+    # T_0 = x^a (1-x)^b / (a B(a, b)) is e^-758 at g = 1.15 and e^-790 at
+    # 1.2, yet the T_j rise into the sum within its 860 terms. As products
+    # of the underflowed T_0 every T_j would be 0 and the CDF would read
+    # 0.50 for 0.996; the kernel steps such a T by its logarithm until it
+    # is representable. scipy's noncentral F drifts by some 1e-11 at ms = 1e4
+    mu, kappa, ms = 1.0, 690.0, 1e4
+    d = AkfDist(AkfParams(alpha=2.0, kappa=kappa, mu=mu, ms=ms), 1.0)
+    want = special.ncfdtr(2.0 * mu, 2.0 * ms, 2.0 * mu * kappa, math.exp(d._ln_x1(g)) * ms / mu)
+    r = d.snr_cdf(g)
+    assert r.converged
+    assert rel_err(r.value, want) <= 1e-10
 
 
 @pytest.mark.parametrize("args", [
