@@ -571,8 +571,9 @@ def _beta_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms
     I_(K-1)) / sum T_j, the sum they telescope to, removes. Above x = 1/2
     the ratio x f_j is taken as f_j - f_j (1 - x): x holds 1 - x to one
     absolute ulp only, an error the products would repeat at every step.
-    A T below e^_LN_POW_MIN is stepped by its logarithm until it rises
-    above it, since its products would keep few digits or none.
+    A T below e^_LN_POW_MIN is stepped by its logarithm, ln T += ln x +
+    ln f_j, until it rises above it, since its products would keep few
+    digits or none; ln x stays finite where x underflows to 0.
 
     The stop test takes I_k as I_0 less the T_j summed, held within
     T_(step k)/(1 - x min(1, f)) <= I_k <= T_(step k)/(1 - x max(1, f)),
@@ -607,7 +608,7 @@ def _beta_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms
         for _ in steps:
             dt += t
             if lag:
-                ln_t += math.log(rho)
+                ln_t += lnx + math.log(f)  # ln rho, finite where x underflows
                 lag = ln_t < _LN_POW_MIN
                 t = 0.0 if lag else math.exp(ln_t)
             else:
@@ -961,7 +962,7 @@ def _beta_mixture_lanes(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol, max
                 dt = dt + t if j else t
                 t = t * rho
                 if lagging:
-                    ln_t[lag] += np.log(rho[lag])
+                    ln_t[lag] += lnx[lag] + math.log(f)
                     up = lag & (ln_t >= _LN_POW_MIN)
                     t[up] = np.exp(ln_t[up])
                     lag &= ~up
@@ -993,9 +994,9 @@ def _beta_mixture_lanes(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol, max
                 out_c[ended], out_w[ended], out_k[ended] = c, w, k
                 out_status[ended] = 0
                 keep = ~done
-                live, p, sum_t, i0, t, ln_t, lag, small, rx, rc, cx, rho = (
+                live, p, sum_t, i0, t, ln_t, lag, small, rx, rc, cx, rho, lnx = (
                     v[keep] for v in (live, p, sum_t, i0, t, ln_t, lag, small, rx, rc, cx,
-                                      rho))
+                                      rho, lnx))
         out_p[live], out_t[live], out_c[live], out_w[live], out_k[live] = p, sum_t, c, w, k
         i = _reg_inc_beta_lanes(a + step * out_k, b, x, cx_all)
         s = out_c * i + np.where(out_t != 0.0, out_p * ((i0_all - i) / out_t), out_p)

@@ -186,8 +186,17 @@ def test_lanes_call_scipy_as_often_however_many_terms(monkeypatch):
     assert counts[0] == counts[1] == counts[2]
 
 
-@pytest.mark.parametrize("g", [1.05, 1.15, 1.2])
-def test_akf_cdf_where_the_first_step_term_underflows(g):
+def _assert_lanes_equal_scalar_calls(d, g):
+    assert g.size >= _k._LANES_START  # the array loop, not scalar calls
+    lanes = d.snr_cdf(g)
+    scalars = [d.snr_cdf(float(v)) for v in g]
+    assert np.max(np.abs(lanes.value - [r.value for r in scalars])) <= 2e-15
+    assert list(lanes.terms_used) == [r.terms_used for r in scalars]
+    assert list(lanes.converged) == [r.converged for r in scalars]
+    return lanes
+
+
+def test_akf_cdf_where_the_first_step_term_underflows():
     # T_0 = x^a (1-x)^b / (a B(a, b)) is e^-758 at g = 1.15 and e^-790 at
     # 1.2, yet the T_j rise into the sum within its 860 terms. As products
     # of the underflowed T_0 every T_j would be 0 and the CDF would read
@@ -195,10 +204,23 @@ def test_akf_cdf_where_the_first_step_term_underflows(g):
     # is representable. scipy's noncentral F drifts by some 1e-11 at ms = 1e4
     mu, kappa, ms = 1.0, 690.0, 1e4
     d = AkfDist(AkfParams(alpha=2.0, kappa=kappa, mu=mu, ms=ms), 1.0)
-    want = special.ncfdtr(2.0 * mu, 2.0 * ms, 2.0 * mu * kappa, math.exp(d._ln_x1(g)) * ms / mu)
+    g = np.linspace(1.05, 1.2, 40)
+    lanes = _assert_lanes_equal_scalar_calls(d, g)
+    want = special.ncfdtr(2.0 * mu, 2.0 * ms, 2.0 * mu * kappa,
+                          np.array([math.exp(d._ln_x1(float(v))) for v in g]) * ms / mu)
+    assert lanes.converged.all()
+    assert np.max(np.abs(lanes.value - want) / want) <= 1e-10
+
+
+@pytest.mark.parametrize("gamma_bar, g", [(1.0, 1e-200), (1.0, 1e-320), (1e300, 1e-30)])
+def test_akf_cdf_where_x_underflows(gamma_bar, g):
+    # ln y is below -745, so x = y/(1+y) is 0 while ln x is finite: the
+    # lagging T is stepped by ln x + ln f, never by the ln of a 0 ratio
+    d = AkfDist(AkfParams(alpha=4.0, kappa=1.0, mu=1.0, ms=4.0), gamma_bar)
     r = d.snr_cdf(g)
-    assert r.converged
-    assert rel_err(r.value, want) <= 1e-10
+    assert r.converged and r.value == 0.0
+    lanes = _assert_lanes_equal_scalar_calls(d, np.full(40, g))
+    assert not lanes.value.any()
 
 
 @pytest.mark.parametrize("args", [
