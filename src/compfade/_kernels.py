@@ -18,9 +18,9 @@ The regularized incomplete beta comes from scipy.special (reg_inc_beta).
 The CDF mixture of both laws (_beta_mixture) takes it from scipy at its
 first and its last term only, and sums the steps T of the DLMF 8.17.20
 recurrence between them by parts, against the partial sums of the
-weights. The Kampe de Feriet beta rows of kdf_2_1_ln step it from row to
-row by the same recurrence and re-anchor on scipy once it has dropped by
-1e-2 (_REANCHOR, _inc_beta_up).
+weights. 2F1(B + b, B; B + 1; -y), an incomplete beta, has one evaluator
+(_ln_2f1_beta), called once a row by the Kampe de Feriet beta rows of
+kdf_2_1_ln and once by the truncation bound (aef_cdf_bound_kernel).
 
 The density kernels take their hypergeometric factor from scipy.special
 where scipy was measured accurate (scipy 1.17.1 within 4e-13 of mpmath):
@@ -54,9 +54,6 @@ from numpy.lib.stride_tricks import as_strided
 from scipy import special as _sc
 
 _LN_RESCALE = 645.0  # e^645 is close to the overflow edge; rescale margin below it
-# kdf_2_1_ln's beta rows recompute their incomplete beta, stepped by
-# recurrence, once it falls below this share of its last value from scipy
-_REANCHOR = 1e-2
 _LN_POW_MIN = -700.0  # e^-700 = 1e-304, just above the subnormal range
 # absolute floor of every stop test: a term below it counts as small
 _ABS_TOL = 1e-300
@@ -145,7 +142,7 @@ def reg_inc_beta(a, b, x, cx):
     ulp of 1 (the CDF mixtures reach both ends) keeps the digits cx carries.
     Where x^a falls below about e^_LN_POW_MIN, betainc loses digits although
     I may be representable; the CDF mixtures weight such an I by at most 1,
-    and the KdF beta rows, which would scale it by |y|^-a, avoid it.
+    and _ln_2f1_beta, which would scale it by y^-a, takes Pfaff's form there.
     """
     if x > 0.5:
         return float(_sc.betaincc(b, a, cx))
@@ -156,24 +153,6 @@ def _ln_beta_step(a, b, lnx, lncx):
     """ln T(a) for T(a) = x^a (1-x)^b / (a B(a,b)) = I_x(a,b) - I_x(a+1,b)
     (DLMF 8.17.20)."""
     return a * lnx + b * lncx - math.log(a) - _lbeta(a, b)
-
-
-def _inc_beta_up(i, ln_t, anchor, a, b, x, cx, lnx, lncx):
-    """Step I = I_x(a,b) with ln_t = ln T(a) to I_x(a+1,b) and ln T(a+1), for
-    kdf_2_1_ln's beta rows (the CDF mixture sums T by parts instead).
-
-    The subtraction I - T(a) cancels when T is close to I, and the loss
-    compounds over successive steps, so I is recomputed by reg_inc_beta
-    once it falls below _REANCHOR times anchor, the last value
-    reg_inc_beta gave; measuring the drop step by step would let many
-    small drops add up unchecked. Returns (I, ln_t, anchor).
-    """
-    i -= math.exp(ln_t)
-    a1 = a + 1.0
-    if i < _REANCHOR * anchor:
-        i = reg_inc_beta(a1, b, x, cx)
-        return i, _ln_beta_step(a1, b, lnx, lncx), i
-    return i, ln_t + lnx + math.log((a + b) / a1), anchor
 
 
 def _signed_exp(sgn, ln_abs):
@@ -437,6 +416,21 @@ def humbert_psi1_ln(a, b, c, cp, x, y, rel_tol, max_terms):
     return ln_pref + math.log(abs(s)) + ln_scale, sgn, terms, est / abs(s), status
 
 
+def _ln_2f1_beta(B, b, ln_y, w, cw, lnw, lncw, rel_tol, max_terms):
+    """(ln 2F1(B + b, B; B + 1; -y), status) for B, b, y > 0, given
+    _beta_argument(ln y): B y^-B B(B, b) I_w(B, b), w = y/(1 + y), where B ln
+    w > _LN_POW_MIN and I > 0, else Pfaff's (1 + y)^-(B + b) 2F1(B + b, 1;
+    B + 1; w) as its power series of positive terms; scipy's hyp2f1 gives
+    that 2F1 up to 1e59 off, or NaN (CHANGES.md).
+    """
+    if B * lnw > _LN_POW_MIN:
+        iw = reg_inc_beta(B, b, w, cw)
+        if iw > 0.0:
+            return math.log(B) - B * ln_y + _lbeta(B, b) + math.log(iw), 0
+    ln_f, _, _, _, st = _hyper_series(B + b, 1.0, B + 1.0, w, rel_tol, max_terms)
+    return ln_f + (B + b) * lncw, st
+
+
 def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, max_terms):
     """Kampe de Feriet F^{2:0;0}_{1:1;0}[a1,a2; b1: c1; x, y], iterated summation.
 
@@ -449,17 +443,10 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, max_terms):
     CDF sums its Kampe de Feriet form as the mixture, term for term.
 
     When b1 = a2 + 1 with a1 > a2 > 0, x >= 0 and y < 0 (the contiguous
-    structure of the composite CDF's form), each row reduces to an
-    incomplete beta with positive arguments, 2F1(A, B; B+1; y) =
-    B |y|^(-B) B_w(B, A-B) at w = |y|/(1+|y|), so the rows are incomplete
-    betas instead of power series. Row m needs I_w(a2+m, a1-a2), stepped
-    from the previous row by the DLMF 8.17.20 recurrence and recomputed by
-    reg_inc_beta as _inc_beta_up decides. Once w^(a2+m) nears the subnormal
-    range, I_w loses its digits (or underflows), and the row comes from
-    Pfaff's transformation through scipy.special.hyp2f1 instead, or its
-    power series where scipy gives no positive finite double (NaN at a1 =
-    1e5, w = 1e-150). The series rows lose digits to internal cancellation
-    once x |y| grows; the beta route keeps every factor positive.
+    structure of the composite CDF's form), row m is 2F1(B + b, B; B + 1;
+    y), B = a2 + m, b = a1 - a2, from _ln_2f1_beta, which keeps every factor
+    positive; the power series rows lose digits to cancellation once x |y|
+    grows.
 
     Returns (ln_abs, sign, terms, est_rel, status).
     """
@@ -477,10 +464,6 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, max_terms):
     if beta_rows:
         ln_y = math.log(-y)
         w, cw, lnw, lncw = _beta_argument(ln_y)
-        ams = a1 - a2
-        iw = reg_inc_beta(a2, ams, w, cw)
-        ln_t = _ln_beta_step(a2, ams, lnw, lncw)
-        anchor = iw
         sgn_f = 1.0
     s = 0.0
     ln_scale = 0.0
@@ -493,18 +476,9 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, max_terms):
     worst_inner = 0
     while m < max_terms:
         if beta_rows:
-            bm = a2 + m
-            if iw > 0.0 and bm * lnw > _LN_POW_MIN:
-                ln_f = math.log(bm) - bm * ln_y + _lbeta(bm, ams) + math.log(iw)
-            else:  # (1+|y|)^-(a1+m) 2F1(a1+m, 1; bm+1; w)
-                f = _sc.hyp2f1(a1 + m, 1.0, bm + 1.0, w)
-                if 0.0 < f < math.inf:
-                    ln_f = math.log(f)
-                else:
-                    ln_f, _, _, _, in_st = _hyper_series(
-                        a1 + m, 1.0, bm + 1.0, w, rel_tol, max_terms)
-                    worst_inner = max(worst_inner, in_st)
-                ln_f += (a1 + m) * lncw
+            ln_f, in_st = _ln_2f1_beta(a2 + m, a1 - a2, ln_y, w, cw, lnw, lncw,
+                                       rel_tol, max_terms)
+            worst_inner = max(worst_inner, in_st)
         else:
             ln_f, sgn_f, _, _, in_st = gauss_2f1_ln(
                 a1 + m, a2 + m, b1 + m, y, rel_tol, max_terms
@@ -541,8 +515,6 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, max_terms):
         ln_coef += math.log(abs(ratio))
         if ratio < 0.0:
             sgn_coef = -sgn_coef
-        if beta_rows:
-            iw, ln_t, anchor = _inc_beta_up(iw, ln_t, anchor, bm, ams, w, cw, lnw, lncw)
     status = max(status, worst_inner)
     if s == 0.0:
         return -math.inf, 0.0, m, est, status
@@ -742,9 +714,10 @@ def aef_cdf_bound_kernel(consts, ln_a, g, k0, rel_tol, max_terms):
     """Closed-form upper bound on the CDF-series remainder after K0-1 terms.
 
     Its prefactor is the CDF head A g^(alpha mu), given ln A, times
-    mu / (mu + k0). The bounding 2F1 argument is w = q y^2, q and y from
-    consts = aef_cdf_consts(...); for w >= 1 that series has no convergent
-    real form and status 2 is returned. Returns (value, status).
+    mu / (mu + k0), times 2F1(B + ms, B; B + 1; -y), B = 2 mu + 2 k0, from
+    _ln_2f1_beta, and the bounding 2F1 at w = q y^2, q and y from consts =
+    aef_cdf_consts(...); for w >= 1 that series has no convergent real form
+    and status 2 is returned. Returns (value, status).
     """
     ln_y0, half_alpha, a, _, ms, _, ln_q, sgn_q, mu, _ = consts
     gexp = half_alpha * math.log(g)
@@ -757,13 +730,10 @@ def aef_cdf_bound_kernel(consts, ln_a, g, k0, rel_tol, max_terms):
     )
     if st2 != 0:
         return 0.0, st2
-    # leading 2F1(-y) factor through the incomplete-beta identity
-    b0 = a + 2.0 * k0
-    w1, cw1, _, _ = _beta_argument(ln_y)
-    iw = reg_inc_beta(b0, ms, w1, cw1)
-    if iw <= 0.0:
-        return 0.0, 0
-    ln_f1 = math.log(b0) - b0 * ln_y + _lbeta(b0, ms) + math.log(iw)
+    ln_f1, st1 = _ln_2f1_beta(a + 2.0 * k0, ms, ln_y, *_beta_argument(ln_y), rel_tol,
+                              max_terms)
+    if st1 != 0:
+        return 0.0, st1
     ln_t = ln_a + a * gexp + math.log(mu / (mu + k0)) + ln_f1 + ln_f2
     return sgn_f2 * math.exp(ln_t), 0
 

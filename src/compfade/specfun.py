@@ -43,26 +43,35 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def _in_double_range(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConvergenceError(f"{name}: the value leaves the double range")
+    return value
+
+
 def beta(a: float, b: float) -> float:
     """Beta function B(a, b) for a, b > 0, computed in log space."""
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"beta requires positive arguments, got ({a}, {b})")
-    return math.exp(_k._lbeta(a, b))
+    return _in_double_range("beta", _k._signed_exp(1.0, _k._lbeta(a, b)))
 
 
 def pochhammer(x: float, n: int) -> float:
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1); (x)_0 = 1."""
+    """Rising factorial (x)_n = x (x+1) ... (x+n-1); (x)_0 = 1. A product up
+    to n = _POCH_PRODUCT_MAX, past it Gamma(x + n)/Gamma(x) in log space."""
     if n < 0 or n != int(n):
         raise DomainError(f"pochhammer requires integer n >= 0, got {n}")
     n = int(n)
-    if n == 0:
-        return 1.0
-    if n <= _POCH_PRODUCT_MAX or x <= 0.0:
-        p = 1.0
-        for i in range(n):
-            p *= x + i
-        return p
-    return math.exp(math.lgamma(x + n) - math.lgamma(x))
+    if _is_nonpos_int(x) and n > -x:
+        return 0.0
+    if n <= _POCH_PRODUCT_MAX:
+        return _in_double_range("pochhammer", math.prod((x + i for i in range(n)), start=1.0))
+    if _is_nonpos_int(x):  # (x)_n = (-1)^n Gamma(1 - x)/Gamma(1 - x - n)
+        ln_p, sgn = math.lgamma(1.0 - x) - math.lgamma(1.0 - x - n), (-1.0) ** n
+    else:
+        (ln_hi, s_hi), (ln_lo, s_lo) = _k._lgamma_sign(x + n), _k._lgamma_sign(x)
+        ln_p, sgn = ln_hi - ln_lo, s_hi * s_lo
+    return _in_double_range("pochhammer", _k._signed_exp(sgn, ln_p))
 
 
 def _finish(

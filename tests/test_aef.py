@@ -6,6 +6,7 @@ against 60-digit evaluations of the underlying hypergeometric series.
 
 import math
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 
@@ -176,6 +177,33 @@ def test_truncation_bound_divergence_reported():
     # an argument past e^709 raised a bare OverflowError
     with pytest.raises(ConvergenceError):
         d.cdf_truncation_bound(1e300, 2)
+
+
+@pytest.mark.parametrize("gamma, k0", [
+    (1e-20, 16), (1e-100, 1), (1e-100, 4), (1e-100, 16),
+])
+def test_truncation_bound_where_the_incomplete_beta_underflows(gamma, k0):
+    # w^(2 mu + 2 k0) underflows at these gamma, so betainc gives 0 and the
+    # bound read 0.0; the leading 2F1 then takes Pfaff's form. Reference:
+    # A g^(alpha mu) mu/(mu + k0) 2F1(B + ms, B; B + 1; -y) 2F1(mu + ms/2,
+    # mu + (ms + 1)/2; mu + 1/2; q y^2), B = 2 mu + 2 k0, y = 2 mu h
+    # g^(alpha/2) / Lambda, q = (H/h)^2, A the CDF head's constant
+    alpha, eta, mu, ms = 2.0, 0.5, 1.0, 4.0
+    d = AefDist(AefParams(alpha=alpha, eta=eta, mu=mu, ms=ms), 1.0)
+    with mpmath.workdps(30):
+        mu_, ms_, h, H = (mpmath.mpf(v) for v in (mu, ms, d.geometry.h, d.geometry.H))
+        lam = (ms_ - 1) * mpmath.mpf(d.upsilon) * mpmath.mpf(d.gamma_bar) ** (alpha / 2)
+        y = 2 * mu_ * h * mpmath.mpf(gamma) ** (alpha / 2) / lam
+        head = ((2 * mu_) ** (2 * mu_ - 1) * h ** mu_
+                / (mpmath.beta(2 * mu_, ms_) * lam ** (2 * mu_)))
+        b0 = 2 * mu_ + 2 * k0
+        want = (head * mpmath.mpf(gamma) ** (alpha * mu_) * mu_ / (mu_ + k0)
+                * mpmath.hyp2f1(b0 + ms_, b0, b0 + 1, -y)
+                * mpmath.hyp2f1(mu_ + ms_ / 2, mu_ + (ms_ + 1) / 2, mu_ + 0.5,
+                                (H / h * y) ** 2))
+    got = d.cdf_truncation_bound(gamma, k0)
+    assert got > 0.0
+    assert rel_err(got, float(want)) <= 1e-12
 
 
 def test_envelope_pdf_frozen_spot(aef_params):

@@ -254,9 +254,22 @@ def test_kdf_2_1_beta_rows_where_scipy_gives_nan(args):
     assert rel_err(r.value, float(oracles.mp_kdf_2_1(*args))) <= ENGINE_TOL
 
 
+def test_kdf_2_1_beta_rows_where_scipy_hyp2f1_is_wrong():
+    # from row 280 on, w^(a2 + m) is below e^-700 and the rows take Pfaff's
+    # form; scipy's hyp2f1 gave some of them as large positive numbers, and
+    # the sum came out 1.27 relative off with converged=True
+    args = (297.0, 1.5, 2.5, 3.5, 123.0, -0.09)
+    r = kdf_2_1(*args)
+    assert r.converged
+    assert rel_err(r.value, float(oracles.mp_kdf_2_1(*args))) <= ENGINE_TOL
+
+
 @pytest.mark.parametrize("call", [
     lambda: kummer_1f1(1.0, 1.0, 800.0),
     lambda: humbert_psi1(2.0, 1.0, 3.0, 1.5, 0.5, 900.0),
+    lambda: pochhammer(2.0, 1000),
+    lambda: pochhammer(-0.5, 200),
+    lambda: beta(1e-320, 1.0),
 ])
 def test_value_beyond_the_double_range_raises_convergence_error(call):
     with pytest.raises(ConvergenceError, match="leaves the double range"):
