@@ -35,9 +35,9 @@ to 1 the series route takes Gauss's sum within rel_tol or refuses
 of its CDF head, p A g^(p-1), times s^(c+ms), s = Lambda/D, and that
 factor; ln s = -ln(1 + e^u) comes from _beta_argument, so no term of size
 ms ln Lambda is formed, and the densities keep their digits at any ms. The
-kernels' constants are computed once per distribution (aef_pdf_consts,
-aef_cdf_consts, akf_pdf_consts, akf_cdf_consts). ln B(a, b) takes
-Stirling's form above a + b = 1e3 (_lbeta).
+kernels' constants are computed once per parameter set, at gamma_bar = 1
+(aef_pdf_consts, aef_cdf_consts, akf_pdf_consts, akf_cdf_consts). ln B(a,
+b) takes Stirling's form above a + b = 1e3 (_lbeta).
 
 The single series and the mixture add one term per interpreted loop
 step. The Humbert Psi1 double series instead advances every live column
@@ -621,7 +621,7 @@ def _beta_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms
 
 
 def aef_pdf_consts(alpha, mu, ms, h, ln_lam, ln_a):
-    """The per-distribution constants of aef_snr_pdf_kernel, computed once
+    """The per-parameter-set constants of aef_snr_pdf_kernel, computed once
     from ln A of the CDF head A g^p, p = alpha mu: 1/h, q = (H/h)^2 = 1 - 1/h,
     ln(p A) and ln(2 mu h / Lambda); no eta overflows them."""
     inv_h = 1.0 / h
@@ -673,9 +673,9 @@ def aef_snr_pdf_kernel(consts, ln_g, rel_tol, max_terms, ln_jac):
     D^(2 mu + ms) cancels are never formed.
 
     ln_jac is the log-Jacobian of a change of variables: the envelope density
-    at r is this kernel at ln_g = 2 ln r, ln_jac = ln 2 + ln r, with Lambda
-    built from the mean power. Taking logs keeps r below 1e-154, where r*r
-    underflows, on the curve. The 2F1 factor comes from _density_2f1_ln.
+    at r is this kernel at ln_g = 2 ln r - ln W, ln_jac = ln 2 + ln r - ln W,
+    W the mean power, with Lambda at gamma_bar = 1. Taking logs keeps r
+    below 1e-154, where r*r underflows, on the curve. The 2F1 factor comes from _density_2f1_ln.
     Its argument is z = q t^2, q = (H/h)^2 = 1 - 1/h. At strong imbalance
     z nears 1, and 1 - z taken from the double z keeps few digits. Above
     z = 1/2 it is formed as 1/h + q s (2 - s) instead, from 1 - t = s:
@@ -695,7 +695,7 @@ def aef_snr_pdf_kernel(consts, ln_g, rel_tol, max_terms, ln_jac):
 
 
 def aef_cdf_consts(alpha, mu, ms, h, hsq, ln_lam):
-    """The alpha-eta-F CDF, computed once per distribution: (ln y0, alpha/2,
+    """The alpha-eta-F CDF, computed once per parameter set: (ln y0, alpha/2,
     a, step, b, ln w0, ln z, sgn z, r, d), the odds ln y = ln y0 + (alpha/2)
     ln g and the rest _beta_mixture's arguments. The k-th series term of the
     CDF equals c_k I_w(2mu+2k, ms) with w = y/(1+y), y = 2 mu h g^(alpha/2) /
@@ -710,8 +710,9 @@ def aef_cdf_consts(alpha, mu, ms, h, hsq, ln_lam):
             -mu * math.log(h), ln_q, math.copysign(1.0, hsq), mu, 1.0)
 
 
-def aef_cdf_bound_kernel(consts, ln_a, g, k0, rel_tol, max_terms):
-    """Closed-form upper bound on the CDF-series remainder after K0-1 terms.
+def aef_cdf_bound_kernel(consts, ln_a, ln_g, k0, rel_tol, max_terms):
+    """Closed-form upper bound on the CDF-series remainder after K0-1 terms,
+    at g = exp(ln_g).
 
     Its prefactor is the CDF head A g^(alpha mu), given ln A, times
     mu / (mu + k0), times 2F1(B + ms, B; B + 1; -y), B = 2 mu + 2 k0, from
@@ -720,7 +721,7 @@ def aef_cdf_bound_kernel(consts, ln_a, g, k0, rel_tol, max_terms):
     and status 2 is returned. Returns (value, status).
     """
     ln_y0, half_alpha, a, _, ms, _, ln_q, sgn_q, mu, _ = consts
-    gexp = half_alpha * math.log(g)
+    gexp = half_alpha * ln_g
     ln_y = ln_y0 + gexp
     w = _signed_exp(sgn_q, 2.0 * ln_y + ln_q)
     if w >= 1.0:
@@ -739,7 +740,7 @@ def aef_cdf_bound_kernel(consts, ln_a, g, k0, rel_tol, max_terms):
 
 
 def akf_pdf_consts(alpha, mu, ms, kappa, ln_lam, ln_a):
-    """The per-distribution constants of akf_snr_pdf_kernel, computed once
+    """The per-parameter-set constants of akf_snr_pdf_kernel, computed once
     from ln A of the CDF head A g^p, p = alpha mu / 2: mu kappa, ln(p A) and
     ln(mu (1 + kappa) / Lambda); kappa = 0 is the alpha-F law."""
     return (alpha, mu, ms, mu * kappa, math.log(0.5 * alpha * mu) + ln_a,

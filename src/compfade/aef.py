@@ -12,11 +12,10 @@ of the integrated PDF series that converges for arbitrarily large arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _kernels as _k
-from . import params as _params
-from .params import Geometry
+from .params import AefParams
 from .series import (
     STATUS_DIVERGED,
     STATUS_OK,
@@ -24,7 +23,6 @@ from .series import (
     DomainError,
     Envelope,
     Law,
-    _freeze,
     default_control,
 )
 
@@ -35,35 +33,14 @@ __all__ = ["AefDist", "AefEnvelope"]
 class AefDist(Law):
     """alpha-eta-F instantaneous-SNR distribution with mean SNR gamma_bar."""
 
-    geometry: Geometry = field(init=False, repr=False)
-    upsilon: float = field(init=False, repr=False)
-
+    _params_type = AefParams
     _pdf_kernel = staticmethod(_k.aef_snr_pdf_kernel)
     _pdf_form = staticmethod(_k._aef_scipy_form)
+    geometry = property(lambda self: self.params._unit.geometry)
+    upsilon = property(lambda self: self.params._unit.norm)
     # bound here, not only inherited: perfbench's tracer wraps the class's own __dict__
     snr_pdf = Law.snr_pdf
     snr_cdf = Law.snr_cdf
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        p = self.params
-        geo = _params.geometry(p)
-        ups = _params.upsilon(p)
-        ln_lam = self._ln_lambda(ups)
-        # the CDF head A x^p, p = alpha mu
-        ln_a = (
-            (2.0 * p.mu - 1.0) * math.log(2.0 * p.mu)
-            + p.mu * math.log(geo.h)
-            - _k._lbeta(2.0 * p.mu, p.ms)
-            - 2.0 * p.mu * ln_lam
-        )
-        _freeze(
-            self, geometry=geo, upsilon=ups, _ln_lam=ln_lam,
-            _head=(ln_a, float(p.alpha * p.mu)),
-            _pdf_consts=_k.aef_pdf_consts(p.alpha, p.mu, p.ms, geo.h, ln_lam, ln_a),
-            _cdf_consts=_k.aef_cdf_consts(p.alpha, p.mu, p.ms, geo.h, geo.H * geo.H,
-                                          ln_lam),
-        )
 
     def cdf_truncation_bound(self, gamma: float, k0: int) -> float:
         """Upper bound on the CDF-series remainder after its first k0 terms
@@ -76,8 +53,8 @@ class AefDist(Law):
             return 0.0
         ctrl = default_control()
         value, status = _k.aef_cdf_bound_kernel(
-            self._cdf_consts, self._head[0], float(gamma), int(k0), ctrl.rel_tol,
-            ctrl.max_terms,
+            self._cdf_consts, self.params._unit.head[0], math.log(gamma) - self._ln_gb,
+            int(k0), ctrl.rel_tol, ctrl.max_terms,
         )
         if status == STATUS_DIVERGED:
             raise ConvergenceError(
@@ -97,11 +74,4 @@ class AefEnvelope(Envelope):
     _law = AefDist
     # bound here, not only inherited: perfbench's tracer wraps the class's own __dict__
     envelope_pdf = Envelope.envelope_pdf
-
-    @property
-    def geometry(self) -> Geometry:
-        return self._snr.geometry
-
-    @property
-    def upsilon(self) -> float:
-        return self._snr.upsilon
+    geometry, upsilon = AefDist.geometry, AefDist.upsilon

@@ -17,12 +17,12 @@ past mu kappa = 690.8, where e^(-mu kappa) is below the stop tests' floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as _k
-from . import params as _params
+from .params import AkfParams
 from .series import (
     STATUS_OK,
     ConvergenceError,
@@ -31,7 +31,6 @@ from .series import (
     Law,
     SeriesControl,
     SeriesResult,
-    _freeze,
     cdf_clamped,
     cdf_endpoint,
     default_control,
@@ -50,34 +49,15 @@ CLOSED_FORM_GUARD = 0.05
 class AkfDist(Law):
     """alpha-kappa-F instantaneous-SNR distribution with mean SNR gamma_bar."""
 
-    omega_norm: float = field(init=False, repr=False)
-
+    _params_type = AkfParams
     _pdf_kernel = staticmethod(_k.akf_snr_pdf_kernel)
     _pdf_form = staticmethod(_k._akf_scipy_form)
+    omega_norm = property(lambda self: self.params._unit.norm)
     # ln X1, the odds of the CDF mixture
     _ln_x1 = Law._ln_y
     # bound here, not only inherited: perfbench's tracer wraps the class's own __dict__
     snr_pdf = Law.snr_pdf
     snr_cdf = snr_cdf_series = Law.snr_cdf
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        p = self.params
-        om = _params.omega(p)
-        ln_lam = self._ln_lambda(om)
-        # the CDF head A x^p, p = alpha mu / 2
-        ln_a = (
-            (p.mu - 1.0) * math.log(p.mu)
-            - p.mu * p.kappa
-            + p.mu * math.log1p(p.kappa)
-            - _k._lbeta(p.mu, p.ms)
-            - p.mu * ln_lam
-        )
-        _freeze(
-            self, omega_norm=om, _ln_lam=ln_lam, _head=(ln_a, 0.5 * p.alpha * p.mu),
-            _pdf_consts=_k.akf_pdf_consts(p.alpha, p.mu, p.ms, p.kappa, ln_lam, ln_a),
-            _cdf_consts=_k.akf_cdf_consts(p.alpha, p.mu, p.ms, p.kappa, ln_lam),
-        )
 
     def snr_cdf_closed(
         self, gamma: float, ctrl: SeriesControl | None = None
@@ -132,7 +112,4 @@ class AkfEnvelope(Envelope):
     _law = AkfDist
     # bound here, not only inherited: perfbench's tracer wraps the class's own __dict__
     envelope_pdf = Envelope.envelope_pdf
-
-    @property
-    def omega_norm(self) -> float:
-        return self._snr.omega_norm
+    omega_norm = AkfDist.omega_norm

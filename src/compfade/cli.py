@@ -132,16 +132,20 @@ def _build_grid(args) -> np.ndarray:
     if args.points == 1:
         if args.start != args.stop:
             raise DomainError("--points 1 requires --from equal to --to")
-        return np.array([args.start], dtype=np.float64)
-    if not args.start < args.stop:
+        grid = np.array([args.start], dtype=np.float64)
+    elif not args.start < args.stop:
         raise DomainError(
             f"grid requires start < stop, got [{args.start}, {args.stop}]"
         )
-    if args.log:
+    elif args.log:
         if args.start <= 0.0:
             raise DomainError("--log requires a positive --from")
-        return np.geomspace(args.start, args.stop, args.points)
-    return np.linspace(args.start, args.stop, args.points)
+        grid = np.geomspace(args.start, args.stop, args.points)
+    else:
+        grid = np.linspace(args.start, args.stop, args.points)
+    if args.db and not grid[0] > 0.0:
+        raise DomainError(f"--db renders 10*log10(x) and needs positive points, got {grid[0]}")
+    return grid
 
 
 def _params_dict(p: AefParams | AkfParams) -> dict:

@@ -411,8 +411,8 @@ def make_phys(
     base = build(1.0)
     if power_target is None:
         return base
-    if not power_target > 0.0:
-        raise DomainError(f"power_target must be positive, got {power_target}")
+    if not 0.0 < power_target < math.inf:
+        raise DomainError(f"power_target must be positive and finite, got {power_target}")
     return build((power_target / envelope_sq_mean(base)) ** (0.5 * params.alpha))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels as _k
 from .aef import AefDist
 from .akf import AkfDist
-from .series import DomainError, LaneResult, Law, SeriesControl, SeriesResult
+from .series import ConvergenceError, DomainError, LaneResult, Law, SeriesControl, SeriesResult
 
 __all__ = [
     "GainPair",
@@ -61,17 +61,12 @@ def outage(
     return dist.snr_cdf(gamma_th, ctrl)
 
 
-def _ln_asymptote(dist: AefDist | AkfDist, gamma_th: float) -> tuple:
-    """(ln of the asymptotic outage, diversity gain): the CDF head A x^p of
-    the family at x = gamma_th."""
+def _asymptote(dist: AefDist | AkfDist, gamma_th: float) -> float:
+    """The asymptotic outage, the CDF head A x^p of the law at x = gamma_th;
+    inf where it exceeds the double range."""
     _check_threshold(gamma_th)
     ln_a, p = dist._head
-    return ln_a + p * math.log(gamma_th), p
-
-
-def _asymptote(dist: AefDist | AkfDist, gamma_th: float) -> float:
-    """The asymptotic outage itself; inf where it exceeds the double range."""
-    return _k._signed_exp(1.0, _ln_asymptote(dist, gamma_th)[0])
+    return _k._signed_exp(1.0, ln_a + p * math.log(gamma_th))
 
 
 def asymptotic_outage_aef(d: AefDist, gamma_th: float) -> float:
@@ -90,9 +85,16 @@ def asymptotic_outage_akf(d: AkfDist, gamma_th: float) -> float:
 
 def gains(dist: AefDist | AkfDist, gamma_th: float) -> GainPair:
     """Coding and diversity gains of the high-SNR outage law
-    (G_c gamma_bar)^(-G_d); consistent with the asymptotic outage at any
-    gamma_bar by construction."""
+    (G_c gamma_bar)^(-G_d): G_c = 1 / (gamma_th A1^(1/G_d)), A1 the CDF head
+    at gamma_bar = 1, whatever the law's gamma_bar. Raises ConvergenceError
+    where G_c is not a positive finite double."""
     if not isinstance(dist, Law):
         raise DomainError(f"unsupported distribution type {type(dist).__name__}")
-    ln_asym, gd = _ln_asymptote(dist, gamma_th)
-    return GainPair(gc=math.exp(-ln_asym / gd - math.log(dist.gamma_bar)), gd=gd)
+    _check_threshold(gamma_th)
+    ln_a, gd = dist.params._unit.head
+    gc = _k._signed_exp(1.0, -ln_a / gd - math.log(gamma_th))
+    if not 0.0 < gc < math.inf:
+        raise ConvergenceError(
+            f"gains: the coding gain at gamma_th = {gamma_th} leaves the double range"
+        )
+    return GainPair(gc=gc, gd=gd)

@@ -8,6 +8,10 @@ geometry pair, and eta' = (1 - eta)/(1 + eta) converts between them.
 upsilon() and omega() are the mean-normalization constants that make the SNR
 densities integrate to mean gamma_bar; both require ms > 2/alpha for the
 underlying fractional moment to exist.
+
+A parameter set's law at gamma_bar = 1 (its normalizer, geometry, CDF head
+and kernel constants) is computed once, on first use, as its _unit field;
+series.Law applies gamma_bar at evaluation, as ln gamma - ln gamma_bar.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from scipy.special import hyp1f1, hyp2f1
 
@@ -79,6 +84,18 @@ class AefParams:
                     f"Format II requires -1 < eta < 1, got {self.eta}"
                 )
 
+    @functools.cached_property
+    def _unit(self) -> _UnitLaw:
+        geo, ups = geometry(self), upsilon(self)
+        ln_lam = math.log(self.ms - 1.0) + math.log(ups)
+        alpha, mu, ms = self.alpha, self.mu, self.ms
+        # the CDF head A x^p, p = alpha mu
+        ln_a = ((2.0 * mu - 1.0) * math.log(2.0 * mu) + mu * math.log(geo.h)
+                - _k._lbeta(2.0 * mu, ms) - 2.0 * mu * ln_lam)
+        return _UnitLaw(ups, geo, ln_lam, (ln_a, float(alpha * mu)),
+                        _k.aef_pdf_consts(alpha, mu, ms, geo.h, ln_lam, ln_a),
+                        _k.aef_cdf_consts(alpha, mu, ms, geo.h, geo.H * geo.H, ln_lam))
+
 
 @dataclass(frozen=True)
 class AkfParams:
@@ -97,6 +114,18 @@ class AkfParams:
                 f"got {self.kappa}"
             )
 
+    @functools.cached_property
+    def _unit(self) -> _UnitLaw:
+        om = omega(self)
+        ln_lam = math.log(self.ms - 1.0) + math.log(om)
+        alpha, mu, ms, kappa = self.alpha, self.mu, self.ms, self.kappa
+        # the CDF head A x^p, p = alpha mu / 2
+        ln_a = ((mu - 1.0) * math.log(mu) - mu * kappa + mu * math.log1p(kappa)
+                - _k._lbeta(mu, ms) - mu * ln_lam)
+        return _UnitLaw(om, None, ln_lam, (ln_a, 0.5 * alpha * mu),
+                        _k.akf_pdf_consts(alpha, mu, ms, kappa, ln_lam, ln_a),
+                        _k.akf_cdf_consts(alpha, mu, ms, kappa, ln_lam))
+
 
 @dataclass(frozen=True)
 class Geometry:
@@ -104,6 +133,19 @@ class Geometry:
 
     h: float
     H: float
+
+
+class _UnitLaw(NamedTuple):
+    """A parameter set's law at gamma_bar = 1: its normalizer (upsilon or
+    omega), geometry (None for alpha-kappa-F), ln Lambda = ln((ms - 1) norm),
+    CDF head (ln A, p) and the family's density and CDF kernel constants."""
+
+    norm: float
+    geometry: Geometry | None
+    ln_lam: float
+    head: tuple
+    pdf_consts: tuple
+    cdf_consts: tuple
 
 
 def geometry(p: AefParams) -> Geometry:

@@ -1,11 +1,13 @@
 """Series evaluation controls, results and error types shared by every
 engine, and the front ends of both composite laws: Law (the one density
-front end _density and the one mixture CDF snr_cdf) and Envelope. Each
-family supplies only its density kernels, the constants of its density
-and of its CDF mixture, and the head of its CDF, A x^p as x -> 0, stored
-as _head = (ln A, p). The density constants are built from it (the
-densities are its derivative times powers of Lambda/D), and pdf(0), the
-outage asymptote and the validation battery read it.
+front end _density and the one mixture CDF snr_cdf) and Envelope. A law
+is its parameter set's law at gamma_bar = 1 at gamma/gamma_bar: its
+constants are computed once per params object (params._unit), and every
+kernel takes ln gamma - ln gamma_bar. Each family supplies its density
+kernels; its params, the constants of its density and CDF mixture and the
+head of its CDF, A x^p as x -> 0, as (ln A, p). The density constants are
+built from the head (the densities are its derivative times powers of
+Lambda/D), and pdf(0), the outage asymptote and the battery read it.
 
 The densities and the mixture CDF take a float or an np.ndarray. A float
 runs the scalar kernels; an array runs every point as a lane of one array
@@ -164,18 +166,19 @@ def _freeze(obj, **values) -> None:
 
 @dataclass(frozen=True)
 class Law:
-    """Instantaneous-SNR law with mean SNR gamma_bar. A family subclass sets
-    _ln_lam, _head, _pdf_consts and _cdf_consts in __post_init__, and names
-    its density kernel in _pdf_kernel and its scipy array form in _pdf_form
-    (the pair _kernels._scipy_or_scalar_lanes takes); Law._densities takes
-    laws of either family.
-    _head is (ln A, p) of the CDF head F(x) ~ A x^p as x -> 0; the density
-    constants are built from it. _cdf_consts is the CDF: ln y0, alpha/2 and
-    the arguments of _kernels._beta_mixture at ln y = ln y0 + (alpha/2) ln x."""
+    """Instantaneous-SNR law with mean SNR gamma_bar. A family subclass names
+    its params class in _params_type, its density kernel in _pdf_kernel and
+    its scipy array form in _pdf_form (the pair _kernels._scipy_or_scalar_lanes
+    takes); Law._densities takes laws of either family. _pdf_consts and
+    _cdf_consts are the params' gamma_bar = 1 tuples, shared; the densities
+    take their log-Jacobian minus ln gamma_bar too. _head is (ln A, p) of the
+    CDF head F(x) ~ A x^p as x -> 0. _cdf_consts is the CDF: ln y0, alpha/2
+    and the arguments of _kernels._beta_mixture at ln y = ln y0 + (alpha/2)
+    (ln x - ln gamma_bar)."""
 
     params: AefParams | AkfParams
     gamma_bar: float
-    _ln_lam: float = field(init=False, repr=False)
+    _ln_gb: float = field(init=False, repr=False)
     _head: tuple = field(init=False, repr=False)
     _pdf_consts: tuple = field(init=False, repr=False)
     _cdf_consts: tuple = field(init=False, repr=False)
@@ -183,16 +186,13 @@ class Law:
     def __post_init__(self) -> None:
         if not (self.gamma_bar > 0.0 and math.isfinite(self.gamma_bar)):
             raise DomainError(f"gamma_bar must be positive, got {self.gamma_bar}")
-
-    def _ln_lambda(self, norm: float) -> float:
-        """ln Lambda = ln((ms - 1) norm gamma_bar^(alpha/2)), with norm the
-        family's power normalizer (upsilon or omega)."""
-        p = self.params
-        return (
-            math.log(p.ms - 1.0)
-            + math.log(norm)
-            + 0.5 * p.alpha * math.log(self.gamma_bar)
-        )
+        if not isinstance(self.params, self._params_type):
+            raise DomainError(f"{type(self).__name__} takes {self._params_type.__name__}")
+        unit = self.params._unit
+        ln_gb = math.log(self.gamma_bar)
+        ln_a, p = unit.head
+        _freeze(self, _ln_gb=ln_gb, _head=(ln_a - p * ln_gb, p),
+                _pdf_consts=unit.pdf_consts, _cdf_consts=unit.cdf_consts)
 
     def _density(self, name: str, var: str, x: float, power: float,
                  ctrl: SeriesControl | None) -> float:
@@ -220,7 +220,8 @@ class Law:
         ln_x = math.log(x)
         ln_jac = 0.0 if power == 1.0 else (power - 1.0) * ln_x + math.log(power)
         value, status = self._pdf_kernel(
-            self._pdf_consts, power * ln_x, ctrl.rel_tol, ctrl.max_terms, ln_jac
+            self._pdf_consts, power * ln_x - self._ln_gb, ctrl.rel_tol, ctrl.max_terms,
+            ln_jac - self._ln_gb
         )
         if status != STATUS_OK or not math.isfinite(value):
             raise _density_error(name, status != STATUS_OK)
@@ -233,7 +234,8 @@ class Law:
         for laws of either family; which is None for one law. Each family
         present, in order of first appearance, is one
         _kernels._scipy_or_scalar_lanes call on its own lanes with its
-        _pdf_kernel and _pdf_form, each lane taking its law's _pdf_consts.
+        _pdf_kernel and _pdf_form, each lane taking its law's _pdf_consts
+        and ln gamma_bar.
         Returns (values, errors), values a flat array: errors maps the index
         of each law that fails, as its scalar call would raise (a series
         that did not converge, an overflow), to that ConvergenceError, and
@@ -263,14 +265,16 @@ class Law:
             else:
                 ln_jac = (power - 1.0) * ln_x + math.log(power)
             if members.size == 1:
-                consts = laws[members[0]]._pdf_consts
+                law = laws[members[0]]
+                consts, ln_gb = law._pdf_consts, law._ln_gb
             else:
-                rows = [laws[i]._pdf_consts for i in members]
+                rows = [laws[i]._pdf_consts + (laws[i]._ln_gb,) for i in members]
                 table = np.ascontiguousarray(np.array(rows).T)
-                consts = tuple(table[:, np.searchsorted(members, which[lanes])])
+                *consts, ln_gb = table[:, np.searchsorted(members, which[lanes])]
+                consts = tuple(consts)
             values, status = _k._scipy_or_scalar_lanes(
-                kind._pdf_kernel, kind._pdf_form, consts, power * ln_x, ctrl.rel_tol,
-                ctrl.max_terms, ln_jac
+                kind._pdf_kernel, kind._pdf_form, consts, power * ln_x - ln_gb, ctrl.rel_tol,
+                ctrl.max_terms, ln_jac - ln_gb
             )
             bad = (status != 0) | ~np.isfinite(values)
             for i in np.unique(which[lanes[bad]]):
@@ -311,9 +315,8 @@ class Law:
             return end
         if ctrl is None:
             ctrl = default_control()
-        c = self._cdf_consts
         raw, terms, est, status = _k._beta_mixture(
-            c[0] + c[1] * math.log(gamma), *c[2:], ctrl.rel_tol, ctrl.max_terms
+            self._ln_y(gamma), *self._cdf_consts[2:], ctrl.rel_tol, ctrl.max_terms
         )
         if not math.isfinite(raw):
             raise _cdf_error()
@@ -321,7 +324,7 @@ class Law:
 
     def _ln_y(self, gamma: float) -> float:
         """ln of the CDF mixture's odds at gamma > 0 (X1 on alpha-kappa-F)."""
-        return self._cdf_consts[0] + self._cdf_consts[1] * math.log(gamma)
+        return self._cdf_consts[0] + self._cdf_consts[1] * (math.log(gamma) - self._ln_gb)
 
     def _require_first_weight(self, name: str) -> None:
         """Raises ConvergenceError where the mixture's first weight (e^(-mu
@@ -350,7 +353,8 @@ class Law:
                 ctrl = default_control()
             c = self._cdf_consts
             raw, terms[mid], e, status = _k._beta_mixture_lanes(
-                c[0] + c[1] * np.log(g[mid]), *c[2:], ctrl.rel_tol, ctrl.max_terms
+                c[0] + c[1] * (np.log(g[mid]) - self._ln_gb), *c[2:], ctrl.rel_tol,
+                ctrl.max_terms
             )
             if not np.isfinite(raw).all():
                 raise _cdf_error()

@@ -452,8 +452,9 @@ def _flip_h_sign(d: AefDist) -> AefDist:
     """Test-harness mutation hook: inject a sign error into the squared
     cluster-imbalance term of the CDF so downstream checks must catch it."""
     p = d.params
+    # the law's own tuple, at gamma_bar = 1: the params' shared one stays as it is
     object.__setattr__(d, "_cdf_consts", _k.aef_cdf_consts(
-        p.alpha, p.mu, p.ms, d.geometry.h, -d.geometry.H ** 2, d._ln_lam))
+        p.alpha, p.mu, p.ms, d.geometry.h, -d.geometry.H ** 2, p._unit.ln_lam))
     return d
 
 

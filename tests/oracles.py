@@ -26,6 +26,14 @@ from compfade._oracles import mp_setup as _setup
 DENSITY_DPS = 40
 
 
+def ln_lambda(d):
+    """ln Lambda = ln((ms - 1) norm gamma_bar^(alpha/2)) of a law d, from its
+    public normalizer (upsilon or omega_norm) and gamma_bar."""
+    p = d.params
+    norm = d.upsilon if hasattr(d, "upsilon") else d.omega_norm
+    return math.log(p.ms - 1.0) + math.log(norm) + 0.5 * p.alpha * math.log(d.gamma_bar)
+
+
 def _density_dps(ms):
     """DENSITY_DPS digits plus those the closed-form densities lose where
     their terms of size ms ln Lambda and ln Gamma(ms) cancel."""

@@ -137,6 +137,23 @@ def test_bad_grid_rejected():
     assert run_cli(*base, "--from", "1", "--to", "2", "--points", "1").returncode == 1
 
 
+def test_db_grid_with_a_non_positive_point_is_refused_before_evaluation():
+    # 10*log10(0) used to raise a ValueError traceback after the whole curve
+    # was evaluated; the grid is now refused up front
+    base = [
+        "curve", "--dist", "aef", "--alpha", "2.5", "--eta", "0.5",
+        "--mu", "1.2", "--ms", "4", "--quantity", "snr-cdf", "--db",
+    ]
+    for grid in (["--from", "0", "--to", "2", "--points", "3"],
+                 ["--from", "-1", "--to", "2", "--points", "3"],
+                 ["--from", "0", "--to", "0", "--points", "1"]):
+        r = run_cli(*base, *grid)
+        assert r.returncode == 1
+        assert r.stdout == b""
+        assert b"--db" in r.stderr and b"Traceback" not in r.stderr
+    assert run_cli(*base, "--from", "0.5", "--to", "2", "--points", "3").returncode == 0
+
+
 def test_usage_errors_exit_one():
     assert run_cli("curve", "--dist", "aef").returncode == 1
     assert run_cli("nonsense").returncode == 1

@@ -30,7 +30,7 @@ from compfade import _kernels as _k
 from compfade import params as _params
 from compfade.params import Format
 from conftest import rel_err
-from oracles import DENSITY_DPS, mp_aef_pdf, mp_akf_pdf
+from oracles import DENSITY_DPS, ln_lambda, mp_aef_pdf, mp_akf_pdf
 
 MS_MAX = _k._SCIPY_MS_MAX
 # scipy's 2F1 and Kummer-form 1F1 at the corners of the region (measured
@@ -45,7 +45,7 @@ SERIES_ROUTE_TOL = 2e-11
 
 def _aef_oracle(d, x, envelope=False):
     p = d.params
-    args = (p.alpha, p.mu, p.ms, d.geometry.h, d._ln_lam)
+    args = (p.alpha, p.mu, p.ms, d.geometry.h, ln_lambda(d))
     if envelope:
         r = mp.mpf(x)
         return 2 * r * mp_aef_pdf(*args, r * r)
@@ -54,7 +54,7 @@ def _aef_oracle(d, x, envelope=False):
 
 def _akf_oracle(d, x, envelope=False):
     p = d.params
-    args = (p.alpha, p.mu, p.ms, p.kappa, d._ln_lam)
+    args = (p.alpha, p.mu, p.ms, p.kappa, ln_lambda(d))
     if envelope:
         r = mp.mpf(x)
         return 2 * r * mp_akf_pdf(*args, r * r)

@@ -282,6 +282,29 @@ def test_moments_match_simulation(phys_aef, phys_akf):
     assert rel_err(np.mean(rk ** 2), envelope_sq_mean(phys_akf)) <= 0.02
 
 
+@pytest.mark.parametrize("params", [
+    AefParams(alpha=2.5, eta=0.5, mu=1.0, ms=4.0),
+    AkfParams(alpha=2.5, kappa=1.5, mu=1.0, ms=4.0),
+])
+@pytest.mark.parametrize("power_target", [math.inf, math.nan, 0.0, -1.0])
+def test_make_phys_rejects_a_power_target_that_is_not_positive_and_finite(params,
+                                                                         power_target):
+    with pytest.raises(DomainError, match="power_target"):
+        make_phys(params, power_target=power_target)
+
+
+@pytest.mark.parametrize("family", [["aef", "--eta", "0.5"], ["akf", "--kappa", "1.5"]])
+def test_sample_cli_rejects_an_infinite_omega(family):
+    # it printed inf (aef) or nan with a RuntimeWarning (akf) and exited 0
+    from test_cli import run_cli
+
+    r = run_cli("sample", "--dist", *family, "--alpha", "2.5", "--mu", "1", "--ms", "4",
+                "--n", "3", "--seed", "1", "--omega", "inf")
+    assert r.returncode == 1
+    assert r.stdout == b""
+    assert b"power_target" in r.stderr
+
+
 def test_power_target_rescales_exactly():
     p = make_phys(AkfParams(alpha=2.5, kappa=1.5, mu=2.0, ms=4.0), power_target=2.0)
     assert rel_err(envelope_sq_mean(p), 2.0) <= 1e-12

@@ -54,7 +54,7 @@ FORMAT_II_NEG = [
 
 def _aef_ln_y(d: AefDist, g: float) -> float:
     p = d.params
-    return math.log(2.0 * p.mu * d.geometry.h) + 0.5 * p.alpha * math.log(g) - d._ln_lam
+    return math.log(2.0 * p.mu * d.geometry.h) + 0.5 * p.alpha * math.log(g) - oracles.ln_lambda(d)
 
 
 @pytest.mark.parametrize("ratio", [1e-4, 1e-3])
@@ -102,7 +102,8 @@ def test_aef_alternating_weights_match_mixture_oracle(ratio):
     d = AefDist(p, gamma_bar)
     g = gamma_bar * ratio
     hsq = d.geometry.H ** 2
-    flipped = _k.aef_cdf_consts(p.alpha, p.mu, p.ms, d.geometry.h, -hsq, d._ln_lam)
+    flipped = _k.aef_cdf_consts(p.alpha, p.mu, p.ms, d.geometry.h, -hsq,
+                                 oracles.ln_lambda(d))
     raw, _, _, status = _k._beta_mixture(flipped[0] + flipped[1] * math.log(g), *flipped[2:],
                                          1e-12, 100_000)
     want = float(oracles.mp_aef_cdf(p.mu, p.ms, d.geometry.h, -hsq, _aef_ln_y(d, g)))

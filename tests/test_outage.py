@@ -10,6 +10,7 @@ from compfade import (
     AefParams,
     AkfDist,
     AkfParams,
+    ConvergenceError,
     DomainError,
     GainPair,
     LaneResult,
@@ -114,6 +115,16 @@ def test_gamma_th_validation(aef_dist):
         gains(aef_dist, 0.0)
     with pytest.raises(DomainError):
         asymptotic_outage_aef(aef_dist, -1.0)
+
+
+@pytest.mark.parametrize("gamma_bar", [1.0, 1e3])
+def test_gains_past_the_double_range_raise_convergence_error(gamma_bar):
+    # gc = 1 / (gamma_th A^(1/gd)) overflows at the least subnormal gamma_th:
+    # this raised a bare OverflowError
+    d = AefDist(AefParams(alpha=2.5, eta=0.5, mu=1.2, ms=4.0), gamma_bar)
+    with pytest.raises(ConvergenceError, match="gains: .* leaves the double range"):
+        gains(d, 5e-324)
+    assert math.isfinite(gains(d, 1e-300).gc)
 
 
 def test_gain_pair_validation():
