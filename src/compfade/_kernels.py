@@ -14,6 +14,12 @@ growth can overflow doubles: the composite-fading expressions multiply very
 large Gamma terms by very small powers, and only the combination is
 representable.
 
+Every scalar call of a scipy.special function goes to scipy's C kernel
+through scipy.special.cython_special's typed double entry (_betainc,
+_betaincc, _hyp2f1, _hyp1f1), without the ufunc's dispatch; every array
+call goes through the ufunc. Both routes run the same kernel and give the
+same double.
+
 The regularized incomplete beta comes from scipy.special (reg_inc_beta).
 The CDF mixture of both laws (_beta_mixture) takes it from scipy at its
 first and its last term only, and sums the steps T of the DLMF 8.17.20
@@ -52,6 +58,15 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy import special as _sc
+from scipy.special import cython_special as _cs
+
+# scalar scipy.special calls: the typed double entries of cython_special,
+# which skip the ufunc's dispatch (about 0.75 us a call with scipy 1.17.1),
+# not the fused functions, which refuse Python ints
+_betainc = _cs.betainc["double"]
+_betaincc = _cs.betaincc["double"]
+_hyp2f1 = _cs.hyp2f1["double"]
+_hyp1f1 = _cs.hyp1f1["double"]
 
 _LN_RESCALE = 645.0  # e^645 is close to the overflow edge; rescale margin below it
 _LN_POW_MIN = -700.0  # e^-700 = 1e-304, just above the subnormal range
@@ -76,9 +91,9 @@ _LBETA_STIRLING_MIN = 1e3
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # an array of fewer points goes to _beta_mixture point by point: on the
 # battery's 162 grid cells (points 0.05 to 8), the array loop cost 3.6x the
-# scalar calls at 10 points, 2.1x at 20, 1.4x at 32, 1.17x at 40, 1.0x at 48
-# and 0.78x at 64 (process time, best of 9); tests/test_lanes.py's 40-point
-# straggler grid must reach the array loop, so the start is not above 40
+# scalar calls at 10 points, 2.3x at 20, 1.55x at 32, 1.3x at 40, 1.13x at
+# 48, 1.0x at 56 and 0.9x at 64 (process time, best of 9); tests/test_lanes.py's
+# 40-point straggler grid must reach the array loop, so the start is not above 40
 _LANES_START = 40
 
 
@@ -135,8 +150,8 @@ def pdf_at_zero(ln_a, q):
 
 
 def reg_inc_beta(a, b, x, cx):
-    """Regularized incomplete beta I_x(a,b) given x and cx = 1 - x, from
-    scipy.special.
+    """Regularized incomplete beta I_x(a,b) given x and cx = 1 - x, a float,
+    from scipy.special's typed scalar entries (_betainc, _betaincc).
 
     Above x = 1/2 it is the complement betaincc(b, a, cx), so an x within an
     ulp of 1 (the CDF mixtures reach both ends) keeps the digits cx carries.
@@ -145,8 +160,8 @@ def reg_inc_beta(a, b, x, cx):
     and _ln_2f1_beta, which would scale it by y^-a, takes Pfaff's form there.
     """
     if x > 0.5:
-        return float(_sc.betaincc(b, a, cx))
-    return float(_sc.betainc(a, b, x))
+        return _betaincc(b, a, cx)
+    return _betainc(a, b, x)
 
 
 def _ln_beta_step(a, b, lnx, lncx):
@@ -649,7 +664,7 @@ def _density_2f1_ln(mu, ms, z, omz, rel_tol, max_terms):
     if z > 0.5:
         ln_pre, a, b = (c - a - b) * math.log(omz), c - a, c - b
     if ms <= _SCIPY_MS_MAX:
-        f = _sc.hyp2f1(a, b, c, z)
+        f = _hyp2f1(a, b, c, z)
         if 0.0 < f < math.inf:
             return ln_pre + math.log(f), 1.0, 0
     if z >= 1.0:
@@ -766,7 +781,7 @@ def akf_snr_pdf_kernel(consts, ln_g, rel_tol, max_terms, ln_jac):
     x = mk * t
     ln_f, sgn_f = 0.0, 1.0
     if x > 0.0:
-        f = _sc.hyp1f1(-ms, mu, -x) if ms <= _SCIPY_MS_MAX else math.inf
+        f = _hyp1f1(-ms, mu, -x) if ms <= _SCIPY_MS_MAX else math.inf
         if 0.0 < f < math.inf:
             ln_f = x + math.log(f)
         else:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as sc
 
-from ._kernels import _ln_gamma_star
+from ._kernels import _hyp1f1, _hyp2f1, _ln_gamma_star
 from .params import AefParams, AkfParams, Format, _require_shape
 from .series import DomainError
 
@@ -328,7 +328,7 @@ def _aef_sum_moment(p: PhysAef, q: float) -> float:
         a = p.sigma2 * (1.0 + p.eta)
         b = p.sigma2 * (1.0 - p.eta)
     mu = float(p.mu_int)
-    f = float(sc.hyp2f1(-q, mu, 2.0 * mu, 1.0 - a / b))
+    f = _hyp2f1(-q, mu, 2.0 * mu, 1.0 - a / b)
     return (
         (2.0 * b) ** q
         * math.exp(math.lgamma(2.0 * mu + q) - math.lgamma(2.0 * mu))
@@ -343,7 +343,7 @@ def _akf_sum_moment(p: PhysAkf, q: float) -> float:
     scipy.special.hyp1f1 call with no e^(mu kappa) to overflow."""
     mu = float(p.mu_int)
     mk = 0.5 * p.d2 / p.sigma2
-    f = float(sc.hyp1f1(-q, mu, -mk))
+    f = _hyp1f1(-q, mu, -mk)
     return (
         (2.0 * p.sigma2) ** q
         * math.exp(math.lgamma(mu + q) - math.lgamma(mu))

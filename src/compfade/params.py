@@ -10,7 +10,8 @@ densities integrate to mean gamma_bar; both require ms > 2/alpha for the
 underlying fractional moment to exist.
 
 A parameter set's law at gamma_bar = 1 (its normalizer, geometry, CDF head
-and kernel constants) is computed once, on first use, as its _unit field;
+and kernel constants) is computed once, on first use, as its _unit field,
+and an alpha-eta-F set's geometry once as its _geometry field (_once);
 series.Law applies gamma_bar at evaluation, as ln gamma - ln gamma_bar.
 """
 from __future__ import annotations
@@ -20,8 +21,6 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-from scipy.special import hyp1f1, hyp2f1
 
 from . import _kernels as _k
 from .series import ConvergenceError, DomainError
@@ -59,6 +58,23 @@ def _require_shape(
         raise DomainError(f"ms must exceed 1 and be finite, got {ms}")
 
 
+class _once:
+    """A field computed from its instance on first access and stored in the
+    instance's __dict__, where later lookups find it before this non-data
+    descriptor: functools.cached_property without the class-wide lock it
+    takes on every first access before Python 3.12 (1.4 us). Two threads
+    may both compute the field; they store equal values."""
+
+    def __init__(self, fn):
+        self._fn, self._name = fn, fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self._name] = self._fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class AefParams:
     """Shape parameters of the alpha-eta-F distribution."""
@@ -84,7 +100,15 @@ class AefParams:
                     f"Format II requires -1 < eta < 1, got {self.eta}"
                 )
 
-    @functools.cached_property
+    @_once
+    def _geometry(self) -> Geometry:
+        if self.format is Format.FORMAT_I:
+            inv = 1.0 / self.eta
+            return Geometry(h=(2.0 + inv + self.eta) / 4.0, H=(inv - self.eta) / 4.0)
+        c = 1.0 - self.eta * self.eta
+        return Geometry(h=1.0 / c, H=self.eta / c)
+
+    @_once
     def _unit(self) -> _UnitLaw:
         geo, ups = geometry(self), upsilon(self)
         ln_lam = math.log(self.ms - 1.0) + math.log(ups)
@@ -114,7 +138,7 @@ class AkfParams:
                 f"got {self.kappa}"
             )
 
-    @functools.cached_property
+    @_once
     def _unit(self) -> _UnitLaw:
         om = omega(self)
         ln_lam = math.log(self.ms - 1.0) + math.log(om)
@@ -149,12 +173,9 @@ class _UnitLaw(NamedTuple):
 
 
 def geometry(p: AefParams) -> Geometry:
-    """Geometry pair of an alpha-eta-F parameter set."""
-    if p.format is Format.FORMAT_I:
-        inv = 1.0 / p.eta
-        return Geometry(h=(2.0 + inv + p.eta) / 4.0, H=(inv - p.eta) / 4.0)
-    c = 1.0 - p.eta * p.eta
-    return Geometry(h=1.0 / c, H=p.eta / c)
+    """Geometry pair of an alpha-eta-F parameter set, computed once per
+    params object."""
+    return p._geometry
 
 
 def convert_format(eta: float, from_format: Format) -> float:
@@ -236,7 +257,7 @@ def upsilon(p: AefParams):
     2F1 terminates at 1).
     """
     geo, q = geometry(p), 2.0 / p.alpha
-    f = float(hyp2f1(0.5 - 0.5 * q, -0.5 * q, p.mu + 0.5, (geo.H / geo.h) ** 2))
+    f = _k._hyp2f1(0.5 - 0.5 * q, -0.5 * q, p.mu + 0.5, (geo.H / geo.h) ** 2)
     return 2.0 * p.mu / (p.ms - 1.0), 2.0 * p.mu, p.ms, f
 
 
@@ -250,5 +271,5 @@ def omega(p: AkfParams):
     The 1F1 is one scipy.special.hyp1f1 call, exactly 1 at kappa = 0. Equals
     1 at alpha = 2 for every kappa (the 1F1 terminates at 1 + kappa).
     """
-    f = float(hyp1f1(-2.0 / p.alpha, p.mu, -p.mu * p.kappa))
+    f = _k._hyp1f1(-2.0 / p.alpha, p.mu, -p.mu * p.kappa)
     return p.mu * (1.0 + p.kappa) / (p.ms - 1.0), p.mu, p.ms, f

@@ -144,13 +144,25 @@ def test_cdf_lanes_clamp_as_the_scalar_call_does(monkeypatch):
 @pytest.mark.parametrize("name,law,envelope,p", laws("aef-I", "aef-II", "akf"))
 def test_density_lanes_scipy_does_not_serve_take_the_series(name, law, envelope, p,
                                                            monkeypatch):
-    # scipy gives no finite value once |z| or x passes 0.3: both calls sum the series
+    # scipy gives no finite value once |z| or x passes 0.1, through the ufunc
+    # (array calls) and the typed entry (scalar calls): both sum the series.
+    # The law is built first, so its normalizer takes scipy's value.
+    d = law(p, 1.0)
+    refused = []
     for fn in ("hyp2f1", "hyp1f1"):
         real = getattr(_k._sc, fn)
         monkeypatch.setattr(_k._sc, fn, lambda *args, _f=real: np.where(
-            np.abs(args[-1]) > 0.3, np.inf, _f(*args)))
-    d = law(p, 1.0)
+            np.abs(args[-1]) > 0.1, np.inf, _f(*args)))
+
+        def scalar(*args, _f=getattr(_k, "_" + fn)):
+            if abs(args[-1]) > 0.1:
+                refused.append(args)
+                return math.inf
+            return _f(*args)
+
+        monkeypatch.setattr(_k, "_" + fn, scalar)
     _assert_pdf_lanes(d.snr_pdf(GRID), [d.snr_pdf(float(g)) for g in GRID])
+    assert refused
 
 
 @pytest.mark.parametrize("name,law,envelope,p", laws("aef-I", "aef-II"))

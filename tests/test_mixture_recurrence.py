@@ -153,12 +153,14 @@ def test_mixture_is_its_terms_summed_to_rounding(args, terms):
 
 
 def _count_scipy_calls(monkeypatch) -> list:
-    """Patches the incomplete betas the kernels call; returns the list that
+    """Patches the incomplete betas the kernels call, the ufuncs of array
+    calls and the typed entries of scalar calls; returns the list that
     records one entry per call."""
     calls = []
-    for fn in ("betainc", "betaincc"):
-        real = getattr(_k._sc, fn)
-        monkeypatch.setattr(_k._sc, fn, lambda *args, _f=real: calls.append(1) or _f(*args))
+    for module, fn in ((_k._sc, "betainc"), (_k._sc, "betaincc"), (_k, "_betainc"),
+                       (_k, "_betaincc")):
+        real = getattr(module, fn)
+        monkeypatch.setattr(module, fn, lambda *args, _f=real: calls.append(1) or _f(*args))
     return calls
 
 
@@ -170,7 +172,7 @@ def test_scalar_mixture_calls_scipy_at_most_twice(ln_y, monkeypatch):
     calls = _count_scipy_calls(monkeypatch)
     _, terms, _, status = _k._beta_mixture(ln_y, *args, 1e-12, 100_000)
     assert status == 0 and terms > 5
-    assert len(calls) <= 2
+    assert 1 <= len(calls) <= 2
 
 
 def test_lanes_call_scipy_as_often_however_many_terms(monkeypatch):
@@ -184,7 +186,7 @@ def test_lanes_call_scipy_as_often_however_many_terms(monkeypatch):
         r = d.snr_cdf(grid, SeriesControl(max_terms=max_terms))
         counts.append(len(calls))
     assert r.terms_used.max() > 500
-    assert counts[0] == counts[1] == counts[2]
+    assert 1 <= counts[0] == counts[1] == counts[2]
 
 
 def _assert_lanes_equal_scalar_calls(d, g):
