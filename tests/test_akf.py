@@ -6,6 +6,8 @@ against 60-digit evaluations of the underlying hypergeometric series.
 
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -18,8 +20,9 @@ from compfade import (
     SeriesControl,
     kdf_2_1,
 )
-from compfade.validation import _CDF_POINTS, _standard_grids
+from compfade.validation import _CDF_POINTS, _humbert_cdf, _standard_grids
 from conftest import rel_err
+from oracles import mp_akf_cdf, mp_humbert_psi1
 
 GOLDEN_TOL = 1e-11
 
@@ -38,9 +41,9 @@ def test_snr_cdf_series_frozen_spot(dist):
 
 
 def test_snr_cdf_closed_frozen_spots(dist):
-    # 0.3 sits below the guard band, where the closed CDF is the mixture,
-    # 3.0 on the large-argument Humbert form; both must agree with their
-    # frozen references.
+    # 0.3 sits below the guard band and 3.0 above it, where the paper's
+    # closed forms are the Kampe de Feriet and the Humbert form; both
+    # re-sum the mixture, and both must agree with their frozen references.
     assert rel_err(dist.snr_cdf_closed(0.3).value, 0.13718380329128696) <= GOLDEN_TOL
     assert rel_err(dist.snr_cdf_closed(3.0).value, 0.9706655239700187) <= GOLDEN_TOL
 
@@ -66,16 +69,17 @@ def test_snr_cdf_matches_quadrature(dist):
 
 
 def test_closed_form_agrees_with_series_both_branches(dist):
-    # Above the guard band the Humbert form and the incomplete-beta series
-    # are two independent routes to the same CDF; below it the closed CDF
-    # is the series itself.
+    # Above the guard band the paper's Humbert form (validation's reference)
+    # and the incomplete-beta series are two independent routes to the same
+    # CDF; the closed CDF is the series itself on both sides.
+    above = 0
     for g in (0.2, 0.5, 0.9, 1.3, 2.0, 4.0):
-        x1 = math.exp(dist._ln_x1(g))
-        if abs(x1 - 1.0) <= CLOSED_FORM_GUARD:
-            continue
-        s = dist.snr_cdf_series(g).value
-        c = dist.snr_cdf_closed(g).value
-        assert abs(c - s) <= 1e-10
+        s = dist.snr_cdf_series(g)
+        assert dist.snr_cdf_closed(g) == s
+        if math.exp(dist._ln_x1(g)) > 1.0 + CLOSED_FORM_GUARD:
+            above += 1
+            assert abs(_humbert_cdf(dist, g).value - s.value) <= 1e-12
+    assert above == 3
 
 
 def test_closed_form_guard_band_falls_back_to_series(dist):
@@ -116,6 +120,59 @@ def test_closed_cdf_in_the_deep_tail_at_huge_ms(kappa, want, terms):
     r = AkfDist(AkfParams(kappa=kappa, **_TAIL_KW), 1.0).snr_cdf_closed(1e-60)
     assert r.converged and r.terms_used <= terms
     assert rel_err(r.value, want) <= 1e-13
+
+
+# (mu, ms, kappa, y = 1/X1), y a dyadic fraction so that -1/X1 is exact
+_ROWS = [(1.2, 4.0, 1.5, 0.4375), (0.5, 2.25, 20.0, 0.8125),
+         (3.0, 1.5, 0.25, 0.0625), (2.25, 30.0, 8.0, 0.5)]
+
+
+@pytest.mark.parametrize("mu, ms, kappa, y", _ROWS)
+def test_humbert_term_is_the_mixture_row_for_row(mu, ms, kappa, y):
+    # 2F1(B + b, B; B + 1; -y) = B y^-B B(B, b) I_(y/(1+y))(B, b) with B = ms,
+    # b = mu + n: the Humbert term's row n times its prefactor is the
+    # Poisson weight times I_(1/(1+X1))(ms, mu + n), so 1 minus the term is
+    # the mixture on the Humbert side
+    mp.mp.dps = 60
+    mu, ms, mk, y = mp.mpf(mu), mp.mpf(ms), mp.mpf(mu * kappa), mp.mpf(y)
+    psi = mp_humbert_psi1(mu + ms, ms, 1 + ms, mu, -y, mk)
+    term = mp.exp(-mk) * y ** ms / (ms * mp.beta(mu, ms)) * psi
+    rows, n, small = mp.mpf(0), 0, 0
+    while small < 3:
+        row = (mp.exp(-mk + n * mp.log(mk) - mp.loggamma(n + 1))
+               * mp.betainc(ms, mu + n, 0, y / (1 + y), regularized=True))
+        rows += row
+        small = small + 1 if n > mk and row < mp.mpf(10) ** -45 else 0
+        n += 1
+    assert abs(term - rows) <= 1e-30
+
+
+def test_closed_cdf_at_the_readme_point():
+    # X1 = 1.297 at mu kappa = 52.6: the Humbert form returned 3.4451e-10
+    # as converged, 0.49% off the CDF
+    p = AkfParams(alpha=1.3634, mu=1.5732, ms=1.7077, kappa=33.41)
+    d = AkfDist(p, 1.46534)
+    r = d.snr_cdf_closed(1.46534e-3)
+    want = float(mp_akf_cdf(p.mu, p.ms, p.kappa, d._ln_x1(1.46534e-3)))
+    assert r.converged and rel_err(r.value, want) <= 1e-12
+
+
+@pytest.mark.parametrize("mk", [15.0, 40.0, 67.0, 100.0])
+def test_closed_cdf_error_within_est_error_past_the_guard_band(mk):
+    # just past the band at large mu kappa the Humbert form's est_error was
+    # a quarter to a half of its error (2.8e-12 for a CDF of 5.8e-14 at
+    # mu kappa = 67, gamma = 5e-5)
+    alpha, mu, ms, gb = 0.9057125651248272, 2.25140272766099, 2.305451353845446, 4.490640916205504
+    d = AkfDist(AkfParams(alpha=alpha, mu=mu, ms=ms, kappa=mk / mu), gb)
+    x1 = np.array([1.055, 1.06, 1.07])
+    gammas = np.exp((np.log(x1) - d._ln_x1(1.0)) / (0.5 * alpha)).tolist()
+    if mk == 67.0:
+        gammas.append(5.0e-5)
+    for g in gammas:
+        assert 1.05 < math.exp(d._ln_x1(g)) < 1.075
+        r = d.snr_cdf_closed(g)
+        want = float(mp_akf_cdf(mu, ms, mk / mu, d._ln_x1(g)))
+        assert r.converged and abs(r.value - want) <= r.est_error
 
 
 def _kdf_form(d, g):

@@ -251,7 +251,7 @@ def _assert_plain(r):
     assert type(r.converged) is bool
 
 
-@pytest.mark.parametrize("g", [0.3, 50.0])  # below the band (the mixture), Humbert branch
+@pytest.mark.parametrize("g", [0.3, 50.0])  # below and above the band, both the mixture
 def test_closed_form_results_hold_plain_python_types(g):
     _assert_plain(AkfDist(AkfParams(alpha=2.5, kappa=1.5, mu=1.2, ms=4.0), 1.0)
                   .snr_cdf_closed(g))

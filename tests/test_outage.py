@@ -150,6 +150,10 @@ def test_outage_rejects_an_array_with_a_bad_threshold(aef_dist, bad):
         outage(aef_dist, np.array([0.5, bad, 2.0]))
 
 
-def test_closed_cdf_takes_one_point_per_call(akf_dist):
-    with pytest.raises(DomainError, match="one point"):
-        akf_dist.snr_cdf_closed(np.array([0.5, 1.0]))
+def test_closed_cdf_takes_arrays_as_snr_cdf_does(akf_dist):
+    # the closed CDF is the mixture on both sides of the band, lanes and all
+    g = np.array([[0.05, 0.5, 1.0], [2.0, 8.0, math.inf]])
+    got, want = akf_dist.snr_cdf_closed(g), akf_dist.snr_cdf(g)
+    assert isinstance(got, LaneResult)
+    for field in ("value", "terms_used", "est_error", "converged"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
