@@ -25,8 +25,8 @@ The CDF mixture of both laws (_beta_mixture) takes it from scipy at its
 first and its last term only, and sums the steps T of the DLMF 8.17.20
 recurrence between them by parts, against the partial sums of the
 weights. 2F1(B + b, B; B + 1; -y), an incomplete beta, has one evaluator
-(_ln_2f1_beta), called once a row by the Kampe de Feriet beta rows of
-kdf_2_1_ln and once by the truncation bound (aef_cdf_bound_kernel).
+(_ln_2f1_beta), called by the double series' rows of that structure
+(_ln_2f1_row) and once by the truncation bound (aef_cdf_bound_kernel).
 
 The density kernels take their hypergeometric factor from scipy.special
 where scipy was measured accurate (scipy 1.17.1 within 4e-13 of mpmath):
@@ -46,17 +46,17 @@ kernels' constants are computed once per parameter set, at gamma_bar = 1
 b) takes Stirling's form above a + b = 1e3 (_lbeta).
 
 The single series and the mixture add one term per interpreted loop
-step. The Humbert Psi1 double series instead advances every live column
-over a block of up to _PSI1_BLOCK diagonals in one 2-D array, so its
-interpreted cost is paid per block rather than per diagonal; its stop test
-and rescaling still act diagonal by diagonal (humbert_psi1_ln).
+step. The two double series, Humbert Psi1 and Kampe de Feriet, add one
+row per step: one outer loop (_row_sum) sums single-variable rows, 2F1
+rows from _ln_2f1_row and 1F1 rows from _ln_1f1_row, each a scipy call
+where scipy was measured accurate, with log-carried coefficients
+(humbert_psi1_ln, kdf_2_1_ln).
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy import special as _sc
 from scipy.special import cython_special as _cs
 
@@ -74,11 +74,11 @@ _LN_POW_MIN = -700.0  # e^-700 = 1e-304, just above the subnormal range
 _ABS_TOL = 1e-300
 _LN_ABS_TOL = math.log(_ABS_TOL)
 CDF_LN_W0 = 5  # index of ln w_0, the mixtures' first weight, in the CDF consts
-# humbert_psi1_ln sums up to this many diagonals per block, in blocks of
-# at most this many terms (1 MB of doubles)
-_PSI1_BLOCK = 64
-_PSI1_BLOCK_ELEMS = 1 << 17
-_PSI1_UPPER = ~np.tri(_PSI1_BLOCK, dtype=bool)  # [j, i]: i > j
+# at x >= 0, humbert_psi1_ln sums 2F1 rows from scipy.special only up to
+# this c: there scipy 1.17.1's hyp2f1 was measured within 3e-12 of mpmath
+# at z in (0, 1) with a and b up to 1e3, while past c = 11 it is up to 30%
+# off where a is 1.5-3 c and z > 0.3
+_SCIPY_2F1_C_MAX = 10.0
 # the density kernels take their 2F1 and 1F1 from scipy.special up to this
 # ms, where scipy 1.17.1 was measured within 4e-13 of mpmath (CHANGES.md);
 # past it hyp2f1 drifts to 5e-12 near z = 0 by ms = 250 and gives NaN at
@@ -313,194 +313,79 @@ def kummer_1f1_ln(a, b, z, rel_tol, max_terms):
     return _hyper_series(a, None, b, z, rel_tol, max_terms, ln_pref)
 
 
-def humbert_psi1_ln(a, b, c, cp, x, y, rel_tol, max_terms):
-    """Humbert Psi1 double series summed over expanding anti-diagonals,
-    a block of up to _PSI1_BLOCK diagonals at a time.
+def _is_beta_row(a, b, c, z):
+    """Whether 2F1(a, b; c; z) is 2F1(B + b', B; B + 1; -y) with B = b, b' =
+    a - b > 0 and y = -z > 0, the contiguous structure of the composite CDF's
+    double series. c = b + 1 is tested up to a few ulps: c built as b + 1 in
+    floating point can sit an ulp off, and snapping it changes the function
+    by far less than the row-evaluation error it avoids."""
+    ulps = 64.0 * 2.220446049250313e-16 * max(1.0, abs(c))
+    return z < 0.0 and a > b > 0.0 and abs(c - b - 1.0) <= ulps
 
-    Psi1(a;b;c,c';x,y) = sum_{m,n} (a)_{m+n} (b)_m / ((c)_m (c')_n) x^m y^n / (m! n!).
-    Column m keeps its own running term T(m,n), advanced one n-step per
-    diagonal d by (a+d-1) y / ((n+c'-1) n), so no division by x or y ever
-    happens (stable when either is tiny). A block is one 2-D array whose
-    cumulative product down each column, seeded with the column's current
-    term, forms the same products in the same order as stepping one
-    diagonal at a time; the columns that open inside the block form its
-    lower triangle, seeded with T(m,0) from the x-recurrence. One reduction
-    gives the diagonal sums, and the stop test (two successive small
-    diagonals) runs on their sequential partial sums. The block is cut after
-    the first diagonal that stops the sum or leaves 1e290 in the partial
-    sum or a term; there everything is rescaled by 1e-290 and the next block
-    starts. A block holds at most _PSI1_BLOCK_ELEMS terms.
 
-    b a non-positive integer truncates the m-range and lifts the |x| < 1
-    requirement. Negative x with non-terminating b is rewritten
-    through Psi1(a,b;c,c';x,y) = (1-x)^(-a) Psi1(a,c-b;c,c';x/(x-1),y/(1-x)),
-    whose terms do not alternate in m; without it the raw series cancels
-    catastrophically once y is large. Returns (ln_abs, sign, diagonals,
-    est_rel, status).
+def _ln_2f1_row(a, b, c, z, rel_tol, max_terms):
+    """(ln|2F1(a, b; c; z)|, sign, status), a row of a double series.
+
+    A row of the contiguous structure (_is_beta_row) comes from
+    _ln_2f1_beta, which keeps every factor positive. Any other comes from
+    scipy's hyp2f1 where it gives a finite nonzero double; where it
+    overflows at 0 < z < 1, from Euler's (1 - z)^(c-a-b) 2F1(c - a, c - b;
+    c; z) with that 2F1 from scipy; else from gauss_2f1_ln.
     """
-    if _is_nonpos_int(cp):
-        return 0.0, 0.0, 0, 0.0, 2
-    ln_pref = 0.0
-    if x < 0.0 and not _is_nonpos_int(b):
-        ln_pref = -a * math.log1p(-x)
-        b = c - b
-        y = y / (1.0 - x)
-        x = x / (x - 1.0)
-    b_term = _is_nonpos_int(b)
-    m_cap = max_terms + 1
-    if b_term:
-        m_cap = int(-b) + 1
-    if not b_term and abs(x) >= 1.0:
-        return 0.0, 0.0, 0, 0.0, 2
-    if _is_nonpos_int(c) and not (b_term and int(-b) < int(-c) + 1):
-        return 0.0, 0.0, 0, 0.0, 2
-    col = np.ones(1)  # T(m, diag - m) of the live columns m = 0..len(col)-1
-    row_base = 1.0  # T(m,0) of the newest column
-    s = 1.0  # running double sum (includes diagonal 0)
-    ln_scale = 0.0
-    small = False  # whether the last diagonal passed the stop test
-    diag = 0
-    est = 0.0
-    status = 1
-    # the factors of columns not yet open divide by zero, and a block may
-    # overflow past the diagonal where it is cut; neither value is used
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while status and diag < max_terms:
-            n0 = len(col)
-            nb = min(_PSI1_BLOCK, max_terms - diag)
-            n1 = min(diag + nb + 1, m_cap)
-            if nb * n1 > _PSI1_BLOCK_ELEMS:
-                nb = max(1, _PSI1_BLOCK_ELEMS // n1)
-                n1 = min(diag + nb + 1, m_cap)
-            k = n1 - n0  # columns n0..n1-1 open on the block's first k diagonals
-            d = np.arange(diag + 1.0, diag + nb + 1.0)
-            # column m is at n = d - m on diagonal d, so n and the denominator
-            # (n + c' - 1) n are constant along the block's anti-diagonals:
-            # computed once per n, read through a Toeplitz view
-            n = np.arange(diag + nb, diag - n1 + 1, -1.0)
-            den = (n + (cp - 1.0)) * n
-            den = as_strided(den[nb - 1:], shape=(nb, n1),
-                             strides=(-den.itemsize, den.itemsize), writeable=False)
-            # row 0 seeds the cumprod with the live terms, and with 1 for the
-            # new columns, whose factors are 1 up to their first diagonal,
-            # where they take T(m,0)
-            t = np.empty((nb + 1, n1))
-            t[0, :n0] = col
-            t[0, n0:] = 1.0
-            np.divide(((a + d - 1.0) * y)[:, None], den, out=t[1:])
-            if k:
-                dm = d[:k]
-                bases = np.cumprod(np.concatenate((
-                    [row_base], (a + dm - 1.0) * (b + dm - 1.0) * x / ((c + dm - 1.0) * dm))))
-                upper = _PSI1_UPPER[:nb, :k]
-                t[1:, n0:][upper] = 1.0
-                t.reshape(-1)[n1 + n0::n1 + 1][:k] = bases[1:]
-            np.cumprod(t, axis=0, out=t)
-            t = t[1:]
-            if k:
-                t[:, n0:][upper] = 0.0
-            d_sums = t.sum(axis=1)
-            sums = np.cumsum(np.concatenate(([s], d_sums)))[1:]
-            ad = np.abs(d_sums)
-            small_v = ad <= np.maximum(rel_tol * np.abs(sums), _ABS_TOL)
-            stop_v = small_v & np.concatenate(([small], small_v[:-1]))
-            peaks = np.maximum(t.max(axis=1), -t.min(axis=1))
-            over_v = np.maximum(np.abs(sums), peaks) > 1e290
-            # the block ends at the first diagonal that stops or needs a rescale
-            ends = stop_v | over_v
-            j = int(ends.argmax()) if ends.any() else nb - 1
-            diag += j + 1
-            s = float(sums[j])
-            est = float(ad[j])
-            small = bool(small_v[j])
-            col = t[j, :min(diag + 1, m_cap)]
-            if k:
-                row_base = float(bases[min(j + 1, k)])
-            if stop_v[j]:
-                status = 0
-            elif over_v[j]:
-                inv = 1e-290
-                s *= inv
-                row_base *= inv
-                col = col * inv
-                ln_scale += math.log(1e290)
-    terms = min(diag + 1, max_terms)
-    if s == 0.0:
-        return -math.inf, 0.0, terms, est, status
-    sgn = 1.0 if s > 0.0 else -1.0
-    return ln_pref + math.log(abs(s)) + ln_scale, sgn, terms, est / abs(s), status
+    if _is_beta_row(a, b, c, z):
+        ln_y = math.log(-z)
+        ln_f, st = _ln_2f1_beta(b, a - b, ln_y, *_beta_argument(ln_y), rel_tol, max_terms)
+        return ln_f, 1.0, st
+    f = _hyp2f1(a, b, c, z)
+    if 0.0 < abs(f) < math.inf:
+        return math.log(abs(f)), math.copysign(1.0, f), 0
+    if abs(f) == math.inf and 0.0 < z < 1.0:
+        f = _hyp2f1(c - a, c - b, c, z)
+        if 0.0 < abs(f) < math.inf:
+            return (c - a - b) * math.log1p(-z) + math.log(abs(f)), math.copysign(1.0, f), 0
+    ln_f, sgn, _, _, st = gauss_2f1_ln(a, b, c, z, rel_tol, max_terms)
+    return ln_f, sgn, st
 
 
-def _ln_2f1_beta(B, b, ln_y, w, cw, lnw, lncw, rel_tol, max_terms):
-    """(ln 2F1(B + b, B; B + 1; -y), status) for B, b, y > 0, given
-    _beta_argument(ln y): B y^-B B(B, b) I_w(B, b), w = y/(1 + y), where B ln
-    w > _LN_POW_MIN and I > 0, else Pfaff's (1 + y)^-(B + b) 2F1(B + b, 1;
-    B + 1; w) as its power series of positive terms; scipy's hyp2f1 gives
-    that 2F1 up to 1e59 off, or NaN (CHANGES.md).
+def _ln_1f1_row(a, c, z, rel_tol, max_terms):
+    """(ln|1F1(a; c; z)|, sign, status), a row of a double series: Kummer's
+    e^z 1F1(c - a; c; -z) with that 1F1 from scipy's hyp1f1 where it gives a
+    finite nonzero double, else kummer_1f1_ln. scipy's direct hyp1f1(a, c,
+    z) is orders of magnitude off at z < 0 once a passes about 150, and
+    overflows sooner at z > 0 (scipy 1.17.1, against mpmath)."""
+    f = _hyp1f1(c - a, c, -z)
+    if 0.0 < abs(f) < math.inf:
+        return z + math.log(abs(f)), math.copysign(1.0, f), 0
+    ln_f, sgn, _, _, st = kummer_1f1_ln(a, c, z, rel_tol, max_terms)
+    return ln_f, sgn, st
+
+
+def _row_sum(row, ratio, rel_tol, max_terms):
+    """sum_m coef_m row(m), the outer loop of both double series: row(m)
+    gives (ln|row|, sign, status), coef_0 = 1 and coef_(m+1) = coef_m
+    ratio(m), carried as ln|coef| and a sign.
+
+    Rows are added until two successive terms fall below rel_tol of the
+    partial sum or below _ABS_TOL, a ratio of exactly 0 ends a terminating
+    series, or max_terms rows are added; the partial sum is shifted down
+    before a term passes e^_LN_RESCALE. A row of status 2 ends the sum with
+    status 2; otherwise the status is the worse of the stop's and the
+    rows'. Returns (ln_abs, sign, rows, est_rel, status).
     """
-    if B * lnw > _LN_POW_MIN:
-        iw = reg_inc_beta(B, b, w, cw)
-        if iw > 0.0:
-            return math.log(B) - B * ln_y + _lbeta(B, b) + math.log(iw), 0
-    ln_f, _, _, _, st = _hyper_series(B + b, 1.0, B + 1.0, w, rel_tol, max_terms)
-    return ln_f + (B + b) * lncw, st
-
-
-def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, max_terms):
-    """Kampe de Feriet F^{2:0;0}_{1:1;0}[a1,a2; b1: c1; x, y], iterated summation.
-
-    Outer sum over m in x (coefficients by recurrence) of the rows
-    2F1(a1+m, a2+m; b1+m; y), by default through the gauss dispatch.
-    Converges for y < 1 and any x. For x >= 0 every outer term shares one
-    sign and the sum is well conditioned; negative x alternates in m and
-    relative accuracy degrades by the usual cancellation factor once the
-    rows grow before decaying. Only specfun.kdf_2_1 calls it: the composite
-    CDF sums its Kampe de Feriet form as the mixture, term for term.
-
-    When b1 = a2 + 1 with a1 > a2 > 0, x >= 0 and y < 0 (the contiguous
-    structure of the composite CDF's form), row m is 2F1(B + b, B; B + 1;
-    y), B = a2 + m, b = a1 - a2, from _ln_2f1_beta, which keeps every factor
-    positive; the power series rows lose digits to cancellation once x |y|
-    grows.
-
-    Returns (ln_abs, sign, terms, est_rel, status).
-    """
-    if _is_nonpos_int(b1) or _is_nonpos_int(c1):
-        return 0.0, 0.0, 0, 0.0, 2
-    # structural test up to a few ulps: b1 built as a2 + 1 in floating point
-    # can sit one ulp off the exact offset, and snapping it changes the
-    # function by far less than the row-evaluation error it avoids
-    beta_rows = (
-        y < 0.0
-        and x >= 0.0
-        and abs(b1 - a2 - 1.0) <= 64.0 * 2.220446049250313e-16 * max(1.0, abs(b1))
-        and a1 > a2 > 0.0
-    )
-    if beta_rows:
-        ln_y = math.log(-y)
-        w, cw, lnw, lncw = _beta_argument(ln_y)
-        sgn_f = 1.0
     s = 0.0
     ln_scale = 0.0
-    ln_coef = 0.0  # ln |(a1)_m (a2)_m / ((b1)_m (c1)_m m!) x^m|
+    ln_coef = 0.0
     sgn_coef = 1.0
     small = 0
     m = 0
     est = 0.0
     status = 1
-    worst_inner = 0
+    worst_row = 0
     while m < max_terms:
-        if beta_rows:
-            ln_f, in_st = _ln_2f1_beta(a2 + m, a1 - a2, ln_y, w, cw, lnw, lncw,
-                                       rel_tol, max_terms)
-            worst_inner = max(worst_inner, in_st)
-        else:
-            ln_f, sgn_f, _, _, in_st = gauss_2f1_ln(
-                a1 + m, a2 + m, b1 + m, y, rel_tol, max_terms
-            )
-            if in_st == 2:
-                return 0.0, 0.0, m, 0.0, 2
-            worst_inner = max(worst_inner, in_st)
+        ln_f, sgn_f, row_st = row(m)
+        if row_st == 2:
+            return 0.0, 0.0, m, 0.0, 2
+        worst_row = max(worst_row, row_st)
         e = ln_coef + ln_f - ln_scale
         if e > _LN_RESCALE:
             shift = e - 600.0
@@ -519,22 +404,89 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, max_terms):
                 break
         else:
             small = 0
-        ratio = (a1 + m - 1.0) * (a2 + m - 1.0) * x / (
-            (b1 + m - 1.0) * (c1 + m - 1.0) * m
-        )
-        # m starts the *next* coefficient here: advance from m-1 to m
-        if ratio == 0.0:
+        r = ratio(m - 1)
+        if r == 0.0:
             est = 0.0
             status = 0
             break
-        ln_coef += math.log(abs(ratio))
-        if ratio < 0.0:
+        ln_coef += math.log(abs(r))
+        if r < 0.0:
             sgn_coef = -sgn_coef
-    status = max(status, worst_inner)
+    status = max(status, worst_row)
     if s == 0.0:
         return -math.inf, 0.0, m, est, status
     sgn = 1.0 if s > 0.0 else -1.0
     return math.log(abs(s)) + ln_scale, sgn, m, est / abs(s), status
+
+
+def humbert_psi1_ln(a, b, c, cp, x, y, rel_tol, max_terms):
+    """Humbert Psi1(a; b; c, c'; x, y) = sum_{m,n} (a)_{m+n} (b)_m /
+    ((c)_m (c')_n) x^m y^n / (m! n!), summed by _row_sum over
+    single-variable rows; terms_used counts rows.
+
+    For y >= 0 it runs over n, rows 2F1(a + n, b; c; x) (_ln_2f1_row) with
+    coefficients (a)_n / ((c')_n n!) y^n of one sign for a > 0; at x >= 0
+    only for b a non-positive integer or c at most _SCIPY_2F1_C_MAX, where
+    scipy's rows were measured. Otherwise it runs over m, rows 1F1(a + m;
+    c'; y) (_ln_1f1_row) with coefficients (a)_m (b)_m / ((c)_m m!) x^m, so
+    for y < 0 the alternating powers of y stay inside the rows. b a
+    non-positive integer ends the m-sum after m = -b and lifts the |x| < 1
+    requirement. Returns (ln_abs, sign, rows, est_rel, status).
+    """
+    if _is_nonpos_int(cp):
+        return 0.0, 0.0, 0, 0.0, 2
+    b_term = _is_nonpos_int(b)
+    if not b_term and abs(x) >= 1.0:
+        return 0.0, 0.0, 0, 0.0, 2
+    if _is_nonpos_int(c) and not (b_term and int(-b) < int(-c) + 1):
+        return 0.0, 0.0, 0, 0.0, 2
+    if y >= 0.0 and (x < 0.0 or b_term or c <= _SCIPY_2F1_C_MAX):
+        return _row_sum(lambda n: _ln_2f1_row(a + n, b, c, x, rel_tol, max_terms),
+                        lambda n: (a + n) / ((cp + n) * (n + 1.0)) * y, rel_tol, max_terms)
+    # the ratio is 0 where b + m = 0 ends a terminating b, also where c + m
+    # = 0 there makes it 0/0
+    return _row_sum(lambda m: _ln_1f1_row(a + m, cp, y, rel_tol, max_terms),
+                    lambda m: (a + m) * (b + m) / ((c + m) * (m + 1.0)) * x if b + m else 0.0,
+                    rel_tol, max_terms)
+
+
+def _ln_2f1_beta(B, b, ln_y, w, cw, lnw, lncw, rel_tol, max_terms):
+    """(ln 2F1(B + b, B; B + 1; -y), status) for B, b, y > 0, given
+    _beta_argument(ln y): B y^-B B(B, b) I_w(B, b), w = y/(1 + y), where B ln
+    w > _LN_POW_MIN and I > 0, else Pfaff's (1 + y)^-(B + b) 2F1(B + b, 1;
+    B + 1; w) as its power series of positive terms; scipy's hyp2f1 gives
+    that 2F1 up to 1e59 off, or NaN (CHANGES.md).
+    """
+    if B * lnw > _LN_POW_MIN:
+        iw = reg_inc_beta(B, b, w, cw)
+        if iw > 0.0:
+            return math.log(B) - B * ln_y + _lbeta(B, b) + math.log(iw), 0
+    ln_f, _, _, _, st = _hyper_series(B + b, 1.0, B + 1.0, w, rel_tol, max_terms)
+    return ln_f + (B + b) * lncw, st
+
+
+def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, max_terms):
+    """Kampe de Feriet F^{2:0;0}_{1:1;0}[a1,a2; b1: c1; x, y], summed by
+    _row_sum over m in x: rows 2F1(a1 + m, a2 + m; b1 + m; y) from
+    _ln_2f1_row with coefficients (a1)_m (a2)_m / ((b1)_m (c1)_m m!) x^m;
+    terms_used counts rows. Where b1 = a2 + 1 with a1 > a2 > 0 and y < 0
+    (the contiguous structure of the composite CDF's form) every row is an
+    incomplete beta (_ln_2f1_beta), whose factors are positive; the power
+    series rows would lose digits to cancellation once x |y| grows.
+
+    Converges for y < 1 and any x. For x >= 0 every outer term shares one
+    sign and the sum is well conditioned; negative x alternates in m and
+    relative accuracy degrades by the usual cancellation factor once the
+    rows grow before decaying. Only specfun.kdf_2_1 calls it: the composite
+    CDF sums its Kampe de Feriet form as the mixture, term for term.
+
+    Returns (ln_abs, sign, rows, est_rel, status).
+    """
+    if _is_nonpos_int(b1) or _is_nonpos_int(c1):
+        return 0.0, 0.0, 0, 0.0, 2
+    return _row_sum(lambda m: _ln_2f1_row(a1 + m, a2 + m, b1 + m, y, rel_tol, max_terms),
+                    lambda m: (a1 + m) * (a2 + m) * x / ((b1 + m) * (c1 + m) * (m + 1.0)),
+                    rel_tol, max_terms)
 
 
 # --- composite-distribution kernels -----------------------------------------

@@ -161,11 +161,14 @@ def humbert_psi1(
 ) -> SeriesResult:
     """Humbert Psi1(a; b; c, c'; x, y) double hypergeometric series.
 
-    Summed over expanding anti-diagonals m + n = const, a block of them at
-    a time, with a two-consecutive-small-diagonals stopping rule. Requires
-    |x| < 1 unless b is a non-positive integer (which truncates the m-range
-    and lifts the restriction). c may be a non-positive integer only when
-    such a b zeroes every term at or past the (c)_m pole.
+    Summed as a series of rows with a two-consecutive-small-rows stopping
+    rule, so terms_used counts rows: for y >= 0 over n, each row a
+    2F1(a + n, b; c; x) with coefficient (a)_n y^n / ((c')_n n!), whose
+    coefficients share one sign; for y < 0, and for x >= 0 with c above
+    10, over m, each row a 1F1(a + m; c'; y). Requires |x| < 1 unless b is
+    a non-positive integer (which truncates the m-range and lifts the
+    restriction). c may be a non-positive integer only when such a b zeroes
+    every term at or past the (c)_m pole.
     """
     if ctrl is None:
         ctrl = default_control()
@@ -200,6 +203,7 @@ def kdf_2_1(
     y-series is a Gauss 2F1 with shifted parameters, which keeps the
     evaluation convergent for any x when |y| < 1 (the region of the alpha-
     kappa-F CDF's form; y <= -1 still works through the 2F1 Pfaff map).
+    terms_used counts those rows.
     """
     if ctrl is None:
         ctrl = default_control()

@@ -399,10 +399,11 @@ def _humbert_cdf(d: AkfDist, gamma: float) -> SeriesResult:
     """The paper's closed-form alpha-kappa-F CDF for X1 > 1, the reference
     for snr_cdf above the guard band: 1 - e^(-mu kappa) X1^(-ms) / (ms
     B(mu, ms)) Psi1(mu+ms, ms; 1+ms, mu; -1/X1, mu kappa), its Psi1 summed
-    in log space by _kernels.humbert_psi1_ln. The form's first term,
+    in log space by _kernels.humbert_psi1_ln over n, each row 2F1(mu + ms +
+    n, ms; 1 + ms; -1/X1) an incomplete beta. The form's first term,
     e^(-mu kappa) Psi1(mu; 0; 1-ms, mu; -1/X1, mu kappa) = e^(-mu kappa)
     1F1(mu; mu; mu kappa), is exactly 1 and is not summed, so terms_used
-    and est_error are those of the one Psi1 sum."""
+    (rows) and est_error are those of the one Psi1 sum."""
     ctrl = default_control()
     p = d.params
     ln_x1 = d._ln_x1(gamma)

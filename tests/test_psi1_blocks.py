@@ -1,13 +1,15 @@
-"""The Humbert Psi1 kernel where its blocks of diagonals meet.
+"""The Humbert Psi1 kernel, summed as rows, at the edges of its domain.
 
-humbert_psi1_ln sums _PSI1_BLOCK = 64 diagonals per block, so its block
-logic shows at sums that stop just before, on and just after the block
-edges, at term budgets around them, at a rescale, and where terminating b
-stops opening columns. Each GOLDEN row was recorded from the kernel that
-summed one diagonal at a time; the block kernel must reproduce its
-diagonal count, convergence flag and sign exactly and its value to 1e-13.
-Converged rows are also checked against the mpmath oracle, and seeded
-random calls against _psi1_by_diagonal, that sum written as a loop.
+humbert_psi1_ln sums 2F1 rows over n for y >= 0 (at x >= 0 only up to
+c = _SCIPY_2F1_C_MAX) and 1F1 rows over m otherwise, so terms_used counts
+rows. The GOLDEN inputs are sums that stop near diagonals 64 and 128, term
+budgets around those stops, sums past 1e290, terminating b, b = 0 and
+negative x. On each the kernel keeps the sign and the convergence flag
+recorded from the diagonal-by-diagonal sum, uses at most its budget of
+rows, and, where converged, matches the mpmath oracle. A seeded sweep
+covers the four sign quadrants of (x, y). The regression points are calls
+that the sum over diagonals got wrong, and calls where scipy's rows, taken
+in the other orientation or form, would be wrong.
 """
 
 import math
@@ -17,140 +19,131 @@ import numpy as np
 import pytest
 
 from compfade import _kernels as _k
+from compfade import ConvergenceError, humbert_psi1
 from compfade.series import DEFAULT_REL_TOL
+from conftest import rel_err
 import oracles
 
 ENGINE_TOL = 1e-10
-GOLDEN_TOL = 1e-13
 
-# (a, b, c, c', x, y, max_terms, ln|Psi1|, sign, terms_used, converged)
+# (a, b, c, c', x, y, max_terms, sign, converged)
 GOLDEN = [
-    # stops on diagonals 62..65 and 127..129 (terms_used is one more):
-    # diagonal 64 ends the first block, 128 the second
-    (1.3, 0.7, 2.1, 1.9, 0.3, 6.05, 100000, 6.114669658343975, 1.0, 63, True),
-    (1.3, 0.7, 2.1, 1.9, 0.3, 6.25, 100000, 6.339443736321088, 1.0, 64, True),
-    (1.3, 0.7, 2.1, 1.9, 0.3, 6.45, 100000, 6.565356970169023, 1.0, 65, True),
-    (1.3, 0.7, 2.1, 1.9, 0.3, 6.7, 100000, 6.849303679498328, 1.0, 66, True),
-    (1.3, 0.7, 2.1, 1.9, 0.3, 22.65, 100000, 27.02093849934514, 1.0, 128, True),
-    (1.3, 0.7, 2.1, 1.9, 0.3, 22.95, 100000, 27.421435108626692, 1.0, 129, True),
-    (1.3, 0.7, 2.1, 1.9, 0.3, 23.25, 100000, 27.822326144579026, 1.0, 130, True),
-    # term budgets inside and around the first block, converged or not
-    (1.3, 0.7, 2.1, 1.9, 0.3, 6.25, 1, 1.6875678607752105, 1.0, 1, False),
-    (1.3, 0.7, 2.1, 1.9, 0.3, 22.95, 1, 2.8233193583648557, 1.0, 1, False),
-    (1.3, 0.7, 2.1, 1.9, 0.3, 6.25, 2, 2.8339831111098612, 1.0, 2, False),
-    (1.3, 0.7, 2.1, 1.9, 0.3, 22.95, 2, 5.096056227753883, 1.0, 2, False),
-    (1.3, 0.7, 2.1, 1.9, 0.3, 6.25, 3, 3.675450893345929, 1.0, 3, False),
-    (1.3, 0.7, 2.1, 1.9, 0.3, 22.95, 3, 7.035772560735774, 1.0, 3, False),
-    (1.3, 0.7, 2.1, 1.9, 0.3, 6.25, 64, 6.339443736321088, 1.0, 64, True),
-    (1.3, 0.7, 2.1, 1.9, 0.3, 22.95, 64, 27.408160813631508, 1.0, 64, False),
-    (1.3, 0.7, 2.1, 1.9, 0.3, 6.25, 65, 6.339443736321088, 1.0, 64, True),
-    (1.3, 0.7, 2.1, 1.9, 0.3, 22.95, 65, 27.410944869401124, 1.0, 65, False),
-    # the sum stops on the budget's last diagonal
-    (1.3, 0.7, 2.1, 1.9, 0.3, 6.45, 64, 6.565356970169023, 1.0, 64, True),
-    (1.3, 0.7, 2.1, 1.9, 0.3, 6.45, 65, 6.565356970169023, 1.0, 65, True),
-    # past 1e290 and rescaled: grown along y, and along x by terminating b
-    (1.3, 0.7, 2.1, 1.9, 0.01, 700.0, 100000, 700.3279727341102, 1.0, 905, True),
-    (1.3, -100.0, 2.1, 1.9, -100000.0, 2.5, 100000, 1175.5317872778435, 1.0, 145, True),
-    # terminating b: the last column opens inside the first block, on its
-    # last diagonal, and in the second block
-    (1.3, -5.0, 2.1, 1.9, 1.5, 2.5, 100000, 3.2728032012300576, -1.0, 32, True),
-    (1.3, -63.0, 2.1, 1.9, -0.8, 5.0, 100000, 57.11184448918224, 1.0, 91, True),
-    (1.3, -64.0, 2.1, 1.9, -0.8, 5.0, 100000, 57.864384473361646, 1.0, 92, True),
-    (1.3, -100.0, 2.1, 1.9, -0.8, 5.0, 100000, 84.35198001366875, 1.0, 119, True),
-    # b = 0: a single column, Psi1 = 1F1(a; c'; y)
-    (1.3, 0.0, 2.1, 1.9, 0.3, 40.0, 100000, 37.85128693251197, 1.0, 94, True),
-    # negative x through the (1-x)^(-a) transform
-    (4.6, 2.1, 3.1, 2.5, -0.9, 12.5, 100000, 11.196198592938671, 1.0, 115, True),
-    (1.3, 0.7, 2.1, 1.9, -0.6, 30.0, 100000, 26.170449226925783, 1.0, 143, True),
+    # stopped on diagonals 62..65 and 127..129
+    (1.3, 0.7, 2.1, 1.9, 0.3, 6.05, 100000, 1.0, True),
+    (1.3, 0.7, 2.1, 1.9, 0.3, 6.25, 100000, 1.0, True),
+    (1.3, 0.7, 2.1, 1.9, 0.3, 6.45, 100000, 1.0, True),
+    (1.3, 0.7, 2.1, 1.9, 0.3, 6.7, 100000, 1.0, True),
+    (1.3, 0.7, 2.1, 1.9, 0.3, 22.65, 100000, 1.0, True),
+    (1.3, 0.7, 2.1, 1.9, 0.3, 22.95, 100000, 1.0, True),
+    (1.3, 0.7, 2.1, 1.9, 0.3, 23.25, 100000, 1.0, True),
+    # term budgets, converged or not
+    (1.3, 0.7, 2.1, 1.9, 0.3, 6.25, 1, 1.0, False),
+    (1.3, 0.7, 2.1, 1.9, 0.3, 22.95, 1, 1.0, False),
+    (1.3, 0.7, 2.1, 1.9, 0.3, 6.25, 2, 1.0, False),
+    (1.3, 0.7, 2.1, 1.9, 0.3, 22.95, 2, 1.0, False),
+    (1.3, 0.7, 2.1, 1.9, 0.3, 6.25, 3, 1.0, False),
+    (1.3, 0.7, 2.1, 1.9, 0.3, 22.95, 3, 1.0, False),
+    (1.3, 0.7, 2.1, 1.9, 0.3, 6.25, 64, 1.0, True),
+    (1.3, 0.7, 2.1, 1.9, 0.3, 22.95, 64, 1.0, False),
+    (1.3, 0.7, 2.1, 1.9, 0.3, 6.25, 65, 1.0, True),
+    (1.3, 0.7, 2.1, 1.9, 0.3, 22.95, 65, 1.0, False),
+    (1.3, 0.7, 2.1, 1.9, 0.3, 6.45, 64, 1.0, True),
+    (1.3, 0.7, 2.1, 1.9, 0.3, 6.45, 65, 1.0, True),
+    # past 1e290: grown along y, and along x by terminating b
+    (1.3, 0.7, 2.1, 1.9, 0.01, 700.0, 100000, 1.0, True),
+    (1.3, -100.0, 2.1, 1.9, -100000.0, 2.5, 100000, 1.0, True),
+    # terminating b
+    (1.3, -5.0, 2.1, 1.9, 1.5, 2.5, 100000, -1.0, True),
+    (1.3, -63.0, 2.1, 1.9, -0.8, 5.0, 100000, 1.0, True),
+    (1.3, -64.0, 2.1, 1.9, -0.8, 5.0, 100000, 1.0, True),
+    (1.3, -100.0, 2.1, 1.9, -0.8, 5.0, 100000, 1.0, True),
+    # b = 0: Psi1 = 1F1(a; c'; y)
+    (1.3, 0.0, 2.1, 1.9, 0.3, 40.0, 100000, 1.0, True),
+    # negative x
+    (4.6, 2.1, 3.1, 2.5, -0.9, 12.5, 100000, 1.0, True),
+    (1.3, 0.7, 2.1, 1.9, -0.6, 30.0, 100000, 1.0, True),
 ]
 
 
-def _kernel(args, max_terms):
+def _kernel(args, max_terms=100000):
     return _k.humbert_psi1_ln(*args, DEFAULT_REL_TOL, max_terms)
 
 
-@pytest.mark.parametrize("row", GOLDEN)
-def test_psi1_blocks_reproduce_the_diagonal_by_diagonal_sum(row):
-    args, max_terms, ln_want, sign_want, terms_want, converged_want = (
-        row[:6], row[6], row[7], row[8], row[9], row[10])
-    ln_abs, sign, terms, _, status = _kernel(args, max_terms)
-    assert terms == terms_want
-    assert (status == 0) == converged_want
-    assert sign == sign_want
-    assert abs(ln_abs - ln_want) <= GOLDEN_TOL + 4.0 * math.ulp(ln_want)
-
-
-@pytest.mark.parametrize("row", [r for r in GOLDEN if r[10]])
-def test_psi1_blocks_against_oracle(row):
-    ln_abs, sign, _, _, _ = _kernel(row[:6], row[6])
-    want = oracles.mp_humbert_psi1(*row[:6])
+def _ln_err(ln_abs, sign, want):
+    """|d ln|, the relative error of the value, once the signs agree."""
     assert sign == float(mpmath.sign(want))
-    # |d ln| is the relative error of the value
-    assert abs(ln_abs - float(mpmath.log(abs(want)))) <= ENGINE_TOL
+    return abs(ln_abs - float(mpmath.log(abs(want))))
 
 
-def _psi1_by_diagonal(a, b, c, cp, x, y, rel_tol, abs_tol, max_terms):
-    """humbert_psi1_ln one diagonal at a time: the reference the blocks
-    must reproduce. Returns (ln_abs, sign, terms_used, status)."""
-    b_term = b <= 0.0 and b == math.floor(b)
-    ln_pref = 0.0
-    if x < 0.0 and not b_term:
-        ln_pref, b, y, x = -a * math.log1p(-x), c - b, y / (1.0 - x), x / (x - 1.0)
-    m_cap = int(-b) + 1 if b_term else max_terms + 1
-    col = np.ones(1)
-    row_base = s = 1.0
-    ln_scale, small, diag, status = 0.0, 0, 0, 1
-    while diag < max_terms:
-        diag += 1
-        n = diag - np.arange(len(col))
-        col = col * ((a + diag - 1.0) * y / ((n + (cp - 1.0)) * n))
-        d_sum = float(col.sum())
-        if diag < m_cap:
-            row_base *= (a + diag - 1.0) * (b + diag - 1.0) * x / ((c + diag - 1.0) * diag)
-            col = np.append(col, row_base)
-            d_sum += row_base
-        s += d_sum
-        if abs(d_sum) <= max(rel_tol * abs(s), abs_tol):
-            small += 1
-            if small == 2:
-                status = 0
-                break
-        else:
-            small = 0
-        if max(abs(s), float(np.abs(col).max())) > 1e290:
-            s, row_base, col = s * 1e-290, row_base * 1e-290, col * 1e-290
-            ln_scale += math.log(1e290)
-    ln_abs = ln_pref + math.log(abs(s)) + ln_scale
-    return ln_abs, math.copysign(1.0, s), min(diag + 1, max_terms), status
+@pytest.mark.parametrize("row", GOLDEN)
+def test_psi1_rows_keep_sign_convergence_and_budget(row):
+    args, max_terms, sign_want, converged_want = row[:6], row[6], row[7], row[8]
+    _, sign, terms, _, status = _kernel(args, max_terms)
+    assert sign == sign_want
+    assert (status == 0) == converged_want
+    assert 1 <= terms <= max_terms
 
 
-def _random_calls(n):
-    """Series whose terms share one sign once the kernel has transformed a
-    negative x: y >= 0, and x in [0, 1) or terminating b with x <= 0.
-    Where terms change sign the sum cancels, and a change in the order of
-    additions moves the result by more than 1e-13 in either kernel."""
-    rng = np.random.default_rng(20261018)
-    for i in range(n):
-        a, c, cp = (float(v) for v in rng.uniform(0.1, 8.0, 3))
-        b, x = float(rng.uniform(0.05, 6.0)), float(rng.uniform(0.0, 0.95))
-        y = float(10.0 ** rng.uniform(-3.0, 2.0))
-        if i % 4 == 1:  # terminating b
-            b, x = -float(rng.integers(0, 140)), -float(10.0 ** rng.uniform(-3.0, 5.0))
-        elif i % 4 == 2:  # past 1e290
-            y, x = float(rng.uniform(650.0, 800.0)), float(rng.uniform(0.0, 0.02))
-        elif i % 4 == 3:  # the negative-x transform
-            x = -float(rng.uniform(0.01, 0.99))
-        max_terms = 1 + i // 3 % 6 if i % 3 == 0 else 100000
-        yield a, b, c, cp, x, y, max_terms
+@pytest.mark.parametrize("row", [r for r in GOLDEN if r[8]])
+def test_psi1_rows_against_oracle(row):
+    ln_abs, sign, _, _, _ = _kernel(row[:6], row[6])
+    assert _ln_err(ln_abs, sign, oracles.mp_humbert_psi1(*row[:6])) <= ENGINE_TOL
 
 
-def test_psi1_blocks_match_the_diagonal_loop_on_random_calls():
-    rescaled = 0
-    for args in _random_calls(120):
-        ln_abs, sign, terms, _, status = _kernel(args[:6], args[6])
-        ln_ref, sign_ref, terms_ref, status_ref = _psi1_by_diagonal(
-            *args[:6], DEFAULT_REL_TOL, _k._ABS_TOL, args[6])
-        assert (terms, status, sign) == (terms_ref, status_ref, sign_ref), args
-        assert abs(ln_abs - ln_ref) <= GOLDEN_TOL + 4.0 * math.ulp(ln_ref), args
-        rescaled += ln_ref > math.log(1e290)
-    assert rescaled >= 10
+def test_psi1_rows_against_oracle_in_every_sign_quadrant():
+    # check_engines' ranges, each draw's signs of x and y set by its quadrant
+    rng = np.random.default_rng(20261019)
+    for i in range(48):
+        a, b, c, cp = (float(rng.uniform(lo, hi))
+                       for lo, hi in ((0.3, 5.0), (0.1, 4.0), (0.5, 6.0), (0.5, 6.0)))
+        x = math.copysign(float(rng.uniform(0.0, 0.9)), 1.0 if i % 2 else -1.0)
+        y = float(rng.uniform(0.0, 8.0)) if i % 4 < 2 else -float(rng.uniform(0.0, 4.0))
+        ln_abs, sign, _, _, status = _kernel((a, b, c, cp, x, y))
+        assert status == 0
+        want = oracles.mp_humbert_psi1(a, b, c, cp, x, y)
+        assert _ln_err(ln_abs, sign, want) <= ENGINE_TOL, (a, b, c, cp, x, y)
+
+
+def test_psi1_terminating_b_equal_to_c():
+    # b = c = -3: the m-sum ends at m = 3, where (b + m)/(c + m) is 0/0
+    r = humbert_psi1(1.3, -3.0, -3.0, 1.9, 0.5, -2.5)
+    assert r.converged
+    assert rel_err(r.value, 0.22696005459047786) <= 4e-15
+    assert rel_err(r.value, float(oracles.mp_humbert_psi1(1.3, -3.0, -3.0, 1.9, 0.5, -2.5))
+                   ) <= ENGINE_TOL
+
+
+def test_psi1_past_the_double_range_takes_no_series_rows(monkeypatch):
+    # scipy's hyp2f1 overflows on the rows past n = 1040; Euler's form from
+    # scipy gives them, where the power series would take thousands of terms each
+    def refuse(*args):
+        raise AssertionError(f"series row {args}")
+
+    monkeypatch.setattr(_k, "gauss_2f1_ln", refuse)
+    with pytest.raises(ConvergenceError, match="leaves the double range"):
+        humbert_psi1(2.0, 1.0, 3.0, 1.5, 0.5, 900.0)
+
+
+@pytest.mark.parametrize("args, ln_want, sign_want", [
+    # terms of both signs: y < 0, and terminating b with x > 0
+    ((1.3, 0.7, 2.1, 1.9, 0.5, -30.0), math.log(0.00787766229209207), 1.0),
+    ((1.3, -63.0, 2.1, 1.9, 0.8, 30.0), -5.2881101126302, 1.0),
+    # large y, where columns rescaled by 1e-290 underflowed
+    ((1.3, 0.7, 2.1, 1.9, 0.3, 600.0), 845.1430293569375, 1.0),
+    ((2.0, 1.0, 3.0, 1.5, 0.5, 900.0), 1790.7161805332194, 1.0),
+    # c past _SCIPY_2F1_C_MAX at x > 0, where scipy's 2F1 rows are up to 30% off
+    ((3.2159670982779227, 0.8178768974188777, 30.780387997638304, 2.4307073232689107,
+      0.6549852912815282, 31.40961610794848), 34.808162401312501, 1.0),
+    ((1.281846606589022, 1.6154460375383966, 46.81595003324965, 1.589103617065558,
+      0.7573127597818925, 27.218487204262768), 27.253961129715602, 1.0),
+    # y < 0 with rows up to a = 190, where scipy's direct 1F1 is far off
+    ((4.553435850620201, 1.6332620327507836, 5.272845605252885, 2.3865240387759084,
+      0.8762630700470792, -0.8973615195423896), math.log(0.1104871161138879), -1.0),
+    # the composite CDF's Psi1 at ms = 30, X1 = 1.06: scipy's 2F1 rows are
+    # 4e-5 off, the incomplete-beta rows are not
+    ((32.5, 30.0, 31.0, 2.5, -1.0 / 1.06, 12.5), math.log(200.23257153433159), 1.0),
+])
+def test_psi1_regressions_against_mpmath(args, ln_want, sign_want):
+    ln_abs, sign, _, _, status = _kernel(args)
+    assert status == 0 and sign == sign_want
+    assert abs(ln_abs - ln_want) <= ENGINE_TOL
