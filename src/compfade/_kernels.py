@@ -24,7 +24,8 @@ The regularized incomplete beta comes from scipy.special (reg_inc_beta).
 The CDF mixture of both laws (_beta_mixture) takes it from scipy at its
 first and its last term only, and sums the steps T of the DLMF 8.17.20
 recurrence between them by parts, against the partial sums of the
-weights. 2F1(B + b, B; B + 1; -y), an incomplete beta, has one evaluator
+weights; ln a and ln B(a, b) of its first step come with the CDF
+constants. 2F1(B + b, B; B + 1; -y), an incomplete beta, has one evaluator
 (_ln_2f1_beta), called by the double series' rows of that structure
 (_ln_2f1_row) and once by the truncation bound (aef_cdf_bound_kernel).
 
@@ -90,10 +91,11 @@ _SCIPY_MS_MAX = 50.0
 _LBETA_STIRLING_MIN = 1e3
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # an array of fewer points goes to _beta_mixture point by point: on the
-# battery's 162 grid cells (points 0.05 to 8), the array loop cost 3.6x the
-# scalar calls at 10 points, 2.3x at 20, 1.55x at 32, 1.3x at 40, 1.13x at
-# 48, 1.0x at 56 and 0.9x at 64 (process time, best of 9); tests/test_lanes.py's
-# 40-point straggler grid must reach the array loop, so the start is not above 40
+# battery's 162 grid cells (points 0.05 to 8), the array loop cost 5.2x the
+# scalar calls at 10 points, 3x at 20, 1.9x at 32, 1.55x at 40, 1.3x at 48,
+# 1.1-1.3x at 56 and 64, 1.0x at 72 and 0.75x at 96 (best of 7-9 per cell,
+# both sides interleaved); tests/test_lanes.py's 40-point straggler grid must
+# reach the array loop, so the start is not above 40
 _LANES_START = 40
 
 
@@ -162,12 +164,6 @@ def reg_inc_beta(a, b, x, cx):
     if x > 0.5:
         return _betaincc(b, a, cx)
     return _betainc(a, b, x)
-
-
-def _ln_beta_step(a, b, lnx, lncx):
-    """ln T(a) for T(a) = x^a (1-x)^b / (a B(a,b)) = I_x(a,b) - I_x(a+1,b)
-    (DLMF 8.17.20)."""
-    return a * lnx + b * lncx - math.log(a) - _lbeta(a, b)
 
 
 def _signed_exp(sgn, ln_abs):
@@ -492,24 +488,28 @@ def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, max_terms):
 # --- composite-distribution kernels -----------------------------------------
 
 
-def _beta_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms):
+def _beta_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, ln_a, lb, rel_tol,
+                  max_terms):
     """The CDF of both laws: sum_k w_k I_k, I_k = I_x(a + step k, b) at x =
     y/(1+y), y = exp(ln_y), from k = 0 upward until two successive terms
     fall below the tolerances or max_terms terms are added; the arguments
-    after ln_y are aef_cdf_consts' or akf_cdf_consts' past (ln y0, alpha/2).
+    after ln_y are aef_cdf_consts' or akf_cdf_consts' past (ln y0, alpha/2):
+    step 2 (alpha-eta-F) or 1 (alpha-kappa-F), each written out in the loop,
+    and ln_a, lb = ln a, ln B(a, b), so that a call takes no lgamma.
     w_0 = exp(ln_w0), w_(k+1) = w_k sgn_z exp(ln_z) (r + d k)/(k + 1):
     negative binomial weights with d = 1, Poisson with r = 1, d = 0; ln_z =
     -inf leaves the k = 0 term alone.
 
     Summed by parts: with T_j = I_x(a + j, b) - I_x(a + j + 1, b) (DLMF
-    8.17.20), T_(j+1) = T_j x f_j, f_j = (a + b + j)/(a + j + 1), and C_k =
-    w_0 + ... + w_k, the first K terms are sum_(j < step (K-1)) T_j
-    C_(j // step) + C_(K-1) I_(K-1), positive terms for both laws. Only
-    I_0 and I_(K-1) come from scipy (reg_inc_beta). The T_j share the
-    rounding of ln T_0 (3.5e-14 at ms = 60), which scaling them by (I_0 -
-    I_(K-1)) / sum T_j, the sum they telescope to, removes. Above x = 1/2
-    the ratio x f_j is taken as f_j - f_j (1 - x): x holds 1 - x to one
-    absolute ulp only, an error the products would repeat at every step.
+    8.17.20), T_0 = x^a (1-x)^b / (a B(a, b)), T_(j+1) = T_j x f_j, f_j =
+    (a + b + j)/(a + j + 1), and C_k = w_0 + ... + w_k, the first K terms
+    are sum_(j < step (K-1)) T_j C_(j // step) + C_(K-1) I_(K-1), positive
+    terms for both laws. Only I_0 and I_(K-1) come from scipy
+    (reg_inc_beta). The T_j share the rounding of ln T_0 (3.5e-14 at ms =
+    60), which scaling them by (I_0 - I_(K-1)) / sum T_j, the sum they
+    telescope to, removes. Above x = 1/2 the ratio x f_j is taken as f_j -
+    f_j (1 - x): x holds 1 - x to one absolute ulp only, an error the
+    products would repeat at every step.
     A T below e^_LN_POW_MIN is stepped by its logarithm, ln T += ln x +
     ln f_j, until it rises above it, since its products would keep few
     digits or none; ln x stays finite where x underflows to 0.
@@ -531,7 +531,7 @@ def _beta_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms
         s = w * i0
         return s, 1, 0.0, 0 if math.isfinite(s) else 1
     z = sgn_z * math.exp(ln_z)
-    ln_t = _ln_beta_step(a, b, lnx, lncx)
+    ln_t = a * lnx + b * lncx - ln_a - lb  # ln T_0
     lag = ln_t < _LN_POW_MIN
     t = 0.0 if lag else math.exp(ln_t)
     p = sum_t = 0.0
@@ -539,15 +539,26 @@ def _beta_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms
     aj = a
     f = (a + b) / (a + 1.0)
     rho = f - f * cx if upper else x * f
-    steps = range(step)
-    small = k = 0
+    two = step == 2
+    abs_tol, last = _ABS_TOL, float(max_terms - 1)
+    k = 0.0  # a float, so the weights' update mixes no int into its floats
+    small = 0
     status = 1
-    while k + 1 < max_terms:
-        dt = 0.0  # the T_j of this step
-        for _ in steps:
+    while k < last:
+        dt = 0.0 + t  # the T_j of this step
+        if lag:
+            ln_t += lnx + math.log(f)  # ln rho, finite where x underflows
+            lag = ln_t < _LN_POW_MIN
+            t = 0.0 if lag else math.exp(ln_t)
+        else:
+            t *= rho
+        aj += 1.0
+        f = (aj + b) / (aj + 1.0)
+        rho = f - f * cx if upper else x * f
+        if two:
             dt += t
             if lag:
-                ln_t += lnx + math.log(f)  # ln rho, finite where x underflows
+                ln_t += lnx + math.log(f)
                 lag = ln_t < _LN_POW_MIN
                 t = 0.0 if lag else math.exp(ln_t)
             else:
@@ -559,10 +570,13 @@ def _beta_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms
         sum_t += dt
         w *= z * (r + d * k) / (k + 1.0)
         c += w
-        k += 1
+        k += 1.0
         i_k = i0 - sum_t
         if not lag:
-            om_lo, om_hi = (cx, 1.0 - rho) if f > 1.0 else (1.0 - rho, cx)
+            if f > 1.0:
+                om_lo, om_hi = cx, 1.0 - rho
+            else:
+                om_lo, om_hi = 1.0 - rho, cx
             bound = t / om_lo
             if i_k < bound:
                 if om_hi > 0.0:
@@ -575,7 +589,7 @@ def _beta_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms
         at = abs(w) * i_k  # the term's size: i_k >= 0
         # a NaN fails this test, which counts it small and ends the sum;
         # it is reported below
-        if at > _ABS_TOL and at > rel_tol * abs(p + c * i_k):
+        if at > abs_tol and at > rel_tol * abs(p + c * i_k):
             small = 0
         else:
             small += 1
@@ -584,7 +598,7 @@ def _beta_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms
                 break
     i = reg_inc_beta(a + step * k, b, x, cx) if k else i0
     s = c * i + (p * ((i0 - i) / sum_t) if sum_t else p)
-    return s, k + 1, abs(w * i), status if math.isfinite(s) else 1
+    return s, int(k) + 1, abs(w * i), status if math.isfinite(s) else 1
 
 
 def aef_pdf_consts(alpha, mu, ms, h, ln_lam, ln_a):
@@ -663,8 +677,9 @@ def aef_snr_pdf_kernel(consts, ln_g, rel_tol, max_terms, ln_jac):
 
 def aef_cdf_consts(alpha, mu, ms, h, hsq, ln_lam):
     """The alpha-eta-F CDF, computed once per parameter set: (ln y0, alpha/2,
-    a, step, b, ln w0, ln z, sgn z, r, d), the odds ln y = ln y0 + (alpha/2)
-    ln g and the rest _beta_mixture's arguments. The k-th series term of the
+    a, step, b, ln w0, ln z, sgn z, r, d, ln a, ln B(a, b)), the odds ln y =
+    ln y0 + (alpha/2) ln g and the rest _beta_mixture's arguments, so that a
+    call takes ln T_0 with no lgamma or log of a. The k-th series term of the
     CDF equals c_k I_w(2mu+2k, ms) with w = y/(1+y), y = 2 mu h g^(alpha/2) /
     Lambda, and c_k = h^-mu (mu)_k / k! q^k: the exact identity 2F1(B+ms, B;
     B+1; -y) = B y^-B Beta(B,ms) I_w(B, ms) applied term by term. The ratio
@@ -673,8 +688,9 @@ def aef_cdf_consts(alpha, mu, ms, h, hsq, ln_lam):
     rounding; q has the sign of hsq, and ln|q| is -inf where hsq or 1 - 1/h
     is 0."""
     ln_q = math.log1p(-1.0 / h) if hsq != 0.0 and h > 1.0 else -math.inf
-    return (math.log(2.0 * mu * h) - ln_lam, 0.5 * alpha, 2.0 * mu, 2, ms,
-            -mu * math.log(h), ln_q, math.copysign(1.0, hsq), mu, 1.0)
+    a = 2.0 * mu
+    return (math.log(a * h) - ln_lam, 0.5 * alpha, a, 2, ms, -mu * math.log(h), ln_q,
+            math.copysign(1.0, hsq), mu, 1.0, math.log(a), _lbeta(a, ms))
 
 
 def aef_cdf_bound_kernel(consts, ln_a, ln_g, k0, rel_tol, max_terms):
@@ -687,7 +703,7 @@ def aef_cdf_bound_kernel(consts, ln_a, ln_g, k0, rel_tol, max_terms):
     aef_cdf_consts(...); for w >= 1 that series has no convergent real form
     and status 2 is returned. Returns (value, status).
     """
-    ln_y0, half_alpha, a, _, ms, _, ln_q, sgn_q, mu, _ = consts
+    ln_y0, half_alpha, a, _, ms, _, ln_q, sgn_q, mu, _, _, _ = consts
     gexp = half_alpha * ln_g
     ln_y = ln_y0 + gexp
     w = _signed_exp(sgn_q, 2.0 * ln_y + ln_q)
@@ -751,7 +767,8 @@ def akf_cdf_consts(alpha, mu, ms, kappa, ln_lam):
     leaves the t = 0 term alone at weight 1 (the alpha-F law)."""
     mk = mu * kappa
     return (math.log(mu * (1.0 + kappa)) - ln_lam, 0.5 * alpha, mu, 1, ms,
-            -mk, math.log(mk) if mk > 0.0 else -math.inf, 1.0, 1.0, 0.0)
+            -mk, math.log(mk) if mk > 0.0 else -math.inf, 1.0, 1.0, 0.0,
+            math.log(mu), _lbeta(mu, ms))
 
 
 # --- lanes: one array call per grid ------------------------------------------
@@ -847,7 +864,8 @@ def _reg_inc_beta_lanes(a, b, x, cx):
     return out
 
 
-def _beta_mixture_lanes(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol, max_terms):
+def _beta_mixture_lanes(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, ln_a, lb, rel_tol,
+                        max_terms):
     """_beta_mixture at every lane of the array ln_y.
 
     The weights, their sums C_k and the f_j are scalars shared by all
@@ -860,8 +878,8 @@ def _beta_mixture_lanes(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol, max
     est_error_abs, status).
     """
     if ln_y.shape[0] < _LANES_START:
-        sums = [_beta_mixture(float(v), a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol,
-                              max_terms) for v in ln_y]
+        sums = [_beta_mixture(float(v), a, step, b, ln_w0, ln_z, sgn_z, r, d, ln_a, lb,
+                              rel_tol, max_terms) for v in ln_y]
         return tuple(np.array(field, dtype=dtype) for field, dtype in
                      zip(zip(*sums), (float, np.int64, float, np.int64)))
     u = np.log1p(np.exp(-np.abs(ln_y)))
@@ -877,7 +895,7 @@ def _beta_mixture_lanes(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, rel_tol, max
         s = w * i0
         return s, np.ones(n, dtype=np.int64), np.zeros(n), np.where(np.isfinite(s), 0, 1)
     z = sgn_z * math.exp(ln_z)
-    ln_t = _ln_beta_step(a, b, lnx, lncx)
+    ln_t = a * lnx + b * lncx - ln_a - lb
     lag = ln_t < _LN_POW_MIN
     lagging = np.count_nonzero(lag)
     t = np.where(lag, 0.0, np.exp(ln_t))

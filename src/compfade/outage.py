@@ -50,12 +50,14 @@ def outage(
 ) -> SeriesResult | LaneResult:
     """Outage probability P[gamma < gamma_th]: the law's mixture CDF snr_cdf.
     An np.ndarray of thresholds gives a LaneResult, from one array call."""
-    if isinstance(gamma_th, np.ndarray):
-        bad = ~((gamma_th > 0.0) & np.isfinite(gamma_th))
-        if bad.any():
-            raise DomainError(f"gamma_th must be positive, got {gamma_th[bad][0]}")
-    else:
-        _check_threshold(gamma_th)
+    # a float inside (0, inf), the curves' point, needs no further check
+    if not (type(gamma_th) is float and 0.0 < gamma_th < math.inf):
+        if isinstance(gamma_th, np.ndarray):
+            bad = ~((gamma_th > 0.0) & np.isfinite(gamma_th))
+            if bad.any():
+                raise DomainError(f"gamma_th must be positive, got {gamma_th[bad][0]}")
+        else:
+            _check_threshold(gamma_th)
     if not isinstance(dist, Law):
         raise DomainError(f"unsupported distribution type {type(dist).__name__}")
     return dist.snr_cdf(gamma_th, ctrl)

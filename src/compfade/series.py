@@ -128,12 +128,8 @@ def cdf_clamped(raw: float, terms: int, est: float, converged: bool) -> SeriesRe
     """A summed CDF clamped to [0, 1]; the clamping adjustment is added to
     est_error."""
     value = min(max(raw, 0.0), 1.0)
-    return SeriesResult(
-        value=value,
-        terms_used=terms,
-        est_error=est + abs(raw - value),
-        converged=converged,
-    )
+    # positional: the frozen dataclass's keyword call costs 0.6 us more
+    return SeriesResult(value, terms, est + abs(raw - value), converged)
 
 
 def _lanes(var: str, x: np.ndarray) -> np.ndarray:
@@ -159,9 +155,9 @@ def _cdf_error() -> ConvergenceError:
 
 
 def _freeze(obj, **values) -> None:
-    """Set derived fields of a frozen dataclass in __post_init__."""
-    for name, value in values.items():
-        object.__setattr__(obj, name, value)
+    """Set derived fields of a frozen dataclass in __post_init__, in one
+    __dict__ update (0.5 us a law less than object.__setattr__ per field)."""
+    obj.__dict__.update(values)
 
 
 @dataclass(frozen=True)
@@ -307,16 +303,22 @@ class Law:
         its shape; ctrl's rel_tol and max_terms then act on each point as
         on a scalar call. Raises ConvergenceError where the sum is not
         finite, and at every gamma where _require_first_weight does."""
-        self._require_first_weight("snr_cdf")
-        if isinstance(gamma, np.ndarray):
-            return self._cdf_lanes_result(gamma, ctrl)
-        end = cdf_endpoint(gamma)
-        if end is not None:
-            return end
+        c = self._cdf_consts
+        if c[_k.CDF_LN_W0] < _k._LN_ABS_TOL:
+            self._require_first_weight("snr_cdf")
+        # a float inside (0, inf), the curves' point, goes straight to the kernel
+        if not (type(gamma) is float and 0.0 < gamma < math.inf):
+            if isinstance(gamma, np.ndarray):
+                return self._cdf_lanes_result(gamma, ctrl)
+            end = cdf_endpoint(gamma)
+            if end is not None:
+                return end
         if ctrl is None:
-            ctrl = default_control()
+            ctrl = _DEFAULT_CONTROL
+        # ln y, as _ln_y forms it
         raw, terms, est, status = _k._beta_mixture(
-            self._ln_y(gamma), *self._cdf_consts[2:], ctrl.rel_tol, ctrl.max_terms
+            c[0] + c[1] * (math.log(gamma) - self._ln_gb), *c[2:], ctrl.rel_tol,
+            ctrl.max_terms
         )
         if not math.isfinite(raw):
             raise _cdf_error()

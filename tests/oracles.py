@@ -73,10 +73,11 @@ def _mp_beta_mixture(ln_odds, a0, da, b, ln_weights, terms):
     return s
 
 
-def mp_kernel_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, terms):
+def mp_kernel_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, ln_a, lb, terms):
     """The first `terms` terms of _kernels._beta_mixture's sum, from its own
     arguments taken as exact: weights w_0 = e^ln_w0, w_(k+1) = w_k sgn_z
-    e^ln_z (r + d k)/(k + 1), betas I_w(a + step k, b)."""
+    e^ln_z (r + d k)/(k + 1), betas I_w(a + step k, b). ln_a and lb, the
+    kernel's ln a and ln B(a, b), are not used: each I_w comes from mpmath."""
     _setup()
 
     def weights():

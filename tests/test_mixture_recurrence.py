@@ -133,15 +133,21 @@ def test_truncated_series_is_the_first_k_mixture_terms(k):
     assert rel_err(r.value, float(want)) <= MIXTURE_TOL
 
 
-# _beta_mixture's arguments (ln y, a, step, b, ln w0, ln z, sgn z, r, d) at two
-# alpha-kappa-F points where I falls fast, and their terms_used. Stepping I
-# by I - T and re-anchoring it on scipy at every hundredfold drop left these
-# 1.98e-13 and 6.8e-14 off the sum of their terms.
+def _kernel_args(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d):
+    """_beta_mixture's arguments (ln y, a, step, b, ln w0, ln z, sgn z, r, d,
+    ln a, ln B(a, b)), ln a and ln B(a, b) formed as the CDF consts form them."""
+    return ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, math.log(a), _k._lbeta(a, b)
+
+
+# _beta_mixture's arguments at two alpha-kappa-F points where I falls fast,
+# and their terms_used. Stepping I by I - T and re-anchoring it on scipy at
+# every hundredfold drop left these 1.98e-13 and 6.8e-14 off the sum of
+# their terms.
 FAST_DROPS = [
-    ((0.28093922288360496, 1.5925575289977438, 1, 1.7049429043372746, -52.840273822307466,
-      3.9672736617434126, 1.0, 1.0, 0.0), 79),
-    ((-2.8210240080849, 2.5393784477829064, 1, 15.891022518889262, -8.25490433034906,
-      2.1108074880074255, 1.0, 1.0, 0.0), 18),
+    (_kernel_args(0.28093922288360496, 1.5925575289977438, 1, 1.7049429043372746,
+                  -52.840273822307466, 3.9672736617434126, 1.0, 1.0, 0.0), 79),
+    (_kernel_args(-2.8210240080849, 2.5393784477829064, 1, 15.891022518889262,
+                  -8.25490433034906, 2.1108074880074255, 1.0, 1.0, 0.0), 18),
 ]
 
 
@@ -189,10 +195,10 @@ def test_lanes_call_scipy_as_often_however_many_terms(monkeypatch):
     assert 1 <= counts[0] == counts[1] == counts[2]
 
 
-def _assert_lanes_equal_scalar_calls(d, g):
+def _assert_lanes_equal_scalar_calls(d, g, ctrl=None):
     assert g.size >= _k._LANES_START  # the array loop, not scalar calls
-    lanes = d.snr_cdf(g)
-    scalars = [d.snr_cdf(float(v)) for v in g]
+    lanes = d.snr_cdf(g, ctrl)
+    scalars = [d.snr_cdf(float(v), ctrl) for v in g]
     assert np.max(np.abs(lanes.value - [r.value for r in scalars])) <= 2e-15
     assert list(lanes.terms_used) == [r.terms_used for r in scalars]
     assert list(lanes.converged) == [r.converged for r in scalars]
@@ -224,6 +230,63 @@ def test_akf_cdf_where_x_underflows(gamma_bar, g):
     assert r.converged and r.value == 0.0
     lanes = _assert_lanes_equal_scalar_calls(d, np.full(40, g))
     assert not lanes.value.any()
+
+
+# Lagging starts: ln T_0 is below _LN_POW_MIN, so T is stepped by its
+# logarithm until it rises into the sum. On LAGGING_AEF (step 2) at g = 2,
+# ln T_0 = -942 and the lag ends at the second step j of term 35 (j = 71);
+# over g in (1.9, 2.1) it ends at the first step of a term at some points
+# and at the second at others. On LAGGING_AKF (step 1) at g = 5, ln T_0 =
+# -951 and the lag ends at term 74 of 308. (The alpha-kappa-F lag that
+# rises within the sum is test_akf_cdf_where_the_first_step_term_underflows.)
+LAGGING_AEF = AefDist(AefParams(alpha=2.0, eta=1e-3, mu=1.0, ms=1e4), 1.0)
+LAGGING_AKF = AkfDist(AkfParams(alpha=2.0, kappa=200.0, mu=1.0, ms=1e4), 1.0)
+
+
+def _mp_partial(d, g, terms):
+    """The first `terms` terms of d's CDF mixture at g from the oracles."""
+    p = d.params
+    if isinstance(d, AefDist):
+        return float(oracles.mp_aef_cdf(p.mu, p.ms, d.geometry.h, d.geometry.H ** 2,
+                                        _aef_ln_y(d, g), terms=terms))
+    return float(oracles.mp_akf_cdf(p.mu, p.ms, p.kappa, d._ln_x1(g), terms=terms))
+
+
+def test_aef_lagging_start_rises_within_the_sum():
+    d, g = LAGGING_AEF, 2.0
+    r = d.snr_cdf(g)
+    assert r.converged and r.terms_used == 603
+    # 38 terms: past term 35, where the lag ends
+    ctrl = SeriesControl(max_terms=38)
+    r = d.snr_cdf(g, ctrl)
+    assert r.terms_used == 38 and not r.converged
+    assert rel_err(r.value, _mp_partial(d, g, 38)) <= MIXTURE_TOL
+    grid = np.linspace(1.9, 2.1, 40)
+    _assert_lanes_equal_scalar_calls(d, grid)
+    _assert_lanes_equal_scalar_calls(d, grid, ctrl)
+
+
+@pytest.mark.parametrize("gamma_bar, g", [(1.0, 1e-300), (1e10, 1e-320)])
+def test_aef_lagging_start_where_x_underflows(gamma_bar, g):
+    # x = 5e-302 at the first point, so x^a underflows, and x = 0 at the
+    # second (ln y = -763): T lags throughout, stepped by ln x + ln f
+    d = AefDist(LAGGING_AEF.params, gamma_bar)
+    r = d.snr_cdf(g)
+    assert r.converged and r.value == 0.0
+    assert rel_err(r.value, _mp_partial(d, g, r.terms_used)) <= MIXTURE_TOL
+    lanes = _assert_lanes_equal_scalar_calls(d, np.full(40, g))
+    assert not lanes.value.any()
+
+
+@pytest.mark.parametrize("max_terms", [1, 2, 3])
+@pytest.mark.parametrize("d, g", [(LAGGING_AEF, 2.0), (LAGGING_AKF, 5.0)],
+                         ids=["aef", "akf"])
+def test_first_terms_of_a_lagging_start(d, g, max_terms):
+    ctrl = SeriesControl(max_terms=max_terms)
+    r = d.snr_cdf(g, ctrl)
+    assert r.terms_used == max_terms and not r.converged
+    assert rel_err(r.value, _mp_partial(d, g, max_terms)) <= MIXTURE_TOL
+    _assert_lanes_equal_scalar_calls(d, np.full(40, g), ctrl)
 
 
 @pytest.mark.parametrize("args", [
