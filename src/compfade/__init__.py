@@ -1,7 +1,7 @@
 """compfade: alpha-eta-F and alpha-kappa-F composite fading distributions.
 
-Analytical envelope/SNR densities, CDF series with a closed-form truncation
-bound, closed-form CDF expressions, outage probability with high-SNR
+Analytical envelope/SNR densities, CDF series with a truncation bound for
+both families, closed-form CDF expressions, outage probability with high-SNR
 asymptotics (diversity and coding gains), special-case reductions, and an
 independent physical-model Monte-Carlo sampler for validation.
 

@@ -16,8 +16,8 @@ representable.
 
 Every scalar call of a scipy.special function goes to scipy's C kernel
 through scipy.special.cython_special's typed double entry (_betainc,
-_betaincc, _hyp2f1, _hyp1f1), without the ufunc's dispatch; every array
-call goes through the ufunc. Both routes run the same kernel and give the
+_betaincc, _gammainc, _hyp2f1, _hyp1f1), without the ufunc's dispatch;
+every array call goes through the ufunc. Both routes run the same kernel and give the
 same double.
 
 The regularized incomplete beta comes from scipy.special (reg_inc_beta).
@@ -25,9 +25,14 @@ The CDF mixture of both laws (_beta_mixture) takes it from scipy at its
 first and its last term only, and sums the steps T of the DLMF 8.17.20
 recurrence between them by parts, against the partial sums of the
 weights; ln a and ln B(a, b) of its first step come with the CDF
-constants. 2F1(B + b, B; B + 1; -y), an incomplete beta, has one evaluator
+constants. The mixture's weights are the law of a count N, negative
+binomial (alpha-eta-F) or Poisson (alpha-kappa-F), and P(N >= k), the
+weight the sum has not reached at term k, is one scipy call per family
+(nb_tail_mass, poisson_tail_mass); the truncation bound
+(series.Law.cdf_truncation_bound) is that tail mass times one incomplete
+beta. 2F1(B + b, B; B + 1; -y), an incomplete beta, has one evaluator
 (_ln_2f1_beta), called by the double series' rows of that structure
-(_ln_2f1_row) and once by the truncation bound (aef_cdf_bound_kernel).
+(_ln_2f1_row).
 
 The density kernels take their hypergeometric factor from scipy.special
 where scipy was measured accurate (scipy 1.17.1 within 4e-13 of mpmath):
@@ -66,6 +71,7 @@ from scipy.special import cython_special as _cs
 # not the fused functions, which refuse Python ints
 _betainc = _cs.betainc["double"]
 _betaincc = _cs.betaincc["double"]
+_gammainc = _cs.gammainc  # double only, not fused
 _hyp2f1 = _cs.hyp2f1["double"]
 _hyp1f1 = _cs.hyp1f1["double"]
 
@@ -693,35 +699,6 @@ def aef_cdf_consts(alpha, mu, ms, h, hsq, ln_lam):
             math.copysign(1.0, hsq), mu, 1.0, math.log(a), _lbeta(a, ms))
 
 
-def aef_cdf_bound_kernel(consts, ln_a, ln_g, k0, rel_tol, max_terms):
-    """Closed-form upper bound on the CDF-series remainder after K0-1 terms,
-    at g = exp(ln_g).
-
-    Its prefactor is the CDF head A g^(alpha mu), given ln A, times
-    mu / (mu + k0), times 2F1(B + ms, B; B + 1; -y), B = 2 mu + 2 k0, from
-    _ln_2f1_beta, and the bounding 2F1 at w = q y^2, q and y from consts =
-    aef_cdf_consts(...); for w >= 1 that series has no convergent real form
-    and status 2 is returned. Returns (value, status).
-    """
-    ln_y0, half_alpha, a, _, ms, _, ln_q, sgn_q, mu, _, _, _ = consts
-    gexp = half_alpha * ln_g
-    ln_y = ln_y0 + gexp
-    w = _signed_exp(sgn_q, 2.0 * ln_y + ln_q)
-    if w >= 1.0:
-        return 0.0, 2
-    ln_f2, sgn_f2, _, _, st2 = gauss_2f1_ln(
-        0.5 * (a + ms), 0.5 * (a + ms + 1.0), mu + 0.5, w, rel_tol, max_terms
-    )
-    if st2 != 0:
-        return 0.0, st2
-    ln_f1, st1 = _ln_2f1_beta(a + 2.0 * k0, ms, ln_y, *_beta_argument(ln_y), rel_tol,
-                              max_terms)
-    if st1 != 0:
-        return 0.0, st1
-    ln_t = ln_a + a * gexp + math.log(mu / (mu + k0)) + ln_f1 + ln_f2
-    return sgn_f2 * math.exp(ln_t), 0
-
-
 def akf_pdf_consts(alpha, mu, ms, kappa, ln_lam, ln_a):
     """The per-parameter-set constants of akf_snr_pdf_kernel, computed once
     from ln A of the CDF head A g^p, p = alpha mu / 2: mu kappa, ln(p A) and
@@ -769,6 +746,20 @@ def akf_cdf_consts(alpha, mu, ms, kappa, ln_lam):
     return (math.log(mu * (1.0 + kappa)) - ln_lam, 0.5 * alpha, mu, 1, ms,
             -mk, math.log(mk) if mk > 0.0 else -math.inf, 1.0, 1.0, 0.0,
             math.log(mu), _lbeta(mu, ms))
+
+
+def nb_tail_mass(k, r, ln_z):
+    """P(N >= k) of the alpha-eta-F mixture's weights h^-r (r)_k / k! z^k,
+    z = e^ln_z = 1 - 1/h: N negative binomial, whose P(N <= k - 1) is
+    I_(1-z)(r, k), so P(N >= k) = I_z(k, r), one scipy betainc."""
+    return _betainc(k, r, math.exp(ln_z))
+
+
+def poisson_tail_mass(k, r, ln_z):
+    """P(N >= k) of the alpha-kappa-F mixture's weights e^-z z^k / k!, z =
+    e^ln_z = mu kappa (r = 1 unused): N Poisson, so P(N >= k) is the
+    regularized lower incomplete gamma P(k, z), one scipy gammainc."""
+    return _gammainc(k, math.exp(ln_z))
 
 
 # --- lanes: one array call per grid ------------------------------------------

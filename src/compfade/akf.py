@@ -3,7 +3,9 @@
 AkfDist models the instantaneous SNR with mean gamma_bar: snr_pdf and
 snr_cdf, a Poisson-weighted mixture of regularized incomplete betas, an
 exact reformulation of the integrated PDF series, also named
-snr_cdf_series and snr_cdf_closed. The paper's two closed forms re-sum
+snr_cdf_series and snr_cdf_closed, and cdf_truncation_bound, an upper
+bound on its remainder after k0 terms from the Poisson tail mass
+(series.Law). The paper's two closed forms re-sum
 that mixture: below X1 = 1 the Kampe de Feriet form's row m times the CDF
 head is the mixture's term m, e^(-mu kappa) (mu kappa)^m/m! I_w(mu+m, ms)
 at w = X1/(1+X1); above it 1 minus the Humbert Psi1 term is the mixture
@@ -44,6 +46,7 @@ class AkfDist(Law):
     _params_type = AkfParams
     _pdf_kernel = staticmethod(_k.akf_snr_pdf_kernel)
     _pdf_form = staticmethod(_k._akf_scipy_form)
+    _tail_mass = staticmethod(_k.poisson_tail_mass)
     omega_norm = property(lambda self: self.params._unit.norm)
     # ln X1, the odds of the CDF mixture
     _ln_x1 = Law._ln_y
@@ -52,6 +55,7 @@ class AkfDist(Law):
     # so snr_cdf_closed is snr_cdf on either side of X1 = 1.
     snr_pdf = Law.snr_pdf
     snr_cdf = snr_cdf_series = snr_cdf_closed = Law.snr_cdf
+    cdf_truncation_bound = Law.cdf_truncation_bound
 
 
 @dataclass(frozen=True)

@@ -113,12 +113,12 @@ class AefParams:
         geo, ups = geometry(self), upsilon(self)
         ln_lam = math.log(self.ms - 1.0) + math.log(ups)
         alpha, mu, ms = self.alpha, self.mu, self.ms
-        # the CDF head A x^p, p = alpha mu
+        cdf = _k.aef_cdf_consts(alpha, mu, ms, geo.h, geo.H * geo.H, ln_lam)
+        # the CDF head A x^p, p = alpha mu; ln B(2 mu, ms) is the CDF's last constant
         ln_a = ((2.0 * mu - 1.0) * math.log(2.0 * mu) + mu * math.log(geo.h)
-                - _k._lbeta(2.0 * mu, ms) - 2.0 * mu * ln_lam)
+                - cdf[-1] - 2.0 * mu * ln_lam)
         return _UnitLaw(ups, geo, ln_lam, (ln_a, float(alpha * mu)),
-                        _k.aef_pdf_consts(alpha, mu, ms, geo.h, ln_lam, ln_a),
-                        _k.aef_cdf_consts(alpha, mu, ms, geo.h, geo.H * geo.H, ln_lam))
+                        _k.aef_pdf_consts(alpha, mu, ms, geo.h, ln_lam, ln_a), cdf)
 
 
 @dataclass(frozen=True)
@@ -143,12 +143,12 @@ class AkfParams:
         om = omega(self)
         ln_lam = math.log(self.ms - 1.0) + math.log(om)
         alpha, mu, ms, kappa = self.alpha, self.mu, self.ms, self.kappa
-        # the CDF head A x^p, p = alpha mu / 2
+        cdf = _k.akf_cdf_consts(alpha, mu, ms, kappa, ln_lam)
+        # the CDF head A x^p, p = alpha mu / 2; ln B(mu, ms) is the CDF's last constant
         ln_a = ((mu - 1.0) * math.log(mu) - mu * kappa + mu * math.log1p(kappa)
-                - _k._lbeta(mu, ms) - mu * ln_lam)
+                - cdf[-1] - mu * ln_lam)
         return _UnitLaw(om, None, ln_lam, (ln_a, 0.5 * alpha * mu),
-                        _k.akf_pdf_consts(alpha, mu, ms, kappa, ln_lam, ln_a),
-                        _k.akf_cdf_consts(alpha, mu, ms, kappa, ln_lam))
+                        _k.akf_pdf_consts(alpha, mu, ms, kappa, ln_lam, ln_a), cdf)
 
 
 @dataclass(frozen=True)

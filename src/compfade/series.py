@@ -3,11 +3,13 @@ engine, and the front ends of both composite laws: Law (the one density
 front end _density and the one mixture CDF snr_cdf) and Envelope. A law
 is its parameter set's law at gamma_bar = 1 at gamma/gamma_bar: its
 constants are computed once per params object (params._unit), and every
-kernel takes ln gamma - ln gamma_bar. Each family supplies its density
-kernels; its params, the constants of its density and CDF mixture and the
-head of its CDF, A x^p as x -> 0, as (ln A, p). The density constants are
-built from the head (the densities are its derivative times powers of
-Lambda/D), and pdf(0), the outage asymptote and the battery read it.
+kernel takes ln gamma - ln gamma_bar; Law.cdf_truncation_bound bounds
+the mixture's remainder for both families. Each family supplies its
+density kernels and the tail mass of its mixture's weights; its params,
+the constants of its density and CDF mixture and the head of its CDF, A
+x^p as x -> 0, as (ln A, p). The density constants are built from the
+head (the densities are its derivative times powers of Lambda/D), and
+pdf(0), the outage asymptote and the battery read it.
 
 The densities and the mixture CDF take a float or an np.ndarray. A float
 runs the scalar kernels; an array runs every point as a lane of one array
@@ -33,6 +35,8 @@ if TYPE_CHECKING:
 
 DEFAULT_REL_TOL = 1e-12
 DEFAULT_MAX_TERMS = 100_000
+# twice the double's epsilon, the rounding term of Law.cdf_truncation_bound
+_TWO_EPS = 2.0 * 2.220446049250313e-16
 
 # Kernel status codes (returned by _kernels, mapped to exceptions/flags here).
 STATUS_OK = 0
@@ -163,14 +167,16 @@ def _freeze(obj, **values) -> None:
 @dataclass(frozen=True)
 class Law:
     """Instantaneous-SNR law with mean SNR gamma_bar. A family subclass names
-    its params class in _params_type, its density kernel in _pdf_kernel and
-    its scipy array form in _pdf_form (the pair _kernels._scipy_or_scalar_lanes
-    takes); Law._densities takes laws of either family. _pdf_consts and
-    _cdf_consts are the params' gamma_bar = 1 tuples, shared; the densities
-    take their log-Jacobian minus ln gamma_bar too. _head is (ln A, p) of the
-    CDF head F(x) ~ A x^p as x -> 0. _cdf_consts is the CDF: ln y0, alpha/2
-    and the arguments of _kernels._beta_mixture at ln y = ln y0 + (alpha/2)
-    (ln x - ln gamma_bar)."""
+    its params class in _params_type, its density kernel in _pdf_kernel, its
+    scipy array form in _pdf_form (the pair _kernels._scipy_or_scalar_lanes
+    takes) and the tail mass of its CDF mixture's weights in _tail_mass
+    (_kernels.nb_tail_mass, poisson_tail_mass); Law._densities takes laws of
+    either family. _pdf_consts and _cdf_consts are the params' gamma_bar = 1
+    tuples, shared; the densities take their log-Jacobian minus ln gamma_bar
+    too. _head is (ln A, p) of the CDF head F(x) ~ A x^p as x -> 0.
+    _cdf_consts is the CDF: ln y0, alpha/2 and the arguments of
+    _kernels._beta_mixture at ln y = ln y0 + (alpha/2) (ln x - ln
+    gamma_bar)."""
 
     params: AefParams | AkfParams
     gamma_bar: float
@@ -323,6 +329,35 @@ class Law:
         if not math.isfinite(raw):
             raise _cdf_error()
         return cdf_clamped(raw, terms, est, status == STATUS_OK)
+
+    def cdf_truncation_bound(self, gamma: float, k0: int) -> float:
+        """Upper bound on snr_cdf's remainder after its first k0 terms (k =
+        0 .. k0 - 1 kept): P(N >= k0) I_x(a + step k0, b) + 2 eps I_x(a, b).
+
+        The terms left out, w_k I_x(a + step k, b) for k >= k0, have
+        positive weights summing to P(N >= k0), the weights' tail mass
+        (_tail_mass), and betas that fall as k grows: the noncentral-beta
+        remainder bound of AS R84 (Frick 1990). I_x(a, b) is at least the
+        CDF, so 2 eps I_x(a, b) covers the rounding of a remainder taken as
+        the difference of two summed CDFs; it stands as x^a (1 - x)^min(b -
+        1, 0) / (a B(a, b)), at most 1, an upper bound on I_x(a, b) from the
+        law's constants, so a call makes two scipy calls and sums no
+        series."""
+        if not gamma >= 0.0:
+            raise DomainError(f"gamma must be non-negative, got {gamma}")
+        if not (k0 >= 1 and k0 % 1 == 0):  # k0 % 1 is NaN at k0 = inf
+            raise DomainError(f"k0 must be an integer >= 1, got {k0}")
+        if gamma == 0.0:
+            return 0.0
+        ln_y0, half_alpha, a, step, b, _, ln_z, _, r, _, ln_a, lb = self._cdf_consts
+        x, cx, lnx, lncx = _k._beta_argument(
+            ln_y0 + half_alpha * (math.log(gamma) - self._ln_gb))
+        ln_i0 = a * lnx - ln_a - lb
+        if b < 1.0:  # min(b - 1, 0) ln(1 - x), with no 0 * ln 0 at gamma = inf
+            ln_i0 += (b - 1.0) * lncx
+        k0 = float(k0)
+        return (self._tail_mass(k0, r, ln_z) * _k.reg_inc_beta(a + step * k0, b, x, cx)
+                + _TWO_EPS * math.exp(min(ln_i0, 0.0)))
 
     def _ln_y(self, gamma: float) -> float:
         """ln of the CDF mixture's odds at gamma > 0 (X1 on alpha-kappa-F)."""

@@ -537,43 +537,78 @@ def check_mc(n: int = 1_000_000, seed: int = 777, flip_h_sign: bool = False,
     return checks
 
 
+def _paper_bound(d: AefDist, gamma: float, k0: int) -> float:
+    """The paper's closed-form bound on the alpha-eta-F CDF series'
+    remainder after k0 terms, the reference for cdf_truncation_bound: the
+    CDF head A g^(alpha mu) times mu / (mu + k0), times 2F1(B + ms, B; B +
+    1; -y), B = 2 mu + 2 k0, from _kernels._ln_2f1_beta, times the bounding
+    2F1(mu + ms/2, mu + (ms + 1)/2; mu + 1/2; q y^2), q = (H/h)^2, from
+    gauss_2f1_ln. That series has no convergent real form at q y^2 >= 1,
+    where it raises ConvergenceError, as where a series does not
+    converge."""
+    ctrl = default_control()
+    ln_y0, half_alpha, a, _, ms, _, ln_q, sgn_q, mu, _, _, _ = d._cdf_consts
+    gexp = half_alpha * (math.log(gamma) - d._ln_gb)
+    ln_y = ln_y0 + gexp
+    w = _k._signed_exp(sgn_q, 2.0 * ln_y + ln_q)
+    if w >= 1.0:
+        raise ConvergenceError("the paper's bound: its bounding series diverges at q y^2 >= 1")
+    ln_f2, sgn_f2, _, _, st2 = _k.gauss_2f1_ln(
+        0.5 * (a + ms), 0.5 * (a + ms + 1.0), mu + 0.5, w, ctrl.rel_tol, ctrl.max_terms)
+    ln_f1, st1 = _k._ln_2f1_beta(a + 2.0 * k0, ms, ln_y, *_k._beta_argument(ln_y),
+                                 ctrl.rel_tol, ctrl.max_terms)
+    if st1 != STATUS_OK or st2 != STATUS_OK:
+        raise ConvergenceError("the paper's bound: a series did not converge")
+    return sgn_f2 * math.exp(d.params._unit.head[0] + a * gexp + math.log(mu / (mu + k0))
+                             + ln_f1 + ln_f2)
+
+
 def check_bound(seed: int = 424242, draws: int = 20) -> list:
-    """Criterion: the closed-form truncation bound dominates the measured
-    CDF series remainder for k0 in {1, 2, 4, 8, 16} across random valid
-    parameter draws; zero violations allowed."""
+    """Criterion: cdf_truncation_bound dominates the measured CDF series
+    remainder for k0 in {1, 2, 4, 8, 16} at each of `draws` random valid
+    draws per family (the alpha-eta-F draws alternate Format I and II),
+    and the paper's bound (_paper_bound) dominates it at every alpha-eta-F
+    draw where it converges; zero violations allowed. The second check's
+    detail counts the draws the paper's bound refuses (q y^2 >= 1)."""
     rng = np.random.default_rng(seed)
     k0s = (1, 2, 4, 8, 16)
-    worst = -math.inf
-    worst_detail = ""
-    count = 0
-    while count < draws:
+    names = ("bound-dominates-remainder", "paper-bound-dominates-remainder")
+    worst = dict.fromkeys(names, -math.inf)
+    detail = dict.fromkeys(names, "")
+    refused = 0
+    for i in range(2 * draws):
         alpha = rng.uniform(1.0, 4.0)
-        eta = math.exp(rng.uniform(math.log(0.15), math.log(6.0)))
+        shape = rng.uniform(0.0, 1.0)
         mu = rng.uniform(0.4, 3.0)
         ms = rng.uniform(2.0 / alpha + 0.3, 25.0)
         gamma = math.exp(rng.uniform(math.log(0.05), math.log(15.0)))
-        p = AefParams(alpha=alpha, eta=eta, mu=mu, ms=ms)
-        d = AefDist(p, 1.0)
-        try:
-            bounds = [d.cdf_truncation_bound(gamma, k0) for k0 in k0s]
-        except ConvergenceError:
-            continue  # bounding series diverges here (w >= 1): out of scope
-        count += 1
-        full = d.snr_cdf(gamma)
-        for k0, bound in zip(k0s, bounds):
-            part = d.snr_cdf(gamma, SeriesControl(max_terms=k0))
-            remainder = max(full.value - part.value, 0.0)
-            excess = remainder - bound
-            if excess > worst:
-                worst = excess
-                worst_detail = (
-                    f"{_tag(p)} gamma={gamma:.4g} k0={k0} "
-                    f"remainder={remainder:.3e} bound={bound:.3e}"
-                )
-    return [
-        Check("bound-dominates-remainder", worst, 0.0, worst <= 0.0,
-              detail=worst_detail)
-    ]
+        if i % 2:
+            kappa = math.exp(math.log(0.05) + shape * math.log(800.0))  # 0.05 to 40
+            d = AkfDist(AkfParams(alpha=alpha, kappa=kappa, mu=mu, ms=ms), 1.0)
+        elif i % 4 == 0:
+            eta = math.exp(math.log(0.15) + shape * math.log(40.0))  # 0.15 to 6
+            d = AefDist(AefParams(alpha=alpha, eta=eta, mu=mu, ms=ms), 1.0)
+        else:
+            d = AefDist(AefParams(alpha=alpha, eta=1.9 * shape - 0.95, mu=mu, ms=ms,
+                                  format=Format.FORMAT_II), 1.0)
+        full = d.snr_cdf(gamma).value
+        remainders = [max(full - d.snr_cdf(gamma, SeriesControl(max_terms=k0)).value, 0.0)
+                      for k0 in k0s]
+        bounds = {names[0]: [d.cdf_truncation_bound(gamma, k0) for k0 in k0s]}
+        if isinstance(d, AefDist):
+            try:
+                bounds[names[1]] = [_paper_bound(d, gamma, k0) for k0 in k0s]
+            except ConvergenceError:
+                refused += 1
+        for name, values in bounds.items():
+            for k0, remainder, bound in zip(k0s, remainders, values):
+                if remainder - bound > worst[name]:
+                    worst[name] = remainder - bound
+                    detail[name] = (f"{_tag(d.params)} gamma={gamma:.4g} k0={k0} "
+                                    f"remainder={remainder:.3e} bound={bound:.3e}")
+    detail[names[1]] += f"; the paper's bound refused {refused} of {draws} draws"
+    return [Check(name, worst[name], 0.0, worst[name] <= 0.0, detail=detail[name])
+            for name in names]
 
 
 def check_asym() -> list:

@@ -40,15 +40,16 @@ def _density_dps(ms):
     return DENSITY_DPS + int(math.log10(ms)) + 4
 
 
-def _mp_beta_mixture(ln_odds, a0, da, b, ln_weights, terms):
-    """Sum of weight_k * I_w(a0 + k da, b) over k, with w = e^ln_odds /
-    (1 + e^ln_odds) and ln_weights yielding (ln|weight_k|, sign_k).
+def _mp_beta_mixture(ln_odds, a0, da, b, ln_weights, terms, start=0):
+    """Sum of weight_k * I_w(a0 + k da, b) over k >= start, with w =
+    e^ln_odds / (1 + e^ln_odds) and ln_weights yielding (ln|weight_k|,
+    sign_k) from k = 0.
 
     terms=None sums until the weights times the betas stop mattering at
     this precision, testing that only from the mode of the weights on (the
     first k whose weight is below the one before): the leading weights of
     a large mu kappa are far below any floor. An integer sums exactly the
-    first `terms` terms.
+    terms before k = `terms`.
     """
     _setup()
     odds = mp.exp(mp.mpf(ln_odds))
@@ -59,10 +60,12 @@ def _mp_beta_mixture(ln_odds, a0, da, b, ln_weights, terms):
     for k, (ln_wk, sgn) in enumerate(ln_weights):
         if terms is not None and k >= terms:
             break
-        term = sgn * mp.exp(ln_wk) * mp.betainc(a0 + k * da, b, 0, w, regularized=True)
-        s += term
         past_mode = past_mode or (ln_prev is not None and ln_wk < ln_prev)
         ln_prev = ln_wk
+        if k < start:
+            continue
+        term = sgn * mp.exp(ln_wk) * mp.betainc(a0 + k * da, b, 0, w, regularized=True)
+        s += term
         if terms is None and past_mode:
             if abs(term) <= _STOP * max(abs(s), _TINY):
                 small += 1
@@ -73,11 +76,14 @@ def _mp_beta_mixture(ln_odds, a0, da, b, ln_weights, terms):
     return s
 
 
-def mp_kernel_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, ln_a, lb, terms):
-    """The first `terms` terms of _kernels._beta_mixture's sum, from its own
-    arguments taken as exact: weights w_0 = e^ln_w0, w_(k+1) = w_k sgn_z
-    e^ln_z (r + d k)/(k + 1), betas I_w(a + step k, b). ln_a and lb, the
-    kernel's ln a and ln B(a, b), are not used: each I_w comes from mpmath."""
+def mp_kernel_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, ln_a, lb, terms,
+                      start=0):
+    """The terms k = start .. terms - 1 of _kernels._beta_mixture's sum (with
+    terms=None, every term from start on: the remainder after `start`
+    terms, summed), from its own arguments taken as exact: weights w_0 =
+    e^ln_w0, w_(k+1) = w_k sgn_z e^ln_z (r + d k)/(k + 1), betas I_w(a +
+    step k, b). ln_a and lb, the kernel's ln a and ln B(a, b), are not used:
+    each I_w comes from mpmath."""
     _setup()
 
     def weights():
@@ -88,7 +94,7 @@ def mp_kernel_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, ln_a, lb, term
             sgn *= int(sgn_z)
             k += 1
 
-    return _mp_beta_mixture(ln_y, mp.mpf(a), step, mp.mpf(b), weights(), terms)
+    return _mp_beta_mixture(ln_y, mp.mpf(a), step, mp.mpf(b), weights(), terms, start)
 
 
 def mp_akf_cdf(mu, ms, kappa, ln_x1, terms=None):

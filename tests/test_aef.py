@@ -1,4 +1,5 @@
-"""alpha-eta-F distribution: densities, CDF series, truncation bound.
+"""alpha-eta-F distribution: densities, CDF series, truncation bound (and
+the paper's closed-form bound, validation's reference).
 
 Frozen constants were cross-checked against quadrature of the density and
 against 60-digit evaluations of the underlying hypergeometric series.
@@ -22,7 +23,9 @@ from compfade import (
     SeriesControl,
     convert_format,
 )
+from compfade.validation import _paper_bound
 from conftest import rel_err
+from oracles import mp_kernel_mixture
 
 GOLDEN_TOL = 1e-11  # frozen values, backend-agnostic headroom
 
@@ -144,7 +147,15 @@ def test_fisher_spot():
 
 
 def test_truncation_bound_frozen_spot(dist):
-    assert rel_err(dist.cdf_truncation_bound(1.0, 4), 0.002117560664055892) <= GOLDEN_TOL
+    # the paper's closed-form bound, the battery's reference
+    assert rel_err(_paper_bound(dist, 1.0, 4), 0.002117560664055892) <= GOLDEN_TOL
+
+
+def test_public_truncation_bound_frozen_spot(dist):
+    # P(N >= 4) I_x(2 mu + 8, ms) + 2 eps x^(2 mu) / (2 mu B(2 mu, ms)), N the
+    # negative binomial count of the weights; 40-digit mpmath gives
+    # 2.1514594636547328e-8, and the remainder summed is 1.916e-8
+    assert rel_err(dist.cdf_truncation_bound(1.0, 4), 2.1514594636547312e-08) <= GOLDEN_TOL
 
 
 def test_truncation_bound_dominates_remainder(dist):
@@ -169,14 +180,28 @@ def test_truncation_bound_edge_cases(dist):
 
 
 def test_truncation_bound_divergence_reported():
-    # Extreme imbalance pushes the bounding series argument to 1; the
-    # bound must refuse rather than return something meaningless.
+    # Extreme imbalance pushes the paper's bounding series argument to 1;
+    # the reference must refuse rather than return something meaningless.
     d = AefDist(AefParams(alpha=2.0, eta=0.001, mu=1.0, ms=4.0), 1.0)
     with pytest.raises(ConvergenceError):
-        d.cdf_truncation_bound(10.0, 2)
+        _paper_bound(d, 10.0, 2)
     # an argument past e^709 raised a bare OverflowError
     with pytest.raises(ConvergenceError):
-        d.cdf_truncation_bound(1e300, 2)
+        _paper_bound(d, 1e300, 2)
+
+
+def test_truncation_bound_where_the_papers_diverges():
+    # the public bound needs no series, so it holds where the paper's refuses
+    d = AefDist(AefParams(alpha=2.0, eta=0.001, mu=1.0, ms=4.0), 1.0)
+    full, part = (d.snr_cdf(10.0, c).value for c in (None, SeriesControl(max_terms=2)))
+    bound = d.cdf_truncation_bound(10.0, 2)
+    assert math.isfinite(bound) and bound >= full - part  # 0.99203 >= 0.98920
+    # at 1e300 the CDF is 1 within far less than an ulp, so the remainder is
+    # 1 less the first two terms, here summed in mpmath
+    c = d._cdf_consts
+    part = mp_kernel_mixture(c[0] + c[1] * math.log(1e300), *c[2:], 2)
+    bound = d.cdf_truncation_bound(1e300, 2)
+    assert math.isfinite(bound) and bound >= 1 - part
 
 
 @pytest.mark.parametrize("gamma, k0", [
@@ -184,7 +209,7 @@ def test_truncation_bound_divergence_reported():
 ])
 def test_truncation_bound_where_the_incomplete_beta_underflows(gamma, k0):
     # w^(2 mu + 2 k0) underflows at these gamma, so betainc gives 0 and the
-    # bound read 0.0; the leading 2F1 then takes Pfaff's form. Reference:
+    # paper's bound read 0.0; the leading 2F1 then takes Pfaff's form. Reference:
     # A g^(alpha mu) mu/(mu + k0) 2F1(B + ms, B; B + 1; -y) 2F1(mu + ms/2,
     # mu + (ms + 1)/2; mu + 1/2; q y^2), B = 2 mu + 2 k0, y = 2 mu h
     # g^(alpha/2) / Lambda, q = (H/h)^2, A the CDF head's constant
@@ -201,7 +226,7 @@ def test_truncation_bound_where_the_incomplete_beta_underflows(gamma, k0):
                 * mpmath.hyp2f1(b0 + ms_, b0, b0 + 1, -y)
                 * mpmath.hyp2f1(mu_ + ms_ / 2, mu_ + (ms_ + 1) / 2, mu_ + 0.5,
                                 (H / h * y) ** 2))
-    got = d.cdf_truncation_bound(gamma, k0)
+    got = _paper_bound(d, gamma, k0)
     assert got > 0.0
     assert rel_err(got, float(want)) <= 1e-12
 

@@ -40,6 +40,13 @@ def test_snr_cdf_series_frozen_spot(dist):
     assert rel_err(dist.snr_cdf_series(1.0).value, 0.6234834812997958) <= GOLDEN_TOL
 
 
+def test_truncation_bound_frozen_spot(dist):
+    # P(N >= 4) I_x(mu + 4, ms) + 2 eps x^mu / (mu B(mu, ms)), N the Poisson
+    # count of the weights; 40-digit mpmath gives 0.031901601938961444, and
+    # the remainder summed is 0.02749
+    assert rel_err(dist.cdf_truncation_bound(1.0, 4), 0.03190160193896146) <= GOLDEN_TOL
+
+
 def test_snr_cdf_closed_frozen_spots(dist):
     # 0.3 sits below the guard band and 3.0 above it, where the paper's
     # closed forms are the Kampe de Feriet and the Humbert form; both

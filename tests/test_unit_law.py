@@ -17,7 +17,6 @@ from compfade import (
     AkfDist,
     AkfEnvelope,
     AkfParams,
-    ConvergenceError,
     DomainError,
     gains,
 )
@@ -68,17 +67,7 @@ def test_a_failing_normalizer_raises_at_every_build():
             AefDist(p, gb)
 
 
-def _outcome(f, *args):
-    """f(*args), or the type of the ConvergenceError it raises."""
-    try:
-        return f(*args)
-    except ConvergenceError as exc:
-        return type(exc)
-
-
 def _close(got, want):
-    if isinstance(want, type):
-        return got is want
     return abs(got - want) <= SCALE_TOL * abs(want)
 
 
@@ -99,9 +88,7 @@ def test_a_law_at_gamma_is_the_unit_law_at_gamma_over_gamma_bar(name, law, envel
             r, r1 = d.snr_cdf_closed(g), unit.snr_cdf_closed(g1)
             assert _close(r.value, r1.value)
             assert (r.terms_used, r.converged) == (r1.terms_used, r1.converged)
-        else:
-            assert _close(_outcome(d.cdf_truncation_bound, g, 5),
-                          _outcome(unit.cdf_truncation_bound, g1, 5))
+        assert _close(d.cdf_truncation_bound(g, 5), unit.cdf_truncation_bound(g1, 5))
         assert _close(gains(d, g).gc * gamma_bar, gains(unit, g1).gc)
     pdf, pdf1 = d.snr_pdf(gammas), unit.snr_pdf(gammas / gamma_bar)
     assert np.all(np.abs(pdf * gamma_bar - pdf1) <= SCALE_TOL * pdf1)
