@@ -1,4 +1,7 @@
-"""Scalar series kernels.
+"""The kernels of the two laws, alpha-eta-F and alpha-kappa-F, and the
+single-variable helpers they share with specfun's engines (_hyper_series,
+kummer_1f1_ln, _lbeta, reg_inc_beta, _beta_argument, _signed_exp and the
+typed scipy entries). This module imports nothing from specfun.
 
 Every kernel returns plain tuples of floats/ints with an integer status code
 (0 ok, 1 tolerance unmet at max_terms, 2 divergent/invalid region) instead of
@@ -30,9 +33,7 @@ binomial (alpha-eta-F) or Poisson (alpha-kappa-F), and P(N >= k), the
 weight the sum has not reached at term k, is one scipy call per family
 (nb_tail_mass, poisson_tail_mass); the truncation bound
 (series.Law.cdf_truncation_bound) is that tail mass times one incomplete
-beta. 2F1(B + b, B; B + 1; -y), an incomplete beta, has one evaluator
-(_ln_2f1_beta), called by the double series' rows of that structure
-(_ln_2f1_row).
+beta.
 
 The density kernels take their hypergeometric factor from scipy.special
 where scipy was measured accurate (scipy 1.17.1 within 4e-13 of mpmath):
@@ -49,14 +50,8 @@ factor; ln s = -ln(1 + e^u) comes from _beta_argument, so no term of size
 ms ln Lambda is formed, and the densities keep their digits at any ms. The
 kernels' constants are computed once per parameter set, at gamma_bar = 1
 (aef_pdf_consts, aef_cdf_consts, akf_pdf_consts, akf_cdf_consts). ln B(a,
-b) takes Stirling's form above a + b = 1e3 (_lbeta).
-
-The single series and the mixture add one term per interpreted loop
-step. The two double series, Humbert Psi1 and Kampe de Feriet, add one
-row per step: one outer loop (_row_sum) sums single-variable rows, 2F1
-rows from _ln_2f1_row and 1F1 rows from _ln_1f1_row, each a scipy call
-where scipy was measured accurate, with log-carried coefficients
-(humbert_psi1_ln, kdf_2_1_ln).
+b) takes Stirling's form above a + b = 1e3 (_lbeta). The single series
+and the mixture add one term per interpreted loop step.
 """
 from __future__ import annotations
 
@@ -81,11 +76,6 @@ _LN_POW_MIN = -700.0  # e^-700 = 1e-304, just above the subnormal range
 _ABS_TOL = 1e-300
 _LN_ABS_TOL = math.log(_ABS_TOL)
 CDF_LN_W0 = 5  # index of ln w_0, the mixtures' first weight, in the CDF consts
-# at x >= 0, humbert_psi1_ln sums 2F1 rows from scipy.special only up to
-# this c: there scipy 1.17.1's hyp2f1 was measured within 3e-12 of mpmath
-# at z in (0, 1) with a and b up to 1e3, while past c = 11 it is up to 30%
-# off where a is 1.5-3 c and z > 0.3
-_SCIPY_2F1_C_MAX = 10.0
 # the density kernels take their 2F1 and 1F1 from scipy.special up to this
 # ms, where scipy 1.17.1 was measured within 4e-13 of mpmath (CHANGES.md);
 # past it hyp2f1 drifts to 5e-12 near z = 0 by ms = 250 and gives NaN at
@@ -107,19 +97,6 @@ _LANES_START = 40
 
 def _is_nonpos_int(x):
     return x <= 0.0 and x == math.floor(x)
-
-
-def _lgamma_sign(x):
-    """(ln|Gamma(x)|, sign of Gamma(x)); sign 0.0 marks a pole."""
-    if x > 0.0:
-        return math.lgamma(x), 1.0
-    if x == math.floor(x):
-        return math.inf, 0.0
-    # lgamma already returns ln|Gamma| for negative non-integers; Gamma alternates
-    # sign on successive unit intervals below zero.
-    if int(math.floor(x)) % 2 == 0:
-        return math.lgamma(x), 1.0
-    return math.lgamma(x), -1.0
 
 
 def _ln_gamma_star(a):
@@ -165,7 +142,8 @@ def reg_inc_beta(a, b, x, cx):
     ulp of 1 (the CDF mixtures reach both ends) keeps the digits cx carries.
     Where x^a falls below about e^_LN_POW_MIN, betainc loses digits although
     I may be representable; the CDF mixtures weight such an I by at most 1,
-    and _ln_2f1_beta, which would scale it by y^-a, takes Pfaff's form there.
+    and specfun._ln_2f1_beta, which would scale it by y^-a, takes Pfaff's
+    form there.
     """
     if x > 0.5:
         return _betaincc(b, a, cx)
@@ -241,254 +219,22 @@ def _hyper_series(a, b, c, z, rel_tol, max_terms, ln_pref=0.0, floor=_ABS_TOL):
     return ln_pref + math.log(abs(s)) + ln_scale, sgn, terms, est / abs(s), status
 
 
-def gauss_2f1_ln(a, b, c, z, rel_tol, max_terms):
-    """Gauss 2F1 dispatch: the direct series up to z = 1/2, Pfaff's map for
-    z < 0, Euler's same-argument map above z = 1/2 where c - a - b < 0, and
-    Gauss's sum at z = 1.
-
-    Returns (ln_abs, sign, terms, est_rel, status).
-    """
-    # terminating numerator: exact polynomial, any z
-    a_term = _is_nonpos_int(a)
-    b_term = _is_nonpos_int(b)
-    if a_term or b_term:
-        if a_term and b_term:
-            nmax = int(-max(a, b))
-        elif a_term:
-            nmax = int(-a)
-        else:
-            nmax = int(-b)
-        if _is_nonpos_int(c) and -c <= nmax - 1:
-            return 0.0, 0.0, 0, 0.0, 2  # pole before termination
-        # all nmax nonzero terms; the next one is zero, and its (c + nmax)
-        # may be too when c = -nmax
-        ln_f, sgn, _, _, _ = _hyper_series(a, b, c, z, 0.0, nmax, floor=0.0)
-        return ln_f, sgn, min(nmax + 1, max_terms), 0.0, 0
-    if _is_nonpos_int(c):
-        return 0.0, 0.0, 0, 0.0, 2
-    if z == 0.0:
-        return 0.0, 1.0, 1, 0.0, 0
-    if z < 0.0:
-        # Pfaff map w = z/(z-1) in (0,1); pick the variant whose transformed
-        # parameter sum is smaller (faster coefficient decay near w=1).
-        w = z / (z - 1.0)
-        if a <= b:
-            ln_pref = -a * math.log1p(-z)
-            ln_f, sgn, terms, est, st = _hyper_series(a, c - b, c, w, rel_tol, max_terms)
-        else:
-            ln_pref = -b * math.log1p(-z)
-            ln_f, sgn, terms, est, st = _hyper_series(c - a, b, c, w, rel_tol, max_terms)
-        return ln_pref + ln_f, sgn, terms, est, st
-    if z < 1.0:
-        if z <= 0.5 or c - a - b >= 0.0:
-            return _hyper_series(a, b, c, z, rel_tol, max_terms)
-        # Euler map keeps the argument but flips the decay exponent positive
-        ln_pref = (c - a - b) * math.log1p(-z)
-        ln_f, sgn, terms, est, st = _hyper_series(c - a, c - b, c, z, rel_tol, max_terms)
-        return ln_pref + ln_f, sgn, terms, est, st
-    if z == 1.0 and c - a - b > 0.0:
-        # Gauss summation theorem
-        ln1, s1 = _lgamma_sign(c)
-        ln2, s2 = _lgamma_sign(c - a - b)
-        ln3, s3 = _lgamma_sign(c - a)
-        ln4, s4 = _lgamma_sign(c - b)
-        if s3 == 0.0 or s4 == 0.0:
-            return 0.0, 0.0, 0, 0.0, 2
-        return ln1 + ln2 - ln3 - ln4, s1 * s2 * s3 * s4, 1, 0.0, 0
-    return 0.0, 0.0, 0, 0.0, 2
-
-
 def kummer_1f1_ln(a, b, z, rel_tol, max_terms):
-    """Confluent 1F1. Returns (ln_abs, sign, terms, est_rel, status).
+    """Confluent 1F1(a; b; z) as (ln_abs, sign, terms, est_rel, status).
 
     z >= 0 is summed directly (all terms positive for a,b > 0); z < 0 goes
     through Kummer's transform e^z 1F1(b-a; b; -z) so the transformed series
     is again cancellation-free in the b > a cases this package produces.
+    No caller passes a b at a pole the series reaches: specfun.kummer_1f1
+    refuses one, specfun.humbert_psi1 refuses such a c', the b of its 1F1
+    rows, and the alpha-kappa-F density's b is mu > 0.
     """
-    if _is_nonpos_int(b) and not (_is_nonpos_int(a) and a > b):
-        return 0.0, 0.0, 0, 0.0, 2
     ln_pref = 0.0
     if z < 0.0 and not _is_nonpos_int(a):
         ln_pref = z
         a = b - a
         z = -z
     return _hyper_series(a, None, b, z, rel_tol, max_terms, ln_pref)
-
-
-def _is_beta_row(a, b, c, z):
-    """Whether 2F1(a, b; c; z) is 2F1(B + b', B; B + 1; -y) with B = b, b' =
-    a - b > 0 and y = -z > 0, the contiguous structure of the composite CDF's
-    double series. c = b + 1 is tested up to a few ulps: c built as b + 1 in
-    floating point can sit an ulp off, and snapping it changes the function
-    by far less than the row-evaluation error it avoids."""
-    ulps = 64.0 * 2.220446049250313e-16 * max(1.0, abs(c))
-    return z < 0.0 and a > b > 0.0 and abs(c - b - 1.0) <= ulps
-
-
-def _ln_2f1_row(a, b, c, z, rel_tol, max_terms):
-    """(ln|2F1(a, b; c; z)|, sign, status), a row of a double series.
-
-    A row of the contiguous structure (_is_beta_row) comes from
-    _ln_2f1_beta, which keeps every factor positive. Any other comes from
-    scipy's hyp2f1 where it gives a finite nonzero double; where it
-    overflows at 0 < z < 1, from Euler's (1 - z)^(c-a-b) 2F1(c - a, c - b;
-    c; z) with that 2F1 from scipy; else from gauss_2f1_ln.
-    """
-    if _is_beta_row(a, b, c, z):
-        ln_y = math.log(-z)
-        ln_f, st = _ln_2f1_beta(b, a - b, ln_y, *_beta_argument(ln_y), rel_tol, max_terms)
-        return ln_f, 1.0, st
-    f = _hyp2f1(a, b, c, z)
-    if 0.0 < abs(f) < math.inf:
-        return math.log(abs(f)), math.copysign(1.0, f), 0
-    if abs(f) == math.inf and 0.0 < z < 1.0:
-        f = _hyp2f1(c - a, c - b, c, z)
-        if 0.0 < abs(f) < math.inf:
-            return (c - a - b) * math.log1p(-z) + math.log(abs(f)), math.copysign(1.0, f), 0
-    ln_f, sgn, _, _, st = gauss_2f1_ln(a, b, c, z, rel_tol, max_terms)
-    return ln_f, sgn, st
-
-
-def _ln_1f1_row(a, c, z, rel_tol, max_terms):
-    """(ln|1F1(a; c; z)|, sign, status), a row of a double series: Kummer's
-    e^z 1F1(c - a; c; -z) with that 1F1 from scipy's hyp1f1 where it gives a
-    finite nonzero double, else kummer_1f1_ln. scipy's direct hyp1f1(a, c,
-    z) is orders of magnitude off at z < 0 once a passes about 150, and
-    overflows sooner at z > 0 (scipy 1.17.1, against mpmath)."""
-    f = _hyp1f1(c - a, c, -z)
-    if 0.0 < abs(f) < math.inf:
-        return z + math.log(abs(f)), math.copysign(1.0, f), 0
-    ln_f, sgn, _, _, st = kummer_1f1_ln(a, c, z, rel_tol, max_terms)
-    return ln_f, sgn, st
-
-
-def _row_sum(row, ratio, rel_tol, max_terms):
-    """sum_m coef_m row(m), the outer loop of both double series: row(m)
-    gives (ln|row|, sign, status), coef_0 = 1 and coef_(m+1) = coef_m
-    ratio(m), carried as ln|coef| and a sign.
-
-    Rows are added until two successive terms fall below rel_tol of the
-    partial sum or below _ABS_TOL, a ratio of exactly 0 ends a terminating
-    series, or max_terms rows are added; the partial sum is shifted down
-    before a term passes e^_LN_RESCALE. A row of status 2 ends the sum with
-    status 2; otherwise the status is the worse of the stop's and the
-    rows'. Returns (ln_abs, sign, rows, est_rel, status).
-    """
-    s = 0.0
-    ln_scale = 0.0
-    ln_coef = 0.0
-    sgn_coef = 1.0
-    small = 0
-    m = 0
-    est = 0.0
-    status = 1
-    worst_row = 0
-    while m < max_terms:
-        ln_f, sgn_f, row_st = row(m)
-        if row_st == 2:
-            return 0.0, 0.0, m, 0.0, 2
-        worst_row = max(worst_row, row_st)
-        e = ln_coef + ln_f - ln_scale
-        if e > _LN_RESCALE:
-            shift = e - 600.0
-            s *= math.exp(-shift)
-            ln_scale += shift
-            e = 600.0
-        term = sgn_coef * sgn_f * math.exp(e)
-        s += term
-        m += 1
-        at = abs(term)
-        est = at
-        if at <= max(rel_tol * abs(s), _ABS_TOL):
-            small += 1
-            if small >= 2:
-                status = 0
-                break
-        else:
-            small = 0
-        r = ratio(m - 1)
-        if r == 0.0:
-            est = 0.0
-            status = 0
-            break
-        ln_coef += math.log(abs(r))
-        if r < 0.0:
-            sgn_coef = -sgn_coef
-    status = max(status, worst_row)
-    if s == 0.0:
-        return -math.inf, 0.0, m, est, status
-    sgn = 1.0 if s > 0.0 else -1.0
-    return math.log(abs(s)) + ln_scale, sgn, m, est / abs(s), status
-
-
-def humbert_psi1_ln(a, b, c, cp, x, y, rel_tol, max_terms):
-    """Humbert Psi1(a; b; c, c'; x, y) = sum_{m,n} (a)_{m+n} (b)_m /
-    ((c)_m (c')_n) x^m y^n / (m! n!), summed by _row_sum over
-    single-variable rows; terms_used counts rows.
-
-    For y >= 0 it runs over n, rows 2F1(a + n, b; c; x) (_ln_2f1_row) with
-    coefficients (a)_n / ((c')_n n!) y^n of one sign for a > 0; at x >= 0
-    only for b a non-positive integer or c at most _SCIPY_2F1_C_MAX, where
-    scipy's rows were measured. Otherwise it runs over m, rows 1F1(a + m;
-    c'; y) (_ln_1f1_row) with coefficients (a)_m (b)_m / ((c)_m m!) x^m, so
-    for y < 0 the alternating powers of y stay inside the rows. b a
-    non-positive integer ends the m-sum after m = -b and lifts the |x| < 1
-    requirement. Returns (ln_abs, sign, rows, est_rel, status).
-    """
-    if _is_nonpos_int(cp):
-        return 0.0, 0.0, 0, 0.0, 2
-    b_term = _is_nonpos_int(b)
-    if not b_term and abs(x) >= 1.0:
-        return 0.0, 0.0, 0, 0.0, 2
-    if _is_nonpos_int(c) and not (b_term and int(-b) < int(-c) + 1):
-        return 0.0, 0.0, 0, 0.0, 2
-    if y >= 0.0 and (x < 0.0 or b_term or c <= _SCIPY_2F1_C_MAX):
-        return _row_sum(lambda n: _ln_2f1_row(a + n, b, c, x, rel_tol, max_terms),
-                        lambda n: (a + n) / ((cp + n) * (n + 1.0)) * y, rel_tol, max_terms)
-    # the ratio is 0 where b + m = 0 ends a terminating b, also where c + m
-    # = 0 there makes it 0/0
-    return _row_sum(lambda m: _ln_1f1_row(a + m, cp, y, rel_tol, max_terms),
-                    lambda m: (a + m) * (b + m) / ((c + m) * (m + 1.0)) * x if b + m else 0.0,
-                    rel_tol, max_terms)
-
-
-def _ln_2f1_beta(B, b, ln_y, w, cw, lnw, lncw, rel_tol, max_terms):
-    """(ln 2F1(B + b, B; B + 1; -y), status) for B, b, y > 0, given
-    _beta_argument(ln y): B y^-B B(B, b) I_w(B, b), w = y/(1 + y), where B ln
-    w > _LN_POW_MIN and I > 0, else Pfaff's (1 + y)^-(B + b) 2F1(B + b, 1;
-    B + 1; w) as its power series of positive terms; scipy's hyp2f1 gives
-    that 2F1 up to 1e59 off, or NaN (CHANGES.md).
-    """
-    if B * lnw > _LN_POW_MIN:
-        iw = reg_inc_beta(B, b, w, cw)
-        if iw > 0.0:
-            return math.log(B) - B * ln_y + _lbeta(B, b) + math.log(iw), 0
-    ln_f, _, _, _, st = _hyper_series(B + b, 1.0, B + 1.0, w, rel_tol, max_terms)
-    return ln_f + (B + b) * lncw, st
-
-
-def kdf_2_1_ln(a1, a2, b1, c1, x, y, rel_tol, max_terms):
-    """Kampe de Feriet F^{2:0;0}_{1:1;0}[a1,a2; b1: c1; x, y], summed by
-    _row_sum over m in x: rows 2F1(a1 + m, a2 + m; b1 + m; y) from
-    _ln_2f1_row with coefficients (a1)_m (a2)_m / ((b1)_m (c1)_m m!) x^m;
-    terms_used counts rows. Where b1 = a2 + 1 with a1 > a2 > 0 and y < 0
-    (the contiguous structure of the composite CDF's form) every row is an
-    incomplete beta (_ln_2f1_beta), whose factors are positive; the power
-    series rows would lose digits to cancellation once x |y| grows.
-
-    Converges for y < 1 and any x. For x >= 0 every outer term shares one
-    sign and the sum is well conditioned; negative x alternates in m and
-    relative accuracy degrades by the usual cancellation factor once the
-    rows grow before decaying. Only specfun.kdf_2_1 calls it: the composite
-    CDF sums its Kampe de Feriet form as the mixture, term for term.
-
-    Returns (ln_abs, sign, rows, est_rel, status).
-    """
-    if _is_nonpos_int(b1) or _is_nonpos_int(c1):
-        return 0.0, 0.0, 0, 0.0, 2
-    return _row_sum(lambda m: _ln_2f1_row(a1 + m, a2 + m, b1 + m, y, rel_tol, max_terms),
-                    lambda m: (a1 + m) * (a2 + m) * x / ((b1 + m) * (c1 + m) * (m + 1.0)),
-                    rel_tol, max_terms)
 
 
 # --- composite-distribution kernels -----------------------------------------

@@ -399,7 +399,7 @@ def _humbert_cdf(d: AkfDist, gamma: float) -> SeriesResult:
     """The paper's closed-form alpha-kappa-F CDF for X1 > 1, the reference
     for snr_cdf above the guard band: 1 - e^(-mu kappa) X1^(-ms) / (ms
     B(mu, ms)) Psi1(mu+ms, ms; 1+ms, mu; -1/X1, mu kappa), its Psi1 summed
-    in log space by _kernels.humbert_psi1_ln over n, each row 2F1(mu + ms +
+    in log space by specfun.humbert_psi1_ln over n, each row 2F1(mu + ms +
     n, ms; 1 + ms; -1/X1) an incomplete beta. The form's first term,
     e^(-mu kappa) Psi1(mu; 0; 1-ms, mu; -1/X1, mu kappa) = e^(-mu kappa)
     1F1(mu; mu; mu kappa), is exactly 1 and is not summed, so terms_used
@@ -408,7 +408,7 @@ def _humbert_cdf(d: AkfDist, gamma: float) -> SeriesResult:
     p = d.params
     ln_x1 = d._ln_x1(gamma)
     mk = p.mu * p.kappa
-    ln_psi, sign, terms, est, status = _k.humbert_psi1_ln(
+    ln_psi, sign, terms, est, status = specfun.humbert_psi1_ln(
         p.mu + p.ms, p.ms, 1.0 + p.ms, p.mu, -math.exp(-ln_x1), mk, ctrl.rel_tol,
         ctrl.max_terms)
     term = sign * math.exp(ln_psi - mk - math.log(p.ms) - _k._lbeta(p.mu, p.ms) - p.ms * ln_x1)
@@ -541,7 +541,7 @@ def _paper_bound(d: AefDist, gamma: float, k0: int) -> float:
     """The paper's closed-form bound on the alpha-eta-F CDF series'
     remainder after k0 terms, the reference for cdf_truncation_bound: the
     CDF head A g^(alpha mu) times mu / (mu + k0), times 2F1(B + ms, B; B +
-    1; -y), B = 2 mu + 2 k0, from _kernels._ln_2f1_beta, times the bounding
+    1; -y), B = 2 mu + 2 k0, from specfun._ln_2f1_beta, times the bounding
     2F1(mu + ms/2, mu + (ms + 1)/2; mu + 1/2; q y^2), q = (H/h)^2, from
     gauss_2f1_ln. That series has no convergent real form at q y^2 >= 1,
     where it raises ConvergenceError, as where a series does not
@@ -553,10 +553,10 @@ def _paper_bound(d: AefDist, gamma: float, k0: int) -> float:
     w = _k._signed_exp(sgn_q, 2.0 * ln_y + ln_q)
     if w >= 1.0:
         raise ConvergenceError("the paper's bound: its bounding series diverges at q y^2 >= 1")
-    ln_f2, sgn_f2, _, _, st2 = _k.gauss_2f1_ln(
+    ln_f2, sgn_f2, _, _, st2 = specfun.gauss_2f1_ln(
         0.5 * (a + ms), 0.5 * (a + ms + 1.0), mu + 0.5, w, ctrl.rel_tol, ctrl.max_terms)
-    ln_f1, st1 = _k._ln_2f1_beta(a + 2.0 * k0, ms, ln_y, *_k._beta_argument(ln_y),
-                                 ctrl.rel_tol, ctrl.max_terms)
+    ln_f1, st1 = specfun._ln_2f1_beta(a + 2.0 * k0, ms, ln_y, *_k._beta_argument(ln_y),
+                                       ctrl.rel_tol, ctrl.max_terms)
     if st1 != STATUS_OK or st2 != STATUS_OK:
         raise ConvergenceError("the paper's bound: a series did not converge")
     return sgn_f2 * math.exp(d.params._unit.head[0] + a * gexp + math.log(mu / (mu + k0))
@@ -676,9 +676,10 @@ def check_engines(seed: int = 20250817, points: int = 100) -> list:
          lambda: (u(0.3, 5.0), u(0.1, 4.0), u(0.5, 6.0), u(0.5, 6.0), u(-0.9, 0.9),
                   u(-4.0, 8.0)),
          specfun.humbert_psi1, orc.mp_humbert_psi1),
-        # x >= 0 is the engine's well-conditioned domain (and the only one the
-        # composite CDF exercises); negative x alternates and is cancellation
-        # limited by construction of the double series.
+        # x >= 0 is the engine's well-conditioned domain; negative x
+        # alternates and is cancellation limited by construction of the
+        # double series. No law route calls this engine: the alpha-kappa-F
+        # CDF sums its Kampe de Feriet form as the incomplete-beta mixture.
         ("engine-kdf-2-1", points,
          lambda: (u(0.3, 5.0), u(0.3, 5.0), u(0.5, 6.0), u(0.5, 6.0), u(0.0, 2.0),
                   u(-2.5, 0.9)),

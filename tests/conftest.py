@@ -1,7 +1,10 @@
 """Shared fixtures and helpers for the compfade test suite."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from compfade import cli
 from compfade.params import AefParams, AkfParams
 
 
@@ -21,3 +24,19 @@ def aef_params():
 def akf_params():
     """A generic alpha-kappa-F parameter point away from every special case."""
     return AkfParams(alpha=2.5, kappa=1.5, mu=1.2, ms=4.0)
+
+
+@pytest.fixture
+def cli_main(capsys):
+    """cli.main in this process; returns its exit code and its output as
+    bytes, in the fields of test_cli.run_cli's CompletedProcess."""
+    def run(*args):
+        capsys.readouterr()
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        return SimpleNamespace(returncode=code, stdout=out.encode(), stderr=err.encode())
+
+    return run

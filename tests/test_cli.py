@@ -1,8 +1,14 @@
 """Command-line interface: schemas, exit codes, reproducibility.
 
-Every test runs the installed entry point in a subprocess so argument
-parsing, environment handling, and exit codes are exercised exactly as a
-shell user sees them.
+The tests call cli.main(argv) in the test process through conftest's
+cli_main fixture, which reads its stdout and stderr with capsys, so
+argument parsing and exit codes are exercised as the entry point runs
+them, without an interpreter per call. Two tests start `python -m
+compfade` in a subprocess: one runs the module entry point as a shell
+user does, and one sets COMPFADE_MAX_TERMS, which is read only when
+compfade is imported. The subprocess gets the imported package's source
+directory on PYTHONPATH, so it runs from a checkout as well as from an
+installed copy.
 """
 
 import json
@@ -10,11 +16,15 @@ import os
 import subprocess
 import sys
 
+import compfade
+
 CLI = [sys.executable, "-m", "compfade"]
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(compfade.__file__)))
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -52,15 +62,15 @@ def test_curve_csv_schema_and_exit_zero():
     assert b"\r" not in r.stdout
 
 
-def test_curve_fisher_row_is_exact():
-    r = run_cli(*FISHER_CURVE)
+def test_curve_fisher_row_is_exact(cli_main):
+    r = cli_main(*FISHER_CURVE)
     assert r.returncode == 0
     row = r.stdout.decode().splitlines()[1]
     assert row == "1.0,0.75,0.0,true"
 
 
-def test_curve_json_schema():
-    r = run_cli(*AEF_CURVE, "--out", "json")
+def test_curve_json_schema(cli_main):
+    r = cli_main(*AEF_CURVE, "--out", "json")
     assert r.returncode == 0
     doc = json.loads(r.stdout.decode())
     assert set(doc) == {"spec", "rows"}
@@ -69,9 +79,9 @@ def test_curve_json_schema():
     assert set(doc["rows"][0]) == {"x", "value", "est_error", "converged"}
 
 
-def test_curve_db_rescales_x_column():
-    r_lin = run_cli(*AEF_CURVE)
-    r_db = run_cli(*AEF_CURVE, "--db")
+def test_curve_db_rescales_x_column(cli_main):
+    r_lin = cli_main(*AEF_CURVE)
+    r_db = cli_main(*AEF_CURVE, "--db")
     rows_lin = [l.split(",") for l in r_lin.stdout.decode().splitlines()[1:]]
     rows_db = [l.split(",") for l in r_db.stdout.decode().splitlines()[1:]]
     import math
@@ -80,27 +90,27 @@ def test_curve_db_rescales_x_column():
         assert db[1] == lin[1]  # values untouched
 
 
-def test_curve_op_asym_matches_gain_slope():
+def test_curve_op_asym_matches_gain_slope(cli_main):
     args = [
         "curve", "--dist", "akf", "--alpha", "2.5", "--kappa", "1.5",
         "--mu", "1.2", "--ms", "4", "--quantity", "op-asym",
         "--gamma-bar", "10000", "--from", "1", "--to", "1", "--points", "1",
     ]
-    r = run_cli(*args)
+    r = cli_main(*args)
     assert r.returncode == 0
     val = float(r.stdout.decode().splitlines()[1].split(",")[1])
     assert 0.0 < val < 1e-3
 
 
-def test_cross_family_flags_rejected():
-    r = run_cli(
+def test_cross_family_flags_rejected(cli_main):
+    r = cli_main(
         "curve", "--dist", "akf", "--alpha", "2", "--eta", "0.5",
         "--mu", "1", "--ms", "2", "--quantity", "snr-pdf",
         "--from", "1", "--to", "2",
     )
     assert r.returncode == 1
     assert b"eta" in r.stderr
-    r2 = run_cli(
+    r2 = cli_main(
         "curve", "--dist", "aef", "--alpha", "2", "--kappa", "1",
         "--mu", "1", "--ms", "2", "--quantity", "snr-pdf",
         "--from", "1", "--to", "2",
@@ -109,16 +119,16 @@ def test_cross_family_flags_rejected():
     assert b"kappa" in r2.stderr
 
 
-def test_quantity_scale_flags_rejected():
+def test_quantity_scale_flags_rejected(cli_main):
     # envelope-pdf is scaled by --omega, the SNR quantities by
     # --gamma-bar; mixing them up is a usage error.
-    r = run_cli(
+    r = cli_main(
         "curve", "--dist", "aef", "--alpha", "2", "--eta", "1",
         "--mu", "1", "--ms", "4", "--quantity", "envelope-pdf",
         "--gamma-bar", "2", "--from", "0.1", "--to", "1",
     )
     assert r.returncode == 1
-    r2 = run_cli(
+    r2 = cli_main(
         "curve", "--dist", "aef", "--alpha", "2", "--eta", "1",
         "--mu", "1", "--ms", "4", "--quantity", "snr-pdf",
         "--omega", "2", "--from", "0.1", "--to", "1",
@@ -126,18 +136,18 @@ def test_quantity_scale_flags_rejected():
     assert r2.returncode == 1
 
 
-def test_bad_grid_rejected():
+def test_bad_grid_rejected(cli_main):
     base = [
         "curve", "--dist", "aef", "--alpha", "2", "--eta", "1",
         "--mu", "1", "--ms", "4", "--quantity", "snr-pdf",
     ]
-    assert run_cli(*base, "--from", "2", "--to", "1").returncode == 1
-    assert run_cli(*base, "--from", "1", "--to", "2", "--points", "0").returncode == 1
-    assert run_cli(*base, "--from", "0", "--to", "2", "--log").returncode == 1
-    assert run_cli(*base, "--from", "1", "--to", "2", "--points", "1").returncode == 1
+    assert cli_main(*base, "--from", "2", "--to", "1").returncode == 1
+    assert cli_main(*base, "--from", "1", "--to", "2", "--points", "0").returncode == 1
+    assert cli_main(*base, "--from", "0", "--to", "2", "--log").returncode == 1
+    assert cli_main(*base, "--from", "1", "--to", "2", "--points", "1").returncode == 1
 
 
-def test_db_grid_with_a_non_positive_point_is_refused_before_evaluation():
+def test_db_grid_with_a_non_positive_point_is_refused_before_evaluation(cli_main):
     # 10*log10(0) used to raise a ValueError traceback after the whole curve
     # was evaluated; the grid is now refused up front
     base = [
@@ -147,21 +157,21 @@ def test_db_grid_with_a_non_positive_point_is_refused_before_evaluation():
     for grid in (["--from", "0", "--to", "2", "--points", "3"],
                  ["--from", "-1", "--to", "2", "--points", "3"],
                  ["--from", "0", "--to", "0", "--points", "1"]):
-        r = run_cli(*base, *grid)
+        r = cli_main(*base, *grid)
         assert r.returncode == 1
         assert r.stdout == b""
         assert b"--db" in r.stderr and b"Traceback" not in r.stderr
-    assert run_cli(*base, "--from", "0.5", "--to", "2", "--points", "3").returncode == 0
+    assert cli_main(*base, "--from", "0.5", "--to", "2", "--points", "3").returncode == 0
 
 
-def test_usage_errors_exit_one():
-    assert run_cli("curve", "--dist", "aef").returncode == 1
-    assert run_cli("nonsense").returncode == 1
-    assert run_cli().returncode == 1
+def test_usage_errors_exit_one(cli_main):
+    assert cli_main("curve", "--dist", "aef").returncode == 1
+    assert cli_main("nonsense").returncode == 1
+    assert cli_main().returncode == 1
 
 
-def test_domain_errors_exit_one():
-    r = run_cli(
+def test_domain_errors_exit_one(cli_main):
+    r = cli_main(
         "curve", "--dist", "aef", "--alpha", "2", "--eta", "-0.5",
         "--mu", "1", "--ms", "4", "--quantity", "snr-pdf",
         "--from", "0.5", "--to", "2",
@@ -187,9 +197,9 @@ def test_unconverged_curve_exits_two():
     assert "false" in flags
 
 
-def test_sample_csv_and_determinism():
-    r1 = run_cli(*SAMPLE)
-    r2 = run_cli(*SAMPLE)
+def test_sample_csv_and_determinism(cli_main):
+    r1 = cli_main(*SAMPLE)
+    r2 = cli_main(*SAMPLE)
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout
     lines = r1.stdout.decode().splitlines()
@@ -198,37 +208,37 @@ def test_sample_csv_and_determinism():
     float(lines[1])
 
 
-def test_sample_chunks_do_not_change_output():
-    base = run_cli(*SAMPLE, "--chunks", "1")
+def test_sample_chunks_do_not_change_output(cli_main):
+    base = cli_main(*SAMPLE, "--chunks", "1")
     for chunks in (2, 3, 7):
-        r = run_cli(*SAMPLE, "--chunks", str(chunks))
+        r = cli_main(*SAMPLE, "--chunks", str(chunks))
         assert r.stdout == base.stdout, f"chunks={chunks} changed the stream"
 
 
-def test_sample_zero_n_is_header_only():
-    r = run_cli("sample", "--dist", "akf", "--alpha", "2", "--kappa", "1",
+def test_sample_zero_n_is_header_only(cli_main):
+    r = cli_main("sample", "--dist", "akf", "--alpha", "2", "--kappa", "1",
                 "--mu", "2", "--ms", "4", "--n", "0", "--seed", "5")
     assert r.returncode == 0
     assert r.stdout.decode() == "sample\n"
 
 
-def test_sample_fractional_mu_exits_one():
-    r = run_cli("sample", "--dist", "akf", "--alpha", "2", "--kappa", "1",
+def test_sample_fractional_mu_exits_one(cli_main):
+    r = cli_main("sample", "--dist", "akf", "--alpha", "2", "--kappa", "1",
                 "--mu", "1.5", "--ms", "4", "--n", "4", "--seed", "5")
     assert r.returncode == 1
     assert b"integer mu" in r.stderr
 
 
-def test_sample_json_schema():
-    r = run_cli(*SAMPLE, "--out", "json")
+def test_sample_json_schema(cli_main):
+    r = cli_main(*SAMPLE, "--out", "json")
     doc = json.loads(r.stdout.decode())
     assert set(doc) == {"spec", "samples"}
     assert len(doc["samples"]) == 64
     assert doc["spec"]["seed"] == 123
 
 
-def test_validate_quick_passes():
-    r = run_cli("validate", "--level", "quick")
+def test_validate_quick_passes(cli_main):
+    r = cli_main("validate", "--level", "quick")
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout.decode())
     assert doc["passed"] is True
@@ -239,11 +249,11 @@ def test_validate_quick_passes():
     assert "validate quick seconds: normalization " in r.stderr.decode()
 
 
-def test_validate_detects_seeded_defect():
+def test_validate_detects_seeded_defect(cli_main):
     # The hidden flag flips the sign of the imbalance term inside the
     # analytic CDF only; the physical sampler is untouched, so the KS
     # comparison must catch the disagreement and name the check.
-    r = run_cli("validate", "--level", "quick", "--flip-h-sign")
+    r = cli_main("validate", "--level", "quick", "--flip-h-sign")
     assert r.returncode == 3
     doc = json.loads(r.stdout.decode())
     assert doc["passed"] is False

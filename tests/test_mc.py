@@ -294,11 +294,9 @@ def test_make_phys_rejects_a_power_target_that_is_not_positive_and_finite(params
 
 
 @pytest.mark.parametrize("family", [["aef", "--eta", "0.5"], ["akf", "--kappa", "1.5"]])
-def test_sample_cli_rejects_an_infinite_omega(family):
+def test_sample_cli_rejects_an_infinite_omega(family, cli_main):
     # it printed inf (aef) or nan with a RuntimeWarning (akf) and exited 0
-    from test_cli import run_cli
-
-    r = run_cli("sample", "--dist", *family, "--alpha", "2.5", "--mu", "1", "--ms", "4",
+    r = cli_main("sample", "--dist", *family, "--alpha", "2.5", "--mu", "1", "--ms", "4",
                 "--n", "3", "--seed", "1", "--omega", "inf")
     assert r.returncode == 1
     assert r.stdout == b""

@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from compfade import _kernels as _k
+from compfade import specfun
 from compfade import ConvergenceError, humbert_psi1
 from compfade.series import DEFAULT_REL_TOL
 from conftest import rel_err
@@ -66,7 +66,7 @@ GOLDEN = [
 
 
 def _kernel(args, max_terms=100000):
-    return _k.humbert_psi1_ln(*args, DEFAULT_REL_TOL, max_terms)
+    return specfun.humbert_psi1_ln(*args, DEFAULT_REL_TOL, max_terms)
 
 
 def _ln_err(ln_abs, sign, want):
@@ -119,7 +119,7 @@ def test_psi1_past_the_double_range_takes_no_series_rows(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"series row {args}")
 
-    monkeypatch.setattr(_k, "gauss_2f1_ln", refuse)
+    monkeypatch.setattr(specfun, "gauss_2f1_ln", refuse)
     with pytest.raises(ConvergenceError, match="leaves the double range"):
         humbert_psi1(2.0, 1.0, 3.0, 1.5, 0.5, 900.0)
 

@@ -6,6 +6,7 @@ production kernels for their reference values.
 """
 
 import math
+import time
 
 import mpmath
 import pytest
@@ -274,6 +275,29 @@ def test_kdf_2_1_beta_rows_where_scipy_hyp2f1_is_wrong():
 def test_value_beyond_the_double_range_raises_convergence_error(call):
     with pytest.raises(ConvergenceError, match="leaves the double range"):
         call()
+
+
+FINITE_CALLS = (
+    (gauss_2f1, (0.3, 1.7, 2.2, -3.5)),
+    (kummer_1f1, (1.0, 2.0, -3.0)),
+    (humbert_psi1, (1.3, 0.7, 2.1, 1.9, 0.3, 0.5)),
+    (kdf_2_1, (1.0, 1.5, 2.5, 3.5, 0.5, -0.5)),
+    (pochhammer, (2.0, 3)),
+)
+
+
+@pytest.mark.parametrize("fn, args, pos, bad", [
+    pytest.param(fn, args, pos, bad, id=f"{fn.__name__}-{pos}-{bad}")
+    for fn, args in FINITE_CALLS for pos in range(len(args))
+    for bad in (math.nan, math.inf, -math.inf)])
+def test_non_finite_argument_raises_domain_error_at_once(fn, args, pos, bad):
+    # a NaN ran the full 100k-row budget (0.56-2.9 s) into a ConvergenceError,
+    # and pochhammer's n = inf or NaN raised a bare OverflowError or ValueError
+    args = args[:pos] + (bad,) + args[pos + 1:]
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="requires finite arguments"):
+        fn(*args)
+    assert time.perf_counter() - start < 0.05
 
 
 @pytest.mark.parametrize("args", [
