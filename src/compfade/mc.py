@@ -10,19 +10,26 @@ special functions are scipy.special's.
 The shadowing variate is Z^2 = (ms - 1)/x with x the gamma(ms) quantile at
 the draw's uniform u. Each sampler call tabulates y = ln x at 128 nodes
 uniform in w = logit(u) on [-38, 38] (gammaincinv, or gammainccinv above
-the median) with the slope dy/dw = u(1 - u)/(x f(x)). A draw takes the
-cubic Hermite interpolant of ln x at its logit u, then one Halley step on
-the residual P(ms, x) - u, or (1 - u) - Q(ms, x) above u = 1/2: the scheme
-of DiDonato and Morris (ACM TOMS Algorithm 654), with the gamma density f
-in Temme's form. The table depends on ms only, so every draw is still a
-pure function of (ms, u). Against (ms - 1)/gammaincinv(ms, u) the draws
-agree within 2.2e-14 relative for 1 < ms <= 1e6, from u = 2^-53 to
-1 - 2^-53, at about a third of its cost. The worst case is at ms = 1.05,
-u = 0.655, where the table's draw is 5.9e-15 and gammaincinv's 1.5e-14 off
-mpmath. Above ms = 1e6 each draw calls gammaincinv, as before: from there
-on scipy's incomplete gamma functions lose digits in the far tails
-(gammainc(1e6, x) is 1.1e-5 off at u = 3.2e-6), so the table's nodes and
-the Halley residual no longer agree there.
+the median), each with its Taylor series in w to order 12. The series come
+from the ODE y' = G, G' = G (-tanh(w/2) - ms (1 - x/ms) G), where
+G = u(1 - u)/(x f(x)) and f is the gamma density in Temme's form, by
+Cauchy products at all nodes at once: the "quantile mechanics" of
+Steinbrecher and Shaw (Eur. J. Appl. Math. 19, 2008). The table takes
+about 0.23 ms. A draw sums the series of its nearest node at
+tau = logit(u) - w_k by Horner's rule: a log, a log1p, an exp and 14
+gathers, about 32 ns on a 2-vCPU x86 host, and no incomplete gamma
+function. The table depends on ms only, so every draw is still a pure
+function of (ms, u). For 1 < ms <= 3e5 and u from 2^-53 to 1 - 2^-53 the
+draws agree with (ms - 1)/gammaincinv(ms, u) within 2.2e-14 relative, and
+within 6.3e-15 from ms = 2.6 on. Near ms = 1 the two err in different
+places against 40-digit mpmath. In the bulk gammaincinv is up to 2.3e-14
+off and the table 2.0e-15 (ms = 1.057, u = 0.645). In the far lower tail,
+where ln x is near -33, the table is 2.6e-14 off and gammaincinv 4.0e-15
+(ms = 1 + 3e-7, u = 2^-48). Above ms = 3e5 each draw calls gammaincinv.
+There scipy's incomplete gamma functions lose digits in the far tails
+(gammainc(1e6, x) is 1.1e-5 off at u = 3.2e-6), and a table built on
+gammaincinv's nodes is up to 6.5e-10 off gammaincinv's own draws at
+ms = 1e6.
 
 Streams are counter-based (Philox). Each draw consumes a fixed-width row of
 uniforms padded to a multiple of 4 (the Philox block size), so generating
@@ -59,9 +66,20 @@ __all__ = [
 _CHUNK_ROWS = 1 << 18
 _U_FLOOR = 2.0 ** -53  # keep uniforms strictly inside (0, 1)
 _KS_SAFETY = 1.2
-_TABLE_MS_MAX = 1e6  # shadowing by quantile table up to here, gammaincinv above
+_TABLE_MS_MAX = 3e5  # shadowing by Taylor table up to here, gammaincinv above
 _TABLE_NODES = 128
 _TABLE_W = 38.0  # nodes span logit(u) in [-38, 38]; logit(2^-53) = -36.7
+_TABLE_ORDER = 12  # Taylor order of ln x at each node
+# The table's eight series in w = logit(u): E = x/ms, F = 1 - E,
+# Q = -T - ms F G, T = tanh(w/2), then G = d(ln x)/dw three times and T, so
+# that the first four times the last four are the Cauchy products E G, F G,
+# Q G and T T. As E' = E G, F' = -E G, G' = Q G and T' = (1 - T^2)/2, order
+# n + 1 of series i is order n's product _TAYLOR_FROM[i] times
+# _TAYLOR_SCALE[n, i]; that is 0 for Q, which each order sets from its F G.
+# A gather, not np.matmul: the sampler's only BLAS call cost 0.25 MB of RSS.
+_TAYLOR_FROM = np.array([0, 0, 0, 3, 2, 2, 2, 3])
+_TAYLOR_SCALE = (np.array([1.0, -1.0, 0.0, -0.5, 1.0, 1.0, 1.0, -0.5])[:, None]
+                 / np.arange(1.0, _TABLE_ORDER + 1)[:, None, None])
 
 
 @dataclass(frozen=True)
@@ -220,35 +238,46 @@ def _shadowing(ms: float):
     uniforms u in [2^-53, 1 - 2^-53] (see the module docstring)."""
     if ms > _TABLE_MS_MAX:
         return lambda u: (ms - 1.0) / sc.gammaincinv(ms, u)
-    w = np.linspace(-_TABLE_W, _TABLE_W, _TABLE_NODES)
-    h = w[1] - w[0]
-    u, v = sc.expit(w), sc.expit(-w)
-    lo = w <= 0.0
-    x = np.empty_like(w)
+    nodes = np.linspace(-_TABLE_W, _TABLE_W, _TABLE_NODES)
+    h = nodes[1] - nodes[0]
+    u, v = sc.expit(nodes), sc.expit(-nodes)
+    lo = nodes <= 0.0
+    x = np.empty_like(nodes)
     x[lo] = sc.gammaincinv(ms, u[lo])
     x[~lo] = sc.gammainccinv(ms, v[~lo])
     c = 0.5 * math.log(ms / (2.0 * math.pi)) - _ln_gamma_star(ms)
     y = np.log(x)
-    m = h * np.exp(np.log(u) + np.log(v) - _ln_x_gamma_pdf(ms, c, x))  # dy/dt
-    dy = np.diff(y)
-    # Hermite cubic of node interval k in t in [0, 1): a0 + t(a1 + t(a2 + t a3))
-    a0, a1 = y[:-1], m[:-1]
-    a2 = 3.0 * dy - 2.0 * m[:-1] - m[1:]
-    a3 = m[:-1] + m[1:] - 2.0 * dy
+    ln_e = y - math.log(ms)
+    # Taylor coefficients of the eight series (see _TAYLOR_FROM) in
+    # tau = w - w_k, one order a row. Q_n is still 0 in order n's Q G, and
+    # takes its value from that order's F G.
+    series = np.zeros((_TABLE_ORDER, 8, nodes.size))
+    series[0, 0] = np.exp(ln_e)
+    series[0, 1] = -np.expm1(ln_e)
+    series[0, 3::4] = u - v
+    series[0, 4:7] = np.exp(np.log(u) + np.log(v) - _ln_x_gamma_pdf(ms, c, x))
+    for n in range(_TABLE_ORDER - 1):
+        p = np.einsum("jik,jik->ik", series[: n + 1, :4], series[n::-1, 4:])
+        q = series[n, 2]
+        np.multiply(p[1], -ms, out=q)
+        q -= series[n, 3]
+        p[2] += series[0, 4] * q
+        if n == 0:
+            p[3] -= 1.0  # the 1 of T' = (1 - T^2)/2
+        np.multiply(p.take(_TAYLOR_FROM, axis=0), _TAYLOR_SCALE[n], out=series[n + 1])
+    coef = np.empty((_TABLE_ORDER + 1, nodes.size))  # of y = ln x, from y' = G
+    coef[0] = y
+    np.divide(series[:, 4], np.arange(1.0, _TABLE_ORDER + 1)[:, None], out=coef[1:])
 
     def z2(u: np.ndarray) -> np.ndarray:
-        t = (np.log(u) - np.log1p(-u) + _TABLE_W) / h
-        k = t.astype(np.intp)
-        t -= k
-        x = np.exp(a0[k] + t * (a1[k] + t * (a2[k] + t * a3[k])))
-        lo = u <= 0.5
-        hi = ~lo
-        r = np.empty_like(x)
-        r[lo] = sc.gammainc(ms, x[lo]) - u[lo]
-        r[hi] = (1.0 - u[hi]) - sc.gammaincc(ms, x[hi])
-        step = r * x * np.exp(-_ln_x_gamma_pdf(ms, c, x))  # Newton's r / f
-        x -= step / (1.0 - 0.5 * step * ((ms - 1.0) / x - 1.0))  # Halley, f'/f = (ms-1)/x - 1
-        return (ms - 1.0) / x
+        w = np.log(u) - np.log1p(-u)
+        k = np.rint((w + _TABLE_W) / h).astype(np.intp)
+        tau = w - nodes.take(k)
+        y = coef[-1].take(k)
+        for a in coef[-2::-1]:
+            y *= tau
+            y += a.take(k)
+        return (ms - 1.0) / np.exp(y)
 
     return z2
 

@@ -8,7 +8,8 @@ route raise ConvergenceError, as does a value beyond the double range.
 
 Each engine checks its domain once, in its public function: a non-finite
 argument, or a parameter at a pole the series reaches, raises DomainError,
-as a non-finite argument of pochhammer does. The kernels behind them
+as a non-finite argument of ln_gamma, beta or pochhammer does, and an
+integer argument past the double range. The kernels behind them
 (gauss_2f1_ln, _kernels.kummer_1f1_ln, humbert_psi1_ln, kdf_2_1_ln) take
 what that check admits and what their other callers form, which is never
 such a pole. They return (ln_abs, sign, terms, est_rel, status): status 0
@@ -70,6 +71,7 @@ _SCIPY_2F1_C_MAX = 10.0
 
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
+    _require_finite("ln_gamma", x)
     if not x > 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
     return math.lgamma(x)
@@ -82,8 +84,12 @@ def _in_double_range(name: str, value: float) -> float:
 
 
 def _require_finite(name: str, *args) -> None:
-    if not all(map(math.isfinite, args)):
-        raise DomainError(f"{name} requires finite arguments, got {args}")
+    try:
+        if all(map(math.isfinite, args)):
+            return
+    except OverflowError:  # an integer past the double range
+        raise DomainError(f"{name} requires arguments in the double range") from None
+    raise DomainError(f"{name} requires finite arguments, got {args}")
 
 
 def _lgamma_sign(x):
@@ -101,6 +107,7 @@ def _lgamma_sign(x):
 
 def beta(a: float, b: float) -> float:
     """Beta function B(a, b) for a, b > 0, computed in log space."""
+    _require_finite("beta", a, b)
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"beta requires positive arguments, got ({a}, {b})")
     return _in_double_range("beta", _signed_exp(1.0, _lbeta(a, b)))

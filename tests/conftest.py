@@ -1,11 +1,24 @@
 """Shared fixtures and helpers for the compfade test suite."""
 
+import os
 from types import SimpleNamespace
 
 import pytest
 
+import compfade
 from compfade import cli
 from compfade.params import AefParams, AkfParams
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(compfade.__file__)))
+
+
+def child_env(**extra):
+    """The environment for a child interpreter, with extra set and the
+    imported package's source directory first on PYTHONPATH, so the child
+    runs the same copy from a checkout as from an installed package."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return env
 
 
 def rel_err(got: float, want: float) -> float:

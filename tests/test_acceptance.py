@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 from compfade import validation as V
+from conftest import child_env
 
 
 def _require(checks):
@@ -81,7 +82,7 @@ def _run_sample(*extra):
         "--alpha", "3", "--kappa", "1.5", "--mu", "3", "--ms", "5",
         "--n", "4096", "--seed", "99",
     ]
-    r = subprocess.run(args + list(extra), capture_output=True)
+    r = subprocess.run(args + list(extra), capture_output=True, env=child_env())
     assert r.returncode == 0, r.stderr
     return r.stdout
 

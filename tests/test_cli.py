@@ -7,28 +7,22 @@ them, without an interpreter per call. Two tests start `python -m
 compfade` in a subprocess: one runs the module entry point as a shell
 user does, and one sets COMPFADE_MAX_TERMS, which is read only when
 compfade is imported. The subprocess gets the imported package's source
-directory on PYTHONPATH, so it runs from a checkout as well as from an
-installed copy.
+directory on PYTHONPATH (conftest.child_env), so it runs from a checkout
+as well as from an installed copy.
 """
 
 import json
-import os
 import subprocess
 import sys
 
-import compfade
+from conftest import child_env
 
 CLI = [sys.executable, "-m", "compfade"]
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(compfade.__file__)))
 
 
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
-        CLI + list(args), capture_output=True, env=env
+        CLI + list(args), capture_output=True, env=child_env(**(env_extra or {}))
     )
 
 

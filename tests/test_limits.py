@@ -2,7 +2,6 @@
 budget read from the environment at import, and what the imports load."""
 
 import math
-import os
 import subprocess
 import sys
 
@@ -24,7 +23,7 @@ from compfade import (
     asymptotic_outage_akf,
     default_control,
 )
-from conftest import rel_err
+from conftest import child_env, rel_err
 
 AEF = [AefParams(alpha=3.5, eta=0.5, mu=1.5, ms=3.0),
        AefParams(alpha=2.0, eta=-0.4, mu=0.7, ms=2.5, format=Format.FORMAT_II)]
@@ -215,9 +214,9 @@ def test_default_control_is_resolved_once():
 
 
 def _import_with_max_terms(raw):
-    env = dict(os.environ, COMPFADE_MAX_TERMS=raw)
     code = "import compfade; print(compfade.default_control().max_terms)"
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=child_env(COMPFADE_MAX_TERMS=raw))
 
 
 def test_max_terms_override_is_read_at_import():
@@ -237,7 +236,7 @@ def test_import_runs_the_interpreted_kernels_only():
         "from compfade import backend\n"
         "print(backend.BACKEND, 'numba' in sys.modules)"
     )
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env())
     assert r.returncode == 0, r.stderr
     assert r.stdout.decode().split() == ["numpy", "False"]
 
@@ -247,6 +246,6 @@ def test_cli_import_leaves_the_validation_battery_unloaded():
         "import sys, compfade.cli\n"
         "print('scipy.integrate' in sys.modules, 'compfade.validation' in sys.modules)"
     )
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env())
     assert r.returncode == 0, r.stderr
     assert r.stdout.decode().split() == ["False", "False"]

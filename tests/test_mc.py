@@ -9,6 +9,7 @@ acceptance battery meaningful.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sc
@@ -108,6 +109,77 @@ def test_shadowing_table_matches_gammaincinv(ms):
     z = sample_inv_nakagami_sq(ms, 4000, 3)
     u3 = mc._uniform_rows(3, 4, 0, 4000)[:, 0]
     assert np.max(np.abs(z / ((ms - 1.0) / sc.gammaincinv(ms, u3)) - 1.0)) <= 1e-13
+
+
+_TABLE_RANGE = [1.0 + 1e-9, 1.0001, 1.05, 1.3, 2.6, 4.0, 11.7, 60.0, 1e3, 1e5,
+                mc._TABLE_MS_MAX]
+
+
+def _no_incomplete_gamma(monkeypatch):
+    # every incomplete gamma function and inverse of scipy.special refuses
+    for name in ("gammainc", "gammaincc", "gammaincinv", "gammainccinv"):
+        monkeypatch.setattr(sc, name, lambda *args, _name=name: pytest.fail(_name))
+
+
+@pytest.mark.parametrize("ms", _TABLE_RANGE)
+def test_table_draws_are_within_2_5e_14_of_gammaincinv_and_call_no_incomplete_gamma(
+        ms, monkeypatch):
+    u = _edge_uniforms()
+    want = (ms - 1.0) / sc.gammaincinv(ms, u)
+    z2 = mc._shadowing(ms)
+    _no_incomplete_gamma(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = z2(u)
+    assert np.max(np.abs(got / want - 1.0)) <= 2.5e-14
+
+
+def _mp_quantile(ms, u):
+    # x with P(ms, x) = u, or Q(ms, x) = 1 - u above the median, to 30 digits
+    a = mpmath.mpf(ms)
+    if u <= 0.5:
+        gap = lambda x: mpmath.gammainc(a, 0, x, regularized=True) - u
+    else:
+        gap = lambda x: mpmath.gammainc(a, x, mpmath.inf, regularized=True) - (1.0 - u)
+    return mpmath.findroot(gap, mpmath.mpf(sc.gammaincinv(ms, u)), tol=mpmath.mpf(10) ** -28)
+
+
+@pytest.mark.parametrize("ms", [1.05, 4.0, 60.0, 2e5])
+def test_table_draws_match_an_mpmath_quantile(ms):
+    u = np.array([2.0 ** -50, 1e-3, 0.655, 1.0 - 1e-6, 1.0 - 2.0 ** -50])
+    got = mc._shadowing(ms)(u)
+    with mpmath.workdps(30):
+        want = [(ms - 1.0) / _mp_quantile(ms, float(ui)) for ui in u]
+        err = max(abs(float(g / w - 1)) for g, w in zip(got, want))
+    assert err <= 2.5e-14
+
+
+@pytest.mark.parametrize("ms", [1.05, 4.0, 1e5])
+def test_table_draws_do_not_depend_on_the_other_uniforms(ms):
+    # a slice, and each single uniform, give the full array's bytes
+    u = _edge_uniforms()
+    z2 = mc._shadowing(ms)
+    full = z2(u)
+    assert z2(u[1000:1777]).tobytes() == full[1000:1777].tobytes()
+    picks = [0, 1, 4321, u.size - 60, u.size - 1]
+    singles = np.concatenate([z2(u[i : i + 1]) for i in picks])
+    assert singles.tobytes() == full[picks].tobytes()
+
+
+def test_shadowing_switches_route_at_the_table_limit(monkeypatch):
+    # up to _TABLE_MS_MAX the Taylor table, past it a gammaincinv call a draw
+    top = mc._TABLE_MS_MAX
+    u = _edge_uniforms()
+    below = float(np.nextafter(top, 0.0))
+    above = float(np.nextafter(top, math.inf))
+    want = {ms: (ms - 1.0) / sc.gammaincinv(ms, u) for ms in (below, top, above)}
+    assert mc._shadowing(above)(u).tobytes() == want[above].tobytes()
+    tables = {ms: mc._shadowing(ms) for ms in (below, top)}
+    _no_incomplete_gamma(monkeypatch)
+    for ms, z2 in tables.items():
+        assert np.max(np.abs(z2(u) / want[ms] - 1.0)) <= 2.5e-14
+    with pytest.raises(pytest.fail.Exception, match="gammaincinv"):
+        mc._shadowing(above)(u)
 
 
 @pytest.mark.parametrize("ms", [1e6, float(np.nextafter(1e6, math.inf)), 1e7, 1e12, 1e15,

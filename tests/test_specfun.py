@@ -283,6 +283,8 @@ FINITE_CALLS = (
     (humbert_psi1, (1.3, 0.7, 2.1, 1.9, 0.3, 0.5)),
     (kdf_2_1, (1.0, 1.5, 2.5, 3.5, 0.5, -0.5)),
     (pochhammer, (2.0, 3)),
+    (beta, (2.0, 3.0)),
+    (ln_gamma, (2.5,)),
 )
 
 
@@ -298,6 +300,19 @@ def test_non_finite_argument_raises_domain_error_at_once(fn, args, pos, bad):
     with pytest.raises(DomainError, match="requires finite arguments"):
         fn(*args)
     assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pochhammer(2.0, 10**400),
+    lambda: pochhammer(10**400, 2),
+    lambda: beta(10**400, 1.0),
+    lambda: ln_gamma(-10**400),
+    lambda: gauss_2f1(0.3, 1.7, 2.2, -10**400),
+])
+def test_an_integer_past_the_double_range_raises_domain_error(call):
+    # math.isfinite raised a bare OverflowError on it
+    with pytest.raises(DomainError, match="requires arguments in the double range"):
+        call()
 
 
 @pytest.mark.parametrize("args", [
