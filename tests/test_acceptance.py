@@ -76,23 +76,21 @@ def test_criterion_09_engines_match_extended_precision():
     _require(V.check_engines())
 
 
-def _run_sample(*extra):
-    args = [
-        sys.executable, "-m", "compfade", "sample", "--dist", "akf",
-        "--alpha", "3", "--kappa", "1.5", "--mu", "3", "--ms", "5",
-        "--n", "4096", "--seed", "99",
-    ]
-    r = subprocess.run(args + list(extra), capture_output=True, env=child_env())
-    assert r.returncode == 0, r.stderr
-    return r.stdout
+_SAMPLE_ARGS = (
+    "sample", "--dist", "akf", "--alpha", "3", "--kappa", "1.5", "--mu", "3", "--ms", "5",
+    "--n", "4096", "--seed", "99",
+)
 
 
-def test_criterion_10_sampler_determinism():
+def test_criterion_10_sampler_determinism(cli_main):
     # byte-identical sampler output across repeated runs and partition
-    # layouts, both through the library and through the CLI
+    # layouts, through the library, the entry point and the CLI in process
     _require(V.check_determinism())
-    base = _run_sample()
-    assert _run_sample() == base, "repeated CLI runs differ"
-    for chunks in (2, 3, 7):
-        got = _run_sample("--chunks", str(chunks))
-        assert got == base, f"CLI output changed with --chunks {chunks}"
+    r = subprocess.run([sys.executable, "-m", "compfade", *_SAMPLE_ARGS],
+                       capture_output=True, env=child_env())
+    assert r.returncode == 0, r.stderr
+    base = r.stdout
+    for extra in ((), ("--chunks", "2"), ("--chunks", "3"), ("--chunks", "7")):
+        got = cli_main(*_SAMPLE_ARGS, *extra)
+        assert got.returncode == 0, got.stderr
+        assert got.stdout == base, f"CLI output changed with {extra or 'a repeated run'}"

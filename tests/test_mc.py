@@ -1,9 +1,10 @@
 """Physical-model sampler: determinism, partitioning, moments, KS machinery.
 
-The sampler builds each envelope from explicit Gaussian cluster components
-and a common inverse-Nakagami shadowing root, sharing no code with the
-analytic densities, which is what makes the KS comparisons in the
-acceptance battery meaningful.
+The sampler builds each envelope from the powers of its cluster pairs,
+each drawn exactly from a radius uniform and, where the cluster has an
+offset, an angle uniform, and from a common inverse-Nakagami shadowing
+root. It shares no code with the analytic densities, which is what makes
+the KS comparisons in the acceptance battery meaningful.
 """
 
 import math
@@ -13,6 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import special as sc
+from scipy import stats
 
 from compfade import (
     AefParams,
@@ -45,13 +47,13 @@ def phys_akf():
 
 def test_aef_first_draws_frozen(phys_aef):
     r = sample_aef_envelope(phys_aef, 3, 123)
-    want = [1.7278102513131472, 2.3717738129741175, 2.3806444012158403]
+    want = [2.0730457631208044, 1.8432022252356224, 1.6569722921488619]
     assert np.allclose(r, want, rtol=1e-12, atol=0.0)
 
 
 def test_akf_first_draws_frozen(phys_akf):
     r = sample_akf_envelope(phys_akf, 3, 123)
-    want = [0.9920607063575222, 2.7896020387691993, 3.8487998942047423]
+    want = [2.305854754558028, 2.796394158791701, 2.557195393632509]
     assert np.allclose(r, want, rtol=1e-12, atol=0.0)
 
 
@@ -237,6 +239,44 @@ def test_format_byte_identity():
     a = sample_aef_envelope(p1, 2000, 17)
     b = sample_aef_envelope(p2, 2000, 17)
     assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", [0.0, 0.6, 2.5])
+def test_pair_powers_are_chi_square_with_two_degrees_of_freedom(d):
+    # a pair's power over sigma^2 is chi-square with two degrees of freedom,
+    # noncentral with d^2/sigma^2 where the cluster has an offset d
+    sigma2 = 1.7
+    u = mc._uniform_rows(404, 4, 0, 100_000)
+    s = mc._power_sum(u[:, :1], -2.0 * sigma2, d, u[:, 1:2]) / sigma2
+    law = stats.chi2(2) if d == 0.0 else stats.ncx2(2, d * d / sigma2)
+    assert stats.kstest(s, law.cdf).statistic <= ks_threshold(s.size)
+
+
+def test_pair_powers_at_the_edges_of_the_uniforms_are_positive_and_finite():
+    # both radius tails by each edge of the angle, with offsets equal to each
+    # radius, where (R - d)^2 is 0 and cos^2(pi v) is smallest at v = 1/2
+    c = -2.0 * 1.3
+    u, v = (a.reshape(-1, 1) for a in np.meshgrid([2.0 ** -53, 1.0 - 2.0 ** -53],
+                                                    [0.0, 0.5, 1.0 - 2.0 ** -53]))
+    radii = np.sqrt(np.log(u[:2, 0]) * c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for d in (0.0, 1.0, *radii):
+            s = mc._power_sum(u, c, d, v)
+            assert np.all(np.isfinite(s)) and np.all(s > 0.0), d
+
+
+def test_samplers_call_no_ndtri(phys_aef, phys_akf, monkeypatch):
+    monkeypatch.setattr(sc, "ndtri", lambda *args: pytest.fail("ndtri"))
+    for sample, p in (
+        (sample_aef_envelope, phys_aef),
+        (sample_aef_envelope, make_phys(AefParams(alpha=1.7, eta=-0.6, mu=3.0, ms=2.5,
+                                                  format=Format.FORMAT_II))),
+        (sample_akf_envelope, phys_akf),
+        (sample_akf_envelope, make_phys(AkfParams(alpha=2.5, kappa=0.0, mu=2.0, ms=4.0))),
+    ):
+        r = sample(p, 1000, 9)
+        assert np.all(np.isfinite(r)) and np.all(r > 0.0)
 
 
 def test_make_phys_field_mapping(phys_aef, phys_akf):
