@@ -15,11 +15,12 @@ R^2 + 2 R d cos(2 pi v) + d^2 for a second uniform v, formed as
 alpha-eta-F pairs its in-phase components with each other and its
 quadrature components with each other (in Format II, the sums and
 differences (X +- Y)/sqrt(2) of its correlated components), so every pair
-is centred: a log a pair, about 4 ns on a 2-vCPU x86 host. An
-alpha-kappa-F cluster with an offset takes a log, a sqrt and a cos, about
-32 ns. Drawing each Gaussian by ndtri cost 17-19 ns, two a pair. The
-draws of earlier versions came from ndtri Gaussians, so a seed's draws
-differ from theirs; the law is the same.
+is centred: a log a pair. alpha-kappa-F's sum depends on the means only
+through d^2 = sum(p_i^2 + q_i^2), as a rotation of its 2 mu components
+moves every offset onto one pair. So its first pair takes the whole offset
+d: one angle, one sqrt and one cos a draw, whatever mu is. Earlier versions
+drew each Gaussian by ndtri, or an angle per offset cluster, so a seed's
+draws differ from theirs; the law is the same.
 
 The shadowing variate is Z^2 = (ms - 1)/x with x the gamma(ms) quantile at
 the draw's uniform u. Each sampler call tabulates y = ln x at 128 nodes
@@ -45,14 +46,18 @@ There scipy's incomplete gamma functions lose digits in the far tails
 gammaincinv's nodes is up to 6.5e-10 off gammaincinv's own draws at
 ms = 1e6.
 
-Streams are counter-based (Philox). Each draw consumes a fixed-width row of
-uniforms padded to a multiple of 4 (the Philox block size), so generating
-draws [start, start+n) yields bitwise the same values regardless of how a
-run is partitioned.
+Streams are counter-based (Philox). A draw's row holds the shadowing's
+uniform and alpha-eta-F's 2 mu radii, or alpha-kappa-F's mu radii and
+angle, padded to a multiple of 4 (the Philox block size). So draws
+[start, start+n) are bitwise the same however a run is partitioned, and
+alpha-eta-F at mu draws what alpha-kappa-F at kappa = 0 with 2 mu clusters
+draws. In 7692-row calls on a 2-vCPU x86 host a draw costs about 86, 160
+and 177 ns at mu = 1, 2 and 3 (alpha-eta-F), 100, 104 and 137 (alpha-kappa-F).
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,7 +146,8 @@ class PhysAef:
 class PhysAkf:
     """Physical configuration of the alpha-kappa-F generative model:
     mu_int cluster pairs of variance-sigma2 Gaussians with per-cluster means
-    (p_i, q_i); kappa = d^2 / (2 mu sigma2) with d^2 = sum(p_i^2 + q_i^2)."""
+    (p_i, q_i). The law, and so the sampler, sees the means only through
+    d^2 = sum(p_i^2 + q_i^2), and kappa = d^2 / (2 mu sigma2)."""
 
     alpha: float
     mu_int: int
@@ -210,8 +216,6 @@ def ks_threshold(n: int, safety: float = _KS_SAFETY) -> float:
 def _uniform_rows(seed: int, width: int, start: int, rows: int) -> np.ndarray:
     """Rows [start, start+rows) of the seed's uniform stream, width doubles
     per row; width must be a multiple of 4 so rows align with Philox blocks."""
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed}")
     bit = np.random.Philox(key=seed)
     bit.advance(start * width // 4)
     u = np.random.Generator(bit).random((rows, width), dtype=np.float64)
@@ -219,15 +223,20 @@ def _uniform_rows(seed: int, width: int, start: int, rows: int) -> np.ndarray:
     return u
 
 
-def _padded_width(columns: int) -> int:
-    return 4 * ((columns + 3) // 4)
-
-
-def _draw(n: int, seed: int, start: int, width: int, rows_to_draws) -> np.ndarray:
-    """Draws [start, start+n) of a stream of width-wide uniform rows, made
-    from blocks of at most _CHUNK_ROWS rows by rows_to_draws."""
+def _draw(n: int, seed: int, start: int, columns: int, rows_to_draws) -> np.ndarray:
+    """Draws [start, start+n) of the seed's stream, a row of its first
+    `columns` uniforms each, padded to Philox's 4-wide block; rows_to_draws
+    makes them from blocks of at most _CHUNK_ROWS rows."""
+    try:
+        n, seed, start = map(operator.index, (n, seed, start))
+    except TypeError:
+        raise DomainError(f"n, seed and start must be integers: {n!r}, {seed!r}, "
+                          f"{start!r}") from None
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if n < 0 or start < 0:
         raise DomainError("n and start must be non-negative")
+    width = 4 * ((columns + 3) // 4)
     out = np.empty(n, dtype=np.float64)
     done = 0
     while done < n:
@@ -301,31 +310,20 @@ def sample_inv_nakagami_sq(ms: float, n: int, seed: int, start: int = 0) -> np.n
     inverse-gamma with shape ms and scale ms-1, so the mean is exactly 1."""
     _require_shape(ms=ms)
     z2 = _shadowing(ms)
-    return _draw(n, seed, start, 4, lambda u: z2(u[:, 0]))
+    return _draw(n, seed, start, 1, lambda u: z2(u[:, 0]))
 
 
-# alpha-eta-F reads columns 0..2 mu_int of its row; the row keeps the width
-# of 4 mu_int Gaussians, so that its draws at eta = 1 are alpha-kappa-F's at
-# kappa = 0 with 2 mu_int clusters, byte for byte.
-def _aef_width(mu_int: int) -> int:
-    return _padded_width(4 * mu_int + 1)
-
-
-def _akf_width(mu_int: int) -> int:
-    return _padded_width(2 * mu_int + 1)
-
-
-def _power_sum(u: np.ndarray, c, d=None, v=None) -> np.ndarray:
+def _power_sum(u: np.ndarray, c, d=0.0, v=None) -> np.ndarray:
     """Each row's sum of k pair powers (see the module docstring), from the
-    (rows, k) views u of radius uniforms and v of angle uniforms; c is
-    -2 sigma^2 and d the offsets' lengths, scalars or (k, 1) columns. Not as
-    R^2 + 2 R d cos(2 pi v) + d^2, which cancels where R ~ d. The work runs
-    along the draws on (k, rows) arrays, and the pairs are added in order,
-    so a draw does not depend on how many rows come with it."""
+    (rows, k) view u of radius uniforms; c is -2 sigma^2, scalar or (k, 1).
+    The first pair has the offset d and the (rows, 1) angle uniforms v.
+    Not as R^2 + 2 R d cos(2 pi v) + d^2, which cancels where R ~ d. The
+    work runs along the draws on (k, rows) arrays, and the pairs are added
+    in order, so a draw does not depend on how many rows come with it."""
     s = np.log(u.T, order="C")
     s *= c
-    if d is not None and np.any(d):
-        r = np.sqrt(s, out=s)
+    if d:
+        r = np.sqrt(s[:1], out=s[:1])
         t = np.multiply(v.T, np.pi, order="C")
         np.cos(t, out=t)
         t *= t
@@ -361,25 +359,26 @@ def sample_aef_envelope(p: PhysAef, n: int, seed: int, start: int = 0) -> np.nda
     def envelope(u: np.ndarray) -> np.ndarray:
         return (z2(u[:, 0]) * _power_sum(u[:, 1 : 1 + c.size], c)) ** inv_alpha
 
-    return _draw(n, seed, start, _aef_width(p.mu_int), envelope)
+    return _draw(n, seed, start, 1 + c.size, envelope)
 
 
 def sample_akf_envelope(p: PhysAkf, n: int, seed: int, start: int = 0) -> np.ndarray:
     """n draws of the alpha-kappa-F envelope
     R = (Z^2 sum((X_i + p_i)^2 + (Y_i + q_i)^2))^(1/alpha) over mu_int cluster
-    pairs, one shared Z^2 per draw: radii from row columns 1..mu_int, angles
-    from columns mu_int + 1..2 mu_int."""
+    pairs, one shared Z^2 per draw: radii from row columns 1..mu_int and the
+    angle of the first pair, which takes the whole offset d = sqrt(d^2)
+    (see the module docstring), from column mu_int + 1."""
     mu = p.mu_int
     inv_alpha = 1.0 / p.alpha
     c = -2.0 * p.sigma2
-    d = np.hypot(p.p, p.q)[:, None]
+    d = math.sqrt(p.d2)
     z2 = _shadowing(p.ms)
 
     def envelope(u: np.ndarray) -> np.ndarray:
-        s = _power_sum(u[:, 1 : 1 + mu], c, d, u[:, 1 + mu : 1 + 2 * mu])
+        s = _power_sum(u[:, 1 : 1 + mu], c, d, u[:, 1 + mu : 2 + mu])
         return (z2(u[:, 0]) * s) ** inv_alpha
 
-    return _draw(n, seed, start, _akf_width(mu), envelope)
+    return _draw(n, seed, start, 2 + mu, envelope)
 
 
 def _gamma_ratio(ms: float, q: float) -> float:

@@ -1,10 +1,11 @@
 """Physical-model sampler: determinism, partitioning, moments, KS machinery.
 
 The sampler builds each envelope from the powers of its cluster pairs,
-each drawn exactly from a radius uniform and, where the cluster has an
-offset, an angle uniform, and from a common inverse-Nakagami shadowing
-root. It shares no code with the analytic densities, which is what makes
-the KS comparisons in the acceptance battery meaningful.
+each drawn exactly from a radius uniform, plus one angle uniform for the
+pair that carries an alpha-kappa-F draw's whole offset, and from a common
+inverse-Nakagami shadowing root. It shares no code with the analytic
+densities, which is what makes the KS comparisons in the acceptance battery
+meaningful.
 """
 
 import math
@@ -47,13 +48,13 @@ def phys_akf():
 
 def test_aef_first_draws_frozen(phys_aef):
     r = sample_aef_envelope(phys_aef, 3, 123)
-    want = [2.0730457631208044, 1.8432022252356224, 1.6569722921488619]
+    want = [2.0730457631208044, 1.3800864656755805, 3.659137067670279]
     assert np.allclose(r, want, rtol=1e-12, atol=0.0)
 
 
 def test_akf_first_draws_frozen(phys_akf):
     r = sample_akf_envelope(phys_akf, 3, 123)
-    want = [2.305854754558028, 2.796394158791701, 2.557195393632509]
+    want = [2.6810294405395925, 0.7921925928902328, 3.0223664999519926]
     assert np.allclose(r, want, rtol=1e-12, atol=0.0)
 
 
@@ -231,6 +232,20 @@ def test_cross_family_byte_identity():
     assert a.tobytes() == k.tobytes()
 
 
+@pytest.mark.parametrize("axis", ["p", "q"])
+def test_akf_offsets_enter_only_through_their_squared_length(axis):
+    # all of the offset on cluster 0 against make_phys's equal means, with
+    # the same d^2: the draws are the same bytes
+    spread = make_phys(AkfParams(alpha=2.5, kappa=1.5, mu=3.0, ms=4.0))
+    zero = (0.0,) * spread.mu_int
+    one = (math.sqrt(spread.d2),) + zero[1:]
+    means = {"p": one, "q": zero} if axis == "p" else {"p": zero, "q": one}
+    lumped = PhysAkf(alpha=spread.alpha, mu_int=spread.mu_int, sigma2=spread.sigma2,
+                     kappa=spread.kappa, ms=spread.ms, **means)
+    assert sample_akf_envelope(lumped, 2000, 23).tobytes() == \
+        sample_akf_envelope(spread, 2000, 23).tobytes()
+
+
 def test_format_byte_identity():
     # Format I at eta = 1 and Format II at eta = 0 are the same physical
     # configuration.
@@ -242,13 +257,15 @@ def test_format_byte_identity():
 
 
 @pytest.mark.parametrize("d", [0.0, 0.6, 2.5])
-def test_pair_powers_are_chi_square_with_two_degrees_of_freedom(d):
+@pytest.mark.parametrize("k", [1, 3])
+def test_pair_powers_are_chi_square_with_two_degrees_of_freedom(k, d):
     # a pair's power over sigma^2 is chi-square with two degrees of freedom,
-    # noncentral with d^2/sigma^2 where the cluster has an offset d
+    # noncentral with d^2/sigma^2 where the cluster has an offset d; k pairs
+    # with the offset on the first sum to chi-square with 2k
     sigma2 = 1.7
     u = mc._uniform_rows(404, 4, 0, 100_000)
-    s = mc._power_sum(u[:, :1], -2.0 * sigma2, d, u[:, 1:2]) / sigma2
-    law = stats.chi2(2) if d == 0.0 else stats.ncx2(2, d * d / sigma2)
+    s = mc._power_sum(u[:, :k], -2.0 * sigma2, d, u[:, k : k + 1]) / sigma2
+    law = stats.chi2(2 * k) if d == 0.0 else stats.ncx2(2 * k, d * d / sigma2)
     assert stats.kstest(s, law.cdf).statistic <= ks_threshold(s.size)
 
 
@@ -368,6 +385,25 @@ def test_seed_range_validation(phys_aef):
     # largest valid seed works
     r = sample_aef_envelope(phys_aef, 2, (1 << 64) - 1)
     assert np.all(np.isfinite(r))
+
+
+@pytest.mark.parametrize("sampler", ["inv_nakagami", "aef", "akf"])
+@pytest.mark.parametrize("name", ["n", "seed", "start"])
+@pytest.mark.parametrize("value", [1.5, 2.0])
+def test_samplers_take_only_integer_counts_seeds_and_starts(phys_aef, phys_akf, sampler,
+                                                           name, value):
+    # a seed of 1.5 drew seed 1's stream, and a fractional n or start raised a
+    # TypeError from numpy; numpy integers pass as Python ones do
+    draw = {
+        "inv_nakagami": lambda **kw: sample_inv_nakagami_sq(4.0, **kw),
+        "aef": lambda **kw: sample_aef_envelope(phys_aef, **kw),
+        "akf": lambda **kw: sample_akf_envelope(phys_akf, **kw),
+    }[sampler]
+    args = dict(n=3, seed=2, start=1)
+    with pytest.raises(DomainError, match="must be integers"):
+        draw(**{**args, name: value})
+    want = draw(**args)
+    assert draw(**{**args, name: np.int64(args[name])}).tobytes() == want.tobytes()
 
 
 def test_inv_nakagami_sq_mean():
