@@ -23,23 +23,25 @@ drew each Gaussian by ndtri, or an angle per offset cluster, so a seed's
 draws differ from theirs; the law is the same.
 
 The shadowing variate is Z^2 = (ms - 1)/x with x the gamma(ms) quantile at
-the draw's uniform u. Each sampler call tabulates y = ln x at 128 nodes
-uniform in w = logit(u) on [-38, 38] (gammaincinv, or gammainccinv above
-the median), each with its Taylor series in w to order 12. The series come
-from the ODE y' = G, G' = G (-tanh(w/2) - ms (1 - x/ms) G), where
-G = u(1 - u)/(x f(x)) and f is the gamma density in Temme's form, by
-Cauchy products at all nodes at once: the "quantile mechanics" of
-Steinbrecher and Shaw (Eur. J. Appl. Math. 19, 2008). The table takes
-about 0.23 ms. A draw sums the series of its nearest node at
-tau = logit(u) - w_k by Horner's rule: a log, a log1p, an exp and 14
-gathers, about 32 ns on a 2-vCPU x86 host, and no incomplete gamma
-function. The table depends on ms only, so every draw is still a pure
-function of (ms, u). For 1 < ms <= 3e5 and u from 2^-53 to 1 - 2^-53 the
-draws agree with (ms - 1)/gammaincinv(ms, u) within 2.2e-14 relative, and
-within 6.3e-15 from ms = 2.6 on. Near ms = 1 the two err in different
-places against 40-digit mpmath. In the bulk gammaincinv is up to 2.3e-14
-off and the table 2.0e-15 (ms = 1.057, u = 0.645). In the far lower tail,
-where ln x is near -33, the table is 2.6e-14 off and gammaincinv 4.0e-15
+the draw's uniform u. A table holds y = ln x at 512 nodes uniform in
+w = logit(u) on [-38, 38] (gammaincinv, or gammainccinv above the median),
+each with its Taylor series in w to order 7. The series come from the ODE
+y' = G, G' = G (-tanh(w/2) - ms (1 - x/ms) G), where G = u(1 - u)/(x f(x))
+and f is the gamma density in Temme's form, by Cauchy products at all nodes
+at once: the "quantile mechanics" of Steinbrecher and Shaw (Eur. J. Appl.
+Math. 19, 2008). A table takes about 0.38 ms to build and is memoized per
+shape (the last 16 values of ms), so a process builds it once per ms,
+however many calls or chunks draw at that ms. A draw sums the series of its
+nearest node at tau = logit(u) - w_k by Horner's rule: a log, a log1p, an
+exp and 9 gathers (8 of them the Horner sum's), about 21 ns on a 2-vCPU
+x86 host, and no incomplete gamma function. The table depends on ms only,
+so every draw is still a pure function of (ms, u). For 1 < ms <= 3e5 and u
+from 2^-53 to 1 - 2^-53 the draws agree with (ms - 1)/gammaincinv(ms, u)
+within 2.3e-14 relative, and within 7.6e-15 from ms = 2.6 on. Near ms = 1
+the two err in different places against 40-digit mpmath. In the bulk
+gammaincinv is up to 2.2e-14 off and the table 4.0e-15 (ms = 1.057,
+u = 0.655). In the far lower tail, where ln x is near -33, the table is up
+to 1.7e-14 off (ms = 1.01, u = 2^-48) and gammaincinv up to 7.9e-15
 (ms = 1 + 3e-7, u = 2^-48). Above ms = 3e5 each draw calls gammaincinv.
 There scipy's incomplete gamma functions lose digits in the far tails
 (gammainc(1e6, x) is 1.1e-5 off at u = 3.2e-6), and a table built on
@@ -51,11 +53,14 @@ uniform and alpha-eta-F's 2 mu radii, or alpha-kappa-F's mu radii and
 angle, padded to a multiple of 4 (the Philox block size). So draws
 [start, start+n) are bitwise the same however a run is partitioned, and
 alpha-eta-F at mu draws what alpha-kappa-F at kappa = 0 with 2 mu clusters
-draws. In 7692-row calls on a 2-vCPU x86 host a draw costs about 86, 160
-and 177 ns at mu = 1, 2 and 3 (alpha-eta-F), 100, 104 and 137 (alpha-kappa-F).
+draws. In 7692-row calls on a 2-vCPU x86 host, the table already built, a
+draw costs about 58, 123 and 139 ns at mu = 1, 2 and 3 (alpha-eta-F), and
+69, 70 and 101 ns (alpha-kappa-F); alpha-eta-F at mu = 2 and 3 takes about
+90 and 97 ns where glibc does not return the heap between calls.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -86,9 +91,10 @@ _CHUNK_ROWS = 1 << 18
 _U_FLOOR = 2.0 ** -53  # keep uniforms strictly inside (0, 1)
 _KS_SAFETY = 1.2
 _TABLE_MS_MAX = 3e5  # shadowing by Taylor table up to here, gammaincinv above
-_TABLE_NODES = 128
+_TABLE_NODES = 512
 _TABLE_W = 38.0  # nodes span logit(u) in [-38, 38]; logit(2^-53) = -36.7
-_TABLE_ORDER = 12  # Taylor order of ln x at each node
+_TABLE_ORDER = 7  # Taylor order of ln x at each node
+_TABLE_CACHE = 16  # shapes whose shadowing a process keeps
 # The table's eight series in w = logit(u): E = x/ms, F = 1 - E,
 # Q = -T - ms F G, T = tanh(w/2), then G = d(ln x)/dw three times and T, so
 # that the first four times the last four are the Cauchy products E G, F G,
@@ -125,10 +131,10 @@ class PhysAef:
         if self.mu_int < 1 or self.mu_int != int(self.mu_int):
             raise DomainError(f"mu_int must be an integer >= 1, got {self.mu_int}")
         if self.format is Format.FORMAT_I:
-            if not (self.sigma_x2 > 0.0 and self.sigma_y2 > 0.0):
-                raise DomainError("Format I requires positive sigma_x2 and sigma_y2")
+            if not (0.0 < self.sigma_x2 < math.inf and 0.0 < self.sigma_y2 < math.inf):
+                raise DomainError("Format I requires positive, finite sigma_x2 and sigma_y2")
             ratio = self.sigma_x2 / self.sigma_y2
-            if abs(ratio - self.eta) > 1e-12 * max(1.0, abs(self.eta)):
+            if not abs(ratio - self.eta) <= 1e-12 * max(1.0, abs(self.eta)):
                 raise DomainError(
                     f"Format I requires eta = sigma_x2/sigma_y2; got eta={self.eta}, "
                     f"ratio={ratio}"
@@ -136,8 +142,8 @@ class PhysAef:
         elif self.format is Format.FORMAT_II:
             if not -1.0 < self.eta < 1.0:
                 raise DomainError(f"Format II requires |eta| < 1, got {self.eta}")
-            if not self.sigma2 > 0.0:
-                raise DomainError("Format II requires positive sigma2")
+            if not 0.0 < self.sigma2 < math.inf:
+                raise DomainError("Format II requires positive, finite sigma2")
         else:
             raise DomainError(f"format must be a Format, got {self.format!r}")
 
@@ -161,10 +167,14 @@ class PhysAkf:
         _require_shape(alpha=self.alpha, ms=self.ms)
         if self.mu_int < 1 or self.mu_int != int(self.mu_int):
             raise DomainError(f"mu_int must be an integer >= 1, got {self.mu_int}")
-        if not self.sigma2 > 0.0:
-            raise DomainError(f"sigma2 must be positive, got {self.sigma2}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise DomainError(f"sigma2 must be positive and finite, got {self.sigma2}")
         if len(self.p) != self.mu_int or len(self.q) != self.mu_int:
             raise DomainError("p and q must each have mu_int entries")
+        if not all(map(math.isfinite, (*self.p, *self.q))):
+            raise DomainError(f"the means must be finite, got p={self.p}, q={self.q}")
+        if not 0.0 <= self.kappa < math.inf:
+            raise DomainError(f"kappa must be non-negative and finite, got {self.kappa}")
         d2 = self.d2
         kap = d2 / (2.0 * self.mu_int * self.sigma2)
         if abs(kap - self.kappa) > 1e-12 * max(1.0, self.kappa):
@@ -256,9 +266,12 @@ def _ln_x_gamma_pdf(ms: float, c: float, x: np.ndarray) -> np.ndarray:
     return c - ms * ((q - 1.0) - np.log(q))
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE)
 def _shadowing(ms: float):
     """Z^2 = (ms - 1)/x, x the gamma(ms) quantile, as a function of the
-    uniforms u in [2^-53, 1 - 2^-53] (see the module docstring)."""
+    uniforms u in [2^-53, 1 - 2^-53] (see the module docstring). Memoized
+    on ms, so a process builds a shape's table once; its arrays are
+    read-only, as every call at that shape shares them."""
     if ms > _TABLE_MS_MAX:
         return lambda u: (ms - 1.0) / sc.gammaincinv(ms, u)
     nodes = np.linspace(-_TABLE_W, _TABLE_W, _TABLE_NODES)
@@ -291,6 +304,7 @@ def _shadowing(ms: float):
     coef = np.empty((_TABLE_ORDER + 1, nodes.size))  # of y = ln x, from y' = G
     coef[0] = y
     np.divide(series[:, 4], np.arange(1.0, _TABLE_ORDER + 1)[:, None], out=coef[1:])
+    nodes.flags.writeable = coef.flags.writeable = False
 
     def z2(u: np.ndarray) -> np.ndarray:
         w = np.log(u) - np.log1p(-u)
@@ -309,7 +323,7 @@ def sample_inv_nakagami_sq(ms: float, n: int, seed: int, start: int = 0) -> np.n
     """n draws of the squared normalized inverse-Nakagami shadowing variate:
     inverse-gamma with shape ms and scale ms-1, so the mean is exactly 1."""
     _require_shape(ms=ms)
-    z2 = _shadowing(ms)
+    z2 = _shadowing(float(ms))
     return _draw(n, seed, start, 1, lambda u: z2(u[:, 0]))
 
 
@@ -354,7 +368,7 @@ def sample_aef_envelope(p: PhysAef, n: int, seed: int, start: int = 0) -> np.nda
     from row columns 1..2 mu_int."""
     inv_alpha = 1.0 / p.alpha
     c = np.repeat(-2.0 * np.array(_aef_variances(p)), p.mu_int)[:, None]
-    z2 = _shadowing(p.ms)
+    z2 = _shadowing(float(p.ms))
 
     def envelope(u: np.ndarray) -> np.ndarray:
         return (z2(u[:, 0]) * _power_sum(u[:, 1 : 1 + c.size], c)) ** inv_alpha
@@ -372,7 +386,7 @@ def sample_akf_envelope(p: PhysAkf, n: int, seed: int, start: int = 0) -> np.nda
     inv_alpha = 1.0 / p.alpha
     c = -2.0 * p.sigma2
     d = math.sqrt(p.d2)
-    z2 = _shadowing(p.ms)
+    z2 = _shadowing(float(p.ms))
 
     def envelope(u: np.ndarray) -> np.ndarray:
         s = _power_sum(u[:, 1 : 1 + mu], c, d, u[:, 1 + mu : 2 + mu])

@@ -8,8 +8,10 @@ densities, which is what makes the KS comparisons in the acceptance battery
 meaningful.
 """
 
+import inspect
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -34,6 +36,13 @@ from compfade import (
 from compfade import mc
 from compfade.mc import PhysAef, PhysAkf, envelope_alpha_mean, envelope_sq_mean
 from conftest import rel_err
+
+
+@pytest.fixture(autouse=True)
+def _fresh_shadowing():
+    # each test builds its own shadowing tables, so no test that patches scipy
+    # passes only on a table an earlier test left in the memo
+    mc._shadowing.cache_clear()
 
 
 @pytest.fixture
@@ -183,6 +192,43 @@ def test_shadowing_switches_route_at_the_table_limit(monkeypatch):
         assert np.max(np.abs(z2(u) / want[ms] - 1.0)) <= 2.5e-14
     with pytest.raises(pytest.fail.Exception, match="gammaincinv"):
         mc._shadowing(above)(u)
+
+
+@pytest.mark.parametrize("sampler", ["inv_nakagami", "aef", "akf"])
+def test_shadowing_table_is_built_once_per_shape(phys_aef, phys_akf, sampler, monkeypatch):
+    # the first call at a shape builds its table; later calls at that shape,
+    # a 13-chunk partition among them, reuse it and call no incomplete gamma,
+    # while another shape builds a table of its own
+    draw = {
+        "inv_nakagami": lambda ms, n, start: sample_inv_nakagami_sq(ms, n, 47, start=start),
+        "aef": lambda ms, n, start: sample_aef_envelope(replace(phys_aef, ms=ms), n, 47,
+                                                        start=start),
+        "akf": lambda ms, n, start: sample_akf_envelope(replace(phys_akf, ms=ms), n, 47,
+                                                        start=start),
+    }[sampler]
+    n = 5000
+    full = draw(4.0, n, 0)
+    _no_incomplete_gamma(monkeypatch)
+    assert draw(4.0, n, 0).tobytes() == full.tobytes()
+    edges = np.linspace(0, n, 14).astype(int)
+    parts = [draw(4.0, int(b - a), int(a)) for a, b in zip(edges[:-1], edges[1:])]
+    assert np.concatenate(parts).tobytes() == full.tobytes()
+    with pytest.raises(pytest.fail.Exception, match="gammaincinv"):
+        draw(6.5, n, 0)
+    monkeypatch.undo()
+    assert draw(6.5, n, 0).tobytes() != full.tobytes()
+    assert mc._shadowing.cache_info().currsize == 2
+    assert mc._shadowing(6.5) is not mc._shadowing(4.0)
+
+
+def test_memoized_shadowing_table_is_read_only():
+    # every call at a shape shares its table, so no caller may write into it
+    z2 = mc._shadowing(4.0)
+    table = inspect.getclosurevars(z2).nonlocals
+    for name in ("nodes", "coef"):
+        with pytest.raises(ValueError, match="read-only"):
+            table[name][0] = 0.0
+    assert mc._shadowing(4.0) is z2
 
 
 @pytest.mark.parametrize("ms", [1e6, float(np.nextafter(1e6, math.inf)), 1e7, 1e12, 1e15,
@@ -352,6 +398,43 @@ def test_phys_akf_rejects_inconsistent_kappa():
     with pytest.raises(DomainError):
         PhysAkf(alpha=2.0, mu_int=2, sigma2=1.0, kappa=9.0,
                 p=(1.0, 1.0), q=(1.0, 1.0), ms=4.0)
+
+
+_AKF_BASE = dict(alpha=2.0, mu_int=1, sigma2=1.0, kappa=0.5, p=(1.0,), q=(0.0,), ms=4.0)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(p=(math.nan,)),
+    dict(q=(math.nan,)),
+    dict(p=(math.inf,), kappa=math.inf),
+    dict(q=(-math.inf,), kappa=math.inf),
+    dict(kappa=math.nan),
+    dict(sigma2=math.inf, p=(0.0,), kappa=0.0),
+    dict(sigma2=math.nan),
+], ids=["p-nan", "q-nan", "p-inf", "q-minus-inf", "kappa-nan", "sigma2-inf", "sigma2-nan"])
+def test_phys_akf_rejects_non_finite_means_and_scales(fields):
+    # each of these was accepted and drew NaN or inf envelopes (or, for kappa
+    # = nan, kept a kappa that disagrees with d^2/(2 mu sigma2))
+    PhysAkf(**_AKF_BASE)  # the base is valid
+    with pytest.raises(DomainError):
+        PhysAkf(**{**_AKF_BASE, **fields})
+
+
+@pytest.mark.parametrize("fmt,fields", [
+    (Format.FORMAT_I, dict(sigma_x2=math.inf, sigma_y2=math.inf)),
+    (Format.FORMAT_I, dict(sigma_x2=math.nan)),
+    (Format.FORMAT_I, dict(sigma_y2=math.nan)),
+    (Format.FORMAT_I, dict(eta=math.nan)),
+    (Format.FORMAT_II, dict(sigma2=math.inf)),
+    (Format.FORMAT_II, dict(sigma2=math.nan)),
+], ids=["I-both-inf", "I-sigma_x2-nan", "I-sigma_y2-nan", "I-eta-nan", "II-sigma2-inf",
+        "II-sigma2-nan"])
+def test_phys_aef_rejects_non_finite_scales(fmt, fields):
+    base = dict(alpha=2.0, mu_int=1, format=fmt, eta=1.0 if fmt is Format.FORMAT_I else 0.3,
+                ms=4.0)
+    PhysAef(**base)  # the base is valid
+    with pytest.raises(DomainError):
+        PhysAef(**{**base, **fields})
 
 
 _SHAPE_ENTRY_POINTS = {
