@@ -48,15 +48,22 @@ There scipy's incomplete gamma functions lose digits in the far tails
 gammaincinv's nodes is up to 6.5e-10 off gammaincinv's own draws at
 ms = 1e6.
 
-Streams are counter-based (Philox). A draw's row holds the shadowing's
-uniform and alpha-eta-F's 2 mu radii, or alpha-kappa-F's mu radii and
-angle, padded to a multiple of 4 (the Philox block size). So draws
-[start, start+n) are bitwise the same however a run is partitioned, and
-alpha-eta-F at mu draws what alpha-kappa-F at kappa = 0 with 2 mu clusters
-draws. In 7692-row calls on a 2-vCPU x86 host, the table already built, a
-draw costs about 58, 123 and 139 ns at mu = 1, 2 and 3 (alpha-eta-F), and
-69, 70 and 101 ns (alpha-kappa-F); alpha-eta-F at mu = 2 and 3 takes about
-90 and 97 ns where glibc does not return the heap between calls.
+Streams are PCG64 (O'Neill 2014) with jump-ahead. A draw's row holds the
+shadowing's uniform and alpha-eta-F's 2 mu radii, or alpha-kappa-F's mu
+radii and angle, padded to a multiple of 4. A double takes one 64-bit
+output, so row start begins start * width outputs into the seed's stream,
+where advance jumps in at most 128 steps, and draws [start, start+n) are
+bitwise the same however a run is partitioned. The padding gives 1 + 2 mu
+and 2 + 2 mu columns one width, so alpha-eta-F at mu draws what
+alpha-kappa-F at kappa = 0 with 2 mu clusters draws; exact widths also
+cost a quick battery about 4,600 page faults, against 1 or 2 (see
+CHANGES.md).
+A uniform costs about 2.4 ns, against 5.0 ns from the Philox stream
+(Salmon et al. 2011) of earlier versions, so a seed's draws differ from
+theirs. In 7692-row calls on a 2-vCPU x86 host, the table already built, a
+draw costs about 45, 103 and 117 ns at mu = 1, 2 and 3 (alpha-eta-F), and
+66, 69 and 87 ns (alpha-kappa-F); alpha-eta-F at mu = 2 and 3 takes about
+70 and 78 ns where glibc does not return the heap between calls.
 """
 from __future__ import annotations
 
@@ -225,9 +232,10 @@ def ks_threshold(n: int, safety: float = _KS_SAFETY) -> float:
 
 def _uniform_rows(seed: int, width: int, start: int, rows: int) -> np.ndarray:
     """Rows [start, start+rows) of the seed's uniform stream, width doubles
-    per row; width must be a multiple of 4 so rows align with Philox blocks."""
-    bit = np.random.Philox(key=seed)
-    bit.advance(start * width // 4)
+    per row. A double takes one 64-bit PCG64 output, so row start begins
+    start * width outputs in, where advance jumps in at most 128 steps."""
+    bit = np.random.PCG64(seed)
+    bit.advance(start * width)
     u = np.random.Generator(bit).random((rows, width), dtype=np.float64)
     np.maximum(u, _U_FLOOR, out=u)
     return u
@@ -235,8 +243,9 @@ def _uniform_rows(seed: int, width: int, start: int, rows: int) -> np.ndarray:
 
 def _draw(n: int, seed: int, start: int, columns: int, rows_to_draws) -> np.ndarray:
     """Draws [start, start+n) of the seed's stream, a row of its first
-    `columns` uniforms each, padded to Philox's 4-wide block; rows_to_draws
-    makes them from blocks of at most _CHUNK_ROWS rows."""
+    `columns` uniforms each, padded to a multiple of 4 (see the module
+    docstring); rows_to_draws makes them from blocks of at most _CHUNK_ROWS
+    rows."""
     try:
         n, seed, start = map(operator.index, (n, seed, start))
     except TypeError:

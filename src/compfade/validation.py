@@ -17,7 +17,6 @@ cell: one lanes call per family, with per-cell constants.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -783,6 +782,6 @@ def run_battery(
         "level": level,
         "seed": seed,
         "passed": all(c.passed for c in checks),
-        "checks": [dataclasses.asdict(c) for c in checks],
+        "checks": [dict(vars(c)) for c in checks],
         "seconds": seconds,
     }

@@ -57,13 +57,13 @@ def phys_akf():
 
 def test_aef_first_draws_frozen(phys_aef):
     r = sample_aef_envelope(phys_aef, 3, 123)
-    want = [2.0730457631208044, 1.3800864656755805, 3.659137067670279]
+    want = [2.1417453568013722, 1.323457904008944, 1.4034882440123937]
     assert np.allclose(r, want, rtol=1e-12, atol=0.0)
 
 
 def test_akf_first_draws_frozen(phys_akf):
     r = sample_akf_envelope(phys_akf, 3, 123)
-    want = [2.6810294405395925, 0.7921925928902328, 3.0223664999519926]
+    want = [2.7600242088516276, 2.336243802947422, 1.7452904121124926]
     assert np.allclose(r, want, rtol=1e-12, atol=0.0)
 
 
@@ -97,6 +97,27 @@ def test_single_row_offset_matches(phys_aef):
     full = sample_aef_envelope(phys_aef, 10, 7)
     tail = sample_aef_envelope(phys_aef, 9, 7, start=1)
     assert tail.tobytes() == full[1:].tobytes()
+
+
+@pytest.mark.parametrize("width", [4, 8])
+def test_uniform_rows_jump_to_their_start(width):
+    # a call that jumps to row 13 (not a multiple of 4 or of _CHUNK_ROWS)
+    # reads what one call from row 0 reads there
+    start = 13
+    full = mc._uniform_rows(58, width, 0, start + 40)
+    assert mc._uniform_rows(58, width, start, 40).tobytes() == full[start:].tobytes()
+
+
+def test_uniform_rows_jump_far_into_the_stream():
+    # offsets no test could draw through: rows 2^40 + 3 on are rows 3 on of
+    # a call at 2^40
+    far = mc._uniform_rows(58, 8, 2**40, 10)
+    assert mc._uniform_rows(58, 8, 2**40 + 3, 7).tobytes() == far[3:].tobytes()
+
+
+def test_uniform_rows_of_the_largest_seed_are_finite_and_inside_the_unit_interval():
+    u = mc._uniform_rows((1 << 64) - 1, 4, 0, 1000)
+    assert np.all(np.isfinite(u)) and np.all(u >= mc._U_FLOOR) and np.all(u < 1.0)
 
 
 def _edge_uniforms() -> np.ndarray:
