@@ -13,7 +13,6 @@ from .akf import CLOSED_FORM_GUARD, AkfDist, AkfEnvelope
 from .cases import CaseId, LatticeCheck, LatticeReport, check_lattice, reduce
 from .mc import (
     EmpiricalDist,
-    GofReport,
     PhysAef,
     PhysAkf,
     ks_distance,
@@ -69,7 +68,6 @@ __all__ = [
     "Format",
     "GainPair",
     "Geometry",
-    "GofReport",
     "LaneResult",
     "LatticeCheck",
     "LatticeReport",

@@ -239,9 +239,6 @@ def cmd_curve(args, stream) -> int:
 
 def cmd_sample(args, stream) -> int:
     params = _build_params(args)
-    if getattr(args, "gamma_bar", None) is not None:
-        raise DomainError("--gamma-bar does not apply to sampling; "
-                          "use --omega for the power target")
     if args.n < 0:
         raise DomainError(f"--n must be >= 0, got {args.n}")
     if args.chunks < 1:

@@ -18,9 +18,7 @@ differences (X +- Y)/sqrt(2) of its correlated components), so every pair
 is centred: a log a pair. alpha-kappa-F's sum depends on the means only
 through d^2 = sum(p_i^2 + q_i^2), as a rotation of its 2 mu components
 moves every offset onto one pair. So its first pair takes the whole offset
-d: one angle, one sqrt and one cos a draw, whatever mu is. Earlier versions
-drew each Gaussian by ndtri, or an angle per offset cluster, so a seed's
-draws differ from theirs; the law is the same.
+d: one angle, one sqrt and one cos a draw, whatever mu is.
 
 The shadowing variate is Z^2 = (ms - 1)/x with x the gamma(ms) quantile at
 the draw's uniform u. A table holds y = ln x at 512 nodes uniform in
@@ -58,32 +56,30 @@ and 2 + 2 mu columns one width, so alpha-eta-F at mu draws what
 alpha-kappa-F at kappa = 0 with 2 mu clusters draws; exact widths also
 cost a quick battery about 4,600 page faults, against 1 or 2 (see
 CHANGES.md).
-A uniform costs about 2.4 ns, against 5.0 ns from the Philox stream
-(Salmon et al. 2011) of earlier versions, so a seed's draws differ from
-theirs. In 7692-row calls on a 2-vCPU x86 host, the table already built, a
-draw costs about 45, 103 and 117 ns at mu = 1, 2 and 3 (alpha-eta-F), and
-66, 69 and 87 ns (alpha-kappa-F); alpha-eta-F at mu = 2 and 3 takes about
-70 and 78 ns where glibc does not return the heap between calls.
+A uniform costs about 2.4 ns. In 7692-row calls on a 2-vCPU x86 host, the
+table already built, a draw costs about 45, 103 and 117 ns at mu = 1, 2
+and 3 (alpha-eta-F), and 66, 69 and 87 ns (alpha-kappa-F); alpha-eta-F at
+mu = 2 and 3 takes about 70 and 78 ns where glibc does not return the heap
+between calls.
 """
 from __future__ import annotations
 
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sc
 
 from ._kernels import _hyp1f1, _hyp2f1, _ln_gamma_star
-from .params import AefParams, AkfParams, Format, _require_shape
+from .params import AefParams, AkfParams, Format, _require_eta, _require_shape
 from .series import DomainError
 
 __all__ = [
     "PhysAef",
     "PhysAkf",
     "EmpiricalDist",
-    "GofReport",
     "sample_inv_nakagami_sq",
     "sample_aef_envelope",
     "sample_akf_envelope",
@@ -147,8 +143,7 @@ class PhysAef:
                     f"ratio={ratio}"
                 )
         elif self.format is Format.FORMAT_II:
-            if not -1.0 < self.eta < 1.0:
-                raise DomainError(f"Format II requires |eta| < 1, got {self.eta}")
+            _require_eta(self.eta, self.format)
             if not 0.0 < self.sigma2 < math.inf:
                 raise DomainError("Format II requires positive, finite sigma2")
         else:
@@ -196,38 +191,34 @@ class PhysAkf:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDist:
-    """Sorted sample vector with its size."""
+    """Sorted sample vector with its size: samples is 1-d, non-empty,
+    non-decreasing and free of NaN, and n is its size."""
 
     samples: np.ndarray
     n: int
 
+    def __post_init__(self) -> None:
+        x = self.samples
+        if not isinstance(x, np.ndarray) or x.ndim != 1 or x.size == 0:
+            raise DomainError("EmpiricalDist requires a non-empty 1-d sample vector")
+        if self.n != x.size:
+            raise DomainError(f"n must be the sample size {x.size}, got {self.n}")
+        # a NaN fails every comparison, so the order test finds it unless alone
+        if np.isnan(x[-1]) or not np.all(x[1:] >= x[:-1]):
+            raise DomainError("EmpiricalDist requires sorted samples without NaN")
+
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalDist":
         arr = np.sort(np.asarray(samples, dtype=np.float64))
-        if arr.ndim != 1 or arr.size == 0:
-            raise DomainError("EmpiricalDist requires a non-empty 1-d sample vector")
         return cls(samples=arr, n=int(arr.size))
 
 
-@dataclass(frozen=True)
-class GofReport:
-    """Kolmogorov-Smirnov comparison outcome; passed iff ks_stat <= threshold."""
-
-    ks_stat: float
-    n: int
-    threshold: float
-    passed: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "passed", self.ks_stat <= self.threshold)
-
-
-def ks_threshold(n: int, safety: float = _KS_SAFETY) -> float:
-    """Default KS pass threshold: the asymptotic 1% Kolmogorov quantile
-    1.63/sqrt(n) with a safety factor (0.002 at n = 10^6)."""
+def ks_threshold(n: int) -> float:
+    """KS pass threshold: the asymptotic 1% Kolmogorov quantile 1.63/sqrt(n)
+    times the safety factor _KS_SAFETY = 1.2 (0.00196 at n = 10^6)."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return safety * 1.63 / math.sqrt(n)
+    return _KS_SAFETY * 1.63 / math.sqrt(n)
 
 
 def _uniform_rows(seed: int, width: int, start: int, rows: int) -> np.ndarray:
@@ -512,16 +503,12 @@ def make_phys(
 
 def ks_distance(emp: EmpiricalDist, cdf) -> float:
     """Two-sided Kolmogorov-Smirnov distance between an empirical sample and
-    a model CDF: sup over samples of the gap against both step edges."""
-    if emp.n < 1:
-        raise DomainError("empirical sample is empty")
+    a model CDF: sup over samples of the gap against both step edges. cdf
+    takes the sample array and returns an array of its shape."""
     x = emp.samples
-    try:
-        f = np.asarray(cdf(x), dtype=np.float64)
-        if f.shape != x.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        f = np.asarray([float(cdf(v)) for v in x], dtype=np.float64)
+    f = np.asarray(cdf(x), dtype=np.float64)
+    if f.shape != x.shape:
+        raise DomainError(f"cdf returned shape {f.shape} for samples of shape {x.shape}")
     i = np.arange(1, emp.n + 1, dtype=np.float64)
     d_plus = np.max(i / emp.n - f)
     d_minus = np.max(f - (i - 1.0) / emp.n)

@@ -58,6 +58,16 @@ def _require_shape(
         raise DomainError(f"ms must exceed 1 and be finite, got {ms}")
 
 
+def _require_eta(eta: float, fmt: Format) -> None:
+    """eta's range in its format: 0 < eta < inf in Format I, -1 < eta < 1
+    otherwise (Format II)."""
+    if fmt is Format.FORMAT_I:
+        if not 0.0 < eta < math.inf:
+            raise DomainError(f"Format I requires 0 < eta < inf, got {eta}")
+    elif not -1.0 < eta < 1.0:
+        raise DomainError(f"Format II requires -1 < eta < 1, got {eta}")
+
+
 class _once:
     """A field computed from its instance on first access and stored in the
     instance's __dict__, where later lookups find it before this non-data
@@ -89,16 +99,7 @@ class AefParams:
         _require_shape(self.alpha, self.mu, self.ms)
         if not isinstance(self.format, Format):
             raise DomainError(f"format must be a Format, got {self.format!r}")
-        if self.format is Format.FORMAT_I:
-            if not (self.eta > 0.0 and math.isfinite(self.eta)):
-                raise DomainError(
-                    f"Format I requires 0 < eta < inf, got {self.eta}"
-                )
-        else:
-            if not -1.0 < self.eta < 1.0:
-                raise DomainError(
-                    f"Format II requires -1 < eta < 1, got {self.eta}"
-                )
+        _require_eta(self.eta, self.format)
 
     @_once
     def _geometry(self) -> Geometry:
@@ -182,12 +183,7 @@ def convert_format(eta: float, from_format: Format) -> float:
     """Map eta between Format I and Format II; the map is its own inverse."""
     if eta == -1.0:
         raise DomainError("eta = -1 is the conversion singularity")
-    if from_format is Format.FORMAT_I:
-        if not (eta > 0.0 and math.isfinite(eta)):
-            raise DomainError(f"Format I requires 0 < eta < inf, got {eta}")
-    else:
-        if not -1.0 < eta < 1.0:
-            raise DomainError(f"Format II requires -1 < eta < 1, got {eta}")
+    _require_eta(eta, from_format)
     return (1.0 - eta) / (1.0 + eta)
 
 

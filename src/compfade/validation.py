@@ -73,6 +73,10 @@ _HEAD_R0 = 1e-30
 _HEAD_POINTS = 4001
 ENGINE_TOL = 1e-10
 REDUCTION_TOL = 1e-12
+_ENGINE_POINTS = 100  # random points per engine; the beta-row case takes a quarter
+_BOUND_DRAWS = 20  # random laws per family in check_bound
+_DETERMINISM_SEED = 99
+_DETERMINISM_DRAWS = 4096
 ASYM_RATIO_TOLS = ((1e3, 0.05), (1e4, 0.01), (1e5, 0.003))
 SLOPE_TOL = 0.02
 
@@ -395,9 +399,10 @@ _CDF_POINTS = np.geomspace(0.05, 8.0, 10)
 
 
 def _humbert_cdf(d: AkfDist, gamma: float) -> SeriesResult:
-    """The paper's closed-form alpha-kappa-F CDF for X1 > 1, the reference
-    for snr_cdf above the guard band: 1 - e^(-mu kappa) X1^(-ms) / (ms
-    B(mu, ms)) Psi1(mu+ms, ms; 1+ms, mu; -1/X1, mu kappa), its Psi1 summed
+    """The paper's closed-form alpha-kappa-F CDF for X1 > 1 (or X1 = 1 when
+    mu kappa = 0), the reference for snr_cdf above the guard band and at
+    the Fisher point: 1 - e^(-mu kappa) X1^(-ms) / (ms B(mu, ms))
+    Psi1(mu+ms, ms; 1+ms, mu; -1/X1, mu kappa), its Psi1 summed
     in log space by specfun.humbert_psi1_ln over n, each row 2F1(mu + ms +
     n, ms; 1 + ms; -1/X1) an incomplete beta. The form's first term,
     e^(-mu kappa) Psi1(mu; 0; 1-ms, mu; -1/X1, mu kappa) = e^(-mu kappa)
@@ -457,7 +462,8 @@ def check_cdf(grids=None) -> list:
 def check_fisher() -> list:
     """Criterion: both families at the Fisher-F point (alpha=2, balanced
     clusters, one effective cluster, ms=2, gamma_bar=1) hit the closed-form
-    values pdf(1) = 1/4 and cdf(1) = 3/4."""
+    values pdf(1) = 1/4 and cdf(1) = 3/4, the alpha-kappa-F CDF both by its
+    series and by the paper's Humbert form (_humbert_cdf)."""
     a = AefDist(AefParams(alpha=2.0, eta=1.0, mu=0.5, ms=2.0), 1.0)
     k = AkfDist(AkfParams(alpha=2.0, kappa=0.0, mu=1.0, ms=2.0), 1.0)
     spots = (
@@ -465,7 +471,7 @@ def check_fisher() -> list:
         ("fisher-aef-cdf", a.snr_cdf(1.0).value, 0.75),
         ("fisher-akf-pdf", k.snr_pdf(1.0), 0.25),
         ("fisher-akf-cdf", k.snr_cdf_series(1.0).value, 0.75),
-        ("fisher-akf-cdf-closed", k.snr_cdf_closed(1.0).value, 0.75),
+        ("fisher-akf-cdf-closed", _humbert_cdf(k, 1.0).value, 0.75),
     )
     return [
         Check(name, abs(got - want), FISHER_TOL, abs(got - want) <= FISHER_TOL,
@@ -562,10 +568,10 @@ def _paper_bound(d: AefDist, gamma: float, k0: int) -> float:
                              + ln_f1 + ln_f2)
 
 
-def check_bound(seed: int = 424242, draws: int = 20) -> list:
+def check_bound(seed: int = 424242) -> list:
     """Criterion: cdf_truncation_bound dominates the measured CDF series
-    remainder for k0 in {1, 2, 4, 8, 16} at each of `draws` random valid
-    draws per family (the alpha-eta-F draws alternate Format I and II),
+    remainder for k0 in {1, 2, 4, 8, 16} at each of _BOUND_DRAWS = 20 random
+    valid draws per family (the alpha-eta-F draws alternate Format I and II),
     and the paper's bound (_paper_bound) dominates it at every alpha-eta-F
     draw where it converges; zero violations allowed. The second check's
     detail counts the draws the paper's bound refuses (q y^2 >= 1)."""
@@ -575,7 +581,7 @@ def check_bound(seed: int = 424242, draws: int = 20) -> list:
     worst = dict.fromkeys(names, -math.inf)
     detail = dict.fromkeys(names, "")
     refused = 0
-    for i in range(2 * draws):
+    for i in range(2 * _BOUND_DRAWS):
         alpha = rng.uniform(1.0, 4.0)
         shape = rng.uniform(0.0, 1.0)
         mu = rng.uniform(0.4, 3.0)
@@ -605,7 +611,7 @@ def check_bound(seed: int = 424242, draws: int = 20) -> list:
                     worst[name] = remainder - bound
                     detail[name] = (f"{_tag(d.params)} gamma={gamma:.4g} k0={k0} "
                                     f"remainder={remainder:.3e} bound={bound:.3e}")
-    detail[names[1]] += f"; the paper's bound refused {refused} of {draws} draws"
+    detail[names[1]] += f"; the paper's bound refused {refused} of {_BOUND_DRAWS} draws"
     return [Check(name, worst[name], 0.0, worst[name] <= 0.0, detail=detail[name])
             for name in names]
 
@@ -635,9 +641,9 @@ def check_asym() -> list:
     return checks
 
 
-def check_lattice(tolerance: float = 1e-4) -> list:
-    """Criterion: the special-case lattice equivalences hold."""
-    rep = cases.check_lattice(tolerance)
+def check_lattice() -> list:
+    """Criterion: the special-case lattice equivalences of cases.check_lattice hold."""
+    rep = cases.check_lattice()
     return [
         Check(f"lattice-{c.name}", c.max_dev, c.tolerance, c.passed)
         for c in rep.checks
@@ -649,9 +655,10 @@ def _rel_err(got: float, want: float) -> float:
     return abs(got - want) / scale
 
 
-def check_engines(seed: int = 20250817, points: int = 100) -> list:
+def check_engines(seed: int = 20250817) -> list:
     """Criterion: each series engine agrees with a 50+ digit oracle within
-    1e-10 on random in-domain points, and the two-variable engines collapse
+    1e-10 on _ENGINE_POINTS = 100 random in-domain points (25 for the
+    incomplete-beta row case), and the two-variable engines collapse
     to their one-variable reductions within 1e-12."""
     from . import _oracles as orc  # imports mpmath, so only when this check runs
 
@@ -665,13 +672,13 @@ def check_engines(seed: int = 20250817, points: int = 100) -> list:
 
     # (check name, draw count, argument draw, engine, oracle), drawn in order
     engines = (
-        ("engine-gauss-2f1", points,
+        ("engine-gauss-2f1", _ENGINE_POINTS,
          lambda: (u(0.1, 6.0), u(0.1, 6.0), u(0.3, 8.0), u(-4.0, 0.98)),
          specfun.gauss_2f1, mp.hyp2f1),
-        ("engine-kummer-1f1", points,
+        ("engine-kummer-1f1", _ENGINE_POINTS,
          lambda: (u(0.1, 6.0), u(0.3, 8.0), u(-25.0, 25.0)),
          specfun.kummer_1f1, mp.hyp1f1),
-        ("engine-humbert-psi1", points,
+        ("engine-humbert-psi1", _ENGINE_POINTS,
          lambda: (u(0.3, 5.0), u(0.1, 4.0), u(0.5, 6.0), u(0.5, 6.0), u(-0.9, 0.9),
                   u(-4.0, 8.0)),
          specfun.humbert_psi1, orc.mp_humbert_psi1),
@@ -679,7 +686,7 @@ def check_engines(seed: int = 20250817, points: int = 100) -> list:
         # alternates and is cancellation limited by construction of the
         # double series. No law route calls this engine: the alpha-kappa-F
         # CDF sums its Kampe de Feriet form as the incomplete-beta mixture.
-        ("engine-kdf-2-1", points,
+        ("engine-kdf-2-1", _ENGINE_POINTS,
          lambda: (u(0.3, 5.0), u(0.3, 5.0), u(0.5, 6.0), u(0.5, 6.0), u(0.0, 2.0),
                   u(-2.5, 0.9)),
          specfun.kdf_2_1, orc.mp_kdf_2_1),
@@ -687,7 +694,7 @@ def check_engines(seed: int = 20250817, points: int = 100) -> list:
         # incomplete-beta row route; sample it separately since random draws
         # never hit the structure exactly, and push x well past where the
         # generic power-series rows would lose precision
-        ("engine-kdf-2-1-beta-rows", points // 4, beta_rows,
+        ("engine-kdf-2-1-beta-rows", _ENGINE_POINTS // 4, beta_rows,
          specfun.kdf_2_1, orc.mp_kdf_2_1),
     )
     checks = []
@@ -721,9 +728,11 @@ def check_engines(seed: int = 20250817, points: int = 100) -> list:
     return checks
 
 
-def check_determinism(seed: int = 99, n: int = 4096) -> list:
-    """Criterion: sampler output is byte-identical across repeated runs and
-    across partition layouts for a fixed seed."""
+def check_determinism() -> list:
+    """Criterion: sampler output (_DETERMINISM_DRAWS draws at
+    _DETERMINISM_SEED) is byte-identical across repeated runs and across
+    partition layouts."""
+    n, seed = _DETERMINISM_DRAWS, _DETERMINISM_SEED
     ok = True
     for p in (AefParams(alpha=2.5, eta=0.4, mu=2.0, ms=4.0),
               AkfParams(alpha=3.0, kappa=1.5, mu=3.0, ms=5.0)):
