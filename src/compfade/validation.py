@@ -7,7 +7,7 @@ for the distributions as a whole. Checks return structured results so the
 battery can be rendered as JSON and asserted in tests.
 
 The quadrature (_integrate, for the normalization, mean and CDF checks) is
-an array Gauss-Legendre mesh, not scipy.integrate.quad, and each of those
+an array Gauss-Kronrod mesh, not scipy.integrate.quad, and each of those
 checks integrates all its grid cells in one mesh: every panel carries its
 cell, each cell accepts, bisects and deepens its panels as it would alone,
 and a cell that fails drops out with its own error while the others go
@@ -64,7 +64,6 @@ CDF_CLOSED_TOL = 1e-8
 # 2.9e-10 at 1e5; the standard grids' ms is at most 30
 CDF_NCF_TOL = 1e-10
 FISHER_TOL = 1e-10
-KS_LIMIT = 2e-3
 # the envelope CDF replaces its first _HEAD_CELLS linear cells [0, r_n] by
 # the CDF head up to r0 = _HEAD_R0 r1, then _HEAD_POINTS geometric grid
 # points up to r_n
@@ -81,14 +80,30 @@ ASYM_RATIO_TOLS = ((1e3, 0.05), (1e4, 0.01), (1e5, 0.003))
 SLOPE_TOL = 0.02
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=400)
-# _integrate: Gauss-Legendre orders per panel (integral, error estimate),
-# the ratio of its geometric meshes, the share of epsabs its
-# analytic remainders may take, how far in x/split its meshes may reach,
-# and its round budget
-_GAUSS_ORDERS = (20, 10)
-_GAUSS_RULES = [special.roots_legendre(n) for n in _GAUSS_ORDERS]
-_GAUSS_NODES = np.concatenate([nodes for nodes, _ in _GAUSS_RULES])
-_GAUSS_WEIGHTS = [weights for _, weights in _GAUSS_RULES]
+# _integrate: the (G10, K21) Gauss-Kronrod pair of QUADPACK's qk21 on
+# [-1, 1], from its 11 nonnegative Kronrod nodes (outermost first), their
+# weights and the Gauss weights of its 5 positive Gauss nodes, mirrored
+# about 0: nodes ascending, the Gauss nodes _K21_NODES[1::2]. Then the
+# ratio of its geometric meshes, the share of epsabs its analytic
+# remainders may take, how far in x/split its meshes may reach, and its
+# round budget
+_K21_X = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+          0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+          0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+          0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+          0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
+_K21_W = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+          0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+          0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+          0.123491976262065851077208980114659, 0.134709217311473325928054001771707,
+          0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+          0.149445554002916905664936468389821)
+_G10_W = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+          0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+          0.295524224714752870173892994651338)
+_K21_NODES = np.array([-x for x in _K21_X] + list(_K21_X[-2::-1]))
+_K21_WEIGHTS = np.array(_K21_W + _K21_W[-2::-1])
+_G10_WEIGHTS = np.array(_G10_W + _G10_W[::-1])
 _MESH_RATIO = 0.2
 _REMAINDER_SHARE = 0.25
 _X_SPAN = 1e100
@@ -215,10 +230,11 @@ def _integrate(f, split: float, head_exp, tail_decay=None, marks=()) -> tuple:
     _X_SPAN^(-alpha/2), 1e-50 at alpha = 1), and a density has not yet
     underflowed. The marks are edges of the head mesh.
 
-    Each panel takes the Gauss-Legendre rules of _GAUSS_ORDERS: the higher
-    order gives its integral, the difference to the lower its error
-    estimate. A panel whose estimate exceeds its share (by t-width) of its
-    cell's tolerance max(epsabs, epsrel |total|) of _QUAD_OPTS is bisected.
+    Each panel takes the 21-point Kronrod rule for its integral, and the
+    difference to the 10-point Gauss rule on every second of its nodes for
+    its error estimate: 21 evaluations of f a panel. A panel whose
+    estimate exceeds its share (by t-width) of its cell's tolerance
+    max(epsabs, epsrel |total|) of _QUAD_OPTS is bisected.
     Every panel carries its side j = cell * sides + side, and each cell's
     sums come from np.bincount over its panels, in the order a lone cell
     has them. f is called once per round, on an array of every pending
@@ -264,20 +280,20 @@ def _integrate(f, split: float, head_exp, tail_decay=None, marks=()) -> tuple:
         jr = np.flatnonzero(new_rest)
         t0 = _MESH_RATIO ** depth[jr]
         nodes = ((0.5 * (lo + hi))[:, None]
-                 + (0.5 * (hi - lo))[:, None] * _GAUSS_NODES).ravel()
+                 + (0.5 * (hi - lo))[:, None] * _K21_NODES).ravel()
         t = np.concatenate((nodes, t0))
-        kt = np.concatenate((np.repeat(k[pj], _GAUSS_NODES.size), k[jr]))
-        cell = np.concatenate((np.repeat(pj // sides, _GAUSS_NODES.size), jr // sides))
+        kt = np.concatenate((np.repeat(k[pj], _K21_NODES.size), k[jr]))
+        cell = np.concatenate((np.repeat(pj // sides, _K21_NODES.size), jr // sides))
         values, failed = f(split * t**kt, cell)
         for c, exc in failed.items():
             errors.setdefault(c, exc)
             live[c] = False
         g = values * (split * np.abs(kt) * t ** (kt - 1.0))
         rest[jr] = t0 * g[nodes.size:] / (1.0 + s[jr])
-        g = g[:nodes.size].reshape(lo.size, _GAUSS_NODES.size)
+        g = g[:nodes.size].reshape(lo.size, _K21_NODES.size)
         half = 0.5 * (hi - lo)
-        fine = half * (g[:, :_GAUSS_ORDERS[0]] @ _GAUSS_WEIGHTS[0])
-        coarse = half * (g[:, _GAUSS_ORDERS[0]:] @ _GAUSS_WEIGHTS[1])
+        fine = half * (g @ _K21_WEIGHTS)
+        coarse = half * (g[:, 1::2] @ _G10_WEIGHTS)
         pc = pj // sides
         total = (kept_sum + np.bincount(pc, fine, minlength=n)
                  + rest.reshape(n, sides).sum(axis=1))
@@ -521,10 +537,11 @@ def _envelope_cdf_interp(env, samples: np.ndarray) -> np.ndarray:
 def check_mc(n: int = 1_000_000, seed: int = 777, flip_h_sign: bool = False,
              configs=None) -> list:
     """Criterion: Kolmogorov-Smirnov distance between physical-model samples
-    and the analytical CDF below 0.002 at n = 10^6, in both the SNR domain
-    and the envelope domain, for all standard configurations."""
+    and the analytical CDF below mc.ks_threshold(n) (0.00196 at n = 10^6),
+    in both the SNR domain and the envelope domain, for all standard
+    configurations."""
     checks = []
-    limit = min(KS_LIMIT, mc.ks_threshold(n)) if n >= 1_000_000 else mc.ks_threshold(n)
+    limit = mc.ks_threshold(n)
     if configs is None:
         configs = list(MC_AEF_CONFIGS) + list(MC_AKF_CONFIGS)
     for i, p in enumerate(configs):

@@ -249,3 +249,16 @@ def test_cli_import_leaves_the_validation_battery_unloaded():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env())
     assert r.returncode == 0, r.stderr
     assert r.stdout.decode().split() == ["False", "False"]
+
+
+def test_validation_import_leaves_scipy_integrate_and_linalg_unloaded():
+    # the battery's quadrature hard-codes its Kronrod table: taking it from
+    # scipy.integrate, or Gauss rules from special.roots_legendre (which
+    # loads scipy.linalg), costs every run's start-up time and memory
+    code = (
+        "import sys, compfade.validation\n"
+        "print('scipy.integrate' in sys.modules, 'scipy.linalg' in sys.modules)"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.decode().split() == ["False", "False"]
