@@ -101,9 +101,10 @@ def reduce(
 ) -> AefParams | AkfParams:
     """Parameter bundle at the special-case limit point.
 
-    ms -> infinity uses the finite proxy MS_INF_PROXY; eta = 1 (Format I) and
-    kappa = 0 are exact and route to the limit formulas inside the density
-    code. Raises DomainError for a case/family mismatch.
+    ms -> infinity uses the finite proxy MS_INF_PROXY; the balanced eta (1 in
+    Format I, 0 in Format II) and kappa = 0 are exact, and take the same
+    mixture and density code as any other point. Raises DomainError for a
+    case/family mismatch.
     """
     if type(params) not in _FAMILIES:
         raise DomainError(f"unsupported parameter type {type(params).__name__}")

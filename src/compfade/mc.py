@@ -15,10 +15,12 @@ R^2 + 2 R d cos(2 pi v) + d^2 for a second uniform v, formed as
 alpha-eta-F pairs its in-phase components with each other and its
 quadrature components with each other (in Format II, the sums and
 differences (X +- Y)/sqrt(2) of its correlated components), so every pair
-is centred: a log a pair. alpha-kappa-F's sum depends on the means only
-through d^2 = sum(p_i^2 + q_i^2), as a rotation of its 2 mu components
-moves every offset onto one pair. So its first pair takes the whole offset
-d: one angle, one sqrt and one cos a draw, whatever mu is.
+is centred: a log a pair, and PhysAef holds just the two halves'
+variances. alpha-kappa-F's sum depends on the means only through
+d^2 = sum(p_i^2 + q_i^2), as a rotation of its 2 mu components moves every
+offset onto one pair, so PhysAkf holds sigma^2 and d^2. Its first pair
+takes the whole offset d: one angle, one sqrt and one cos a draw, whatever
+mu is.
 
 The shadowing variate is Z^2 = (ms - 1)/x with x the gamma(ms) quantile at
 the draw's uniform u. A table holds y = ln x at 512 nodes uniform in
@@ -73,7 +75,7 @@ import numpy as np
 from scipy import special as sc
 
 from ._kernels import _hyp1f1, _hyp2f1, _ln_gamma_star
-from .params import AefParams, AkfParams, Format, _require_eta, _require_shape
+from .params import AefParams, AkfParams, Format, _require_shape
 from .series import DomainError
 
 __all__ = [
@@ -110,83 +112,58 @@ _TAYLOR_SCALE = (np.array([1.0, -1.0, 0.0, -0.5, 1.0, 1.0, 1.0, -0.5])[:, None]
                  / np.arange(1.0, _TABLE_ORDER + 1)[:, None, None])
 
 
+def _require_clusters(mu_int) -> None:
+    """The physical models sum whole clusters: mu_int is an integer >= 1."""
+    try:
+        whole = operator.index(mu_int) >= 1
+    except TypeError:
+        whole = False
+    if not whole:
+        raise DomainError(f"mu_int must be an integer >= 1, got {mu_int!r}")
+
+
 @dataclass(frozen=True)
 class PhysAef:
-    """Physical configuration of the alpha-eta-F generative model.
-
-    Format I uses independent in-phase/quadrature Gaussians with variances
-    sigma_x2 / sigma_y2 per component; Format II uses equal-variance pairs
-    with correlation eta. The model has 2 * mu_int cluster pairs (4 * mu_int
-    Gaussians), matching the envelope density's small-argument exponent.
-    """
+    """Physical configuration of the alpha-eta-F generative model: 2 mu_int
+    clusters whose two independent halves have the per-component variances
+    sigma_x2 and sigma_y2. In Format I the halves are the in-phase and
+    quadrature components; in Format II, with correlation eta and variance
+    sigma^2, they are (X +- Y)/sqrt(2), of variances sigma^2 (1 +- eta)."""
 
     alpha: float
     mu_int: int
-    format: Format
-    eta: float
     ms: float
-    sigma_x2: float = 1.0
-    sigma_y2: float = 1.0
-    sigma2: float = 1.0
+    sigma_x2: float
+    sigma_y2: float
 
     def __post_init__(self) -> None:
         _require_shape(alpha=self.alpha, ms=self.ms)
-        if self.mu_int < 1 or self.mu_int != int(self.mu_int):
-            raise DomainError(f"mu_int must be an integer >= 1, got {self.mu_int}")
-        if self.format is Format.FORMAT_I:
-            if not (0.0 < self.sigma_x2 < math.inf and 0.0 < self.sigma_y2 < math.inf):
-                raise DomainError("Format I requires positive, finite sigma_x2 and sigma_y2")
-            ratio = self.sigma_x2 / self.sigma_y2
-            if not abs(ratio - self.eta) <= 1e-12 * max(1.0, abs(self.eta)):
-                raise DomainError(
-                    f"Format I requires eta = sigma_x2/sigma_y2; got eta={self.eta}, "
-                    f"ratio={ratio}"
-                )
-        elif self.format is Format.FORMAT_II:
-            _require_eta(self.eta, self.format)
-            if not 0.0 < self.sigma2 < math.inf:
-                raise DomainError("Format II requires positive, finite sigma2")
-        else:
-            raise DomainError(f"format must be a Format, got {self.format!r}")
+        _require_clusters(self.mu_int)
+        if not (0.0 < self.sigma_x2 < math.inf and 0.0 < self.sigma_y2 < math.inf):
+            raise DomainError(f"sigma_x2 and sigma_y2 must be positive and finite, got "
+                              f"{self.sigma_x2} and {self.sigma_y2}")
 
 
 @dataclass(frozen=True)
 class PhysAkf:
-    """Physical configuration of the alpha-kappa-F generative model:
-    mu_int cluster pairs of variance-sigma2 Gaussians with per-cluster means
-    (p_i, q_i). The law, and so the sampler, sees the means only through
-    d^2 = sum(p_i^2 + q_i^2), and kappa = d^2 / (2 mu sigma2)."""
+    """Physical configuration of the alpha-kappa-F generative model: mu_int
+    cluster pairs of variance-sigma2 Gaussians whose means (p_i, q_i) enter
+    the law only through their squared length d2 = sum(p_i^2 + q_i^2), with
+    kappa = d2 / (2 mu sigma2)."""
 
     alpha: float
     mu_int: int
-    sigma2: float
-    kappa: float
-    p: tuple
-    q: tuple
     ms: float
+    sigma2: float
+    d2: float
 
     def __post_init__(self) -> None:
         _require_shape(alpha=self.alpha, ms=self.ms)
-        if self.mu_int < 1 or self.mu_int != int(self.mu_int):
-            raise DomainError(f"mu_int must be an integer >= 1, got {self.mu_int}")
+        _require_clusters(self.mu_int)
         if not 0.0 < self.sigma2 < math.inf:
             raise DomainError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        if len(self.p) != self.mu_int or len(self.q) != self.mu_int:
-            raise DomainError("p and q must each have mu_int entries")
-        if not all(map(math.isfinite, (*self.p, *self.q))):
-            raise DomainError(f"the means must be finite, got p={self.p}, q={self.q}")
-        if not 0.0 <= self.kappa < math.inf:
-            raise DomainError(f"kappa must be non-negative and finite, got {self.kappa}")
-        d2 = self.d2
-        kap = d2 / (2.0 * self.mu_int * self.sigma2)
-        if abs(kap - self.kappa) > 1e-12 * max(1.0, self.kappa):
-            raise DomainError(
-                f"kappa={self.kappa} inconsistent with d^2/(2 mu sigma2)={kap}"
-            )
-
-    @property
-    def d2(self) -> float:
-        return float(sum(pi * pi for pi in self.p) + sum(qi * qi for qi in self.q))
+        if not 0.0 <= self.d2 < math.inf:
+            raise DomainError(f"d2 must be non-negative and finite, got {self.d2}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,23 +328,13 @@ def _power_sum(u: np.ndarray, c, d=0.0, v=None) -> np.ndarray:
     return s[0]
 
 
-def _aef_variances(p: PhysAef) -> tuple:
-    """Variances of the two independent halves of the 2 mu_int clusters:
-    the in-phase and quadrature components (Format I), or the sum and
-    difference (X +- Y)/sqrt(2) of each correlated pair (Format II), which
-    leave X^2 + Y^2 unchanged."""
-    if p.format is Format.FORMAT_I:
-        return p.sigma_x2, p.sigma_y2
-    return p.sigma2 * (1.0 + p.eta), p.sigma2 * (1.0 - p.eta)
-
-
 def sample_aef_envelope(p: PhysAef, n: int, seed: int, start: int = 0) -> np.ndarray:
     """n draws of the alpha-eta-F envelope R = (Z^2 sum(X_i^2 + Y_i^2))^(1/alpha)
     over 2 mu_int clusters, one shared Z^2 per draw. The 2 mu_int components
-    of each half are paired with each other: mu_int squared radii per half,
-    from row columns 1..2 mu_int."""
+    of each half are paired with each other: mu_int squared radii of variance
+    p.sigma_x2, then mu_int of p.sigma_y2, from row columns 1..2 mu_int."""
     inv_alpha = 1.0 / p.alpha
-    c = np.repeat(-2.0 * np.array(_aef_variances(p)), p.mu_int)[:, None]
+    c = np.repeat(-2.0 * np.array((p.sigma_x2, p.sigma_y2)), p.mu_int)[:, None]
     z2 = _shadowing(float(p.ms))
 
     def envelope(u: np.ndarray) -> np.ndarray:
@@ -380,7 +347,7 @@ def sample_akf_envelope(p: PhysAkf, n: int, seed: int, start: int = 0) -> np.nda
     """n draws of the alpha-kappa-F envelope
     R = (Z^2 sum((X_i + p_i)^2 + (Y_i + q_i)^2))^(1/alpha) over mu_int cluster
     pairs, one shared Z^2 per draw: radii from row columns 1..mu_int and the
-    angle of the first pair, which takes the whole offset d = sqrt(d^2)
+    angle of the first pair, which takes the whole offset d = sqrt(p.d2)
     (see the module docstring), from column mu_int + 1."""
     mu = p.mu_int
     inv_alpha = 1.0 / p.alpha
@@ -407,11 +374,12 @@ def _gamma_ratio(ms: float, q: float) -> float:
 
 
 def _aef_sum_moment(p: PhysAef, q: float) -> float:
-    """E[S^q] for S = sum of the 4 mu_int squared (scaled) Gaussians, the
-    sum of gamma(mu, 2a)- and gamma(mu, 2b)-distributed halves:
+    """E[S^q] for S = sum of the 4 mu_int squared Gaussians, the sum of
+    gamma(mu, 2a)- and gamma(mu, 2b)-distributed halves, a = sigma_x2 and
+    b = sigma_y2:
     (2b)^q Gamma(2mu + q)/Gamma(2mu) 2F1(-q, mu; 2mu; 1 - a/b), one
     scipy.special.hyp2f1 call."""
-    a, b = _aef_variances(p)
+    a, b = p.sigma_x2, p.sigma_y2
     mu = float(p.mu_int)
     f = _hyp2f1(-q, mu, 2.0 * mu, 1.0 - a / b)
     return (
@@ -424,8 +392,8 @@ def _aef_sum_moment(p: PhysAef, q: float) -> float:
 def _akf_sum_moment(p: PhysAkf, q: float) -> float:
     """E[S^q] for S = sum of mu_int mean-shifted squared Gaussian pairs:
     (2 sigma2)^q Gamma(mu + q)/Gamma(mu) 1F1(-q; mu; -mu kappa), Kummer's
-    form of e^(-mu kappa) 1F1(mu + q; mu; mu kappa), one
-    scipy.special.hyp1f1 call with no e^(mu kappa) to overflow."""
+    form of e^(-mu kappa) 1F1(mu + q; mu; mu kappa), mu kappa = d2/(2 sigma2):
+    one scipy.special.hyp1f1 call with no e^(mu kappa) to overflow."""
     mu = float(p.mu_int)
     mk = 0.5 * p.d2 / p.sigma2
     f = _hyp1f1(-q, mu, -mk)
@@ -462,10 +430,11 @@ def make_phys(
     """Physical configuration matching an analytical parameter bundle.
 
     mu must be a positive integer (the generative model sums over whole
-    clusters). Base mapping: Format I sigma_y2 = 1, sigma_x2 = eta; Format II
-    sigma2 = 1; alpha-kappa-F sigma2 = 1 with the dominant power split
-    uniformly, p_i = q_i = sigma sqrt(kappa). If power_target is given, all
-    scales are adjusted so E[R^2] equals it exactly.
+    clusters). At scale s2: Format I has the half-variances (eta s2, s2),
+    Format II (s2 (1 + eta), s2 (1 - eta)) with sigma^2 = s2; alpha-kappa-F
+    has sigma2 = s2 and the dominant power split uniformly, p_i = q_i =
+    sqrt(kappa s2), so d2 is the sum of those 2 mu squared means. The scale
+    is 1, or, if power_target is given, the one that makes E[R^2] equal it.
     """
     mu = params.mu
     if abs(mu - round(mu)) > 1e-9 or round(mu) < 1:
@@ -475,22 +444,15 @@ def make_phys(
     mu_int = int(round(mu))
     if isinstance(params, AefParams):
         def build(s2: float) -> PhysAef:
+            eta = params.eta
             if params.format is Format.FORMAT_I:
-                scales = dict(sigma_x2=params.eta * s2, sigma_y2=s2)
-            else:
-                scales = dict(sigma2=s2)
-            return PhysAef(
-                alpha=params.alpha, mu_int=mu_int, format=params.format,
-                eta=params.eta, ms=params.ms, **scales,
-            )
+                return PhysAef(params.alpha, mu_int, params.ms, eta * s2, s2)
+            return PhysAef(params.alpha, mu_int, params.ms, s2 * (1.0 + eta), s2 * (1.0 - eta))
     elif isinstance(params, AkfParams):
         def build(s2: float) -> PhysAkf:
-            comp = math.sqrt(params.kappa * s2)
-            means = tuple([comp] * mu_int)
-            return PhysAkf(
-                alpha=params.alpha, mu_int=mu_int, sigma2=s2,
-                kappa=params.kappa, p=means, q=means, ms=params.ms,
-            )
+            m = math.sqrt(params.kappa * s2)
+            h = sum([m * m] * mu_int)  # sum(p_i^2), equal to sum(q_i^2)
+            return PhysAkf(params.alpha, mu_int, params.ms, s2, h + h)
     else:
         raise DomainError(f"unsupported parameter type {type(params).__name__}")
     base = build(1.0)

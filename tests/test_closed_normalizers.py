@@ -34,7 +34,7 @@ from compfade import (
     omega,
     upsilon,
 )
-from compfade.mc import envelope_alpha_mean, envelope_sq_mean
+from compfade.mc import PhysAkf, envelope_alpha_mean, envelope_sq_mean
 from compfade.validation import CDF_CLOSED_TOL, CDF_QUAD_TOL
 from conftest import rel_err
 from oracles import ln_lambda, mp_akf_cdf, mp_akf_pdf
@@ -309,14 +309,11 @@ def _phys_cases():
 def _mp_sum_moment(p, q):
     """E[S^q] of the physical model's Gaussian sum, at MP_DPS digits."""
     mu = mp.mpf(p.mu_int)
-    if hasattr(p, "kappa"):
+    if isinstance(p, PhysAkf):
         mk = mp.mpf(p.d2) / (2 * p.sigma2)
         return ((2 * mp.mpf(p.sigma2)) ** q * mp.gamma(mu + q) / mp.gamma(mu)
                 * mp.exp(-mk) * mp.hyp1f1(mu + q, mu, mk))
-    if p.format is Format.FORMAT_I:
-        a, b = mp.mpf(p.sigma_x2), mp.mpf(p.sigma_y2)
-    else:
-        a, b = mp.mpf(p.sigma2) * (1 + mp.mpf(p.eta)), mp.mpf(p.sigma2) * (1 - mp.mpf(p.eta))
+    a, b = mp.mpf(p.sigma_x2), mp.mpf(p.sigma_y2)
     return ((2 * b) ** q * mp.gamma(2 * mu + q) / mp.gamma(2 * mu)
             * mp.hyp2f1(-q, mu, 2 * mu, 1 - a / b))
 

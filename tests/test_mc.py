@@ -302,20 +302,6 @@ def test_cross_family_byte_identity():
     assert a.tobytes() == k.tobytes()
 
 
-@pytest.mark.parametrize("axis", ["p", "q"])
-def test_akf_offsets_enter_only_through_their_squared_length(axis):
-    # all of the offset on cluster 0 against make_phys's equal means, with
-    # the same d^2: the draws are the same bytes
-    spread = make_phys(AkfParams(alpha=2.5, kappa=1.5, mu=3.0, ms=4.0))
-    zero = (0.0,) * spread.mu_int
-    one = (math.sqrt(spread.d2),) + zero[1:]
-    means = {"p": one, "q": zero} if axis == "p" else {"p": zero, "q": one}
-    lumped = PhysAkf(alpha=spread.alpha, mu_int=spread.mu_int, sigma2=spread.sigma2,
-                     kappa=spread.kappa, ms=spread.ms, **means)
-    assert sample_akf_envelope(lumped, 2000, 23).tobytes() == \
-        sample_akf_envelope(spread, 2000, 23).tobytes()
-
-
 def test_format_byte_identity():
     # Format I at eta = 1 and Format II at eta = 0 are the same physical
     # configuration.
@@ -367,13 +353,14 @@ def test_samplers_call_no_ndtri(phys_aef, phys_akf, monkeypatch):
 
 
 def test_make_phys_field_mapping(phys_aef, phys_akf):
-    assert phys_aef.sigma_x2 == pytest.approx(0.4)
-    assert phys_aef.sigma_y2 == pytest.approx(1.0)
+    assert (phys_aef.sigma_x2, phys_aef.sigma_y2) == pytest.approx((0.4, 1.0))
     assert phys_aef.mu_int == 2
-    assert phys_akf.mu_int == 2
-    # kappa = d^2 / (2 mu sigma^2) with equal per-cluster offsets
-    d2 = sum(p * p for p in phys_akf.p) + sum(q * q for q in phys_akf.q)
-    assert rel_err(d2 / (2 * 2 * phys_akf.sigma2), 1.5) <= 1e-12
+    # Format II's halves are (X +- Y)/sqrt(2), of variances sigma^2 (1 +- eta)
+    p2 = make_phys(AefParams(alpha=2.5, eta=-0.6, mu=2.0, ms=4.0, format=Format.FORMAT_II))
+    assert (p2.sigma_x2, p2.sigma_y2) == pytest.approx((0.4, 1.6))
+    assert phys_akf.mu_int == 2 and phys_akf.sigma2 == 1.0
+    # kappa = d^2 / (2 mu sigma^2)
+    assert rel_err(phys_akf.d2 / (2 * 2 * phys_akf.sigma2), 1.5) <= 1e-12
 
 
 @pytest.mark.parametrize("params", [
@@ -392,15 +379,16 @@ def test_make_phys_builds_each_field_from_one_scale(params, power_target):
         unit = make_phys(params)
         s2 = (power_target / envelope_sq_mean(unit)) ** (0.5 * params.alpha)
     if isinstance(params, AkfParams):
-        means = tuple([math.sqrt(params.kappa * s2)] * mu_int)
-        want = PhysAkf(alpha=params.alpha, mu_int=mu_int, sigma2=s2, kappa=params.kappa,
-                       p=means, q=means, ms=params.ms)
+        # the dominant power split uniformly, p_i = q_i = sqrt(kappa s2)
+        means = [math.sqrt(params.kappa * s2)] * mu_int
+        d2 = sum(p * p for p in means) + sum(q * q for q in means)
+        want = PhysAkf(alpha=params.alpha, mu_int=mu_int, ms=params.ms, sigma2=s2, d2=d2)
         sample = sample_akf_envelope
     else:
-        scales = (dict(sigma_x2=params.eta * s2, sigma_y2=s2)
-                  if params.format is Format.FORMAT_I else dict(sigma2=s2))
-        want = PhysAef(alpha=params.alpha, mu_int=mu_int, format=params.format,
-                       eta=params.eta, ms=params.ms, **scales)
+        eta = params.eta
+        halves = ((eta * s2, s2) if params.format is Format.FORMAT_I
+                  else (s2 * (1.0 + eta), s2 * (1.0 - eta)))
+        want = PhysAef(params.alpha, mu_int, params.ms, *halves)
         sample = sample_aef_envelope
     got = make_phys(params, power_target=power_target)
     assert type(got) is type(want)
@@ -418,55 +406,36 @@ def test_make_phys_rejects_fractional_mu():
         make_phys(AkfParams(alpha=2.0, kappa=1.0, mu=1.2, ms=4.0))
 
 
-def test_phys_akf_rejects_inconsistent_kappa():
+_PHYS_BASES = {
+    "PhysAef": (PhysAef, dict(alpha=2.0, mu_int=1, ms=4.0, sigma_x2=0.5, sigma_y2=1.0)),
+    "PhysAkf": (PhysAkf, dict(alpha=2.0, mu_int=1, ms=4.0, sigma2=1.0, d2=1.0)),
+}
+_OFF_RANGE = [0.0, -1.0, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("model,name,value", [
+    *[(m, "mu_int", v) for m in _PHYS_BASES for v in (0, -1, 2.0, 1.5, "1", None)],
+    *[("PhysAef", name, v) for name in ("sigma_x2", "sigma_y2") for v in _OFF_RANGE],
+    *[("PhysAkf", "sigma2", v) for v in _OFF_RANGE],
+    *[("PhysAkf", "d2", v) for v in (-1e-300, -1.0, math.inf, math.nan)],
+])
+def test_physical_model_rejects_each_field_outside_its_range(model, name, value):
+    # non-finite variances and offsets drew NaN or inf envelopes, and a float
+    # mu_int (2.0) passed, then raised a bare TypeError in the alpha-kappa-F
+    # sampler's PCG64.advance; numpy integers pass as Python ones do
+    cls, base = _PHYS_BASES[model]
+    cls(**base)  # the base is valid
+    cls(**{**base, "mu_int": np.int64(2)})
     with pytest.raises(DomainError):
-        PhysAkf(alpha=2.0, mu_int=2, sigma2=1.0, kappa=9.0,
-                p=(1.0, 1.0), q=(1.0, 1.0), ms=4.0)
-
-
-_AKF_BASE = dict(alpha=2.0, mu_int=1, sigma2=1.0, kappa=0.5, p=(1.0,), q=(0.0,), ms=4.0)
-
-
-@pytest.mark.parametrize("fields", [
-    dict(p=(math.nan,)),
-    dict(q=(math.nan,)),
-    dict(p=(math.inf,), kappa=math.inf),
-    dict(q=(-math.inf,), kappa=math.inf),
-    dict(kappa=math.nan),
-    dict(sigma2=math.inf, p=(0.0,), kappa=0.0),
-    dict(sigma2=math.nan),
-], ids=["p-nan", "q-nan", "p-inf", "q-minus-inf", "kappa-nan", "sigma2-inf", "sigma2-nan"])
-def test_phys_akf_rejects_non_finite_means_and_scales(fields):
-    # each of these was accepted and drew NaN or inf envelopes (or, for kappa
-    # = nan, kept a kappa that disagrees with d^2/(2 mu sigma2))
-    PhysAkf(**_AKF_BASE)  # the base is valid
-    with pytest.raises(DomainError):
-        PhysAkf(**{**_AKF_BASE, **fields})
-
-
-@pytest.mark.parametrize("fmt,fields", [
-    (Format.FORMAT_I, dict(sigma_x2=math.inf, sigma_y2=math.inf)),
-    (Format.FORMAT_I, dict(sigma_x2=math.nan)),
-    (Format.FORMAT_I, dict(sigma_y2=math.nan)),
-    (Format.FORMAT_I, dict(eta=math.nan)),
-    (Format.FORMAT_II, dict(sigma2=math.inf)),
-    (Format.FORMAT_II, dict(sigma2=math.nan)),
-], ids=["I-both-inf", "I-sigma_x2-nan", "I-sigma_y2-nan", "I-eta-nan", "II-sigma2-inf",
-        "II-sigma2-nan"])
-def test_phys_aef_rejects_non_finite_scales(fmt, fields):
-    base = dict(alpha=2.0, mu_int=1, format=fmt, eta=1.0 if fmt is Format.FORMAT_I else 0.3,
-                ms=4.0)
-    PhysAef(**base)  # the base is valid
-    with pytest.raises(DomainError):
-        PhysAef(**{**base, **fields})
+        cls(**{**base, name: value})
 
 
 _SHAPE_ENTRY_POINTS = {
     "sample_inv_nakagami_sq": lambda ms=4.0: sample_inv_nakagami_sq(ms, 3, 1),
-    "PhysAef": lambda alpha=2.0, ms=4.0: PhysAef(
-        alpha=alpha, mu_int=1, format=Format.FORMAT_II, eta=0.3, ms=ms),
-    "PhysAkf": lambda alpha=2.0, ms=4.0: PhysAkf(
-        alpha=alpha, mu_int=1, sigma2=1.0, kappa=0.5, p=(1.0,), q=(0.0,), ms=ms),
+    "PhysAef": lambda alpha=2.0, ms=4.0: PhysAef(**{**_PHYS_BASES["PhysAef"][1],
+                                                  "alpha": alpha, "ms": ms}),
+    "PhysAkf": lambda alpha=2.0, ms=4.0: PhysAkf(**{**_PHYS_BASES["PhysAkf"][1],
+                                                  "alpha": alpha, "ms": ms}),
 }
 
 
