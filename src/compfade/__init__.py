@@ -5,8 +5,9 @@ both families, closed-form CDF expressions, outage probability with high-SNR
 asymptotics (diversity and coding gains), special-case reductions, and an
 independent physical-model Monte-Carlo sampler for validation.
 
-Set COMPFADE_MAX_TERMS to override the default series term budget; it is
-read once, when compfade is imported.
+Every series takes its termination policy from a SeriesControl argument,
+SeriesControl() where it is left out; compfade reads no environment
+variable.
 """
 from .aef import AefDist, AefEnvelope
 from .akf import CLOSED_FORM_GUARD, AkfDist, AkfEnvelope
@@ -39,7 +40,6 @@ from .series import (
     LaneResult,
     SeriesControl,
     SeriesResult,
-    default_control,
 )
 from .specfun import (
     beta,
@@ -80,7 +80,6 @@ __all__ = [
     "beta",
     "check_lattice",
     "convert_format",
-    "default_control",
     "gains",
     "gauss_2f1",
     "geometry",

@@ -29,8 +29,9 @@ first and its last term only, and sums the steps T of the DLMF 8.17.20
 recurrence between them by parts, against the partial sums of the
 weights; ln a and ln B(a, b) of its first step come with the CDF
 constants. The mixture's weights are the law of a count N, negative
-binomial (alpha-eta-F) or Poisson (alpha-kappa-F), and P(N >= k), the
-weight the sum has not reached at term k, is one scipy call per family
+binomial (alpha-eta-F) or Poisson (alpha-kappa-F), so every weight is
+positive and the mixture takes no sign. P(N >= k), the weight the sum
+has not reached at term k, is one scipy call per family
 (nb_tail_mass, poisson_tail_mass); the truncation bound
 (series.Law.cdf_truncation_bound) is that tail mass times one incomplete
 beta.
@@ -240,17 +241,17 @@ def kummer_1f1_ln(a, b, z, rel_tol, max_terms):
 # --- composite-distribution kernels -----------------------------------------
 
 
-def _beta_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, ln_a, lb, rel_tol,
-                  max_terms):
+def _beta_mixture(ln_y, a, step, b, ln_w0, ln_z, r, d, ln_a, lb, rel_tol, max_terms):
     """The CDF of both laws: sum_k w_k I_k, I_k = I_x(a + step k, b) at x =
     y/(1+y), y = exp(ln_y), from k = 0 upward until two successive terms
     fall below the tolerances or max_terms terms are added; the arguments
     after ln_y are aef_cdf_consts' or akf_cdf_consts' past (ln y0, alpha/2):
     step 2 (alpha-eta-F) or 1 (alpha-kappa-F), each written out in the loop,
     and ln_a, lb = ln a, ln B(a, b), so that a call takes no lgamma.
-    w_0 = exp(ln_w0), w_(k+1) = w_k sgn_z exp(ln_z) (r + d k)/(k + 1):
-    negative binomial weights with d = 1, Poisson with r = 1, d = 0; ln_z =
-    -inf leaves the k = 0 term alone.
+    w_0 = exp(ln_w0), w_(k+1) = w_k exp(ln_z) (r + d k)/(k + 1):
+    negative binomial weights with d = 1, Poisson with r = 1, d = 0, so
+    every weight is positive (r > 0); ln_z = -inf leaves the k = 0 term
+    alone.
 
     Summed by parts: with T_j = I_x(a + j, b) - I_x(a + j + 1, b) (DLMF
     8.17.20), T_0 = x^a (1-x)^b / (a B(a, b)), T_(j+1) = T_j x f_j, f_j =
@@ -282,7 +283,7 @@ def _beta_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, ln_a, lb, rel_tol,
     if ln_z == -math.inf:
         s = w * i0
         return s, 1, 0.0, 0 if math.isfinite(s) else 1
-    z = sgn_z * math.exp(ln_z)
+    z = math.exp(ln_z)
     ln_t = a * lnx + b * lncx - ln_a - lb  # ln T_0
     lag = ln_t < _LN_POW_MIN
     t = 0.0 if lag else math.exp(ln_t)
@@ -338,7 +339,7 @@ def _beta_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, ln_a, lb, rel_tol,
                 bound = t / om_hi
                 if i_k > bound:
                     i_k = bound
-        at = abs(w) * i_k  # the term's size: i_k >= 0
+        at = w * i_k  # the term's size: w > 0, i_k >= 0
         # a NaN fails this test, which counts it small and ends the sum;
         # it is reported below
         if at > abs_tol and at > rel_tol * abs(p + c * i_k):
@@ -350,7 +351,7 @@ def _beta_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, ln_a, lb, rel_tol,
                 break
     i = reg_inc_beta(a + step * k, b, x, cx) if k else i0
     s = c * i + (p * ((i0 - i) / sum_t) if sum_t else p)
-    return s, int(k) + 1, abs(w * i), status if math.isfinite(s) else 1
+    return s, int(k) + 1, w * i, status if math.isfinite(s) else 1
 
 
 def aef_pdf_consts(alpha, mu, ms, h, ln_lam, ln_a):
@@ -427,22 +428,22 @@ def aef_snr_pdf_kernel(consts, ln_g, rel_tol, max_terms, ln_jac):
     return _signed_exp(sgn_f, ln_pdf), 0
 
 
-def aef_cdf_consts(alpha, mu, ms, h, hsq, ln_lam):
+def aef_cdf_consts(alpha, mu, ms, h, ln_lam):
     """The alpha-eta-F CDF, computed once per parameter set: (ln y0, alpha/2,
-    a, step, b, ln w0, ln z, sgn z, r, d, ln a, ln B(a, b)), the odds ln y =
+    a, step, b, ln w0, ln z, r, d, ln a, ln B(a, b)), the odds ln y =
     ln y0 + (alpha/2) ln g and the rest _beta_mixture's arguments, so that a
     call takes ln T_0 with no lgamma or log of a. The k-th series term of the
     CDF equals c_k I_w(2mu+2k, ms) with w = y/(1+y), y = 2 mu h g^(alpha/2) /
     Lambda, and c_k = h^-mu (mu)_k / k! q^k: the exact identity 2F1(B+ms, B;
     B+1; -y) = B y^-B Beta(B,ms) I_w(B, ms) applied term by term. The ratio
     q = H^2/h^2 is 1 - 1/h (h^2 - H^2 = h in both geometry formats), so
-    ln|q| = log1p(-1/h) and the weights sum to h^-mu (1 - q)^-mu = 1 to
-    rounding; q has the sign of hsq, and ln|q| is -inf where hsq or 1 - 1/h
-    is 0."""
-    ln_q = math.log1p(-1.0 / h) if hsq != 0.0 and h > 1.0 else -math.inf
+    H^2 = h (h - 1) >= 0, every weight is positive, ln q = log1p(-1/h), -inf
+    where h is 1 (q = 0: the k = 0 term alone), and the weights sum to
+    h^-mu (1 - q)^-mu = 1 to rounding."""
+    ln_q = math.log1p(-1.0 / h) if h > 1.0 else -math.inf
     a = 2.0 * mu
-    return (math.log(a * h) - ln_lam, 0.5 * alpha, a, 2, ms, -mu * math.log(h), ln_q,
-            math.copysign(1.0, hsq), mu, 1.0, math.log(a), _lbeta(a, ms))
+    return (math.log(a * h) - ln_lam, 0.5 * alpha, a, 2, ms, -mu * math.log(h), ln_q, mu,
+            1.0, math.log(a), _lbeta(a, ms))
 
 
 def akf_pdf_consts(alpha, mu, ms, kappa, ln_lam, ln_a):
@@ -484,14 +485,15 @@ def akf_snr_pdf_kernel(consts, ln_g, rel_tol, max_terms, ln_jac):
 
 
 def akf_cdf_consts(alpha, mu, ms, kappa, ln_lam):
-    """The alpha-kappa-F CDF in the layout of aef_cdf_consts: the t-th term
-    is e^(-mu kappa) (mu kappa)^t / t! I_w1(mu + t, ms), w1 = X1/(1+X1), X1 =
-    mu (1 + kappa) g^(alpha/2) / Lambda. Where mu kappa is 0, ln z = -inf
-    leaves the t = 0 term alone at weight 1 (the alpha-F law)."""
+    """The alpha-kappa-F CDF in the layout of aef_cdf_consts, r = 1 and d =
+    0: the t-th term is e^(-mu kappa) (mu kappa)^t / t! I_w1(mu + t, ms), a
+    positive Poisson weight, w1 = X1/(1+X1), X1 = mu (1 + kappa) g^(alpha/2)
+    / Lambda. Where mu kappa is 0, ln z = -inf leaves the t = 0 term alone
+    at weight 1 (the alpha-F law)."""
     mk = mu * kappa
     return (math.log(mu * (1.0 + kappa)) - ln_lam, 0.5 * alpha, mu, 1, ms,
-            -mk, math.log(mk) if mk > 0.0 else -math.inf, 1.0, 1.0, 0.0,
-            math.log(mu), _lbeta(mu, ms))
+            -mk, math.log(mk) if mk > 0.0 else -math.inf, 1.0, 0.0, math.log(mu),
+            _lbeta(mu, ms))
 
 
 def nb_tail_mass(k, r, ln_z):
@@ -601,8 +603,7 @@ def _reg_inc_beta_lanes(a, b, x, cx):
     return out
 
 
-def _beta_mixture_lanes(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, ln_a, lb, rel_tol,
-                        max_terms):
+def _beta_mixture_lanes(ln_y, a, step, b, ln_w0, ln_z, r, d, ln_a, lb, rel_tol, max_terms):
     """_beta_mixture at every lane of the array ln_y.
 
     The weights, their sums C_k and the f_j are scalars shared by all
@@ -615,8 +616,8 @@ def _beta_mixture_lanes(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, ln_a, lb, re
     est_error_abs, status).
     """
     if ln_y.shape[0] < _LANES_START:
-        sums = [_beta_mixture(float(v), a, step, b, ln_w0, ln_z, sgn_z, r, d, ln_a, lb,
-                              rel_tol, max_terms) for v in ln_y]
+        sums = [_beta_mixture(float(v), a, step, b, ln_w0, ln_z, r, d, ln_a, lb, rel_tol,
+                              max_terms) for v in ln_y]
         return tuple(np.array(field, dtype=dtype) for field, dtype in
                      zip(zip(*sums), (float, np.int64, float, np.int64)))
     u = np.log1p(np.exp(-np.abs(ln_y)))
@@ -631,7 +632,7 @@ def _beta_mixture_lanes(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, ln_a, lb, re
     if ln_z == -math.inf:
         s = w * i0
         return s, np.ones(n, dtype=np.int64), np.zeros(n), np.where(np.isfinite(s), 0, 1)
-    z = sgn_z * math.exp(ln_z)
+    z = math.exp(ln_z)
     ln_t = a * lnx + b * lncx - ln_a - lb
     lag = ln_t < _LN_POW_MIN
     lagging = np.count_nonzero(lag)
@@ -678,7 +679,7 @@ def _beta_mixture_lanes(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, ln_a, lb, re
             if lagging:
                 i_k[lag] = i0[lag]
             # a NaN fails this test as well, ending the lane; it is reported below
-            big = abs(w) * i_k > np.maximum(rel_tol * np.abs(p + c * i_k), _ABS_TOL)
+            big = w * i_k > np.maximum(rel_tol * np.abs(p + c * i_k), _ABS_TOL)
             done = small & ~big
             small = ~big
             if np.count_nonzero(done):
@@ -694,4 +695,4 @@ def _beta_mixture_lanes(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, ln_a, lb, re
         i = _reg_inc_beta_lanes(a + step * out_k, b, x, cx_all)
         s = out_c * i + np.where(out_t != 0.0, out_p * ((i0_all - i) / out_t), out_p)
     out_status[~np.isfinite(s)] = 1
-    return s, out_k + 1, np.abs(out_w * i), out_status
+    return s, out_k + 1, out_w * i, out_status

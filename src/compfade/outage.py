@@ -15,7 +15,15 @@ import numpy as np
 from . import _kernels as _k
 from .aef import AefDist
 from .akf import AkfDist
-from .series import ConvergenceError, DomainError, LaneResult, Law, SeriesControl, SeriesResult
+from .series import (
+    DEFAULT_CONTROL,
+    ConvergenceError,
+    DomainError,
+    LaneResult,
+    Law,
+    SeriesControl,
+    SeriesResult,
+)
 
 __all__ = [
     "GainPair",
@@ -46,7 +54,7 @@ def _check_threshold(gamma_th: float) -> None:
 def outage(
     dist: AefDist | AkfDist,
     gamma_th: float | np.ndarray,
-    ctrl: SeriesControl | None = None,
+    ctrl: SeriesControl = DEFAULT_CONTROL,
 ) -> SeriesResult | LaneResult:
     """Outage probability P[gamma < gamma_th]: the law's mixture CDF snr_cdf.
     An np.ndarray of thresholds gives a LaneResult, from one array call."""

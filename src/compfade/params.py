@@ -114,7 +114,7 @@ class AefParams:
         geo, ups = geometry(self), upsilon(self)
         ln_lam = math.log(self.ms - 1.0) + math.log(ups)
         alpha, mu, ms = self.alpha, self.mu, self.ms
-        cdf = _k.aef_cdf_consts(alpha, mu, ms, geo.h, geo.H * geo.H, ln_lam)
+        cdf = _k.aef_cdf_consts(alpha, mu, ms, geo.h, ln_lam)
         # the CDF head A x^p, p = alpha mu; ln B(2 mu, ms) is the CDF's last constant
         ln_a = ((2.0 * mu - 1.0) * math.log(2.0 * mu) + mu * math.log(geo.h)
                 - cdf[-1] - 2.0 * mu * ln_lam)

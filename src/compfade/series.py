@@ -22,7 +22,7 @@ family, each lane with its law's constants.
 from __future__ import annotations
 
 import math
-import os
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -56,18 +56,22 @@ class ConvergenceError(ArithmeticError):
 class SeriesControl:
     """Termination policy for a series summation.
 
-    rel_tol is measured term-to-partial-sum; max_terms caps each summation
-    index.
+    rel_tol is measured term-to-partial-sum, 0 < rel_tol < 1; max_terms, an
+    integer >= 1, caps each summation index.
     """
 
     rel_tol: float = DEFAULT_REL_TOL
     max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self) -> None:
-        if not self.rel_tol > 0.0:
-            raise DomainError("rel_tol must be > 0, got %r" % (self.rel_tol,))
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1, got %r" % (self.max_terms,))
+        if not 0.0 < self.rel_tol < 1.0:
+            raise DomainError("rel_tol must be in (0, 1), got %r" % (self.rel_tol,))
+        try:
+            whole = operator.index(self.max_terms) >= 1
+        except TypeError:
+            whole = False
+        if not whole:
+            raise DomainError("max_terms must be an integer >= 1, got %r" % (self.max_terms,))
 
 
 @dataclass(frozen=True)
@@ -96,24 +100,8 @@ class LaneResult:
     converged: np.ndarray
 
 
-def _control_from_env() -> SeriesControl:
-    raw = os.environ.get("COMPFADE_MAX_TERMS")
-    if raw is None:
-        return SeriesControl()
-    try:
-        max_terms = int(raw)
-    except ValueError:
-        raise DomainError("COMPFADE_MAX_TERMS must be an integer, got %r" % raw)
-    return SeriesControl(max_terms=max_terms)
-
-
-# read once, at import: setting COMPFADE_MAX_TERMS later has no effect
-_DEFAULT_CONTROL = _control_from_env()
-
-
-def default_control() -> SeriesControl:
-    """Default SeriesControl, honoring the COMPFADE_MAX_TERMS override read at import."""
-    return _DEFAULT_CONTROL
+# the one default of every ctrl parameter
+DEFAULT_CONTROL = SeriesControl()
 
 
 def cdf_endpoint(gamma: float) -> SeriesResult | None:
@@ -197,7 +185,7 @@ class Law:
                 _pdf_consts=unit.pdf_consts, _cdf_consts=unit.cdf_consts)
 
     def _density(self, name: str, var: str, x: float, power: float,
-                 ctrl: SeriesControl | None) -> float:
+                 ctrl: SeriesControl) -> float:
         """Density at x >= 0 of x = gamma^(1/power): power 1 is the SNR,
         power 2 the envelope (gamma_bar the mean power). The kernel takes
         ln gamma = power ln x and the log-Jacobian, so an x whose power
@@ -217,8 +205,6 @@ class Law:
             return _k.pdf_at_zero(ln_a, power * q)
         if x == math.inf:
             return 0.0
-        if ctrl is None:
-            ctrl = default_control()
         ln_x = math.log(x)
         ln_jac = 0.0 if power == 1.0 else (power - 1.0) * ln_x + math.log(power)
         value, status = self._pdf_kernel(
@@ -231,7 +217,7 @@ class Law:
 
     @staticmethod
     def _densities(laws: list, name: str, var: str, x: np.ndarray, which,
-                   power: float, ctrl: SeriesControl | None) -> tuple:
+                   power: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> tuple:
         """_density of laws[which[i]] at x[i] for every point of the array x,
         for laws of either family; which is None for one law. Each family
         present, in order of first appearance, is one
@@ -253,8 +239,6 @@ class Law:
                 ln_a, q = laws[i]._head
                 out[zero & (which == i)] = _k.pdf_at_zero(ln_a, power * q)
         mid = np.flatnonzero((x > 0.0) & (x < math.inf))
-        if ctrl is None:
-            ctrl = default_control()
         for kind in dict.fromkeys(map(type, laws)):
             member = np.array([type(law) is kind for law in laws])
             lanes = mid if member.all() else mid[member[which[mid]]]
@@ -287,7 +271,7 @@ class Law:
         return out, errors
 
     def snr_pdf(self, gamma: float | np.ndarray,
-                ctrl: SeriesControl | None = None) -> float | np.ndarray:
+                ctrl: SeriesControl = DEFAULT_CONTROL) -> float | np.ndarray:
         """Density of the instantaneous SNR at gamma >= 0, or at every point
         of an np.ndarray gamma.
 
@@ -299,7 +283,7 @@ class Law:
         return self._density("snr_pdf", "gamma", gamma, 1.0, ctrl)
 
     def snr_cdf(self, gamma: float | np.ndarray,
-                ctrl: SeriesControl | None = None) -> SeriesResult | LaneResult:
+                ctrl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult | LaneResult:
         """CDF of the instantaneous SNR at gamma >= 0, as a truncated mixture
         of regularized incomplete betas (negative binomial weights for
         alpha-eta-F, Poisson for alpha-kappa-F), clamped to [0, 1]; any
@@ -308,10 +292,15 @@ class Law:
         An np.ndarray gamma gives a LaneResult whose fields are arrays of
         its shape; ctrl's rel_tol and max_terms then act on each point as
         on a scalar call. Raises ConvergenceError where the sum is not
-        finite, and at every gamma where _require_first_weight does."""
+        finite, and at every gamma where the mixture's first weight (e^(-mu
+        kappa), h^(-mu)) is below the stop tests' floor 1e-300: the sum would
+        end before the weights rise (5.3e-308 for 1.6e-8 at mu kappa = 720)."""
         c = self._cdf_consts
         if c[_k.CDF_LN_W0] < _k._LN_ABS_TOL:
-            self._require_first_weight("snr_cdf")
+            raise ConvergenceError(
+                f"snr_cdf: the mixture's first weight is below {_k._ABS_TOL:g}, the floor "
+                f"of its stop tests (mu kappa or mu ln h above {-_k._LN_ABS_TOL:.1f})"
+            )
         # a float inside (0, inf), the curves' point, goes straight to the kernel
         if not (type(gamma) is float and 0.0 < gamma < math.inf):
             if isinstance(gamma, np.ndarray):
@@ -319,8 +308,6 @@ class Law:
             end = cdf_endpoint(gamma)
             if end is not None:
                 return end
-        if ctrl is None:
-            ctrl = _DEFAULT_CONTROL
         # ln y, as _ln_y forms it
         raw, terms, est, status = _k._beta_mixture(
             c[0] + c[1] * (math.log(gamma) - self._ln_gb), *c[2:], ctrl.rel_tol,
@@ -349,7 +336,7 @@ class Law:
             raise DomainError(f"k0 must be an integer >= 1, got {k0}")
         if gamma == 0.0:
             return 0.0
-        ln_y0, half_alpha, a, step, b, _, ln_z, _, r, _, ln_a, lb = self._cdf_consts
+        ln_y0, half_alpha, a, step, b, _, ln_z, r, _, ln_a, lb = self._cdf_consts
         x, cx, lnx, lncx = _k._beta_argument(
             ln_y0 + half_alpha * (math.log(gamma) - self._ln_gb))
         ln_i0 = a * lnx - ln_a - lb
@@ -363,18 +350,7 @@ class Law:
         """ln of the CDF mixture's odds at gamma > 0 (X1 on alpha-kappa-F)."""
         return self._cdf_consts[0] + self._cdf_consts[1] * (math.log(gamma) - self._ln_gb)
 
-    def _require_first_weight(self, name: str) -> None:
-        """Raises ConvergenceError where the mixture's first weight (e^(-mu
-        kappa), h^(-mu)) is below the stop tests' floor 1e-300: the sum would
-        end before the weights rise (5.3e-308 for 1.6e-8 at mu kappa = 720)."""
-        if self._cdf_consts[_k.CDF_LN_W0] < _k._LN_ABS_TOL:
-            raise ConvergenceError(
-                f"{name}: the mixture's first weight is below {_k._ABS_TOL:g}, the floor "
-                f"of its stop tests (mu kappa or mu ln h above {-_k._LN_ABS_TOL:.1f})"
-            )
-
-    def _cdf_lanes_result(self, gamma: np.ndarray,
-                          ctrl: SeriesControl | None) -> LaneResult:
+    def _cdf_lanes_result(self, gamma: np.ndarray, ctrl: SeriesControl) -> LaneResult:
         """snr_cdf at every point of the array gamma, as lanes of one
         _kernels._beta_mixture_lanes call, with cdf_endpoint's values at 0
         and inf and cdf_clamped's clamping."""
@@ -386,8 +362,6 @@ class Law:
         converged = np.ones(g.shape, dtype=bool)
         mid = np.flatnonzero((g > 0.0) & (g < math.inf))
         if mid.size:
-            if ctrl is None:
-                ctrl = default_control()
             c = self._cdf_consts
             raw, terms[mid], e, status = _k._beta_mixture_lanes(
                 c[0] + c[1] * (np.log(g[mid]) - self._ln_gb), *c[2:], ctrl.rel_tol,
@@ -418,7 +392,7 @@ class Envelope:
         _freeze(self, _snr=self._law(self.params, self.omega_power))
 
     def envelope_pdf(self, r: float | np.ndarray,
-                     ctrl: SeriesControl | None = None) -> float | np.ndarray:
+                     ctrl: SeriesControl = DEFAULT_CONTROL) -> float | np.ndarray:
         """Density of the signal envelope at r >= 0 (or at every point of an
         np.ndarray r); ctrl acts as in snr_pdf."""
         return self._snr._density("envelope_pdf", "r", r, 2.0, ctrl)

@@ -45,13 +45,13 @@ from ._kernels import (
     reg_inc_beta,
 )
 from .series import (
+    DEFAULT_CONTROL,
     STATUS_DIVERGED,
     STATUS_OK,
     ConvergenceError,
     DomainError,
     SeriesControl,
     SeriesResult,
-    default_control,
 )
 
 __all__ = [
@@ -165,7 +165,7 @@ def gauss_2f1(
     b: float,
     c: float,
     z: float,
-    ctrl: SeriesControl | None = None,
+    ctrl: SeriesControl = DEFAULT_CONTROL,
 ) -> SeriesResult:
     """Gauss hypergeometric 2F1(a, b; c; z) for real arguments.
 
@@ -177,8 +177,6 @@ def gauss_2f1(
     above it, so the series ends before the (c)_n pole.
     """
     _require_finite("gauss_2f1", a, b, c, z)
-    if ctrl is None:
-        ctrl = default_control()
     if _is_nonpos_int(c) and not (
         (_is_nonpos_int(a) and a > c) or (_is_nonpos_int(b) and b > c)
     ):
@@ -241,14 +239,12 @@ def kummer_1f1(
     a: float,
     b: float,
     z: float,
-    ctrl: SeriesControl | None = None,
+    ctrl: SeriesControl = DEFAULT_CONTROL,
 ) -> SeriesResult:
     """Confluent hypergeometric 1F1(a; b; z) for real arguments, by
     _kernels.kummer_1f1_ln's routes. b may be a non-positive integer only
     where a non-positive integer a lies above it."""
     _require_finite("kummer_1f1", a, b, z)
-    if ctrl is None:
-        ctrl = default_control()
     if _is_nonpos_int(b) and not (_is_nonpos_int(a) and a > b):
         raise DomainError(f"kummer_1f1: b = {b} is a non-positive integer")
     return _finish("kummer_1f1", *kummer_1f1_ln(
@@ -382,7 +378,7 @@ def humbert_psi1(
     cp: float,
     x: float,
     y: float,
-    ctrl: SeriesControl | None = None,
+    ctrl: SeriesControl = DEFAULT_CONTROL,
 ) -> SeriesResult:
     """Humbert Psi1(a; b; c, c'; x, y) = sum_{m,n} (a)_{m+n} (b)_m /
     ((c)_m (c')_n) x^m y^n / (m! n!), summed by _row_sum over
@@ -399,8 +395,6 @@ def humbert_psi1(
     when such a b zeroes every term at or past the (c)_m pole.
     """
     _require_finite("humbert_psi1", a, b, c, cp, x, y)
-    if ctrl is None:
-        ctrl = default_control()
     if _is_nonpos_int(cp):
         raise DomainError(f"humbert_psi1: c' = {cp} is a non-positive integer")
     b_term = _is_nonpos_int(b)
@@ -436,7 +430,7 @@ def kdf_2_1(
     c1: float,
     x: float,
     y: float,
-    ctrl: SeriesControl | None = None,
+    ctrl: SeriesControl = DEFAULT_CONTROL,
 ) -> SeriesResult:
     """Kampe de Feriet F^{2:0;0}_{1:1;0}[a1, a2; b1: c1; x, y] = sum_{m,n}
     (a1)_{m+n} (a2)_{m+n} / ((b1)_{m+n} (c1)_m) x^m y^n / (m! n!), summed by
@@ -454,8 +448,6 @@ def kdf_2_1(
     b1 and c1 must not be non-positive integers.
     """
     _require_finite("kdf_2_1", a1, a2, b1, c1, x, y)
-    if ctrl is None:
-        ctrl = default_control()
     if _is_nonpos_int(b1):
         raise DomainError(f"kdf_2_1: b1 = {b1} is a non-positive integer")
     if _is_nonpos_int(c1):

@@ -31,13 +31,13 @@ from .akf import CLOSED_FORM_GUARD, AkfDist
 from .outage import outage as outage_probability
 from .params import AefParams, AkfParams, Format
 from .series import (
+    DEFAULT_CONTROL,
     STATUS_OK,
     ConvergenceError,
     Law,
     SeriesControl,
     SeriesResult,
     cdf_clamped,
-    default_control,
 )
 
 __all__ = [
@@ -363,7 +363,7 @@ def _grid_pdf(laws: list):
     """The densities of the SNR laws of a grid as one integrand of
     _integrate, f(x, cell) -> (values, errors) with the density of
     laws[cell[i]] at x[i] (series.Law._densities)."""
-    return lambda x, cell: Law._densities(laws, "snr_pdf", "gamma", x, cell, 1.0, None)
+    return lambda x, cell: Law._densities(laws, "snr_pdf", "gamma", x, cell, 1.0)
 
 
 def _grid_cells(grids) -> tuple:
@@ -424,7 +424,7 @@ def _humbert_cdf(d: AkfDist, gamma: float) -> SeriesResult:
     e^(-mu kappa) Psi1(mu; 0; 1-ms, mu; -1/X1, mu kappa) = e^(-mu kappa)
     1F1(mu; mu; mu kappa), is exactly 1 and is not summed, so terms_used
     (rows) and est_error are those of the one Psi1 sum."""
-    ctrl = default_control()
+    ctrl = DEFAULT_CONTROL
     p = d.params
     ln_x1 = d._ln_x1(gamma)
     mk = p.mu * p.kappa
@@ -497,12 +497,14 @@ def check_fisher() -> list:
 
 
 def _flip_h_sign(d: AefDist) -> AefDist:
-    """Test-harness mutation hook: inject a sign error into the squared
-    cluster-imbalance term of the CDF so downstream checks must catch it."""
-    p = d.params
-    # the law's own tuple, at gamma_bar = 1: the params' shared one stays as it is
-    object.__setattr__(d, "_cdf_consts", _k.aef_cdf_consts(
-        p.alpha, p.mu, p.ms, d.geometry.h, -d.geometry.H ** 2, p._unit.ln_lam))
+    """Test-harness mutation hook: inject a sign error into the CDF's
+    cluster-imbalance factor h^(-mu), the mixture's first weight, so that
+    it reads h^(+mu) and downstream checks must catch it. The weights stay
+    positive, as the mixture kernel requires."""
+    # the law's own tuple: the params' shared one stays as it is
+    c = list(d._cdf_consts)
+    c[_k.CDF_LN_W0] = -c[_k.CDF_LN_W0]
+    object.__setattr__(d, "_cdf_consts", tuple(c))
     return d
 
 
@@ -568,11 +570,11 @@ def _paper_bound(d: AefDist, gamma: float, k0: int) -> float:
     gauss_2f1_ln. That series has no convergent real form at q y^2 >= 1,
     where it raises ConvergenceError, as where a series does not
     converge."""
-    ctrl = default_control()
-    ln_y0, half_alpha, a, _, ms, _, ln_q, sgn_q, mu, _, _, _ = d._cdf_consts
+    ctrl = DEFAULT_CONTROL
+    ln_y0, half_alpha, a, _, ms, _, ln_q, mu, _, _, _ = d._cdf_consts
     gexp = half_alpha * (math.log(gamma) - d._ln_gb)
     ln_y = ln_y0 + gexp
-    w = _k._signed_exp(sgn_q, 2.0 * ln_y + ln_q)
+    w = _k._signed_exp(1.0, 2.0 * ln_y + ln_q)
     if w >= 1.0:
         raise ConvergenceError("the paper's bound: its bounding series diverges at q y^2 >= 1")
     ln_f2, sgn_f2, _, _, st2 = specfun.gauss_2f1_ln(

@@ -42,8 +42,8 @@ def _density_dps(ms):
 
 def _mp_beta_mixture(ln_odds, a0, da, b, ln_weights, terms, start=0):
     """Sum of weight_k * I_w(a0 + k da, b) over k >= start, with w =
-    e^ln_odds / (1 + e^ln_odds) and ln_weights yielding (ln|weight_k|,
-    sign_k) from k = 0.
+    e^ln_odds / (1 + e^ln_odds) and ln_weights yielding ln weight_k > 0
+    from k = 0.
 
     terms=None sums until the weights times the betas stop mattering at
     this precision, testing that only from the mode of the weights on (the
@@ -57,17 +57,17 @@ def _mp_beta_mixture(ln_odds, a0, da, b, ln_weights, terms, start=0):
     s = mp.mpf(0)
     small = 0
     ln_prev, past_mode = None, False
-    for k, (ln_wk, sgn) in enumerate(ln_weights):
+    for k, ln_wk in enumerate(ln_weights):
         if terms is not None and k >= terms:
             break
         past_mode = past_mode or (ln_prev is not None and ln_wk < ln_prev)
         ln_prev = ln_wk
         if k < start:
             continue
-        term = sgn * mp.exp(ln_wk) * mp.betainc(a0 + k * da, b, 0, w, regularized=True)
+        term = mp.exp(ln_wk) * mp.betainc(a0 + k * da, b, 0, w, regularized=True)
         s += term
         if terms is None and past_mode:
-            if abs(term) <= _STOP * max(abs(s), _TINY):
+            if term <= _STOP * max(s, _TINY):
                 small += 1
                 if small >= 3:
                     break
@@ -76,22 +76,20 @@ def _mp_beta_mixture(ln_odds, a0, da, b, ln_weights, terms, start=0):
     return s
 
 
-def mp_kernel_mixture(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, ln_a, lb, terms,
-                      start=0):
+def mp_kernel_mixture(ln_y, a, step, b, ln_w0, ln_z, r, d, ln_a, lb, terms, start=0):
     """The terms k = start .. terms - 1 of _kernels._beta_mixture's sum (with
     terms=None, every term from start on: the remainder after `start`
     terms, summed), from its own arguments taken as exact: weights w_0 =
-    e^ln_w0, w_(k+1) = w_k sgn_z e^ln_z (r + d k)/(k + 1), betas I_w(a +
+    e^ln_w0, w_(k+1) = w_k e^ln_z (r + d k)/(k + 1), betas I_w(a +
     step k, b). ln_a and lb, the kernel's ln a and ln B(a, b), are not used:
     each I_w comes from mpmath."""
     _setup()
 
     def weights():
-        ln_wk, sgn, k = mp.mpf(ln_w0), 1, 0
+        ln_wk, k = mp.mpf(ln_w0), 0
         while True:
-            yield ln_wk, sgn
+            yield ln_wk
             ln_wk += mp.mpf(ln_z) + mp.log((mp.mpf(r) + d * k) / (k + 1))
-            sgn *= int(sgn_z)
             k += 1
 
     return _mp_beta_mixture(ln_y, mp.mpf(a), step, mp.mpf(b), weights(), terms, start)
@@ -107,26 +105,26 @@ def mp_akf_cdf(mu, ms, kappa, ln_x1, terms=None):
     def weights():
         ln_wt, t = -mk, 0
         while True:
-            yield ln_wt, 1
+            yield ln_wt
             t += 1
             ln_wt += mp.log(mk / t)
 
     return _mp_beta_mixture(ln_x1, mp.mpf(mu), 1, mp.mpf(ms), weights(), terms)
 
 
-def mp_aef_cdf(mu, ms, h, hsq, ln_y, terms=None):
+def mp_aef_cdf(mu, ms, h, ln_y, terms=None):
     """alpha-eta-F CDF as its negative-binomial mixture
     sum_k h^(-mu) (mu)_k / k! (H^2/h^2)^k I_w(2mu + 2k, ms), w = y / (1 + y),
-    at ln y = ln_y. A negative hsq, as the flipped-sign battery check makes,
-    gives weights of alternating sign."""
+    at ln y = ln_y, with H^2/h^2 = 1 - 1/h (h^2 - H^2 = h in both geometry
+    formats) from the double h."""
     _setup()
-    mu, h, hsq = mp.mpf(mu), mp.mpf(h), mp.mpf(hsq)
-    ln_q = mp.log(abs(hsq) / (h * h))
+    mu, h = mp.mpf(mu), mp.mpf(h)
+    ln_q = mp.log(1 - 1 / h)
 
     def weights():
         ln_wk, k = -mu * mp.log(h), 0
         while True:
-            yield ln_wk, (-1 if hsq < 0 and k % 2 else 1)
+            yield ln_wk
             ln_wk += mp.log((mu + k) / (k + 1)) + ln_q
             k += 1
 

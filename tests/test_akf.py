@@ -117,7 +117,7 @@ def test_closed_cdf_below_the_band_is_the_mixture(kw, g, max_terms):
     # m-th term, so below the band the closed CDF is snr_cdf, field for field
     d = AkfDist(AkfParams(**kw), 1.0)
     assert math.exp(d._ln_x1(g)) < 1.0 - CLOSED_FORM_GUARD
-    ctrl = None if max_terms is None else SeriesControl(max_terms=max_terms)
+    ctrl = SeriesControl() if max_terms is None else SeriesControl(max_terms=max_terms)
     assert d.snr_cdf_closed(g, ctrl) == d.snr_cdf(g, ctrl)
 
 

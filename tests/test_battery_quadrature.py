@@ -298,7 +298,7 @@ def test_stacked_lanes_equal_one_law_lanes_bit_for_bit(family, power):
     rng = np.random.default_rng(5)
     order = rng.permutation(which.size)
     stacked, errors = Law._densities(laws, "snr_pdf", "gamma", np.tile(x, len(laws))[order],
-                                     which[order], power, None)
+                                     which[order], power)
     assert not errors
     for i, (p, law) in enumerate(zip(params, laws)):
         if power == 1.0:
@@ -320,12 +320,12 @@ def test_mixed_families_equal_one_family_calls_bit_for_bit(power):
     which = np.repeat(np.arange(len(laws)), x.size)
     order = np.random.default_rng(7).permutation(which.size)
     mixed, errors = Law._densities(laws, "snr_pdf", "gamma", np.tile(x, len(laws))[order],
-                                   which[order], power, None)
+                                   which[order], power)
     assert not errors
     mixed = mixed[np.argsort(order)]
     for group, first in ((aef, 0), (akf, 1)):
         alone, errors = Law._densities(group, "snr_pdf", "gamma", np.tile(x, len(group)),
-                                       np.repeat(np.arange(len(group)), x.size), power, None)
+                                       np.repeat(np.arange(len(group)), x.size), power)
         assert not errors
         for i in range(len(group)):
             np.testing.assert_array_equal(mixed[which == first + 2 * i],

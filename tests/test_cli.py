@@ -3,15 +3,15 @@
 The tests call cli.main(argv) in the test process through conftest's
 cli_main fixture, which reads its stdout and stderr with capsys, so
 argument parsing and exit codes are exercised as the entry point runs
-them, without an interpreter per call. Two tests start `python -m
-compfade` in a subprocess: one runs the module entry point as a shell
-user does, and one sets COMPFADE_MAX_TERMS, which is read only when
-compfade is imported. The subprocess gets the imported package's source
-directory on PYTHONPATH (conftest.child_env), so it runs from a checkout
-as well as from an installed copy.
+them, without an interpreter per call. One test starts `python -m
+compfade` in a subprocess, to run the module entry point as a shell user
+does. The subprocess gets the imported package's source directory on
+PYTHONPATH (conftest.child_env), so it runs from a checkout as well as
+from an installed copy.
 """
 
 import json
+import math
 import subprocess
 import sys
 
@@ -20,10 +20,8 @@ from conftest import child_env
 CLI = [sys.executable, "-m", "compfade"]
 
 
-def run_cli(*args, env_extra=None):
-    return subprocess.run(
-        CLI + list(args), capture_output=True, env=child_env(**(env_extra or {}))
-    )
+def run_cli(*args):
+    return subprocess.run(CLI + list(args), capture_output=True, env=child_env())
 
 
 AEF_CURVE = [
@@ -174,21 +172,22 @@ def test_domain_errors_exit_one(cli_main):
     assert r.stderr  # names the offending parameter
 
 
-def test_unconverged_curve_exits_two():
-    # Near-degenerate imbalance slows the CDF series enough that a small
-    # term budget converges some grid points but not others; the rows
-    # must still come out, flagged, with exit code 2.
-    args = [
-        "curve", "--dist", "aef", "--alpha", "2", "--eta", "0.02",
-        "--mu", "1", "--ms", "3", "--quantity", "snr-cdf",
-        "--gamma-bar", "1", "--from", "2", "--to", "8", "--points", "3",
-    ]
-    r = run_cli(*args, env_extra={"COMPFADE_MAX_TERMS": "250"})
+def test_unconverged_curve_exits_two(cli_main):
+    # At eta = 1e-9 the negative-binomial count has mean mu (h - 1) = 3e8,
+    # far past the default budget of 1e5 terms, so both points come out
+    # flagged, with exit code 2. ROADMAP direction 3, a CDF whose cost does
+    # not depend on eta, will make this point converge.
+    r = cli_main(
+        "curve", "--dist", "aef", "--alpha", "2.5", "--eta", "1e-9", "--mu", "1.2",
+        "--ms", "4", "--quantity", "snr-cdf", "--log", "--from", "1e-3", "--to", "1",
+        "--points", "2",
+    )
     assert r.returncode == 2
     lines = r.stdout.decode().splitlines()
-    assert len(lines) == 4
-    flags = [line.split(",")[3] for line in lines[1:]]
-    assert "false" in flags
+    assert len(lines) == 3
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(math.isfinite(float(row[1])) for row in rows)
+    assert [row[3] for row in rows] == ["false", "false"]
 
 
 def test_sample_csv_and_determinism(cli_main):
@@ -244,8 +243,9 @@ def test_validate_quick_passes(cli_main):
 
 
 def test_validate_detects_seeded_defect(cli_main):
-    # The hidden flag flips the sign of the imbalance term inside the
-    # analytic CDF only; the physical sampler is untouched, so the KS
+    # The hidden flag flips the sign of ln h^(-mu), the first weight of the
+    # alpha-eta-F CDF mixture, in the analytic CDF only; the physical
+    # sampler is untouched, so the KS
     # comparison must catch the disagreement and name the check.
     r = cli_main("validate", "--level", "quick", "--flip-h-sign")
     assert r.returncode == 3

@@ -1,5 +1,5 @@
-"""Values at the ends of the domain, overflowing asymptotes, the term
-budget read from the environment at import, and what the imports load."""
+"""Values at the ends of the domain, overflowing asymptotes, a term budget
+that no environment variable sets, and what the imports load."""
 
 import math
 import subprocess
@@ -21,7 +21,6 @@ from compfade import (
     Format,
     asymptotic_outage_aef,
     asymptotic_outage_akf,
-    default_control,
 )
 from conftest import child_env, rel_err
 
@@ -209,25 +208,14 @@ def test_overflowing_density_raises():
         d.snr_pdf(5e-324)
 
 
-def test_default_control_is_resolved_once():
-    assert default_control() is default_control()
-
-
-def _import_with_max_terms(raw):
-    code = "import compfade; print(compfade.default_control().max_terms)"
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          env=child_env(COMPFADE_MAX_TERMS=raw))
-
-
-def test_max_terms_override_is_read_at_import():
-    r = _import_with_max_terms("250")
-    assert r.returncode == 0 and r.stdout.decode().strip() == "250"
-
-
-def test_non_integer_max_terms_fails_the_import():
-    r = _import_with_max_terms("lots")
-    assert r.returncode != 0
-    assert b"DomainError" in r.stderr and b"COMPFADE_MAX_TERMS" in r.stderr
+def test_import_ignores_a_term_budget_in_the_environment():
+    # the default budget is the constant SeriesControl(): no environment
+    # variable sets it, so not even a value that is no integer fails the import
+    code = "import compfade.series as s; print(s.DEFAULT_CONTROL.max_terms)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       env=child_env(COMPFADE_MAX_TERMS="lots"))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.decode().strip() == "100000"
 
 
 def test_import_runs_the_interpreted_kernels_only():

@@ -87,28 +87,10 @@ def test_akf_mixture_oracle_sums_past_the_mode_at_large_mu_kappa(mu, kappa, g):
 def test_aef_format_ii_negative_eta_matches_mixture_oracle(p, gamma_bar, ratio):
     d = AefDist(p, gamma_bar)
     g = gamma_bar * ratio
-    want = float(oracles.mp_aef_cdf(p.mu, p.ms, d.geometry.h, d.geometry.H ** 2,
-                                    _aef_ln_y(d, g)))
+    want = float(oracles.mp_aef_cdf(p.mu, p.ms, d.geometry.h, _aef_ln_y(d, g)))
     r = d.snr_cdf(g)
     assert r.converged
     assert rel_err(r.value, want) <= MIXTURE_TOL
-
-
-@pytest.mark.parametrize("ratio", [1e-3, 1.0, 30.0])
-def test_aef_alternating_weights_match_mixture_oracle(ratio):
-    # A negative H^2, as the battery's flipped-sign check injects, makes
-    # the weights alternate in sign; the kernel must still sum them right.
-    p, gamma_bar = FORMAT_II_NEG[0]
-    d = AefDist(p, gamma_bar)
-    g = gamma_bar * ratio
-    hsq = d.geometry.H ** 2
-    flipped = _k.aef_cdf_consts(p.alpha, p.mu, p.ms, d.geometry.h, -hsq,
-                                 oracles.ln_lambda(d))
-    raw, _, _, status = _k._beta_mixture(flipped[0] + flipped[1] * math.log(g), *flipped[2:],
-                                         1e-12, 100_000)
-    want = float(oracles.mp_aef_cdf(p.mu, p.ms, d.geometry.h, -hsq, _aef_ln_y(d, g)))
-    assert status == 0
-    assert rel_err(raw, want) <= MIXTURE_TOL
 
 
 SLOW_AEF = AefDist(AefParams(alpha=2.5, eta=0.2, mu=1.3, ms=4.0), 1.0)
@@ -121,8 +103,8 @@ def test_truncated_series_is_the_first_k_mixture_terms(k):
     g = 2.0
     d = SLOW_AEF
     r = d.snr_cdf(g, SeriesControl(max_terms=k))
-    want = oracles.mp_aef_cdf(d.params.mu, d.params.ms, d.geometry.h, d.geometry.H ** 2,
-                              _aef_ln_y(d, g), terms=k)
+    want = oracles.mp_aef_cdf(d.params.mu, d.params.ms, d.geometry.h, _aef_ln_y(d, g),
+                              terms=k)
     assert r.terms_used == k and not r.converged
     assert rel_err(r.value, float(want)) <= MIXTURE_TOL
     d = SLOW_AKF
@@ -133,10 +115,10 @@ def test_truncated_series_is_the_first_k_mixture_terms(k):
     assert rel_err(r.value, float(want)) <= MIXTURE_TOL
 
 
-def _kernel_args(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d):
-    """_beta_mixture's arguments (ln y, a, step, b, ln w0, ln z, sgn z, r, d,
-    ln a, ln B(a, b)), ln a and ln B(a, b) formed as the CDF consts form them."""
-    return ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d, math.log(a), _k._lbeta(a, b)
+def _kernel_args(ln_y, a, step, b, ln_w0, ln_z, r, d):
+    """_beta_mixture's arguments (ln y, a, step, b, ln w0, ln z, r, d, ln a,
+    ln B(a, b)), ln a and ln B(a, b) formed as the CDF consts form them."""
+    return ln_y, a, step, b, ln_w0, ln_z, r, d, math.log(a), _k._lbeta(a, b)
 
 
 # _beta_mixture's arguments at two alpha-kappa-F points where I falls fast,
@@ -145,9 +127,9 @@ def _kernel_args(ln_y, a, step, b, ln_w0, ln_z, sgn_z, r, d):
 # their terms.
 FAST_DROPS = [
     (_kernel_args(0.28093922288360496, 1.5925575289977438, 1, 1.7049429043372746,
-                  -52.840273822307466, 3.9672736617434126, 1.0, 1.0, 0.0), 79),
+                  -52.840273822307466, 3.9672736617434126, 1.0, 0.0), 79),
     (_kernel_args(-2.8210240080849, 2.5393784477829064, 1, 15.891022518889262,
-                  -8.25490433034906, 2.1108074880074255, 1.0, 1.0, 0.0), 18),
+                  -8.25490433034906, 2.1108074880074255, 1.0, 0.0), 18),
 ]
 
 
@@ -195,7 +177,7 @@ def test_lanes_call_scipy_as_often_however_many_terms(monkeypatch):
     assert 1 <= counts[0] == counts[1] == counts[2]
 
 
-def _assert_lanes_equal_scalar_calls(d, g, ctrl=None):
+def _assert_lanes_equal_scalar_calls(d, g, ctrl=SeriesControl()):
     assert g.size >= _k._LANES_START  # the array loop, not scalar calls
     lanes = d.snr_cdf(g, ctrl)
     scalars = [d.snr_cdf(float(v), ctrl) for v in g]
@@ -247,8 +229,8 @@ def _mp_partial(d, g, terms):
     """The first `terms` terms of d's CDF mixture at g from the oracles."""
     p = d.params
     if isinstance(d, AefDist):
-        return float(oracles.mp_aef_cdf(p.mu, p.ms, d.geometry.h, d.geometry.H ** 2,
-                                        _aef_ln_y(d, g), terms=terms))
+        return float(oracles.mp_aef_cdf(p.mu, p.ms, d.geometry.h, _aef_ln_y(d, g),
+                                        terms=terms))
     return float(oracles.mp_akf_cdf(p.mu, p.ms, p.kappa, d._ln_x1(g), terms=terms))
 
 
@@ -333,8 +315,7 @@ def test_aef_negative_binomial_weights_sum_to_one(eta, mu):
     # past that the rounding of ln w0 itself, eps |ln w0|, dominates. ln q
     # taken as ln H^2 - 2 ln h left it 1 - 2.8e-13 off at eta = 1e-3, mu = 1.
     d = AefDist(AefParams(alpha=2.0, eta=eta, mu=mu, ms=4.0), 1.0)
-    ln_w0, ln_q, sgn_q = d._cdf_consts[_k.CDF_LN_W0], d._cdf_consts[6], d._cdf_consts[7]
-    assert sgn_q == 1.0
+    ln_w0, ln_q = d._cdf_consts[_k.CDF_LN_W0], d._cdf_consts[6]
     mp = oracles._setup()
     q = mp.exp(mp.mpf(ln_q))
     total = mp.exp(mp.mpf(ln_w0)) * (1 - q) ** (-mu)

@@ -9,6 +9,7 @@ import math
 import time
 
 import mpmath
+import numpy as np
 import pytest
 
 from compfade import _kernels as _k
@@ -208,11 +209,21 @@ def test_kdf_2_1_rejects_y_outside_unit_disk():
         kdf_2_1(1.5, 2.5, -1.0, 2.0, 0.6, 0.5)
 
 
-def test_series_control_rejects_bad_settings():
+@pytest.mark.parametrize("setting", [
+    *[{"rel_tol": v} for v in (0.0, -1e-12, 1.0, 2.0, math.inf, math.nan)],
+    *[{"max_terms": v} for v in (0, -1, "3", 2.5, 3.0, math.nan, None)],
+])
+def test_series_control_rejects_bad_settings(setting):
+    # rel_tol = inf stopped the alpha-eta-F CDF after 3 terms at 0.069 for
+    # 0.639, and gauss_2f1(0.5, 0.7, 1.3, 0.4) at 1.1316 for 1.1410, both
+    # with converged=True; max_terms = "3" raised a bare TypeError mid-sum
     with pytest.raises(DomainError):
-        SeriesControl(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        SeriesControl(max_terms=0)
+        SeriesControl(**setting)
+
+
+def test_series_control_takes_integer_budgets_and_tolerances_below_one():
+    ctrl = SeriesControl(rel_tol=0.5, max_terms=np.int64(1))
+    assert gauss_2f1(0.5, 0.7, 1.3, 0.4, ctrl).terms_used == 1
 
 
 @pytest.mark.parametrize("a,b,x", [

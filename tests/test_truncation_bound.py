@@ -108,7 +108,7 @@ def test_bound_dominates_the_difference_of_two_cdfs(d, gamma):
 def test_bound_at_the_ends_and_refused_k0(d):
     assert d.cdf_truncation_bound(0.0, 4) == 0.0
     # at gamma = inf every beta is 1: the bound is the tail mass, plus 2 eps
-    tail = d._tail_mass(4.0, d._cdf_consts[8], d._cdf_consts[6])
+    tail = d._tail_mass(4.0, d._cdf_consts[7], d._cdf_consts[6])
     assert d.cdf_truncation_bound(math.inf, 4) == tail + 2.0 * 2.0**-52
     assert d.cdf_truncation_bound(1.0, 4.0) == d.cdf_truncation_bound(1.0, np.int64(4))
     for k0 in (0, 1.5, -2, math.inf, math.nan):
