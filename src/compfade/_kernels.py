@@ -19,11 +19,12 @@ representable.
 
 Every scalar call of a scipy.special function goes to scipy's C kernel
 through scipy.special.cython_special's typed double entry (_betainc,
-_betaincc, _gammainc, _hyp2f1, _hyp1f1), without the ufunc's dispatch;
+_fdtr, _gammainc, _hyp2f1, _hyp1f1), without the ufunc's dispatch;
 every array call goes through the ufunc. Both routes run the same kernel and give the
 same double.
 
-The regularized incomplete beta comes from scipy.special (reg_inc_beta).
+The regularized incomplete beta comes from scipy.special (reg_inc_beta):
+betainc up to x = 1/2, the F-distribution CDF fdtr above it.
 The CDF mixture of both laws (_beta_mixture) takes it from scipy at its
 first and its last term only, and sums the steps T of the DLMF 8.17.20
 recurrence between them by parts, against the partial sums of the
@@ -66,7 +67,7 @@ from scipy.special import cython_special as _cs
 # which skip the ufunc's dispatch (about 0.75 us a call with scipy 1.17.1),
 # not the fused functions, which refuse Python ints
 _betainc = _cs.betainc["double"]
-_betaincc = _cs.betaincc["double"]
+_fdtr = _cs.fdtr["double"]
 _gammainc = _cs.gammainc  # double only, not fused
 _hyp2f1 = _cs.hyp2f1["double"]
 _hyp1f1 = _cs.hyp1f1["double"]
@@ -137,17 +138,22 @@ def pdf_at_zero(ln_a, q):
 
 def reg_inc_beta(a, b, x, cx):
     """Regularized incomplete beta I_x(a,b) given x and cx = 1 - x, a float,
-    from scipy.special's typed scalar entries (_betainc, _betaincc).
+    from scipy.special's typed scalar entries (_betainc, _fdtr).
 
-    Above x = 1/2 it is the complement betaincc(b, a, cx), so an x within an
-    ulp of 1 (the CDF mixtures reach both ends) keeps the digits cx carries.
-    Where x^a falls below about e^_LN_POW_MIN, betainc loses digits although
-    I may be representable; the CDF mixtures weight such an I by at most 1,
-    and specfun._ln_2f1_beta, which would scale it by y^-a, takes Pfaff's
-    form there.
+    Above x = 1/2 it is the F(2a, 2b) CDF fdtr at the odds f = (b/a)
+    (x/cx), which scipy takes as the complement I = 1 - I_c(b, a) at c =
+    b/(b + a f), cx to a few ulps; so an x within an ulp of 1 (the CDF
+    mixtures reach both ends) keeps the digits cx carries. betaincc(b, a,
+    cx) does so too, at 4-8x fdtr's cost a call (scipy 1.17.1). Where cx
+    is 0, or x/cx overflows, I is 1.
+    Where x^a falls below about e^_LN_POW_MIN, both routes lose digits or
+    give 0 although I may be representable; the CDF mixtures weight such an
+    I by at most 1, and specfun._ln_2f1_beta, which would scale it by y^-a,
+    takes Pfaff's form there.
     """
     if x > 0.5:
-        return _betaincc(b, a, cx)
+        # x / cx is inf, not an error, where it overflows; fdtr(.., inf) = 1
+        return _fdtr(2.0 * a, 2.0 * b, (b / a) * (x / cx)) if cx else 1.0
     return _betainc(a, b, x)
 
 
@@ -594,11 +600,16 @@ def _akf_scipy_form(consts, ln_g, ln_jac):
 
 def _reg_inc_beta_lanes(a, b, x, cx):
     """reg_inc_beta at every lane of the arrays x and cx = 1 - x; a is a
-    scalar or an array aligned with them."""
+    scalar or an array aligned with them. The odds above x = 1/2 are
+    reg_inc_beta's expression, so a lane equals its scalar call bit for
+    bit; where cx is 0 they are inf and fdtr gives 1, as the scalar call
+    does."""
     a = np.broadcast_to(a, x.shape)
     out = np.empty(x.shape)
     hi = x > 0.5
-    out[hi] = _sc.betaincc(b, a[hi], cx[hi])
+    ah = a[hi]
+    with np.errstate(divide="ignore", over="ignore"):
+        out[hi] = _sc.fdtr(2.0 * ah, 2.0 * b, (b / ah) * (x[hi] / cx[hi]))
     out[~hi] = _sc.betainc(a[~hi], b, x[~hi])
     return out
 

@@ -145,8 +145,8 @@ def _count_scipy_calls(monkeypatch) -> list:
     calls and the typed entries of scalar calls; returns the list that
     records one entry per call."""
     calls = []
-    for module, fn in ((_k._sc, "betainc"), (_k._sc, "betaincc"), (_k, "_betainc"),
-                       (_k, "_betaincc")):
+    for module, fn in ((_k._sc, "betainc"), (_k._sc, "fdtr"), (_k, "_betainc"),
+                       (_k, "_fdtr")):
         real = getattr(module, fn)
         monkeypatch.setattr(module, fn, lambda *args, _f=real: calls.append(1) or _f(*args))
     return calls

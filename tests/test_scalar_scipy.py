@@ -1,6 +1,6 @@
 """Scalar scipy.special calls through cython_special's typed double entries.
 
-A scalar call of betainc, betaincc, hyp2f1 or hyp1f1 goes to scipy's C
+A scalar call of betainc, fdtr, hyp2f1 or hyp1f1 goes to scipy's C
 kernel through the typed entry (_kernels._betainc, ...), an array call
 through the ufunc. Both routes must give the same double at every point a
 kernel passes, and the typed entries must take int-valued shapes, which
@@ -36,10 +36,10 @@ def _log_uniform(rng, lo, hi, n):
 def _sweeps():
     """(name, typed entry, ufunc, argument arrays) over the ranges the call
     sites pass: the mixture's and the 2F1 beta rows' incomplete betas (x up
-    to 1/2, its complement above), the alpha-eta-F density's 2F1 in the
-    direct and Euler forms, upsilon's and the physical model's 2F1, the
-    alpha-kappa-F density's Kummer 1F1, omega's and the physical model's
-    1F1."""
+    to 1/2, above it the F CDF at the odds, inf included), the alpha-eta-F
+    density's 2F1 in the direct and Euler forms, upsilon's and the physical
+    model's 2F1, the alpha-kappa-F density's Kummer 1F1, omega's and the
+    physical model's 1F1."""
     rng = np.random.default_rng(20251019)
     n = DRAWS // 4
     ab = lambda: (_log_uniform(rng, 1e-2, 1e4, 2 * n), _log_uniform(rng, 1.0, 1e3, 2 * n))
@@ -48,7 +48,13 @@ def _sweeps():
     a, b = ab()
     yield "betainc", _k._betainc, special.betainc, (a, b, x)
     a, b = ab()
-    yield "betaincc", _k._betaincc, special.betaincc, (b, a, rng.permutation(x))
+    # reg_inc_beta's odds (b/a) (x/cx) at 1 - x = cx, 0 at every 500th (odds inf)
+    cx = rng.permutation(x)
+    cx[::500] = 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        f = (b / a) * ((1.0 - cx) / cx)
+    assert np.isinf(f).sum() >= 2 * n // 500
+    yield "fdtr", _k._fdtr, special.fdtr, (2.0 * a, 2.0 * b, f)
     mu, ms = rng.uniform(0.05, 10.0, n), rng.uniform(1.0, 50.0, n)
     z = np.concatenate((rng.uniform(0.0, 0.5, n // 2), 1.0 - _log_uniform(rng, 1e-12, 0.5, n - n // 2)))
     euler = z > 0.5
@@ -82,7 +88,7 @@ def test_typed_entries_equal_the_ufuncs_bit_for_bit(name, typed, ufunc, args):
 
 def test_typed_entries_take_ints_and_return_floats():
     for typed, ufunc, args in ((_k._betainc, special.betainc, (2, 1, 0.5)),
-                               (_k._betaincc, special.betaincc, (1, 2, 0.5)),
+                               (_k._fdtr, special.fdtr, (4, 2, 3)),
                                (_k._hyp2f1, special.hyp2f1, (1, 2, 3, 0.5)),
                                (_k._hyp1f1, special.hyp1f1, (-2, 1, -3))):
         got = typed(*args)

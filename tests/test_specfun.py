@@ -230,13 +230,60 @@ def test_series_control_takes_integer_budgets_and_tolerances_below_one():
     (0.7, 3.0, 1e-12),
     (2.5, 4.0, 0.49),
     (2.5, 4.0, 0.51),
-    (200.0, 3.0, 0.97),  # above x = 1/2: the complement route
+    (200.0, 3.0, 0.97),  # above x = 1/2: the F CDF at the odds
+    (400.0, 0.5, 0.999),
 ])
 def test_reg_inc_beta_matches_mpmath(a, b, x):
     with mpmath.workdps(40):
         want = mpmath.betainc(a, b, 0, x, regularized=True)
     got = _k.reg_inc_beta(a, b, x, 1.0 - x)
     assert rel_err(got, float(want)) <= 1e-14
+
+
+def _mp_reg_inc_beta(a, b, ln_y):
+    """I_x(a, b) at x = y/(1 + y), y = e^ln_y, from mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        y = mpmath.exp(mpmath.mpf(ln_y))
+        return float(mpmath.betainc(a, b, 0, y / (1 + y), regularized=True))
+
+
+def test_reg_inc_beta_above_one_half_matches_mpmath():
+    # the errors of both branches come from rounding x at large a: 1.8e-13
+    # here, and 1.0e-13 for betainc below x = 1/2 on this sweep at -ln y.
+    # Where x^a < e^_LN_POW_MIN both branches may flush I to 0 (reg_inc_beta)
+    rng = np.random.default_rng(20261022)
+    a, b = (np.exp(rng.uniform(math.log(lo), math.log(hi), 1500))
+            for lo, hi in ((0.3, 3000.0), (0.3, 300.0)))
+    ln_y = rng.uniform(0.0, 50.0, 1500)
+    worst = 0.0
+    for ai, bi, li in zip(a.tolist(), b.tolist(), ln_y.tolist()):
+        x, cx, lnx, _ = _k._beta_argument(li)
+        if li > 0.0 and ai * lnx > _k._LN_POW_MIN:
+            worst = max(worst, rel_err(_k.reg_inc_beta(ai, bi, x, cx),
+                                       _mp_reg_inc_beta(ai, bi, li)))
+    assert worst <= 5e-13
+
+
+@pytest.mark.parametrize("a", [0.3, 2.0, 5.0, 40.0])
+@pytest.mark.parametrize("b", [0.3, 0.6])
+@pytest.mark.parametrize("ln_y", [20.0, 30.0, 46.0])
+def test_reg_inc_beta_keeps_the_digits_of_one_less_x(a, b, ln_y):
+    # x rounds 1 - I away: betainc(a, b, x) is 1.65e-12 off at a = 2, b =
+    # 0.6, ln y = 46, and 3.4e-6 off at a = 40, b = 0.3
+    x, cx, _, _ = _k._beta_argument(ln_y)
+    assert rel_err(_k.reg_inc_beta(a, b, x, cx), _mp_reg_inc_beta(a, b, ln_y)) <= 1e-15
+
+
+@pytest.mark.parametrize("a", [0.3, 5.0])
+def test_reg_inc_beta_is_one_where_one_less_x_underflows(a):
+    # 1 - x is normal at ln y = 700, the least subnormal at 745 and 0 at
+    # 800, where the odds x/(1 - x) are inf
+    ln_y = np.array([700.0, 745.0, 800.0])
+    x, cx = (np.array(v) for v in zip(*(_k._beta_argument(li)[:2] for li in ln_y)))
+    assert cx[-1] == 0.0 < cx[1]
+    scalar = [_k.reg_inc_beta(a, 0.6, xi, ci) for xi, ci in zip(x.tolist(), cx.tolist())]
+    assert scalar == [1.0, 1.0, 1.0]
+    assert _k._reg_inc_beta_lanes(a, 0.6, x, cx).tolist() == scalar
 
 
 @pytest.mark.parametrize("args", [
